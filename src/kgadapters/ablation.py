@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adapters import (AdaptedEncoder, insert_adapters, init_fusion,
-                       param_counts, large_adapter_bottleneck)
+from .adapters import AdaptedEncoder, insert_adapters, init_fusion, make_large_adapter
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError
-from .evaluation import MetricReport
+from .evaluation import MetricReport, finetune_contrastive
 from .objectives import train_adapter
 from .pipeline import (Workspace, _insert_seed, _task_args, assemble_fused,
                        load_backbone, make_sampler, _provenance)
@@ -59,17 +58,14 @@ def train_large_adapter(ws: Workspace) -> AdaptedEncoder:
     reference = insert_adapters(backbone, list(ws.config.adapter_kinds),
                                 ws.config.bottleneck, _insert_seed(ws.config), config)
     reference = init_fusion(reference, _insert_seed(ws.config) + 1)
-    budget = param_counts(reference)
-    b = large_adapter_bottleneck(budget.adapter_total + budget.fusion,
-                                 config.d_model, config.layers)
-    model = insert_adapters(backbone, ["LARGE"], b, _insert_seed(ws.config), config)
+    model = make_large_adapter(reference, backbone, _insert_seed(ws.config))
     hyper = ws.config.hyper("adapter", len(ds.train_triples))
     hyper.seed = ws.config.seed + sum(ord(c) for c in "LARGE")
     sampler = make_sampler(ds, "LARGE", hyper)
     trained, curve = train_adapter(model, "LARGE", sampler, vocab, hyper)
     ws.write_curve("integrate_LARGE", curve)
     prov = _provenance(ws, "integrate", kind="LARGE")
-    prov["bottleneck"] = b
+    prov["bottleneck"] = model.bottlenecks["LARGE"]
     save_checkpoint(path, trained.params, prov)
     return trained
 
@@ -108,11 +104,11 @@ def task_train_and_eval(ws: Workspace, model: AdaptedEncoder, variant: str,
                         task: str) -> MetricReport:
     """Identical task-training budget for every variant, then evaluation."""
     ds, vocab = ws.load_data()
-    finetune_fn, train_data, eval_fn, test_data = _task_args(ws, ds, task)
+    sampler_fn, train_data, eval_fn, test_data = _task_args(ws, ds, task)
     hyper = ws.config.hyper(f"fuse_{task}", len(train_data))
     hyper.seed = ws.config.seed + 101
-    trained, _ = finetune_fn(model, ds.mlkg, train_data, vocab, hyper,
-                             train_groups=variant_train_groups(variant))
+    trained, _ = finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
+                                      train_groups=variant_train_groups(variant))
     report = eval_fn(trained, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
     report.variant = variant
     report.seed = ws.config.seed
@@ -137,7 +133,11 @@ def run_transfer_benchmark(ws: Workspace, task: str,
 
 
 def run_ablation(ws: Workspace, tasks=("completion", "alignment"),
-                 variants=VARIANTS) -> AblationReport:
+                 variants=None) -> AblationReport:
+    """Every variant on every task; by default base, each configured adapter,
+    LARGE and FUSION."""
+    if variants is None:
+        variants = ("base", *ws.config.adapter_kinds, "LARGE", "FUSION")
     report = AblationReport(seed=ws.config.seed, config_hash=ws.config.config_hash())
     for variant in variants:
         model = build_variant(ws, variant)

@@ -128,7 +128,7 @@ def init_fusion(adapted: AdaptedEncoder, seed: int) -> AdaptedEncoder:
 
 
 # ---------------------------------------------------------------------------
-# forward passes (graph ops; public vector wrappers below)
+# forward passes (graph ops)
 # ---------------------------------------------------------------------------
 
 def adapter_apply(x: Tensor, leaves: dict[str, Tensor], kind: str, layer: int) -> Tensor:
@@ -186,26 +186,6 @@ def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],
         return mixed
 
     return fusion_hook
-
-
-# ---------------------------------------------------------------------------
-# public single-vector ops
-# ---------------------------------------------------------------------------
-
-def adapter_forward(h: np.ndarray, weights: dict[str, np.ndarray]) -> np.ndarray:
-    """Apply one layer slice {W_down, b_down, W_up, b_up} to a vector."""
-    leaves = {f"adapter.X.0.{k}": Tensor(np.asarray(v)) for k, v in weights.items()}
-    return adapter_apply(Tensor(np.asarray(h)), leaves, "X", 0).data
-
-
-def fusion_forward(h: np.ndarray, adapter_outputs: list[np.ndarray],
-                   qkv: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse a vector with its adapter outputs; returns (output, weights)."""
-    leaves = {f"fusion.0.{k}": Tensor(np.asarray(v)) for k, v in qkv.items()}
-    x = Tensor(np.asarray(h).reshape(1, -1))
-    outs = [Tensor(np.asarray(o).reshape(1, -1)) for o in adapter_outputs]
-    mixed, a = fusion_apply(x, outs, leaves, 0)
-    return mixed.data.reshape(-1), a.data.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

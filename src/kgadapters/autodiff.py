@@ -10,14 +10,12 @@ graph compiler and no user-extensible op registry.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import erf
 
-log = logging.getLogger(__name__)
 
 DEFAULT_DTYPE = np.float32
 
@@ -459,16 +457,3 @@ def gradcheck(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
                 worst = rel
     return worst
 
-
-def cosine_sim(x, y) -> float:
-    """Cosine similarity of two vectors; zero-norm inputs give 0 with a warning."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ShapeError(f"cosine_sim: dimension mismatch {x.shape} vs {y.shape}")
-    nx = math.sqrt(float(x @ x))
-    ny = math.sqrt(float(y @ y))
-    if nx == 0.0 or ny == 0.0:
-        log.warning("cosine_sim: zero-norm input, similarity defined as 0")
-        return 0.0
-    return float(x @ y) / (nx * ny)

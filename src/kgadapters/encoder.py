@@ -18,9 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .hyper import TrainHyper
-from .optim import adam_step, init_adam, warmup_lr
+from .optim import train
 from .params import ParamSet
-from .vocab import Vocab, TokenSeq
+from .vocab import TokenSeq, Vocab, tokenize
 
 PAD_ID, UNK_ID, MASK_ID, SEP_ID = 0, 1, 2, 3
 SPECIAL_ID_RANGE = (PAD_ID, UNK_ID, MASK_ID, SEP_ID)
@@ -198,18 +198,6 @@ def pool(x: Tensor, weights: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(x, w), axis=1)
 
 
-def mean_pool(hidden: np.ndarray, span: tuple[int, int], mask: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of final-layer vectors over an inclusive span."""
-    h = np.asarray(hidden)
-    if h.ndim != 2:
-        raise ValueError(f"mean_pool expects [tokens, d], got shape {h.shape}")
-    w = span_pool_weights([span], np.asarray(mask, dtype=np.float32).reshape(1, -1))
-    i, j = span
-    if i == j:
-        return h[i].copy()
-    return h[i:j + 1].mean(axis=0)
-
-
 def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:
     """Replace the whole span by exactly one MASK token."""
     i, j = span
@@ -270,19 +258,14 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
         raise ValueError("empty pretraining corpus")
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
-    state = init_adam(params)
-    seqs = [TokenSeq(ids=[vocab.id(t) for t in toks][:config.max_seq_len], lang=lang)
-            for lang, toks in corpus]
-    all_ids, all_mask = pad_batch(seqs, config)
-    curve = []
-    for step in range(1, hyper.steps + 1):
-        pick = rng.integers(0, len(seqs), size=hyper.batch_size)
+    all_ids, all_mask = pad_batch([tokenize(toks, lang, vocab, config.max_seq_len)
+                                   for lang, toks in corpus], config)
+
+    def loss_at(step):
+        pick = rng.integers(0, len(corpus), size=hyper.batch_size)
         ids, mask = all_ids[pick], all_mask[pick]
         corrupted, rows, cols, targets = make_mlm_batch(
             ids, mask, config.vocab_size, rng, hyper.mask_rate)
-        loss, grads = ad.grad_eval(
-            lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config), params)
-        lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
-        adam_step(params, grads, state, lr)
-        curve.append((step, lr, loss))
-    return params, curve
+        return lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config)
+
+    return params, train(params, [""], loss_at, hyper)

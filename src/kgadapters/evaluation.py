@@ -1,5 +1,7 @@
 """Cosine-retrieval evaluation (KG completion, entity alignment) and the
-contrastive task-finetuning used in the last workflow stages.
+task-pair samplers and contrastive finetuning used in the last workflow
+stages (fusion training and full finetuning). Finetuning is
+`objectives.train_pairs`, which runs the one training loop `optim.train`.
 
 Ranking is raw: a query is scored against every entity label of the target
 language by cosine similarity, descending, ties broken by ascending entity
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +23,10 @@ from . import autodiff as ad
 from .adapters import AdaptedEncoder, build_hook
 from .data import LanguageSplit, MLKG, Triple
 from .encoder import encode, pad_batch, pool, sentence_pool_weights
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 from .hyper import TrainHyper
-from .objectives import PairItem, _distinct_draws, encode_pair_batch, infonce
-from .optim import adam_step, init_adam, warmup_lr
-from .vocab import SEP, TokenSeq, Vocab
+from .objectives import PairItem, Sampler, _distinct_draws, train_pairs
+from .vocab import SEP, TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +118,7 @@ def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
 
 
 def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> TokenSeq:
-    return TokenSeq(ids=[vocab.id(t) for t in text.split()][:max_len], lang=lang)
+    return tokenize(text, lang, vocab, max_len)
 
 
 def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
@@ -187,8 +188,7 @@ def completion_query_seq(mlkg: MLKG, triple: Triple, lang: str, vocab: Vocab,
     """Encode "subject <sep> relation" in one language (never code-switched)."""
     subj = mlkg.entities[triple.head].labels[lang]
     rel = mlkg.relations[triple.rel].labels[lang]
-    tokens = subj.split() + [SEP] + rel.split()
-    return TokenSeq(ids=[vocab.id(t) for t in tokens][:max_len], lang=lang)
+    return tokenize(subj.split() + [SEP] + rel.split(), lang, vocab, max_len)
 
 
 def eval_completion(adapted: AdaptedEncoder, mlkg: MLKG,
@@ -236,10 +236,7 @@ def eval_alignment(adapted: AdaptedEncoder, mlkg: MLKG,
 # task finetuning (workflow stages 3 and 4)
 # ---------------------------------------------------------------------------
 
-ItemSampler = Callable[[int, np.random.Generator], list[PairItem]]
-
-
-def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -> ItemSampler:
+def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -> Sampler:
     if not train_items:
         raise ConfigError("no completion training items in supervised languages")
 
@@ -261,7 +258,7 @@ def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -
     return sampler
 
 
-def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> ItemSampler:
+def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> Sampler:
     if not train_pairs:
         raise ConfigError("no alignment training pairs in supervised languages")
 
@@ -281,54 +278,12 @@ def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) 
     return sampler
 
 
-def finetune_contrastive(adapted: AdaptedEncoder, sampler: ItemSampler, vocab: Vocab,
+def finetune_contrastive(adapted: AdaptedEncoder, sampler: Sampler, vocab: Vocab,
                          hyper: TrainHyper, train_groups: Sequence[str]
                          ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
-    """Train only the given parameter groups on task pairs with InfoNCE.
+    """Train only the given parameter groups of a copy on task pairs with InfoNCE.
 
-    Groups not listed are frozen and checksum-verified afterwards.
+    Groups not listed are frozen and checksum-verified by `optim.train`.
     """
-    from dataclasses import replace as dc_replace
-    model = dc_replace(adapted, params=adapted.params.copy())
-    params = model.params
-    params.set_trainable("", False)
-    for g in train_groups:
-        params.set_trainable(g, True)
-    trainable = set(params.trainable_names())
-    if not trainable:
-        raise ConfigError(f"no parameters match train groups {list(train_groups)}")
-    frozen = [n for n in params if n not in trainable]
-    before = {n: params.checksum(n) for n in frozen}
-
-    rng = np.random.default_rng(hyper.seed)
-    state = init_adam(params)
-    curve = []
-    for step in range(1, hyper.steps + 1):
-        items = sampler(hyper.batch_size, rng)
-
-        def loss_fn(leaves):
-            return infonce(encode_pair_batch(leaves, model, items, vocab), hyper.tau)
-
-        loss, grads = ad.grad_eval(loss_fn, params)
-        lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
-        adam_step(params, grads, state, lr)
-        curve.append((step, lr, loss))
-
-    for n in frozen:
-        if params.checksum(n) != before[n]:
-            raise ContractViolation(f"frozen parameter {n!r} changed during finetuning")
-    return model, curve
-
-
-def finetune_completion(adapted: AdaptedEncoder, mlkg: MLKG,
-                        train_items: list[tuple[str, Triple]], vocab: Vocab,
-                        hyper: TrainHyper, train_groups: Sequence[str]):
-    return finetune_contrastive(adapted, completion_item_sampler(mlkg, train_items),
-                                vocab, hyper, train_groups)
-
-
-def finetune_alignment(adapted: AdaptedEncoder, mlkg: MLKG,
-                       train_pairs: list[tuple[str, str, str]], vocab: Vocab,
-                       hyper: TrainHyper, train_groups: Sequence[str]):
-    return finetune_contrastive(adapted, alignment_item_sampler(mlkg, train_pairs),
-                                vocab, hyper, train_groups)
+    model = replace(adapted, params=adapted.params.copy())
+    return model, train_pairs(model, train_groups, sampler, vocab, hyper)

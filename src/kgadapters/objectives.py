@@ -1,4 +1,5 @@
-"""InfoNCE with in-batch negatives and the four knowledge batch builders.
+"""InfoNCE with in-batch negatives, the four knowledge batch builders, and
+contrastive training of parameter groups on sampled pairs.
 
 Each sampler yields text pairs; encoding happens in one fused forward pass
 (anchors and positives concatenated into a single batch) so a training step
@@ -8,19 +9,28 @@ exponent is used with tau configurable (default 0.05). Negatives for an
 anchor are the other positives in the batch.
 
 Samplers are pure in (data, seed): the same seed reproduces the same pair
-sequence. Code-switching draws each slot's language independently with
-probability p_cs, otherwise the whole item shares one language.
+sequence. The data a sampler draws from (the EP pair universe, the ES
+eligible sentences, the ingested TS records) is built once per stage by the
+caller and passed in. Code-switching draws each slot's language
+independently with probability p_cs, otherwise the whole item shares one
+language.
 
 Within one batch the positive-side entities are distinct: a duplicated
 entity would put a copy of an anchor's own positive among its negatives,
 which at a few hundred entities happens constantly and poisons the loss
 (at millions of entities random batches are distinct anyway).
+
+`train_pairs` is the one contrastive trainer: it feeds InfoNCE over
+`encode_pair_batch` into `optim.train`, which freezes every parameter
+outside the trained groups and checksum-verifies them. Adapter integration
+(`train_adapter`) and task finetuning (`evaluation.finetune_contrastive`)
+both call it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +41,10 @@ from .autodiff import Tensor
 from .data import MLKG, TaggedSentence, Triple, TripleSentence
 from .encoder import (encode, mask_span, pad_batch, pool,
                       sentence_pool_weights, span_pool_weights)
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 from .hyper import TrainHyper
-from .optim import adam_step, init_adam, warmup_lr
-from .params import ParamSet
-from .vocab import SEP, TokenSeq, Vocab
+from .optim import train
+from .vocab import SEP, TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -127,10 +136,12 @@ def _distinct_draws(universe_size: int, batch_size: int, key_of, rng: np.random.
     return picked
 
 
-def sample_ep_batch(mlkg: MLKG, langs: Sequence[str], batch_size: int,
-                    rng: np.random.Generator) -> list[PairItem]:
-    """Uniform over cross-lingual label alignment pairs (bare labels)."""
-    universe = ep_pair_universe(mlkg, langs)
+def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
+                    batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+    """Uniform over cross-lingual label alignment pairs (bare labels).
+
+    `universe` is `ep_pair_universe(mlkg, langs)`.
+    """
     if not universe:
         raise ConfigError("sample_ep_batch: no entity with labels in two permitted languages")
     picked = _distinct_draws(len(universe), batch_size,
@@ -196,9 +207,9 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
     return out
 
 
-def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG, langs: Sequence[str],
-                    batch_size: int, rng: np.random.Generator) -> list[PairItem]:
-    """Anchor = contextualized entity span, positive = label in another language."""
+def es_eligible(c1: Sequence[TaggedSentence], mlkg: MLKG,
+                langs: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """(sentence index, other permitted languages labelling its entity) per usable sentence."""
     eligible = []
     for idx, r in enumerate(c1):
         if r.lang not in langs:
@@ -206,6 +217,16 @@ def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG, langs: Sequence[st
         others = [l for l in langs if l != r.lang and l in mlkg.entities[r.entity_id].labels]
         if others:
             eligible.append((idx, others))
+    return eligible
+
+
+def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG,
+                    eligible: Sequence[tuple[int, list[str]]], batch_size: int,
+                    rng: np.random.Generator) -> list[PairItem]:
+    """Anchor = contextualized entity span, positive = label in another language.
+
+    `eligible` is `es_eligible(c1, mlkg, langs)`.
+    """
     if not eligible:
         raise ConfigError("sample_es_batch: no tagged sentence with a cross-lingual label")
     picked = _distinct_draws(len(eligible), batch_size,
@@ -235,10 +256,12 @@ def ts_ingest(c2: Sequence[TripleSentence]) -> list[TripleSentence]:
     return kept
 
 
-def sample_ts_batch(c2: Sequence[TripleSentence], base_lang: str, batch_size: int,
-                    rng: np.random.Generator) -> list[PairItem]:
-    """Anchor = sentence with the object span masked, positive = object label."""
-    pool_records = ts_ingest(c2)
+def sample_ts_batch(pool_records: Sequence[TripleSentence], base_lang: str,
+                    batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+    """Anchor = sentence with the object span masked, positive = object label.
+
+    `pool_records` is `ts_ingest(c2)`.
+    """
     if not pool_records:
         raise ConfigError("sample_ts_batch: no usable triple sentences")
     picked = _distinct_draws(len(pool_records), batch_size,
@@ -261,7 +284,7 @@ def sample_ts_batch(c2: Sequence[TripleSentence], base_lang: str, batch_size: in
 
 def _item_to_seq(tokens: list[str], lang: str, vocab: Vocab, max_len: int,
                  mask_at: tuple[int, int] | None) -> TokenSeq:
-    seq = TokenSeq(ids=[vocab.id(t) for t in tokens][:max_len], lang=lang)
+    seq = tokenize(tokens, lang, vocab, max_len)
     if mask_at is not None:
         if mask_at[1] >= len(seq.ids):
             raise ConfigError(
@@ -301,13 +324,16 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
                             provenance=[it.provenance for it in items])
 
 
-def mean_positive_cosine(adapted: AdaptedEncoder, items: Sequence[PairItem],
-                         vocab: Vocab) -> float:
-    """Diagnostic: mean cos(anchor_i, positive_i) under the current parameters."""
-    leaves = ad.make_leaves(adapted.params, grad=False)
-    batch = encode_pair_batch(leaves, adapted, items, vocab)
-    cos = ad.cosine_rows(batch.anchors, batch.positives).data
-    return float(np.mean(np.diag(cos)))
+def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
+                vocab: Vocab, hyper: TrainHyper) -> list[tuple[int, float, float]]:
+    """InfoNCE over sampled pairs, training only `groups` of model.params in place."""
+    rng = np.random.default_rng(hyper.seed)
+
+    def loss_at(step):
+        items = sampler(hyper.batch_size, rng)
+        return lambda leaves: infonce(encode_pair_batch(leaves, model, items, vocab), hyper.tau)
+
+    return train(model.params, groups, loss_at, hyper)
 
 
 def train_adapter(adapted: AdaptedEncoder, kind: str, sampler: Sampler,
@@ -316,38 +342,9 @@ def train_adapter(adapted: AdaptedEncoder, kind: str, sampler: Sampler,
     """Stage-2 integration: train one adapter with the backbone frozen.
 
     Only parameters named adapter.<kind>.* may change; backbone, fusion and
-    sibling adapters are checksum-verified before and after.
+    sibling adapters are checksum-verified by `optim.train`.
     """
     if kind not in adapted.kinds:
         raise ConfigError(f"adapter kind {kind!r} not inserted (have {adapted.kinds})")
-    model = dc_replace(adapted, params=adapted.params.copy(),
-                       mode="single", single_kind=kind)
-    params = model.params
-    params.set_trainable("encoder.", False)
-    params.set_trainable("adapter.", False)
-    params.set_trainable("fusion.", False)
-    params.set_trainable(f"adapter.{kind}.", True)
-
-    frozen_groups = ["encoder.", "fusion."] + [f"adapter.{k}." for k in model.kinds
-                                               if k != kind]
-    before = {g: params.checksum(g) for g in frozen_groups}
-
-    rng = np.random.default_rng(hyper.seed)
-    state = init_adam(params)
-    curve = []
-    for step in range(1, hyper.steps + 1):
-        items = sampler(hyper.batch_size, rng)
-
-        def loss_fn(leaves):
-            return infonce(encode_pair_batch(leaves, model, items, vocab), hyper.tau)
-
-        loss, grads = ad.grad_eval(loss_fn, params)
-        lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
-        adam_step(params, grads, state, lr)
-        curve.append((step, lr, loss))
-
-    after = {g: params.checksum(g) for g in frozen_groups}
-    for g in frozen_groups:
-        if before[g] != after[g]:
-            raise ContractViolation(f"frozen parameter group {g!r} changed during training")
-    return model, curve
+    model = replace(adapted, params=adapted.params.copy(), mode="single", single_kind=kind)
+    return model, train_pairs(model, [f"adapter.{kind}."], sampler, vocab, hyper)

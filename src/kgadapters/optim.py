@@ -1,12 +1,23 @@
-"""Adam optimizer state and the linear warmup learning-rate schedule."""
+"""Adam, the linear warmup schedule, and the one training loop.
+
+Every training stage (MLM pretraining, adapter integration, fusion and
+full finetuning) runs through `train`: the stages differ only in which
+parameter groups train and which batches the loss sees.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
+from .errors import ConfigError, ContractViolation
+from .hyper import TrainHyper
 from .params import ParamSet
+
+LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
 
 
 @dataclass
@@ -73,3 +84,34 @@ def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
     return base_lr * min(1.0, step / warmup_steps)
+
+
+def train(params: ParamSet, train_groups: Sequence[str],
+          loss_at: Callable[[int], LossFn], hyper: TrainHyper
+          ) -> list[tuple[int, float, float]]:
+    """Adam with linear warmup over only `train_groups`, in place.
+
+    Parameters whose names start with a listed prefix are trainable; every
+    other parameter is frozen and checksum-verified after the last step.
+    `loss_at(step)` draws the step's batch and returns its loss closure.
+    Returns the curve as (step, lr, loss) rows.
+    """
+    params.set_trainable("", False)
+    for g in train_groups:
+        params.set_trainable(g, True)
+    if not params.trainable_names():
+        raise ConfigError(f"no parameters match train groups {list(train_groups)}")
+    frozen = {n: params.checksum(n) for n in params if not params.is_trainable(n)}
+
+    state = init_adam(params)
+    curve = []
+    for step in range(1, hyper.steps + 1):
+        loss, grads = ad.grad_eval(loss_at(step), params)
+        lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
+        adam_step(params, grads, state, lr)
+        curve.append((step, lr, loss))
+
+    for n, before in frozen.items():
+        if params.checksum(n) != before:
+            raise ContractViolation(f"frozen parameter {n!r} changed during training")
+    return curve

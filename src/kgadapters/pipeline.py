@@ -22,20 +22,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adapters import AdaptedEncoder, insert_adapters, init_fusion
-from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError
-from .evaluation import (MetricReport, eval_alignment, eval_completion,
-                         finetune_alignment, finetune_completion)
+from .evaluation import (MetricReport, alignment_item_sampler, completion_item_sampler,
+                         eval_alignment, eval_completion, finetune_contrastive)
 from .hyper import TrainHyper
-from .objectives import (sample_ep_batch, sample_es_batch, sample_tp_batch,
-                         sample_ts_batch, train_adapter)
+from .objectives import (ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
+                         sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
 from .params import ParamSet
 from .synthetic import (SyntheticConfig, SyntheticDataset, gen_synthetic,
                         load_dataset, save_dataset, vocab_corpus)
 from .vocab import Vocab, build_vocab
 
 TASKS = ("completion", "alignment")
+# checkpoint name prefix -> the stage that writes it
+_CKPT_STAGE = {"pretrain": "pretrain", "adapter": "integrate", "fused": "fuse",
+               "finetuned": "finetune"}
 
 PROFILES: dict[str, dict[str, TrainHyper]] = {
     # Full-scale settings: integration batch 128, lr 1e-4, 1e4 warmup steps,
@@ -156,9 +159,10 @@ class Workspace:
     def require_ckpt(self, name: str, needed_for: str) -> Path:
         p = self.ckpt(name)
         if not p.exists():
+            prefix = name.split("_")[0]
             raise ConfigError(
                 f"stage {needed_for!r} requires checkpoint {p.name} "
-                f"(run the {name.split('_')[0]!r} stage first)")
+                f"(run the {_CKPT_STAGE.get(prefix, prefix)!r} stage first)")
         return p
 
     def write_curve(self, name: str, curve: list[tuple[int, float, float]]) -> None:
@@ -230,17 +234,23 @@ def load_backbone(ws: Workspace) -> ParamSet:
 
 
 def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
-    """Bind one adapter kind's objective to the benchmark data."""
+    """Bind one adapter kind's objective to the benchmark data.
+
+    What a sampler draws from is built here, once per stage, not per batch.
+    """
     langs = ds.split.adapter_langs
     if kind == "EP":
-        return lambda b, rng: sample_ep_batch(ds.mlkg, langs, b, rng)
+        universe = ep_pair_universe(ds.mlkg, langs)
+        return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
     if kind == "TP":
         return lambda b, rng: sample_tp_batch(ds.mlkg, ds.train_triples, langs, b,
                                               hyper.p_cs, rng)
     if kind == "ES":
-        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, langs, b, rng)
+        eligible = es_eligible(ds.c1, ds.mlkg, langs)
+        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng)
     if kind == "TS":
-        return lambda b, rng: sample_ts_batch(ds.c2, ds.base_lang, b, rng)
+        records = ts_ingest(ds.c2)
+        return lambda b, rng: sample_ts_batch(records, ds.base_lang, b, rng)
     if kind == "LARGE":
         # one adapter integrating every knowledge type: rotate objectives per batch
         samplers = [make_sampler(ds, k, hyper) for k in ("EP", "TP", "ES", "TS")]
@@ -282,7 +292,11 @@ def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
 
 
 def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEncoder:
-    """Backbone + every trained adapter group + fresh fusion parameters."""
+    """Backbone + every trained adapter group + fresh fusion parameters.
+
+    Every kind needs its integrated adapter checkpoint; a missing one is an
+    error rather than a randomly initialized adapter in the fusion.
+    """
     kinds = kinds or list(ws.config.adapter_kinds)
     _, vocab = ws.load_data()
     config = ws.encoder_config(vocab)
@@ -290,27 +304,21 @@ def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEnco
     backbone_hash = backbone.checksum("encoder.")
     adapted = insert_adapters(backbone, kinds, ws.config.bottleneck,
                               _insert_seed(ws.config), config)
-    found = 0
     for kind in kinds:
-        path = ws.ckpt(f"adapter_{kind}")
-        if not path.exists():
-            continue
+        path = ws.require_ckpt(f"adapter_{kind}", "fuse")
         trained, _ = load_checkpoint(path)
         if trained.checksum("encoder.") != backbone_hash:
             raise DataError(f"{path.name}: backbone differs from pretrain checkpoint")
         adapted.params.merge(trained, f"adapter.{kind}.")
-        found += 1
-    if found == 0:
-        raise ConfigError("stage 'fuse' requires at least one integrated adapter "
-                          "(run 'train-adapter' first)")
     return init_fusion(adapted, _fusion_seed(ws.config)).with_mode("fusion")
 
 
 def _task_args(ws: Workspace, ds: SyntheticDataset, task: str):
+    """(item-sampler factory, train data, eval function, test data) of a task."""
     if task == "completion":
-        return finetune_completion, ds.comp_train, eval_completion, ds.comp_test
+        return completion_item_sampler, ds.comp_train, eval_completion, ds.comp_test
     if task == "alignment":
-        return finetune_alignment, ds.align_train, eval_alignment, ds.align_test
+        return alignment_item_sampler, ds.align_train, eval_alignment, ds.align_test
     raise ConfigError(f"unknown task {task!r} (have {TASKS})")
 
 
@@ -319,11 +327,11 @@ def stage_fuse(ws: Workspace, task: str) -> Path:
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
     model = assemble_fused(ws)
-    finetune_fn, train_data, _, _ = _task_args(ws, ds, task)
+    sampler_fn, train_data, _, _ = _task_args(ws, ds, task)
     hyper = ws.config.hyper(f"fuse_{task}", len(train_data))
     hyper.seed = ws.config.seed + 101
-    trained, curve = finetune_fn(model, ds.mlkg, train_data, vocab, hyper,
-                                 train_groups=["fusion."])
+    trained, curve = finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab,
+                                          hyper, train_groups=["fusion."])
     ws.write_curve(f"fuse_{task}", curve)
     path = ws.ckpt(f"fused_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "fuse", task=task))
@@ -337,11 +345,11 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
     path_in = ws.require_ckpt(f"fused_{task}", "finetune")
     params, manifest = load_checkpoint(path_in)
     model = model_from_checkpoint(ws, params, manifest)
-    finetune_fn, train_data, _, _ = _task_args(ws, ds, task)
+    sampler_fn, train_data, _, _ = _task_args(ws, ds, task)
     hyper = ws.config.hyper(f"finetune_{task}", len(train_data))
     hyper.seed = ws.config.seed + 211
-    trained, curve = finetune_fn(model, ds.mlkg, train_data, vocab, hyper,
-                                 train_groups=["encoder.", "adapter.", "fusion."])
+    trained, curve = finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab,
+                                          hyper, train_groups=["encoder.", "adapter.", "fusion."])
     ws.write_curve(f"finetune_{task}", curve)
     path = ws.ckpt(f"finetuned_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "finetune", task=task))

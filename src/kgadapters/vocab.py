@@ -88,14 +88,16 @@ class TokenSeq:
         return len(self.ids)
 
 
-def tokenize(text: str, lang: str, vocab: Vocab, max_len: int | None = None) -> TokenSeq:
-    """Whitespace-split text into ids; OOV maps to UNK, truncated at max_len."""
-    if not text or not text.split():
+def tokenize(text: str | Sequence[str], lang: str, vocab: Vocab,
+             max_len: int | None = None) -> TokenSeq:
+    """Map whitespace-split text (or already split tokens) to ids.
+
+    OOV tokens map to UNK; the sequence is truncated at max_len.
+    """
+    tokens = text.split() if isinstance(text, str) else text
+    if not tokens:
         raise ValueError("tokenize: empty text")
-    ids = [vocab.id(t) for t in text.split()]
-    if max_len is not None:
-        ids = ids[:max_len]
-    return TokenSeq(ids=ids, lang=lang)
+    return TokenSeq(ids=[vocab.id(t) for t in tokens][:max_len], lang=lang)
 
 
 def read_corpus(path) -> list[tuple[str, list[str]]]:

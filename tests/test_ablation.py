@@ -1,0 +1,29 @@
+"""Ablation grid smoke test on the micro config."""
+
+import pytest
+
+from kgadapters.ablation import run_ablation
+from kgadapters.errors import ConfigError
+from kgadapters.pipeline import Workspace
+
+from test_pipeline import integrate_only, micro_config
+
+
+@pytest.fixture(scope="module")
+def integrated(tmp_path_factory):
+    ws = Workspace(micro_config(tmp_path_factory.mktemp("ablation")))
+    integrate_only(ws, ws.config.adapter_kinds)
+    return ws
+
+
+def test_default_variants_follow_configured_kinds(integrated):
+    report = run_ablation(integrated, tasks=("alignment",))
+    assert list(report.variants) == ["base", "EP", "TP", "LARGE", "FUSION"]
+    for variant, tasks in report.variants.items():
+        assert tasks["alignment"].overall().n > 0, variant
+        assert tasks["alignment"].variant == variant
+
+
+def test_unconfigured_variant_rejected(integrated):
+    with pytest.raises(ConfigError, match="unknown variant"):
+        run_ablation(integrated, tasks=("alignment",), variants=("ES",))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kgadapters import autodiff as ad
-from kgadapters.adapters import (KINDS, AdaptedEncoder, adapter_forward,
+from kgadapters.adapters import (KINDS, AdaptedEncoder, adapter_apply,
                                  adapter_param_count, build_hook,
-                                 fusion_forward, fusion_param_count,
+                                 fusion_apply, fusion_param_count,
                                  init_fusion, insert_adapters,
                                  large_adapter_bottleneck, make_large_adapter,
                                  param_counts)
@@ -25,6 +25,21 @@ def layer_weights(d, b, rng=None, zero_up=False):
         "b_up": np.zeros(d, dtype=np.float32),
     }
     return w
+
+
+def adapter_forward(h: np.ndarray, weights: dict[str, np.ndarray]) -> np.ndarray:
+    """adapter_apply of one layer slice {W_down, b_down, W_up, b_up} to a vector."""
+    leaves = {f"adapter.X.0.{k}": Tensor(v) for k, v in weights.items()}
+    return adapter_apply(Tensor(h), leaves, "X", 0).data
+
+
+def fusion_forward(h: np.ndarray, adapter_outputs: list[np.ndarray],
+                   qkv: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """fusion_apply of one position: (mixed output, weights over identity + adapters)."""
+    leaves = {f"fusion.0.{k}": Tensor(v) for k, v in qkv.items()}
+    outs = [Tensor(o.reshape(1, -1)) for o in adapter_outputs]
+    mixed, a = fusion_apply(Tensor(h.reshape(1, -1)), outs, leaves, 0)
+    return mixed.data.reshape(-1), a.data.reshape(-1)
 
 
 class TestAdapterForward:
@@ -114,9 +129,8 @@ class TestInsertAdapters:
         rng = np.random.default_rng(5)
         config, _, adapted = small_model()
         h = rng.standard_normal(16).astype(np.float32)
-        w = {k.rsplit(".", 1)[1]: adapted.params.get(k)
-             for k in adapted.params.names("adapter.EP.0.")}
-        out = adapter_forward(h, w)
+        leaves = ad.make_leaves(adapted.params, grad=False)
+        out = adapter_apply(Tensor(h), leaves, "EP", 0).data
         assert np.linalg.norm(out - h) < 1e-2 * np.linalg.norm(h)
 
     def test_four_kinds_give_n_four(self):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from kgadapters.autodiff import Tensor
 from kgadapters.encoder import (EncoderConfig, MASK_ID, PAD_ID, encode_seqs,
-                                init_encoder_params, mask_span, mean_pool,
+                                init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
                                 span_pool_weights, sentence_pool_weights)
 from kgadapters.hyper import TrainHyper
@@ -56,6 +57,13 @@ class TestTokenize:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             tokenize("   ", "en", self.vocab)
+        with pytest.raises(ValueError):
+            tokenize([], "en", self.vocab)
+
+    def test_token_list_matches_text(self):
+        text = "zurich is boring is nice"
+        assert (tokenize(text.split(), "en", self.vocab, max_len=3)
+                == tokenize(text, "en", self.vocab, max_len=3))
 
 
 class TestMaskSpan:
@@ -78,6 +86,12 @@ class TestMaskSpan:
         seq = TokenSeq(ids=[5, 6], lang="en")
         with pytest.raises(ValueError):
             mask_span(seq, (1, 2))
+
+
+def mean_pool(h: np.ndarray, span: tuple[int, int], mask) -> np.ndarray:
+    """Span mean of one [T,d] sequence through span_pool_weights and pool."""
+    mask = np.asarray(mask, dtype=np.float32).reshape(1, -1)
+    return pool(Tensor(h[None]), span_pool_weights([span], mask)).data[0]
 
 
 class TestMeanPool:

@@ -8,9 +8,9 @@ import pytest
 from kgadapters.adapters import insert_adapters
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
-                                   embed_labels, eval_alignment,
-                                   finetune_alignment, gold_rank, hits_at_k,
-                                   mrr, rank)
+                                   alignment_item_sampler, embed_labels,
+                                   eval_alignment, finetune_contrastive,
+                                   gold_rank, hits_at_k, mrr, rank)
 from kgadapters.hyper import TrainHyper
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
@@ -175,8 +175,9 @@ class TestEmbedAndEval:
         hyper = TrainHyper(batch_size=6, steps=4, base_lr=1e-3, warmup_steps=2, seed=5)
         enc_before = model.params.checksum("encoder.")
         ad_before = model.params.checksum("adapter.")
-        trained, curve = finetune_alignment(model, ds.mlkg, ds.align_train, vocab,
-                                            hyper, train_groups=["adapter.EP."])
+        sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
+        trained, curve = finetune_contrastive(model, sampler, vocab, hyper,
+                                              train_groups=["adapter.EP."])
         assert trained.params.checksum("encoder.") == enc_before
         assert trained.params.checksum("adapter.") != ad_before
         assert len(curve) == 4

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from kgadapters import autodiff as ad
 from kgadapters.adapters import insert_adapters
 from kgadapters.autodiff import Tensor
 from kgadapters.data import Entity, MLKG, Relation, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.errors import ConfigError
 from kgadapters.hyper import TrainHyper
-from kgadapters.objectives import (ContrastiveBatch, infonce,
-                                   mean_positive_cosine, sample_ep_batch,
-                                   sample_es_batch, sample_tp_batch,
-                                   sample_ts_batch, train_adapter, ts_ingest)
+from kgadapters.objectives import (ContrastiveBatch, encode_pair_batch,
+                                   ep_pair_universe, es_eligible, infonce,
+                                   sample_ep_batch, sample_es_batch,
+                                   sample_tp_batch, sample_ts_batch,
+                                   train_adapter, ts_ingest)
 from kgadapters.data import TripleSentence
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
@@ -87,7 +89,7 @@ class TestSamplers:
     def test_ep_pairs_are_true_alignments(self, dataset):
         rng = np.random.default_rng(0)
         langs = dataset.split.adapter_langs
-        items = sample_ep_batch(dataset.mlkg, langs, 10, rng)
+        items = sample_ep_batch(dataset.mlkg, ep_pair_universe(dataset.mlkg, langs), 10, rng)
         for it in items:
             eid = it.provenance.split(":")[1]
             e = dataset.mlkg.entities[eid]
@@ -102,20 +104,23 @@ class TestSamplers:
                       "e1": Entity("e1", {"aa": "two", "bb": "two-b"})},
             relations={"r0": Relation("r0", {"aa": "rel"})})
         rng = np.random.default_rng(0)
+        universe = ep_pair_universe(mlkg, ["aa", "bb"])
         for _ in range(20):
-            items = sample_ep_batch(mlkg, ["aa", "bb"], 1, rng)
+            items = sample_ep_batch(mlkg, universe, 1, rng)
             assert all(it.provenance.split(":")[1] == "e1" for it in items)
 
     def test_ep_requires_a_multilingual_entity(self):
         mlkg = MLKG(entities={"e0": Entity("e0", {"aa": "solo"})},
                     relations={"r0": Relation("r0", {"aa": "rel"})})
         with pytest.raises(ConfigError):
-            sample_ep_batch(mlkg, ["aa", "bb"], 4, np.random.default_rng(0))
+            sample_ep_batch(mlkg, ep_pair_universe(mlkg, ["aa", "bb"]), 4,
+                            np.random.default_rng(0))
 
     def test_ep_fixed_seed_reproducible(self, dataset):
         langs = dataset.split.adapter_langs
-        a = sample_ep_batch(dataset.mlkg, langs, 8, np.random.default_rng(11))
-        b = sample_ep_batch(dataset.mlkg, langs, 8, np.random.default_rng(11))
+        universe = ep_pair_universe(dataset.mlkg, langs)
+        a = sample_ep_batch(dataset.mlkg, universe, 8, np.random.default_rng(11))
+        b = sample_ep_batch(dataset.mlkg, universe, 8, np.random.default_rng(11))
         assert [i.provenance for i in a] == [i.provenance for i in b]
 
     def test_tp_no_code_switch_shares_language(self, dataset):
@@ -148,7 +153,8 @@ class TestSamplers:
 
     def test_es_positive_language_differs_from_sentence(self, dataset):
         langs = dataset.split.adapter_langs
-        items = sample_es_batch(dataset.c1, dataset.mlkg, langs, 10,
+        eligible = es_eligible(dataset.c1, dataset.mlkg, langs)
+        items = sample_es_batch(dataset.c1, dataset.mlkg, eligible, 10,
                                 np.random.default_rng(4))
         for it in items:
             assert it.anchor_span is not None
@@ -161,13 +167,15 @@ class TestSamplers:
             relations={"r0": Relation("r0", {"aa": "rel"})})
         c1 = [TaggedSentence("aa", ["ctx", "only"], "e0", (1, 1)),
               TaggedSentence("aa", ["ctx", "both"], "e1", (1, 1))]
+        eligible = es_eligible(c1, mlkg, ["aa", "bb"])
+        assert [idx for idx, _ in eligible] == [1]
         rng = np.random.default_rng(0)
         for _ in range(10):
-            items = sample_es_batch(c1, mlkg, ["aa", "bb"], 1, rng)
+            items = sample_es_batch(c1, mlkg, eligible, 1, rng)
             assert all("e1" in it.provenance for it in items)
 
     def test_ts_masks_object_and_pairs_its_label(self, dataset):
-        items = sample_ts_batch(dataset.c2, dataset.base_lang, 8,
+        items = sample_ts_batch(ts_ingest(dataset.c2), dataset.base_lang, 8,
                                 np.random.default_rng(5))
         for it in items:
             i, j = it.anchor_mask_span
@@ -181,8 +189,9 @@ class TestSamplers:
         assert ts_ingest([degenerate]) == []
 
     def test_ts_fixed_seed_reproducible(self, dataset):
-        a = sample_ts_batch(dataset.c2, dataset.base_lang, 6, np.random.default_rng(6))
-        b = sample_ts_batch(dataset.c2, dataset.base_lang, 6, np.random.default_rng(6))
+        records = ts_ingest(dataset.c2)
+        a = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
+        b = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
         assert [i.provenance for i in a] == [i.provenance for i in b]
 
 
@@ -196,10 +205,17 @@ def setup(dataset):
     return dataset, vocab, adapted
 
 
+def mean_positive_cosine(adapted, items, vocab) -> float:
+    """Mean cos(anchor_i, positive_i) under the current parameters, no tape."""
+    leaves = ad.make_leaves(adapted.params, grad=False)
+    batch = encode_pair_batch(leaves, adapted, items, vocab)
+    return float(np.mean(np.diag(ad.cosine_rows(batch.anchors, batch.positives).data)))
+
+
 class TestTrainAdapter:
     def sampler(self, ds):
-        langs = ds.split.adapter_langs
-        return lambda b, rng: sample_ep_batch(ds.mlkg, langs, b, rng)
+        universe = ep_pair_universe(ds.mlkg, ds.split.adapter_langs)
+        return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
 
     def test_backbone_and_sibling_adapters_frozen(self, setup):
         ds, vocab, adapted = setup
@@ -216,8 +232,7 @@ class TestTrainAdapter:
     def test_positive_cosine_increases_on_seeded_run(self, setup):
         ds, vocab, adapted = setup
         hyper = TrainHyper(batch_size=8, steps=30, base_lr=3e-3, warmup_steps=3, seed=4)
-        probe = sample_ep_batch(ds.mlkg, ds.split.adapter_langs, 12,
-                                np.random.default_rng(99))
+        probe = self.sampler(ds)(12, np.random.default_rng(99))
         before = mean_positive_cosine(adapted.with_mode("single", "EP"), probe, vocab)
         trained, _ = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper)
         after = mean_positive_cosine(trained, probe, vocab)

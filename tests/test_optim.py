@@ -1,9 +1,13 @@
-"""Adam recurrence and warmup schedule against hand-computed values."""
+"""Adam recurrence, warmup schedule and the training loop's freeze contract."""
 
 import numpy as np
 import pytest
 
-from kgadapters.optim import AdamState, adam_step, init_adam, warmup_lr
+from kgadapters import autodiff as ad
+from kgadapters import optim
+from kgadapters.errors import ConfigError, ContractViolation
+from kgadapters.hyper import TrainHyper
+from kgadapters.optim import AdamState, adam_step, init_adam, train, warmup_lr
 from kgadapters.params import ParamSet
 
 
@@ -89,3 +93,57 @@ class TestWarmup:
     def test_invalid_warmup(self):
         with pytest.raises(ValueError):
             warmup_lr(1, 1e-4, 0)
+
+
+def two_group_params():
+    p = ParamSet()
+    p.add("encoder.w", np.array([1.0, -2.0], dtype=np.float32))
+    p.add("fusion.w", np.array([0.5, 0.25], dtype=np.float32))
+    return p
+
+
+def square_loss_at(step):
+    """Sum of squares of every parameter; the same closure at every step."""
+    return lambda lv: ad.add(ad.tsum(ad.mul(lv["encoder.w"], lv["encoder.w"])),
+                             ad.tsum(ad.mul(lv["fusion.w"], lv["fusion.w"])))
+
+
+HYPER = TrainHyper(batch_size=1, steps=3, base_lr=0.1, warmup_steps=2)
+
+
+class TestTrain:
+    def test_trains_only_listed_groups(self):
+        p = two_group_params()
+        frozen = p.get("encoder.w").copy()
+        curve = train(p, ["fusion."], square_loss_at, HYPER)
+        np.testing.assert_array_equal(p.get("encoder.w"), frozen)
+        assert np.all(np.abs(p.get("fusion.w")) < [0.5, 0.25])
+        assert p.trainable_names() == ["fusion.w"]
+        assert [(s, lr) for s, lr, _ in curve] == [(1, 0.05), (2, 0.1), (3, 0.1)]
+        assert curve[-1][2] < curve[0][2]
+
+    def test_loss_at_called_once_per_step_in_order(self):
+        steps = []
+
+        def loss_at(step):
+            steps.append(step)
+            return square_loss_at(step)
+
+        train(two_group_params(), [""], loss_at, HYPER)
+        assert steps == [1, 2, 3]
+
+    def test_unmatched_groups_rejected(self):
+        with pytest.raises(ConfigError, match="no parameters match"):
+            train(two_group_params(), ["adapter."], square_loss_at, HYPER)
+
+    def test_changed_frozen_parameter_raises(self, monkeypatch):
+        real_step = optim.adam_step
+
+        def faulty_step(params, grads, state, lr):
+            out = real_step(params, grads, state, lr)
+            params.set_data("encoder.w", params.get("encoder.w") + 1.0)
+            return out
+
+        monkeypatch.setattr(optim, "adam_step", faulty_step)
+        with pytest.raises(ContractViolation, match="'encoder.w'"):
+            train(two_group_params(), ["fusion."], square_loss_at, HYPER)

@@ -1,11 +1,12 @@
 """Stage orchestration, checkpoint format, determinism, CLI exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from kgadapters import cli
+from kgadapters import cli, optim
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.params import ParamSet
@@ -35,11 +36,19 @@ def micro_config(out_dir, seed=7) -> PipelineConfig:
         })
 
 
-def run_micro_pipeline(ws: Workspace) -> None:
+def write_config(config: PipelineConfig, path) -> None:
+    path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
+
+
+def integrate_only(ws: Workspace, kinds) -> None:
     run_stage(ws, "gen-synthetic")
     run_stage(ws, "pretrain")
-    for kind in ws.config.adapter_kinds:
+    for kind in kinds:
         run_stage(ws, "integrate", kind=kind)
+
+
+def run_micro_pipeline(ws: Workspace) -> None:
+    integrate_only(ws, ws.config.adapter_kinds)
     run_stage(ws, "fuse", task="alignment")
     run_stage(ws, "finetune", task="alignment")
 
@@ -137,6 +146,13 @@ class TestStages:
         with pytest.raises(ConfigError, match="adapter"):
             run_stage(ws, "fuse", task="alignment")
 
+    def test_fuse_with_a_missing_adapter_errors(self, tmp_path):
+        ws = Workspace(micro_config(tmp_path / "half"))
+        integrate_only(ws, ["EP"])
+        with pytest.raises(ConfigError, match="adapter_TP.ckpt .run the 'integrate' stage"):
+            run_stage(ws, "fuse", task="alignment")
+        assert not ws.ckpt("fused_alignment").exists()
+
     def test_unknown_kind_rejected(self, micro_run):
         with pytest.raises(ConfigError, match="not in configured"):
             run_stage(micro_run, "integrate", kind="ES")
@@ -231,18 +247,28 @@ class TestCliExitCodes:
         monkeypatch.setattr(cli, "run_stage", boom)
         assert cli.main(["--out", str(tmp_path), "pretrain"]) == 2
 
+    def test_frozen_group_change_in_train_fusion_exits_three(self, monkeypatch, tmp_path,
+                                                            capsys):
+        pc = micro_config(tmp_path / "run")
+        integrate_only(Workspace(pc), pc.adapter_kinds)
+        cfg = tmp_path / "cfg.json"
+        write_config(pc, cfg)
+        real_step = optim.adam_step
+
+        def faulty_step(params, grads, state, lr):
+            out = real_step(params, grads, state, lr)
+            name = "adapter.EP.0.W_up"
+            params.set_data(name, params.get(name) * 2.0)
+            return out
+
+        monkeypatch.setattr(optim, "adam_step", faulty_step)
+        assert cli.main(["--config", str(cfg), "train-fusion", "--task", "alignment"]) == 3
+        assert "adapter.EP.0.W_up" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoints" / "fused_alignment.ckpt").exists()
+
     def test_gen_and_pretrain_via_cli(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        pc = micro_config(tmp_path / "run")
-        synth = {k: getattr(pc.synthetic, k) for k in
-                 ("languages", "entities", "relations", "triples",
-                  "sentences_per_entity", "vocab_size", "seed", "sup",
-                  "zs_in", "zs_un", "mlm_sentences_per_lang")}
-        cfg.write_text(json.dumps({
-            "out_dir": str(tmp_path / "run"), "seed": 7, "profile": "desk",
-            "synthetic": synth, "encoder": pc.encoder,
-            "adapter_kinds": pc.adapter_kinds, "bottleneck": pc.bottleneck,
-            "hyper_overrides": pc.hyper_overrides}), encoding="utf-8")
+        write_config(micro_config(tmp_path / "run"), cfg)
         assert cli.main(["--config", str(cfg), "gen-synthetic"]) == 0
         assert cli.main(["--config", str(cfg), "pretrain"]) == 0
         assert (tmp_path / "run" / "checkpoints" / "pretrain.ckpt").exists()
