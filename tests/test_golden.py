@@ -3,7 +3,8 @@
 The micro config of test_pipeline.py is run with all four adapter kinds
 through gen-synthetic, pretrain, integrate x4, fuse and finetune for both
 tasks, plus the LARGE ablation adapter. Every checkpoint's blob SHA-256 and
-the SHA-256 of every loss curve CSV are pinned below.
+the SHA-256 of every loss curve CSV are pinned below, and so is the SHA-256
+of the ablation grid and the EP+TP transfer benchmark run on that workspace.
 
 Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 Haswell
 kernels); the values did not change between 1 and 2 BLAS threads. A change
@@ -12,10 +13,11 @@ CHANGES.md: a refactor keeps them byte-identical.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from kgadapters.ablation import train_large_adapter
+from kgadapters.ablation import run_ablation, run_transfer_benchmark, train_large_adapter
 from kgadapters.checkpoint import read_manifest
 from kgadapters.pipeline import TASKS, Workspace, run_stage
 
@@ -69,6 +71,10 @@ CURVE_CSV_SHA256 = {
         "b00efc64ab7ddcd3837fe961cf726d70980ca796512ad0562a458cc78a91afdd",
 }
 
+# json.dumps(..., sort_keys=True) of {"ablation": run_ablation(ws).to_dict(),
+# "transfer": run_transfer_benchmark(ws, "alignment", ["EP", "TP"]) as dicts}
+ABLATION_SHA256 = "6b818a207f746253fdf6372b1e714ef9caceba077ebc9a004954328c42e39631"
+
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
@@ -102,3 +108,11 @@ def test_checkpoint_blobs_match_golden(golden_run):
 
 def test_loss_curves_match_golden(golden_run):
     assert curve_hashes(golden_run) == CURVE_CSV_SHA256
+
+
+def test_ablation_grid_matches_golden(golden_run):
+    transfer = run_transfer_benchmark(golden_run, "alignment", ["EP", "TP"])
+    payload = {"ablation": run_ablation(golden_run).to_dict(),
+               "transfer": {name: r.to_dict() for name, r in transfer.items()}}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == ABLATION_SHA256
