@@ -15,6 +15,7 @@ from pathlib import Path
 from .ablation import run_ablation
 from .autodiff import NumericError
 from .errors import ConfigError, ContractViolation
+from .evaluation import MetricReport
 from .pipeline import PipelineConfig, Workspace, emit_report, run_stage
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONTRACT = 0, 1, 2, 3
@@ -78,13 +79,13 @@ def _emit(ws: Workspace, name: str, reports, split) -> None:
 def run(args) -> int:
     if args.command == "report":
         payload = json.loads(args.input.read_text(encoding="utf-8"))
-        lines = ["variant\tlanguage\tcategory\tn\thit1\thitk\tmrr"]
-        for rep in payload if isinstance(payload, list) else [payload]:
-            for lang, r in sorted(rep.get("per_language", {}).items()):
-                lines.append(f"{rep['variant']}\t{lang}\t-\t{r['n']}"
-                             f"\t{100 * r['hit1']:.1f}\t{100 * r['hitk']:.1f}"
-                             f"\t{100 * r['mrr']:.1f}")
-        args.output.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            reports = [MetricReport.from_dict(r)
+                       for r in (payload if isinstance(payload, list) else [payload])]
+        except (AttributeError, KeyError, TypeError):
+            raise ConfigError(f"{args.input} holds no metric report (the ablation's "
+                              f"reports are in reports/ablation_<task>.json)") from None
+        emit_report(reports, "tsv", args.output)
         return EXIT_OK
 
     config = load_config(args)

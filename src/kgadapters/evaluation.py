@@ -97,6 +97,13 @@ class MetricReport:
         out["overall"] = vars(self.overall())
         return out
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricReport":
+        """Inverse of `to_dict`; categories and overall are derived, not read."""
+        stored = {k: v for k, v in d.items() if k not in ("categories", "overall")}
+        stored["per_language"] = {l: LanguageResult(**r) for l, r in d["per_language"].items()}
+        return cls(**stored)
+
 
 # ---------------------------------------------------------------------------
 # embedding, ranking, metrics
@@ -193,42 +200,38 @@ def completion_query_seq(mlkg: MLKG, triple: Triple, lang: str, vocab: Vocab,
 
 def eval_completion(adapted: AdaptedEncoder, mlkg: MLKG,
                     test_items: dict[str, list[tuple[str, Triple]]],
-                    vocab: Vocab, k: int = 10,
-                    indexes: dict[str, CandidateIndex] | None = None) -> MetricReport:
+                    vocab: Vocab, k: int = 10) -> MetricReport:
     """Rank the gold object among all entities of the query language."""
-    report = MetricReport(task="completion", variant="", k=k)
-    for lang in sorted(test_items):
-        items = test_items[lang]
-        if not items:
-            continue
-        index = (indexes or {}).get(lang) or embed_labels(adapted, mlkg, lang, vocab)
-        queries = [completion_query_seq(mlkg, t, lang, vocab, adapted.config.max_seq_len)
-                   for _, t in items]
-        qmat = _pooled_encodings(adapted, queries)
-        ranks = [gold_rank(rank(qmat[i], index), items[i][1].tail)
-                 for i in range(len(items))]
-        report.per_language[lang] = _language_result(ranks, k)
-    return report
+    max_len = adapted.config.max_seq_len
+    return _rank_golds(adapted, mlkg, vocab, "completion", k, {
+        lang: [(completion_query_seq(mlkg, t, lang, vocab, max_len), t.tail) for _, t in items]
+        for lang, items in test_items.items()})
 
 
 def eval_alignment(adapted: AdaptedEncoder, mlkg: MLKG,
                    test_pairs: dict[str, list[tuple[str, str, str]]],
-                   vocab: Vocab, k: int = 10,
-                   indexes: dict[str, CandidateIndex] | None = None) -> MetricReport:
+                   vocab: Vocab, k: int = 10) -> MetricReport:
     """Retrieve each source-language entity among the target language's labels."""
-    report = MetricReport(task="alignment", variant="", k=k)
-    for tgt in sorted(test_pairs):
-        pairs = test_pairs[tgt]
-        if not pairs:
+    max_len = adapted.config.max_seq_len
+    return _rank_golds(adapted, mlkg, vocab, "alignment", k, {
+        tgt: [(label_seq(mlkg.entities[eid].labels[src], src, vocab, max_len), eid)
+              for src, _, eid in pairs]
+        for tgt, pairs in test_pairs.items()})
+
+
+def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k: int,
+                queries: dict[str, list[tuple[TokenSeq, str]]]) -> MetricReport:
+    """`queries` maps a language to (query, gold entity id) pairs; each gold is
+    ranked among the entity labels of that language, embedded once."""
+    report = MetricReport(task=task, variant="", k=k)
+    for lang in sorted(queries):
+        if not queries[lang]:
             continue
-        index = (indexes or {}).get(tgt) or embed_labels(adapted, mlkg, tgt, vocab)
-        queries = [label_seq(mlkg.entities[eid].labels[src], src, vocab,
-                             adapted.config.max_seq_len)
-                   for src, _, eid in pairs]
-        qmat = _pooled_encodings(adapted, queries)
-        ranks = [gold_rank(rank(qmat[i], index), pairs[i][2])
-                 for i in range(len(pairs))]
-        report.per_language[tgt] = _language_result(ranks, k)
+        index = embed_labels(adapted, mlkg, lang, vocab)
+        seqs, golds = zip(*queries[lang])
+        qmat = _pooled_encodings(adapted, seqs)
+        ranks = [gold_rank(rank(q, index), gold) for q, gold in zip(qmat, golds)]
+        report.per_language[lang] = _language_result(ranks, k)
     return report
 
 

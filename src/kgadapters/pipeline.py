@@ -3,13 +3,17 @@
 Stages and their freezing contracts (verified by checksums, not assumed):
   pretrain          trains the backbone (MLM)
   integrate(kind)   backbone frozen, trains exactly one adapter
+  integrate(LARGE)  backbone frozen, trains one adapter sized to the budget of
+                    all configured adapters plus fusion, on all four objectives
   fuse(task)        backbone + adapters frozen, trains fusion on task pairs
   finetune(task)    full unfreeze of the fused model on task pairs
 
 Every stage reads its prerequisite checkpoint from the run directory and
-writes a new one; nothing is mutated in place. Two runs with the same
-config and seed produce byte-identical checkpoints and reports (run logs
-carry wall-clock timestamps and are excluded from that guarantee).
+writes a new one; nothing is mutated in place. `model_from_checkpoint` is the
+one way from a checkpoint to a model, for the stages, eval and the ablation
+alike. Two runs with the same config and seed produce byte-identical
+checkpoints and reports (run logs carry wall-clock timestamps and are
+excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adapters import AdaptedEncoder, insert_adapters, init_fusion
+from .adapters import LARGE, AdaptedEncoder, init_fusion, insert_adapters, make_large_adapter
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError
@@ -181,8 +185,8 @@ class Workspace:
         vocab = Vocab.load(self.data_dir / "vocab.txt")
         return ds, vocab
 
-    def encoder_config(self, vocab: Vocab) -> EncoderConfig:
-        return EncoderConfig(vocab_size=len(vocab), **self.config.encoder)
+    def encoder_config(self, vocab_size: int) -> EncoderConfig:
+        return EncoderConfig(vocab_size=vocab_size, **self.config.encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +206,7 @@ def stage_gen(ws: Workspace) -> Path:
 def stage_pretrain(ws: Workspace) -> Path:
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
-    config = ws.encoder_config(vocab)
+    config = ws.encoder_config(len(vocab))
     hyper = ws.config.hyper("pretrain", len(ds.mlm_corpus))
     params, curve = mlm_pretrain(ds.mlm_corpus, config, hyper, ws.config.seed, vocab)
     ws.write_curve("pretrain", curve)
@@ -227,10 +231,10 @@ def _fusion_seed(config: PipelineConfig) -> int:
     return config.seed + 2003
 
 
-def load_backbone(ws: Workspace) -> ParamSet:
-    path = ws.require_ckpt("pretrain", "integrate")
-    params, _ = load_checkpoint(path)
-    return params
+def load_model(ws: Workspace, name: str, needed_for: str) -> AdaptedEncoder:
+    """The model of checkpoint `name`, which stage `needed_for` requires."""
+    params, manifest = load_checkpoint(ws.require_ckpt(name, needed_for))
+    return model_from_checkpoint(ws, params, manifest)
 
 
 def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
@@ -268,20 +272,26 @@ def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
 def stage_integrate(ws: Workspace, kind: str) -> Path:
     ws.ensure_dirs()
     kind = kind.upper()
-    if kind not in ws.config.adapter_kinds:
-        raise ConfigError(f"kind {kind!r} not in configured adapters {ws.config.adapter_kinds}")
+    if kind not in (*ws.config.adapter_kinds, LARGE):
+        raise ConfigError(f"kind {kind!r} not in configured adapters "
+                          f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
-    config = ws.encoder_config(vocab)
-    backbone = load_backbone(ws)
-    adapted = insert_adapters(backbone, ws.config.adapter_kinds, ws.config.bottleneck,
-                              _insert_seed(ws.config), config)
+    base = load_model(ws, "pretrain", "integrate")
+    adapted = insert_adapters(base.params, ws.config.adapter_kinds, ws.config.bottleneck,
+                              _insert_seed(ws.config), base.config)
+    if kind == LARGE:
+        # sized to the parameter budget of every configured adapter plus fusion
+        reference = init_fusion(adapted, _insert_seed(ws.config) + 1)
+        adapted = make_large_adapter(reference, base.params, _insert_seed(ws.config))
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
     hyper.seed = ws.config.seed + sum(ord(c) for c in kind)
     sampler = make_sampler(ds, kind, hyper)
     trained, curve = train_adapter(adapted, kind, sampler, vocab, hyper)
     ws.write_curve(f"integrate_{kind}", curve)
     path = ws.ckpt(f"adapter_{kind}")
-    save_checkpoint(path, trained.params, _provenance(ws, "integrate", kind=kind))
+    save_checkpoint(path, trained.params, _provenance(
+        ws, "integrate", kind=kind, adapter_kinds=trained.kinds,
+        bottleneck=trained.bottlenecks[kind]))
     return path
 
 
@@ -298,12 +308,10 @@ def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEnco
     error rather than a randomly initialized adapter in the fusion.
     """
     kinds = kinds or list(ws.config.adapter_kinds)
-    _, vocab = ws.load_data()
-    config = ws.encoder_config(vocab)
-    backbone = load_backbone(ws)
-    backbone_hash = backbone.checksum("encoder.")
-    adapted = insert_adapters(backbone, kinds, ws.config.bottleneck,
-                              _insert_seed(ws.config), config)
+    base = load_model(ws, "pretrain", "fuse")
+    backbone_hash = base.params.checksum("encoder.")
+    adapted = insert_adapters(base.params, kinds, ws.config.bottleneck,
+                              _insert_seed(ws.config), base.config)
     for kind in kinds:
         path = ws.require_ckpt(f"adapter_{kind}", "fuse")
         trained, _ = load_checkpoint(path)
@@ -313,7 +321,7 @@ def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEnco
     return init_fusion(adapted, _fusion_seed(ws.config)).with_mode("fusion")
 
 
-def _task_args(ws: Workspace, ds: SyntheticDataset, task: str):
+def _task_args(ds: SyntheticDataset, task: str):
     """(item-sampler factory, train data, eval function, test data) of a task."""
     if task == "completion":
         return completion_item_sampler, ds.comp_train, eval_completion, ds.comp_test
@@ -322,16 +330,37 @@ def _task_args(ws: Workspace, ds: SyntheticDataset, task: str):
     raise ConfigError(f"unknown task {task!r} (have {TASKS})")
 
 
+def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
+               task: str, stage: str, groups: list[str]
+               ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
+    """Train `groups` of a copy of the model on the task's training pairs with
+    the `<stage>_<task>` hyper; returns (trained model, loss curve)."""
+    sampler_fn, train_data, _, _ = _task_args(ds, task)
+    hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
+    hyper.seed = ws.config.seed + {"fuse": 101, "finetune": 211}[stage]
+    return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
+                                train_groups=groups)
+
+
+def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
+             task: str, variant: str, checkpoint_hash: str) -> MetricReport:
+    """Score the model on the task's test split; the report names the variant,
+    the seed, the profile and the weight and config hashes."""
+    _, _, eval_fn, test_data = _task_args(ds, task)
+    before = model.params.checksum()
+    report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
+    if model.params.checksum() != before:
+        raise RuntimeError("evaluation mutated model parameters")
+    return dataclasses.replace(report, variant=variant, seed=ws.config.seed,
+                               profile=ws.config.profile, checkpoint_hash=checkpoint_hash,
+                               config_hash=ws.config.config_hash())
+
+
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
-    model = assemble_fused(ws)
-    sampler_fn, train_data, _, _ = _task_args(ws, ds, task)
-    hyper = ws.config.hyper(f"fuse_{task}", len(train_data))
-    hyper.seed = ws.config.seed + 101
-    trained, curve = finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab,
-                                          hyper, train_groups=["fusion."])
+    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws), task, "fuse", ["fusion."])
     ws.write_curve(f"fuse_{task}", curve)
     path = ws.ckpt(f"fused_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "fuse", task=task))
@@ -342,14 +371,9 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
-    path_in = ws.require_ckpt(f"fused_{task}", "finetune")
-    params, manifest = load_checkpoint(path_in)
-    model = model_from_checkpoint(ws, params, manifest)
-    sampler_fn, train_data, _, _ = _task_args(ws, ds, task)
-    hyper = ws.config.hyper(f"finetune_{task}", len(train_data))
-    hyper.seed = ws.config.seed + 211
-    trained, curve = finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab,
-                                          hyper, train_groups=["encoder.", "adapter.", "fusion."])
+    model = load_model(ws, f"fused_{task}", "finetune")
+    trained, curve = train_task(ws, ds, vocab, model, task, "finetune",
+                                ["encoder.", "adapter.", "fusion."])
     ws.write_curve(f"finetune_{task}", curve)
     path = ws.ckpt(f"finetuned_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "finetune", task=task))
@@ -357,35 +381,35 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
-    _, vocab = ws.load_data()
-    config = ws.encoder_config(vocab)
-    kinds = [k for k in manifest["provenance"].get("adapter_kinds", [])
-             if params.names(f"adapter.{k}.")]
-    b = manifest["provenance"].get("bottleneck", ws.config.bottleneck)
+    """The one way from a checkpoint to a model.
+
+    The vocabulary size is the row count of the token embedding, the adapter
+    kinds and bottleneck come from provenance, and the mode from what the
+    checkpoint holds: fusion if it has fusion parameters, the integrated
+    adapter alone for an `integrate` checkpoint, else the bare backbone.
+    """
+    prov = manifest["provenance"]
+    config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
+    kinds = [k for k in prov.get("adapter_kinds", []) if params.names(f"adapter.{k}.")]
+    b = prov.get("bottleneck", ws.config.bottleneck)
     model = AdaptedEncoder(config=config, params=params, kinds=kinds,
                            bottlenecks={k: b for k in kinds})
-    if model.has_fusion and kinds:
-        model = model.with_mode("fusion")
+    if model.has_fusion:
+        return model.with_mode("fusion")
+    if prov.get("stage") == "integrate":
+        if prov["kind"] not in kinds:
+            raise DataError(f"checkpoint provenance lists adapters {prov.get('adapter_kinds')} "
+                            f"but not its own {prov['kind']!r}: re-run its integrate stage")
+        return model.with_mode("single", prov["kind"])
     return model
 
 
 def stage_eval(ws: Workspace, task: str, checkpoint: str) -> MetricReport:
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
-    path = ws.require_ckpt(checkpoint, "eval")
-    params, manifest = load_checkpoint(path)
+    params, manifest = load_checkpoint(ws.require_ckpt(checkpoint, "eval"))
     model = model_from_checkpoint(ws, params, manifest)
-    before = params.checksum()
-    _, _, eval_fn, test_data = _task_args(ws, ds, task)
-    report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
-    if params.checksum() != before:
-        raise RuntimeError("evaluation mutated model parameters")
-    report.variant = checkpoint
-    report.seed = ws.config.seed
-    report.profile = ws.config.profile
-    report.checkpoint_hash = manifest["blob_sha256"]
-    report.config_hash = ws.config.config_hash()
-    return report
+    return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 
 STAGE_ORDER = ("gen-synthetic", "pretrain", "integrate", "fuse", "finetune", "eval")

@@ -1,5 +1,7 @@
 """Ablation grid smoke test on the micro config."""
 
+import re
+
 import pytest
 
 from kgadapters.ablation import run_ablation
@@ -25,5 +27,6 @@ def test_default_variants_follow_configured_kinds(integrated):
 
 
 def test_unconfigured_variant_rejected(integrated):
-    with pytest.raises(ConfigError, match="unknown variant"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown variant 'ES' (have ('base', 'EP', 'TP', 'LARGE', 'FUSION'))")):
         run_ablation(integrated, tasks=("alignment",), variants=("ES",))

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from kgadapters import cli, optim
+from kgadapters.ablation import AblationReport
+from kgadapters.adapters import adapter_param_count, fusion_param_count, large_adapter_bottleneck
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.params import ParamSet
-from kgadapters.pipeline import (PipelineConfig, RunLog, Workspace,
-                                 emit_report, run_stage)
+from kgadapters.pipeline import (PipelineConfig, RunLog, Workspace, emit_report,
+                                 load_model, model_from_checkpoint, run_stage)
 from kgadapters.evaluation import LanguageResult, MetricReport
 from kgadapters.synthetic import SyntheticConfig
 
@@ -157,6 +159,30 @@ class TestStages:
         with pytest.raises(ConfigError, match="not in configured"):
             run_stage(micro_run, "integrate", kind="ES")
 
+    def test_model_mode_follows_checkpoint(self, micro_run):
+        run_stage(micro_run, "integrate", kind="LARGE")
+        cfg = micro_run.config
+        d, layers = cfg.encoder["d_model"], cfg.encoder["layers"]
+        budget = (len(cfg.adapter_kinds) * adapter_param_count(layers, d, cfg.bottleneck)
+                  + fusion_param_count(layers, d))
+        expected = {
+            "pretrain": ("none", None, [], {}),
+            "adapter_EP": ("single", "EP", ["EP", "TP"], {"EP": 4, "TP": 4}),
+            "adapter_LARGE": ("single", "LARGE", ["LARGE"],
+                              {"LARGE": large_adapter_bottleneck(budget, d, layers)}),
+            "fused_alignment": ("fusion", None, ["EP", "TP"], {"EP": 4, "TP": 4}),
+            "finetuned_alignment": ("fusion", None, ["EP", "TP"], {"EP": 4, "TP": 4}),
+        }
+        for name, want in expected.items():
+            model = load_model(micro_run, name, "test")
+            assert (model.mode, model.single_kind, model.kinds, model.bottlenecks) == want, name
+
+    def test_integrate_checkpoint_without_its_own_kind_rejected(self, micro_run):
+        params, manifest = load_checkpoint(micro_run.ckpt("adapter_EP"))
+        manifest["provenance"]["adapter_kinds"] = ["TP"]
+        with pytest.raises(DataError, match="not its own 'EP'"):
+            model_from_checkpoint(micro_run, params, manifest)
+
     def test_eval_emits_hashes(self, micro_run):
         report = run_stage(micro_run, "eval", task="alignment",
                            checkpoint="fused_alignment")
@@ -208,6 +234,25 @@ class TestReports:
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report([], "tsv", tmp_path / "x.tsv")
+
+    def test_cli_report_renders_like_emit_report(self, tmp_path):
+        report = self.make_report()
+        emit_report([report, report], "json", tmp_path / "r.json")
+        emit_report([report, report], "tsv", tmp_path / "want.tsv")
+        assert cli.main(["report", "--input", str(tmp_path / "r.json"),
+                         "--output", str(tmp_path / "got.tsv")]) == 0
+        got = (tmp_path / "got.tsv").read_text(encoding="utf-8")
+        assert got == (tmp_path / "want.tsv").read_text(encoding="utf-8")
+        assert got.count("demo\tall\toverall\t8\t13.1\t50.0\t26.2\n") == 2
+
+    def test_cli_report_of_ablation_file_exits_one(self, tmp_path, capsys):
+        ablation = AblationReport(variants={"demo": {"alignment": self.make_report()}})
+        path = tmp_path / "ablation.json"
+        path.write_text(json.dumps(ablation.to_dict()), encoding="utf-8")
+        assert cli.main(["report", "--input", str(path),
+                         "--output", str(tmp_path / "out.tsv")]) == 1
+        assert "ablation_<task>.json" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
 
 
 class TestRunLog:
@@ -265,6 +310,13 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(cfg), "train-fusion", "--task", "alignment"]) == 3
         assert "adapter.EP.0.W_up" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoints" / "fused_alignment.ckpt").exists()
+
+    def test_train_large_adapter_via_cli(self, micro_run, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(micro_run.config, cfg)
+        assert cli.main(["--config", str(cfg), "train-adapter", "--kind", "large"]) == 0
+        provenance = read_manifest(micro_run.ckpt("adapter_LARGE"))["provenance"]
+        assert (provenance["kind"], provenance["adapter_kinds"]) == ("LARGE", ["LARGE"])
 
     def test_gen_and_pretrain_via_cli(self, tmp_path):
         cfg = tmp_path / "cfg.json"
