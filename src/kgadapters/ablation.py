@@ -32,9 +32,9 @@ class AblationReport:
     seed: int = 0
     config_hash: str = ""
 
-    def to_dict(self, split=None) -> dict:
+    def to_dict(self) -> dict:
         return {"seed": self.seed, "config_hash": self.config_hash,
-                "variants": {v: {t: r.to_dict(split) for t, r in tasks.items()}
+                "variants": {v: {t: r.to_dict() for t, r in tasks.items()}
                              for v, tasks in sorted(self.variants.items())}}
 
 

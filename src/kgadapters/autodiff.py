@@ -97,9 +97,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
 
 def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents for t in tensors)

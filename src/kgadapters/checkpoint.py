@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -45,16 +46,24 @@ def save_checkpoint(path, params: ParamSet, provenance: dict | None = None) -> s
         "provenance": provenance or {},
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(manifest_bytes)))
-        fh.write(manifest_bytes)
-        fh.write(bytes(blob))
+    # renamed onto the target once complete: a failed write leaves no file under its name
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(manifest_bytes)))
+            fh.write(manifest_bytes)
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return blob_hash
 
 
-def read_manifest(path) -> dict:
-    raw = Path(path).read_bytes()
+def _split_header(raw: bytes, path) -> tuple[dict, memoryview]:
+    """(manifest, blob) of a checkpoint file's bytes; the blob is not copied."""
     if len(raw) < 12 or raw[:6] != MAGIC[:6]:
         raise DataError(f"{path}: not a checkpoint file")
     if raw[:8] != MAGIC:
@@ -62,18 +71,19 @@ def read_manifest(path) -> dict:
     (mlen,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + mlen:
         raise DataError(f"{path}: truncated manifest")
-    return json.loads(raw[12:12 + mlen].decode("utf-8"))
+    return json.loads(raw[12:12 + mlen].decode("utf-8")), memoryview(raw)[12 + mlen:]
+
+
+def read_manifest(path) -> dict:
+    return _split_header(Path(path).read_bytes(), path)[0]
 
 
 def load_checkpoint(path) -> tuple[ParamSet, dict]:
     """Read params and manifest back; hash mismatch or truncation errors out."""
-    raw = Path(path).read_bytes()
-    manifest = read_manifest(path)
+    manifest, blob = _split_header(Path(path).read_bytes(), path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported manifest version "
                         f"{manifest.get('format_version')}")
-    (mlen,) = struct.unpack("<I", raw[8:12])
-    blob = raw[12 + mlen:]
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise DataError(f"{path}: blob hash mismatch (corrupted or truncated)")
     params = ParamSet()

@@ -3,6 +3,10 @@
 Subcommands: gen-synthetic, pretrain, train-adapter, train-fusion, finetune,
 eval, ablate, report. Exit codes: 0 success, 1 config or validation error,
 2 numerical failure (non-finite loss), 3 frozen-group contract violation.
+
+`eval` and `ablate` write each report as JSON and TSV under reports/. A stored
+report carries its language split, so `report` re-renders its JSON into the
+TSV that `eval` or `ablate` wrote, byte for byte.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import sys
 from pathlib import Path
 
 from .ablation import run_ablation
+from .adapters import KINDS, LARGE
 from .autodiff import NumericError
 from .errors import ConfigError, ContractViolation
-from .evaluation import MetricReport
-from .pipeline import PipelineConfig, Workspace, emit_report, run_stage
+from .evaluation import MetricReport, emit_report
+from .pipeline import PROFILES, TASKS, PipelineConfig, Workspace, run_stage
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONTRACT = 0, 1, 2, 3
 
@@ -28,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finetune, evaluate.")
     parser.add_argument("--config", type=Path, help="JSON pipeline config")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--profile", choices=("paper", "desk"),
+    parser.add_argument("--profile", choices=sorted(PROFILES),
                         help="hyperparameter profile")
     parser.add_argument("--out", type=Path, help="override the run directory")
 
@@ -36,18 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-synthetic", help="generate the synthetic benchmark")
     sub.add_parser("pretrain", help="MLM-pretrain the backbone")
     p = sub.add_parser("train-adapter", help="integrate one knowledge adapter")
-    p.add_argument("--kind", required=True, choices=("ep", "tp", "es", "ts", "large"))
+    p.add_argument("--kind", required=True, choices=[k.lower() for k in (*KINDS, LARGE)])
     p = sub.add_parser("train-fusion", help="train the fusion layer on a task")
-    p.add_argument("--task", required=True, choices=("completion", "alignment"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p = sub.add_parser("finetune", help="full-model finetuning on a task")
-    p.add_argument("--task", required=True, choices=("completion", "alignment"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
-    p.add_argument("--task", required=True, choices=("completion", "alignment"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint name under checkpoints/ (default fused_<task>)")
-    p = sub.add_parser("ablate", help="run all seven variants on both tasks")
-    p.add_argument("--tasks", nargs="+", default=["completion", "alignment"],
-                   choices=("completion", "alignment"))
+    p = sub.add_parser("ablate", help="run every configured variant on each task")
+    p.add_argument("--tasks", nargs="+", default=list(TASKS), choices=TASKS)
     p = sub.add_parser("report", help="re-emit a stored JSON report as TSV")
     p.add_argument("--input", required=True, type=Path)
     p.add_argument("--output", required=True, type=Path)
@@ -70,9 +74,9 @@ def load_config(args) -> PipelineConfig:
     return config
 
 
-def _emit(ws: Workspace, name: str, reports, split) -> None:
-    emit_report(reports, "json", ws.report_dir / f"{name}.json", split)
-    emit_report(reports, "tsv", ws.report_dir / f"{name}.tsv", split)
+def _emit(ws: Workspace, name: str, reports) -> None:
+    emit_report(reports, "json", ws.report_dir / f"{name}.json")
+    emit_report(reports, "tsv", ws.report_dir / f"{name}.tsv")
     print((ws.report_dir / f"{name}.tsv").read_text(encoding="utf-8"))
 
 
@@ -107,19 +111,16 @@ def run(args) -> int:
         path = run_stage(ws, "finetune", task=args.task)
         print(f"finetuned checkpoint: {path}")
     elif args.command == "eval":
-        ckpt = args.checkpoint or f"fused_{args.task}"
-        report = run_stage(ws, "eval", task=args.task, checkpoint=ckpt)
-        ds, _ = ws.load_data()
-        _emit(ws, f"eval_{args.task}_{ckpt}", [report], ds.split)
+        report = run_stage(ws, "eval", task=args.task, checkpoint=args.checkpoint)
+        _emit(ws, f"eval_{args.task}_{report.variant}", [report])
     elif args.command == "ablate":
-        ds, _ = ws.load_data()
         report = run_ablation(ws, tasks=tuple(args.tasks))
         out = ws.report_dir / "ablation.json"
-        out.write_text(json.dumps(report.to_dict(ds.split), indent=2, sort_keys=True)
+        out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True)
                        + "\n", encoding="utf-8")
         for task in args.tasks:
             _emit(ws, f"ablation_{task}",
-                  [report.variants[v][task] for v in sorted(report.variants)], ds.split)
+                  [report.variants[v][task] for v in sorted(report.variants)])
     return EXIT_OK
 
 

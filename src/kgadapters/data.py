@@ -105,9 +105,6 @@ class MLKG:
     relations: dict[str, Relation] = field(default_factory=dict)
     triples: list[Triple] = field(default_factory=list)
 
-    def label(self, entity_id: str, lang: str) -> str:
-        return self.entities[entity_id].labels[lang]
-
     def stats(self) -> dict[str, int]:
         """Table-style corpus statistics: entities, alignment pairs, triples, relations."""
         pairs = sum(n * (n - 1) // 2 for n in

@@ -8,13 +8,19 @@ language by cosine similarity, descending, ties broken by ascending entity
 id. A gold entity missing from the candidate set counts as rank infinity
 (misses every Hit@k, contributes 0 to MRR) and logs a loud warning.
 Category aggregates are unweighted means over the category's languages.
+
+This module owns the report format. A `MetricReport` carries its dataset's
+language split, which `to_dict` stores and `from_dict` reads back, so
+`emit_report` re-renders a stored report into exactly the TSV first written.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +60,20 @@ class LanguageResult:
     mrr: float
 
 
+CATEGORIES = ("sup", "zs_in", "zs_un")
+
+
+def _aggregate(rows: list[LanguageResult]) -> LanguageResult:
+    """Unweighted mean over languages; no languages gives an all-zero result."""
+    if not rows:
+        return LanguageResult(n=0, hit1=0.0, hitk=0.0, mrr=0.0)
+    return LanguageResult(
+        n=sum(r.n for r in rows),
+        hit1=float(np.mean([r.hit1 for r in rows])),
+        hitk=float(np.mean([r.hitk for r in rows])),
+        mrr=float(np.mean([r.mrr for r in rows])))
+
+
 @dataclass
 class MetricReport:
     task: str
@@ -64,36 +84,25 @@ class MetricReport:
     profile: str = ""
     checkpoint_hash: str = ""
     config_hash: str = ""
+    split: LanguageSplit | None = None   # None in reports stored before they kept it
 
-    def category_aggregate(self, split: LanguageSplit, category: str) -> LanguageResult:
-        langs = {"sup": split.sup, "zs_in": split.zs_in, "zs_un": split.zs_un}[category]
-        rows = [self.per_language[l] for l in langs if l in self.per_language]
-        if not rows:
-            return LanguageResult(n=0, hit1=0.0, hitk=0.0, mrr=0.0)
-        return LanguageResult(
-            n=sum(r.n for r in rows),
-            hit1=float(np.mean([r.hit1 for r in rows])),
-            hitk=float(np.mean([r.hitk for r in rows])),
-            mrr=float(np.mean([r.mrr for r in rows])))
+    def category_aggregate(self, category: str) -> LanguageResult:
+        return _aggregate([self.per_language[l] for l in getattr(self.split, category)
+                           if l in self.per_language])
 
     def overall(self) -> LanguageResult:
-        rows = list(self.per_language.values())
-        return LanguageResult(
-            n=sum(r.n for r in rows),
-            hit1=float(np.mean([r.hit1 for r in rows])),
-            hitk=float(np.mean([r.hitk for r in rows])),
-            mrr=float(np.mean([r.mrr for r in rows])))
+        return _aggregate(list(self.per_language.values()))
 
-    def to_dict(self, split: LanguageSplit | None = None) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "task": self.task, "variant": self.variant, "k": self.k,
             "seed": self.seed, "profile": self.profile,
             "checkpoint_hash": self.checkpoint_hash, "config_hash": self.config_hash,
             "per_language": {l: vars(r) for l, r in sorted(self.per_language.items())},
         }
-        if split is not None:
-            out["categories"] = {c: vars(self.category_aggregate(split, c))
-                                 for c in ("sup", "zs_in", "zs_un")}
+        if self.split is not None:
+            out["split"] = asdict(self.split)
+            out["categories"] = {c: vars(self.category_aggregate(c)) for c in CATEGORIES}
         out["overall"] = vars(self.overall())
         return out
 
@@ -102,7 +111,48 @@ class MetricReport:
         """Inverse of `to_dict`; categories and overall are derived, not read."""
         stored = {k: v for k, v in d.items() if k not in ("categories", "overall")}
         stored["per_language"] = {l: LanguageResult(**r) for l, r in d["per_language"].items()}
+        if "split" in d:
+            stored["split"] = LanguageSplit(**d["split"])
         return cls(**stored)
+
+
+def _tsv_row(variant: str, lang: str, category: str, r: LanguageResult) -> str:
+    percents = [f"{100.0 * x:.1f}" for x in (r.hit1, r.hitk, r.mrr)]
+    return "\t".join([variant, lang, category, str(r.n), *percents])
+
+
+def report_tsv_rows(report: MetricReport) -> list[str]:
+    """Header, one row per language, one per non-empty category, then overall."""
+    rows = ["variant\tlanguage\tcategory\tn\thit1\thitk\tmrr"]
+    for lang in sorted(report.per_language):
+        cat = report.split.category(lang) if report.split is not None else "-"
+        rows.append(_tsv_row(report.variant, lang, cat, report.per_language[lang]))
+    if report.split is not None:
+        for cat in CATEGORIES:
+            agg = report.category_aggregate(cat)
+            if agg.n:
+                rows.append(_tsv_row(report.variant, "all", cat, agg))
+    rows.append(_tsv_row(report.variant, "all", "overall", report.overall()))
+    return rows
+
+
+def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
+    if not reports:
+        raise ConfigError("emit_report: no reports")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if fmt == "json":
+        payload = [r.to_dict() for r in reports]
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    elif fmt == "tsv":
+        lines = []
+        for i, r in enumerate(reports):
+            rows = report_tsv_rows(r)
+            lines.extend(rows if i == 0 else rows[1:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        raise ConfigError(f"unknown report format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: Adapted
 def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
              task: str, variant: str, checkpoint_hash: str) -> MetricReport:
     """Score the model on the task's test split; the report names the variant,
-    the seed, the profile and the weight and config hashes."""
+    the seed, the profile, the weight and config hashes and the language split."""
     _, _, eval_fn, test_data = _task_args(ds, task)
     before = model.params.checksum()
     report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
@@ -353,7 +353,7 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
         raise RuntimeError("evaluation mutated model parameters")
     return dataclasses.replace(report, variant=variant, seed=ws.config.seed,
                                profile=ws.config.profile, checkpoint_hash=checkpoint_hash,
-                               config_hash=ws.config.config_hash())
+                               config_hash=ws.config.config_hash(), split=ds.split)
 
 
 def stage_fuse(ws: Workspace, task: str) -> Path:
@@ -428,51 +428,6 @@ def run_stage(ws: Workspace, stage: str, **kw):
     if stage == "finetune":
         return stage_finetune(ws, kw["task"])
     if stage == "eval":
-        return stage_eval(ws, kw["task"], kw.get("checkpoint", f"fused_{kw['task']}"))
+        return stage_eval(ws, kw["task"], kw.get("checkpoint") or f"fused_{kw['task']}")
     raise ConfigError(f"unknown stage {stage!r} (have {STAGE_ORDER})")
 
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return f"{100.0 * x:.1f}"
-
-
-def report_tsv_rows(report: MetricReport, split) -> list[str]:
-    rows = ["variant\tlanguage\tcategory\tn\thit1\thitk\tmrr"]
-    for lang in sorted(report.per_language):
-        r = report.per_language[lang]
-        cat = split.category(lang) if split else "-"
-        rows.append(f"{report.variant}\t{lang}\t{cat}\t{r.n}"
-                    f"\t{_fmt(r.hit1)}\t{_fmt(r.hitk)}\t{_fmt(r.mrr)}")
-    if split is not None:
-        for cat in ("sup", "zs_in", "zs_un"):
-            agg = report.category_aggregate(split, cat)
-            if agg.n:
-                rows.append(f"{report.variant}\tall\t{cat}\t{agg.n}"
-                            f"\t{_fmt(agg.hit1)}\t{_fmt(agg.hitk)}\t{_fmt(agg.mrr)}")
-    o = report.overall()
-    rows.append(f"{report.variant}\tall\toverall\t{o.n}"
-                f"\t{_fmt(o.hit1)}\t{_fmt(o.hitk)}\t{_fmt(o.mrr)}")
-    return rows
-
-
-def emit_report(reports: list[MetricReport], fmt: str, path, split=None) -> None:
-    if not reports:
-        raise ConfigError("emit_report: no reports")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        payload = [r.to_dict(split) for r in reports]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    elif fmt == "tsv":
-        lines = []
-        for i, r in enumerate(reports):
-            rows = report_tsv_rows(r, split)
-            lines.extend(rows if i == 0 else rows[1:])
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")

@@ -29,20 +29,8 @@ class Vocab:
         return token in self.token_to_id
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def unk_id(self) -> int:
         return 1
-
-    @property
-    def mask_id(self) -> int:
-        return 2
-
-    @property
-    def sep_id(self) -> int:
-        return 3
 
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)

@@ -70,6 +70,7 @@ class TestGradEval:
         with pytest.raises(ad.ShapeError, match="scalar"):
             grad_eval(lambda lv: lv["x"], params)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_rejected(self):
         params = make_params(x=[0.0])
         with pytest.raises(ad.NumericError):

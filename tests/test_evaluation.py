@@ -1,11 +1,13 @@
 """Retrieval metrics against hand-computed values and brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from kgadapters.adapters import insert_adapters
+from kgadapters.data import LanguageSplit
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
                                    alignment_item_sampler, embed_labels,
@@ -183,11 +185,18 @@ class TestEmbedAndEval:
         assert len(curve) == 4
 
     def test_category_aggregate_is_unweighted_mean(self):
-        report = MetricReport(task="alignment", variant="x", k=5)
+        split = LanguageSplit(sup=["ab", "ac"], zs_in=[], zs_un=[])
+        report = MetricReport(task="alignment", variant="x", k=5, split=split)
         report.per_language["ab"] = LanguageResult(n=10, hit1=0.2, hitk=0.4, mrr=0.3)
         report.per_language["ac"] = LanguageResult(n=30, hit1=0.6, hitk=0.8, mrr=0.7)
-        from kgadapters.data import LanguageSplit
-        split = LanguageSplit(sup=["ab", "ac"], zs_in=[], zs_un=[])
-        agg = report.category_aggregate(split, "sup")
+        agg = report.category_aggregate("sup")
         assert agg.hit1 == pytest.approx(0.4)   # mean, not query-weighted
         assert agg.n == 40
+
+    def test_split_survives_dict_roundtrip(self):
+        split = LanguageSplit(sup=["ab"], zs_in=["ac"], zs_un=["ad"])
+        report = MetricReport(task="alignment", variant="x", k=5, split=split)
+        report.per_language["ac"] = LanguageResult(n=3, hit1=0.0, hitk=1.0, mrr=0.5)
+        loaded = MetricReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert loaded.split == split
+        assert loaded == report

@@ -6,15 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from kgadapters import cli, optim
+from kgadapters import checkpoint, cli, optim, pipeline
 from kgadapters.ablation import AblationReport
 from kgadapters.adapters import adapter_param_count, fusion_param_count, large_adapter_bottleneck
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.params import ParamSet
-from kgadapters.pipeline import (PipelineConfig, RunLog, Workspace, emit_report,
-                                 load_model, model_from_checkpoint, run_stage)
-from kgadapters.evaluation import LanguageResult, MetricReport
+from kgadapters.pipeline import (PipelineConfig, RunLog, Workspace, load_model,
+                                 model_from_checkpoint, run_stage)
+from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
 from kgadapters.synthetic import SyntheticConfig
 
 
@@ -114,6 +114,34 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match="not a checkpoint"):
             load_checkpoint(path)
 
+    def test_failed_write_leaves_no_checkpoint(self, monkeypatch, tmp_path):
+        class DiskFull:
+            """A file that takes the first 4 bytes of a write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:4])
+                raise OSError(28, "No space left on device")
+
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(tmp_path / "kept.ckpt", self.make_params())
+        kept = (tmp_path / "kept.ckpt").read_bytes()
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **kw: DiskFull(open(*a, **kw)), raising=False)
+        for target in (path, tmp_path / "kept.ckpt"):
+            with pytest.raises(OSError, match="No space"):
+                save_checkpoint(target, self.make_params())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ckpt"]
+        assert (tmp_path / "kept.ckpt").read_bytes() == kept
+
 
 class TestStages:
     def test_manifest_lists_adapter_tensor_names(self, micro_run):
@@ -199,9 +227,8 @@ class TestDeterminism:
             run_micro_pipeline(ws)
             report = run_stage(ws, "eval", task="alignment",
                                checkpoint="finetuned_alignment")
-            ds, _ = ws.load_data()
-            emit_report([report], "json", ws.report_dir / "r.json", ds.split)
-            emit_report([report], "tsv", ws.report_dir / "r.tsv", ds.split)
+            emit_report([report], "json", ws.report_dir / "r.json")
+            emit_report([report], "tsv", ws.report_dir / "r.tsv")
         for name in ("pretrain", "adapter_EP", "adapter_TP",
                      "fused_alignment", "finetuned_alignment"):
             assert ws1.ckpt(name).read_bytes() == ws2.ckpt(name).read_bytes(), name
@@ -229,7 +256,7 @@ class TestReports:
         report = self.make_report()
         emit_report([report], "json", path)
         loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert loaded == [report.to_dict(None)]
+        assert loaded == [report.to_dict()]
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -253,6 +280,44 @@ class TestReports:
                          "--output", str(tmp_path / "out.tsv")]) == 1
         assert "ablation_<task>.json" in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.fixture(scope="module")
+def cli_reports(tmp_path_factory):
+    """CLI `eval --checkpoint adapter_EP` and `ablate --tasks alignment` on a
+    micro workspace with EP and TP integrated but no adapter_LARGE; returns the
+    workspace and the number of dataset loads each command made."""
+    tmp = tmp_path_factory.mktemp("cli")
+    config = micro_config(tmp / "run")
+    ws = Workspace(config)
+    integrate_only(ws, config.adapter_kinds)
+    cfg = tmp / "cfg.json"
+    write_config(config, cfg)
+    real_load, calls, loads = pipeline.load_dataset, [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "load_dataset", lambda path: calls.append(path) or real_load(path))
+        for command in (["eval", "--task", "alignment", "--checkpoint", "adapter_EP"],
+                        ["ablate", "--tasks", "alignment"]):
+            calls.clear()
+            assert cli.main(["--config", str(cfg), *command]) == 0
+            loads[command[0]] = len(calls)
+    return ws, loads
+
+
+class TestCliReports:
+    def test_eval_loads_dataset_once(self, cli_reports):
+        assert cli_reports[1]["eval"] == 1
+
+    def test_ablate_loads_dataset_twice(self, cli_reports):
+        # once for the grid, once in the integrate stage of the missing LARGE adapter
+        assert cli_reports[1]["ablate"] == 2
+
+    @pytest.mark.parametrize("name", ["eval_alignment_adapter_EP", "ablation_alignment"])
+    def test_report_reproduces_written_tsv(self, cli_reports, name, tmp_path):
+        reports = cli_reports[0].report_dir
+        assert cli.main(["report", "--input", str(reports / f"{name}.json"),
+                         "--output", str(tmp_path / "got.tsv")]) == 0
+        assert (tmp_path / "got.tsv").read_bytes() == (reports / f"{name}.tsv").read_bytes()
 
 
 class TestRunLog:
