@@ -3,8 +3,9 @@
 The micro config of test_pipeline.py is run with all four adapter kinds
 through gen-synthetic, pretrain, integrate x4, fuse and finetune for both
 tasks, plus the LARGE ablation adapter. Every checkpoint's blob SHA-256 and
-the SHA-256 of every loss curve CSV are pinned below, and so is the SHA-256
-of the ablation grid and the EP+TP transfer benchmark run on that workspace.
+the SHA-256 of every loss curve CSV are pinned below, and so are the SHA-256
+of the ablation grid and the EP+TP transfer benchmark run on that workspace
+and the SHA-256 of every file in its data directory.
 
 Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 Haswell
 kernels); the values did not change between 1 and 2 BLAS threads. A change
@@ -77,6 +78,36 @@ CURVE_CSV_SHA256 = {
 # gained after this value was pinned
 ABLATION_SHA256 = "6b818a207f746253fdf6372b1e714ef9caceba077ebc9a004954328c42e39631"
 
+# the 12 files save_dataset writes plus vocab.txt
+DATA_FILE_SHA256 = {
+    "align_test.tsv":
+        "9722da169e28f488c8bd173e5728321c8d146b59ef2d8e61ea1e5ede1c315135",
+    "align_train.tsv":
+        "b823b5a9fdf2492f35156cf812665ab14fcb94b87c08930e7843d87be57db2b6",
+    "c1.tsv":
+        "3317b53fa5956619a1386d72372c99f77e338dfd81db4380b4c0e55561077d3a",
+    "c2.tsv":
+        "fe5e1375141a72f1bfee95f9c5a9424a3b321846407e59dea0dc6d566c24565b",
+    "comp_test.tsv":
+        "17771fa7a97dd2b1b6153a050492966909107627ec98bb525556ce7b87f1e5dd",
+    "comp_train.tsv":
+        "7543d957219ec1fc1dab00ca1ef4aef3056f6c027d03e89c2c7e3fd7d6e2f74c",
+    "config.json":
+        "e377f60602397e82d05b3dd6cb9abb2aebd23163b313c42eff63ff9b81fffc84",
+    "entities.tsv":
+        "43d8ec2c9073c840c84de2f800a87422de8d5fa4a7172eb9ba950036d825313f",
+    "mlm.tsv":
+        "2364adf036934fc6f189c70cd55b88a56cf9a8d690ade8b73b3a7181febfb93f",
+    "relations.tsv":
+        "95bd2c5a6272b93c464219e7221b9eca11e5d176f29faafe8295490325321e24",
+    "split.tsv":
+        "c10e0c0d583eabf189d835cac2f5bebf617d0c3e19df17d34225a95d850f04a2",
+    "triples.tsv":
+        "29dd2aafaa6887b586cc1c700481c70c72b7cb7f068f46d19e7056af477efede",
+    "vocab.txt":
+        "55b4aacbd416aaf971466878ac9c24129afc9bc8249337c1522b43f6208bf1d4",
+}
+
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
@@ -110,6 +141,11 @@ def test_checkpoint_blobs_match_golden(golden_run):
 
 def test_loss_curves_match_golden(golden_run):
     assert curve_hashes(golden_run) == CURVE_CSV_SHA256
+
+
+def test_data_files_match_golden(golden_run):
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(golden_run.data_dir.iterdir())} == DATA_FILE_SHA256
 
 
 def pinned_fields(report: dict) -> dict:
