@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, pretrain, train-adapter, train-fusion, finetune,
-eval, ablate, report. Exit codes: 0 success, 1 config or validation error,
+eval, ablate, report. Exit codes: 0 success, 1 config, data-file or I/O error,
 2 numerical failure (non-finite loss), 3 frozen-group contract violation.
 
 `eval` and `ablate` write each report as JSON and TSV under reports/. A stored
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

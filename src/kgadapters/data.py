@@ -1,21 +1,33 @@
-"""Multilingual KG data model, line-delimited file formats, and the
-preprocessing filters applied before adapter training.
+"""Multilingual KG data model, the format of every file in a benchmark's data
+directory, and the preprocessing filters applied before adapter training.
 
-File formats (all UTF-8, TAB-separated, token positions 0-based inclusive):
-  entities.tsv / relations.tsv   id TAB lang=label|lang=label|...
-  triples.tsv                    head TAB rel TAB tail
-  c1.tsv                         lang TAB entity_id TAB start TAB end TAB tokens
-  c2.tsv                         head TAB rel TAB tail TAB start TAB end TAB tokens
-  split.tsv                      category TAB language
+Every file is UTF-8. The .tsv files hold one TAB-separated record per line
+(blank lines are skipped); `read_rows` reads and `write_rows` writes every one
+of them, and a malformed line is a DataError naming its file and line. Tokens
+are joined by single spaces; token spans are 0-based and inclusive.
+
+  entities.tsv / relations.tsv     id TAB lang=label|lang=label|...
+  triples.tsv                      head TAB rel TAB tail
+  c1.tsv                           lang TAB entity_id TAB start TAB end TAB tokens
+  c2.tsv                           head TAB rel TAB tail TAB start TAB end TAB tokens
+  split.tsv                        category TAB language   (sup, zs_in or zs_un)
+  mlm.tsv                          lang TAB tokens
+  align_train.tsv / align_test.tsv src_lang TAB tgt_lang TAB entity_id
+  comp_train.tsv / comp_test.tsv   lang TAB head TAB rel TAB tail
+  config.json                      the SyntheticConfig fields as one JSON object
+  vocab.txt                        one token per line in id order, the four
+                                   special tokens first (see vocab.Vocab)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
+
+_CATEGORIES = ("sup", "zs_in", "zs_un")
 
 
 @dataclass
@@ -112,43 +124,70 @@ class MLKG:
         return {"entities": len(self.entities), "alignment_pairs": pairs,
                 "triples": len(self.triples), "relations": len(self.relations)}
 
-    def validate(self) -> None:
-        for t in self.triples:
-            if t.head not in self.entities or t.tail not in self.entities:
-                raise DataError(f"triple {t} references unknown entity")
-            if t.rel not in self.relations:
-                raise DataError(f"triple {t} references unknown relation")
-
 
 # ---------------------------------------------------------------------------
-# file ingestion
+# file format
 # ---------------------------------------------------------------------------
 
-def _parse_labels(payload: str, path, lineno: int) -> dict[str, str]:
+def read_rows(path, n_fields: int, what: str) -> Iterator[tuple[str, list[str]]]:
+    """Yield (f"{path}:{lineno}", fields) for every non-blank line of a TSV file.
+
+    A line without exactly n_fields TAB-separated fields is a DataError that
+    names its location and the expected fields, `what`.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    prefix = f"{path}:"         # formatted once: a location is built for every line
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataError(f"{prefix}{lineno}: expected {what}, got {len(fields)} fields")
+        yield prefix + str(lineno), fields
+
+
+def write_rows(path, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row as one line of TAB-joined fields."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
+def _parse_labels(payload: str) -> dict[str, str]:
     labels = {}
     for part in payload.split("|"):
         if "=" not in part:
-            raise DataError(f"{path}:{lineno}: malformed lang=label pair {part!r}")
+            raise DataError(f"malformed lang=label pair {part!r}")
         lang, label = part.split("=", 1)
         if lang in labels:
-            raise DataError(f"{path}:{lineno}: duplicate language {lang!r}")
+            raise DataError(f"duplicate language {lang!r}")
         labels[lang] = label
     return labels
 
 
 def _read_labelled(path, cls) -> dict:
     out = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(f"{path}:{lineno}: expected id<TAB>labels, got {len(fields)} fields")
-        rid, payload = fields
+    for where, (rid, payload) in read_rows(path, 2, "id<TAB>labels"):
         if rid in out:
-            raise DataError(f"{path}:{lineno}: duplicate id {rid!r}")
-        out[rid] = cls(id=rid, labels=_parse_labels(payload, path, lineno))
+            raise DataError(f"{where}: duplicate id {rid!r}")
+        try:
+            out[rid] = cls(id=rid, labels=_parse_labels(payload))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return out
+
+
+def _span(where: str, start: str, end: str, tokens: list[str]) -> tuple[int, int]:
+    """Parse a 0-based inclusive token span and check that it lies in the sentence."""
+    try:
+        span = (int(start), int(end))
+    except ValueError:
+        raise DataError(f"{where}: span {start!r}..{end!r} is not two integers") from None
+    if not 0 <= span[0] <= span[1] < len(tokens):
+        raise DataError(f"{where}: span {span} out of bounds")
+    return span
 
 
 def load_mlkg(entities_path, relations_path, triples_path) -> MLKG:
@@ -156,116 +195,89 @@ def load_mlkg(entities_path, relations_path, triples_path) -> MLKG:
     entities = _read_labelled(entities_path, Entity)
     relations = _read_labelled(relations_path, Relation)
     triples = []
-    for lineno, line in enumerate(Path(triples_path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{triples_path}:{lineno}: expected head<TAB>rel<TAB>tail")
-        h, r, t = fields
+    for where, (h, r, t) in read_rows(triples_path, 3, "head<TAB>rel<TAB>tail"):
         if h not in entities:
-            raise DataError(f"{triples_path}:{lineno}: unknown head entity {h!r}")
+            raise DataError(f"{where}: unknown head entity {h!r}")
         if t not in entities:
-            raise DataError(f"{triples_path}:{lineno}: unknown tail entity {t!r}")
+            raise DataError(f"{where}: unknown tail entity {t!r}")
         if r not in relations:
-            raise DataError(f"{triples_path}:{lineno}: unknown relation {r!r}")
+            raise DataError(f"{where}: unknown relation {r!r}")
         triples.append(Triple(h, r, t))
     return MLKG(entities=entities, relations=relations, triples=triples)
 
 
 def save_mlkg(mlkg: MLKG, entities_path, relations_path, triples_path) -> None:
-    def dump(records: dict, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for rid in sorted(records):
-                labels = records[rid].labels
-                payload = "|".join(f"{lang}={labels[lang]}" for lang in sorted(labels))
-                fh.write(f"{rid}\t{payload}\n")
-
-    dump(mlkg.entities, entities_path)
-    dump(mlkg.relations, relations_path)
-    with open(triples_path, "w", encoding="utf-8") as fh:
-        for t in mlkg.triples:
-            fh.write(f"{t.head}\t{t.rel}\t{t.tail}\n")
+    for records, path in ((mlkg.entities, entities_path), (mlkg.relations, relations_path)):
+        write_rows(path, ((rid, "|".join(f"{lang}={label}" for lang, label
+                                         in sorted(records[rid].labels.items())))
+                          for rid in sorted(records)))
+    write_rows(triples_path, ((t.head, t.rel, t.tail) for t in mlkg.triples))
 
 
 def load_c1(path, mlkg: MLKG) -> list[TaggedSentence]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        lang, eid, start, end, text = fields
+    for where, (lang, eid, start, end, text) in read_rows(
+            path, 5, "lang<TAB>entity<TAB>start<TAB>end<TAB>tokens"):
         tokens = text.split()
-        span = (int(start), int(end))
         if eid not in mlkg.entities:
-            raise DataError(f"{path}:{lineno}: unknown entity {eid!r}")
-        if not (0 <= span[0] <= span[1] < len(tokens)):
-            raise DataError(f"{path}:{lineno}: span {span} out of bounds")
+            raise DataError(f"{where}: unknown entity {eid!r}")
+        span = _span(where, start, end, tokens)
         label = mlkg.entities[eid].labels.get(lang)
         if label is None or tokens[span[0]:span[1] + 1] != label.split():
-            raise DataError(f"{path}:{lineno}: span does not match label of {eid!r} in {lang!r}")
+            raise DataError(f"{where}: span does not match label of {eid!r} in {lang!r}")
         out.append(TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span))
     return out
 
 
 def save_c1(path, records: Iterable[TaggedSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(f"{r.lang}\t{r.entity_id}\t{r.span[0]}\t{r.span[1]}\t{' '.join(r.tokens)}\n")
+    write_rows(path, ((r.lang, r.entity_id, str(r.span[0]), str(r.span[1]), " ".join(r.tokens))
+                      for r in records))
 
 
 def load_c2(path, mlkg: MLKG) -> list[TripleSentence]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        h, r, t, start, end, text = fields
+    for where, (h, r, t, start, end, text) in read_rows(
+            path, 6, "head<TAB>rel<TAB>tail<TAB>start<TAB>end<TAB>tokens"):
         tokens = text.split()
-        span = (int(start), int(end))
-        triple = Triple(h, r, t)
         if h not in mlkg.entities or t not in mlkg.entities or r not in mlkg.relations:
-            raise DataError(f"{path}:{lineno}: triple does not resolve")
-        if not (0 <= span[0] <= span[1] < len(tokens)):
-            raise DataError(f"{path}:{lineno}: span {span} out of bounds")
-        span_text = " ".join(tokens[span[0]:span[1] + 1])
-        if span_text not in mlkg.entities[t].labels.values():
-            raise DataError(f"{path}:{lineno}: object span does not match any label of {t!r}")
+            raise DataError(f"{where}: triple does not resolve")
+        span = _span(where, start, end, tokens)
+        if " ".join(tokens[span[0]:span[1] + 1]) not in mlkg.entities[t].labels.values():
+            raise DataError(f"{where}: object span does not match any label of {t!r}")
         if span[1] - span[0] + 1 >= len(tokens):
-            raise DataError(f"{path}:{lineno}: sentence is only the object label (empty context)")
-        out.append(TripleSentence(tokens=tokens, triple=triple, obj_span=span))
+            raise DataError(f"{where}: sentence is only the object label (empty context)")
+        out.append(TripleSentence(tokens=tokens, triple=Triple(h, r, t), obj_span=span))
     return out
 
 
 def save_c2(path, records: Iterable[TripleSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            t = r.triple
-            fh.write(f"{t.head}\t{t.rel}\t{t.tail}\t{r.obj_span[0]}\t{r.obj_span[1]}"
-                     f"\t{' '.join(r.tokens)}\n")
+    write_rows(path, ((r.triple.head, r.triple.rel, r.triple.tail, str(r.obj_span[0]),
+                       str(r.obj_span[1]), " ".join(r.tokens)) for r in records))
 
 
 def load_split(path) -> LanguageSplit:
-    cats: dict[str, list[str]] = {"sup": [], "zs_in": [], "zs_un": []}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or fields[0] not in cats:
-            raise DataError(f"{path}:{lineno}: expected category<TAB>language")
-        cats[fields[0]].append(fields[1])
-    return LanguageSplit(sup=cats["sup"], zs_in=cats["zs_in"], zs_un=cats["zs_un"])
+    cats: dict[str, list[str]] = {cat: [] for cat in _CATEGORIES}
+    for where, (cat, lang) in read_rows(path, 2, "category<TAB>language"):
+        if cat not in cats:
+            raise DataError(f"{where}: unknown category {cat!r} (have {_CATEGORIES})")
+        cats[cat].append(lang)
+    try:
+        return LanguageSplit(**cats)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_split(path, split: LanguageSplit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cat, langs in (("sup", split.sup), ("zs_in", split.zs_in), ("zs_un", split.zs_un)):
-            for lang in langs:
-                fh.write(f"{cat}\t{lang}\n")
+    write_rows(path, ((cat, lang) for cat in _CATEGORIES for lang in getattr(split, cat)))
+
+
+def read_corpus(path) -> list[tuple[str, list[str]]]:
+    """Read a lang<TAB>tokens file into (lang, tokens) records."""
+    return [(lang, text.split()) for _, (lang, text) in read_rows(path, 2, "lang<TAB>tokens")]
+
+
+def write_corpus(path, records: Iterable[tuple[str, Sequence[str]]]) -> None:
+    write_rows(path, ((lang, " ".join(tokens)) for lang, tokens in records))
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,9 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "synthetic" in raw:
-            raw["synthetic"] = SyntheticConfig(**raw["synthetic"])
         try:
+            if "synthetic" in raw:
+                raw["synthetic"] = SyntheticConfig(**raw["synthetic"])
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(f"bad config file {path}: {exc}") from None
@@ -163,10 +163,10 @@ class Workspace:
     def require_ckpt(self, name: str, needed_for: str) -> Path:
         p = self.ckpt(name)
         if not p.exists():
-            prefix = name.split("_")[0]
-            raise ConfigError(
-                f"stage {needed_for!r} requires checkpoint {p.name} "
-                f"(run the {_CKPT_STAGE.get(prefix, prefix)!r} stage first)")
+            stage = _CKPT_STAGE.get(name.split("_")[0])
+            hint = (f"run the {stage!r} stage first" if stage
+                    else f"no such checkpoint exists under {self.ckpt_dir}")
+            raise ConfigError(f"stage {needed_for!r} requires checkpoint {p.name} ({hint})")
         return p
 
     def write_curve(self, name: str, curve: list[tuple[int, float, float]]) -> None:

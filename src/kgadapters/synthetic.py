@@ -19,6 +19,10 @@ label with its base-language label, the way real multilingual text glosses
 names. Glosses cycle through entities so every entity gets cross-lingual
 anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
 never contain unseen-category languages.
+
+`save_dataset` and `load_dataset` persist a benchmark as one directory whose
+files, and their formats, are listed in data.py; every file is read and
+written through data.py.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ import numpy as np
 
 from .data import (Entity, LanguageSplit, MLKG, Relation, TaggedSentence,
                    Triple, TripleSentence, assign_language_splits, load_c1,
-                   load_c2, load_mlkg, load_split, save_c1, save_c2,
-                   save_mlkg, save_split)
+                   load_c2, load_mlkg, load_split, read_corpus, read_rows,
+                   save_c1, save_c2, save_mlkg, save_split, write_corpus,
+                   write_rows)
 from .errors import ConfigError, DataError
-from .vocab import read_corpus, write_corpus
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -84,8 +88,6 @@ class SyntheticConfig:
 @dataclass
 class SyntheticDataset:
     config: SyntheticConfig
-    languages: list[str]
-    base_lang: str
     split: LanguageSplit
     mlkg: MLKG
     c1: list[TaggedSentence]
@@ -97,6 +99,14 @@ class SyntheticDataset:
     comp_test: dict[str, list[tuple[str, Triple]]]             # lang -> items
     train_triples: list[Triple] = field(default_factory=list)
     test_triples: list[Triple] = field(default_factory=list)
+
+    @property
+    def languages(self) -> list[str]:
+        return self.split.all_langs
+
+    @property
+    def base_lang(self) -> str:
+        return self.split.sup[0]
 
 
 def _language_codes(n: int) -> list[str]:
@@ -256,8 +266,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
             mlm.append((lang, tokens))
 
     return SyntheticDataset(
-        config=config, languages=languages, base_lang=base, split=split,
-        mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,
+        config=config, split=split, mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,
         align_train=align_train, align_test=align_test,
         comp_train=comp_train, comp_test=comp_test,
         train_triples=train_triples, test_triples=test_triples)
@@ -266,6 +275,11 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 # ---------------------------------------------------------------------------
 # persistence and audits
 # ---------------------------------------------------------------------------
+
+# task file fields: each names the collection its values must belong to
+_PAIR = ("lang", "lang", "entity")
+_TASK = ("lang", "entity", "relation", "entity")
+
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     out = Path(out_dir)
@@ -277,84 +291,54 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     save_c2(out / "c2.tsv", ds.c2)
     save_split(out / "split.tsv", ds.split)
     write_corpus(out / "mlm.tsv", ds.mlm_corpus)
-    with open(out / "align_train.tsv", "w", encoding="utf-8") as fh:
-        for src, tgt, eid in ds.align_train:
-            fh.write(f"{src}\t{tgt}\t{eid}\n")
-    with open(out / "align_test.tsv", "w", encoding="utf-8") as fh:
-        for tgt in sorted(ds.align_test):
-            for src, t, eid in ds.align_test[tgt]:
-                fh.write(f"{src}\t{t}\t{eid}\n")
-    with open(out / "comp_train.tsv", "w", encoding="utf-8") as fh:
-        for lang, t in ds.comp_train:
-            fh.write(f"{lang}\t{t.head}\t{t.rel}\t{t.tail}\n")
-    with open(out / "comp_test.tsv", "w", encoding="utf-8") as fh:
-        for lang in sorted(ds.comp_test):
-            for _, t in ds.comp_test[lang]:
-                fh.write(f"{lang}\t{t.head}\t{t.rel}\t{t.tail}\n")
+    write_rows(out / "align_train.tsv", ds.align_train)
+    write_rows(out / "align_test.tsv",
+               (p for tgt in sorted(ds.align_test) for p in ds.align_test[tgt]))
+    write_rows(out / "comp_train.tsv", ((lang, t.head, t.rel, t.tail) for lang, t in ds.comp_train))
+    write_rows(out / "comp_test.tsv", ((lang, t.head, t.rel, t.tail) for key in sorted(ds.comp_test)
+                                       for lang, t in ds.comp_test[key]))
 
 
-def _read_pairs(path) -> list[tuple[str, str, str]]:
-    out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected src<TAB>tgt<TAB>entity")
-        out.append((fields[0], fields[1], fields[2]))
-    return out
-
-
-def _read_task_triples(path) -> list[tuple[str, Triple]]:
-    out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataError(f"{path}:{lineno}: expected lang<TAB>head<TAB>rel<TAB>tail")
-        out.append((fields[0], Triple(fields[1], fields[2], fields[3])))
-    return out
+def _read_task_file(path, fields: tuple[str, ...], known: dict) -> list[list[str]]:
+    """Rows of a task file whose every value belongs to the collection its field names."""
+    rows = []
+    for where, row in read_rows(path, len(fields), "<TAB>".join(fields)):
+        for name, value in zip(fields, row):
+            if value not in known[name]:
+                raise DataError(f"{where}: unknown {name} {value!r}")
+        rows.append(row)
+    return rows
 
 
 def load_dataset(data_dir) -> SyntheticDataset:
     """Reload a generated benchmark from its directory."""
     d = Path(data_dir)
-    config = SyntheticConfig(**json.loads((d / "config.json").read_text(encoding="utf-8")))
+    try:
+        config = SyntheticConfig(**json.loads((d / "config.json").read_text(encoding="utf-8")))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{d / 'config.json'}: {exc}") from None
     mlkg = load_mlkg(d / "entities.tsv", d / "relations.tsv", d / "triples.tsv")
     split = load_split(d / "split.tsv")
-    languages = split.all_langs
-    base = split.sup[0]
-    c1 = load_c1(d / "c1.tsv", mlkg)
-    c2 = load_c2(d / "c2.tsv", mlkg)
-    mlm = read_corpus(d / "mlm.tsv")
-    align_train = _read_pairs(d / "align_train.tsv")
+    known = {"lang": set(split.all_langs), "entity": mlkg.entities, "relation": mlkg.relations}
+    align_train = [tuple(f) for f in _read_task_file(d / "align_train.tsv", _PAIR, known)]
     align_test: dict[str, list[tuple[str, str, str]]] = {}
-    for src, tgt, eid in _read_pairs(d / "align_test.tsv"):
+    for src, tgt, eid in _read_task_file(d / "align_test.tsv", _PAIR, known):
         align_test.setdefault(tgt, []).append((src, tgt, eid))
-    comp_train = _read_task_triples(d / "comp_train.tsv")
+    comp_train = [(lang, Triple(h, r, t))
+                  for lang, h, r, t in _read_task_file(d / "comp_train.tsv", _TASK, known)]
     comp_test: dict[str, list[tuple[str, Triple]]] = {}
-    for lang, t in _read_task_triples(d / "comp_test.tsv"):
-        comp_test.setdefault(lang, []).append((lang, t))
-
+    for lang, h, r, t in _read_task_file(d / "comp_test.tsv", _TASK, known):
+        comp_test.setdefault(lang, []).append((lang, Triple(h, r, t)))
     # train/test triples recovered in file order (deduplicated, order-stable)
-    train_triples, seen = [], set()
-    for _, t in comp_train:
-        if t not in seen:
-            seen.add(t)
-            train_triples.append(t)
-    test_triples, seen = [], set()
-    for lang in sorted(comp_test):
-        for _, t in comp_test[lang]:
-            if t not in seen:
-                seen.add(t)
-                test_triples.append(t)
     return SyntheticDataset(
-        config=config, languages=languages, base_lang=base, split=split,
-        mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,
+        config=config, split=split, mlkg=mlkg,
+        c1=load_c1(d / "c1.tsv", mlkg), c2=load_c2(d / "c2.tsv", mlkg),
+        mlm_corpus=read_corpus(d / "mlm.tsv"),
         align_train=align_train, align_test=align_test,
         comp_train=comp_train, comp_test=comp_test,
-        train_triples=train_triples, test_triples=test_triples)
+        train_triples=list(dict.fromkeys(t for _, t in comp_train)),
+        test_triples=list(dict.fromkeys(t for lang in sorted(comp_test)
+                                        for _, t in comp_test[lang])))
 
 
 def vocab_corpus(ds: SyntheticDataset) -> list[list[str]]:

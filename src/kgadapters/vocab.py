@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import DataError
+
 PAD, UNK, MASK, SEP = "<pad>", "<unk>", "<mask>", "<sep>"
 SPECIALS = (PAD, UNK, MASK, SEP)
 
@@ -40,8 +42,10 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        try:
+            return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(corpora: Iterable[Sequence[str]], min_freq: int = 1) -> Vocab:
@@ -86,22 +90,3 @@ def tokenize(text: str | Sequence[str], lang: str, vocab: Vocab,
     if not tokens:
         raise ValueError("tokenize: empty text")
     return TokenSeq(ids=[vocab.id(t) for t in tokens][:max_len], lang=lang)
-
-
-def read_corpus(path) -> list[tuple[str, list[str]]]:
-    """Read a lang<TAB>sentence file into (lang, tokens) records."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        if "\t" not in line:
-            raise ValueError(f"{path}:{lineno}: missing lang<TAB> prefix")
-        lang, text = line.split("\t", 1)
-        out.append((lang, text.split()))
-    return out
-
-
-def write_corpus(path, records: Iterable[tuple[str, Sequence[str]]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lang, tokens in records:
-            fh.write(f"{lang}\t{' '.join(tokens)}\n")

@@ -1,16 +1,27 @@
 """MLKG model, file formats, preprocessing filters, synthetic generator."""
 
+import dataclasses
+import json
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kgadapters import cli
 from kgadapters.data import (Entity, LanguageSplit, MLKG, Relation, Triple,
                              assign_language_splits, filter_descriptions,
                              filter_entities, filter_triples, load_c1, load_c2,
                              load_mlkg, load_split, save_c1, save_c2,
                              save_mlkg, save_split, TaggedSentence)
 from kgadapters.errors import DataError
+from kgadapters.pipeline import Workspace, run_stage
 from kgadapters.synthetic import (SyntheticConfig, audit_zs_un_absence,
-                                  gen_synthetic, save_dataset, transform_word)
+                                  gen_synthetic, load_dataset, save_dataset,
+                                  transform_word)
+
+from test_pipeline import micro_config, write_config
 
 
 def toy_mlkg(label_counts=(3, 2, 1)):
@@ -209,3 +220,83 @@ class TestSyntheticGenerator:
             small_config(entities=5)
         with pytest.raises(Exception):
             small_config(sup=1, zs_in=1, zs_un=1)  # does not sum to languages
+
+
+def assert_same_dataset(got, want):
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert (got.languages, got.base_lang) == (want.languages, want.base_lang)
+
+
+@st.composite
+def small_configs(draw):
+    languages = draw(st.integers(3, 5))
+    sup = draw(st.integers(1, languages))
+    zs_in = draw(st.integers(0, languages - sup))
+    entities = draw(st.integers(10, 30))
+    return SyntheticConfig(
+        languages=languages, sup=sup, zs_in=zs_in, zs_un=languages - sup - zs_in,
+        entities=entities, relations=draw(st.integers(2, 4)), triples=2 * entities,
+        sentences_per_entity=draw(st.integers(1, 2)), vocab_size=10,
+        mlm_sentences_per_lang=draw(st.integers(5, 20)),
+        label_max_words=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+
+
+class TestDatasetRoundtrip:
+    def test_micro_dataset_reloads_field_by_field(self, tmp_path):
+        ds = gen_synthetic(micro_config(tmp_path).synthetic)
+        save_dataset(ds, tmp_path / "data")
+        assert_same_dataset(load_dataset(tmp_path / "data"), ds)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(small_configs())
+    def test_small_datasets_reload_field_by_field(self, config):
+        ds = gen_synthetic(config)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, tmp)
+            assert_same_dataset(load_dataset(tmp), ds)
+
+
+def set_first_field(text, index, value):
+    first, rest = text.split("\n", 1)
+    fields = first.split("\t")
+    fields[index] = value
+    return "\t".join(fields) + "\n" + rest
+
+
+# (data file, edit of its text, location that starts the message after the path);
+# the text is written back with surrogateescape, so "\udcff" becomes the byte 0xff
+MALFORMED = {
+    "c1_span_not_int": ("c1.tsv", lambda t: set_first_field(t, 2, "x"), ":1: "),
+    "mlm_line_without_tab": ("mlm.tsv", lambda t: t.replace("\t", " ", 1), ":1: "),
+    "vocab_without_specials": ("vocab.txt", lambda t: t.split("\n", 4)[4], ": "),
+    "config_unknown_key": ("config.json",
+                           lambda t: json.dumps({**json.loads(t), "bogus": 1}), ": "),
+    "entity_empty_label": ("entities.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
+    "align_test_two_fields": ("align_test.tsv", lambda t: "aa\tab\n" + t, ":1: "),
+    "comp_test_unknown_lang": ("comp_test.tsv", lambda t: set_first_field(t, 0, "zz"), ":1: "),
+    "c2_not_utf8": ("c2.tsv", lambda t: "\udcff" + t, ": "),
+    "split_overlap": ("split.tsv", lambda t: t + "zs_un\taa\n", ": "),
+}
+
+
+@pytest.fixture(scope="module")
+def micro_data(tmp_path_factory):
+    ws = Workspace(micro_config(tmp_path_factory.mktemp("micro")))
+    run_stage(ws, "gen-synthetic")
+    return ws.data_dir
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_data_file_exits_one(micro_data, tmp_path, capsys, case):
+    name, edit, where = MALFORMED[case]
+    config = micro_config(tmp_path / "run")
+    data_dir = Workspace(config).data_dir
+    shutil.copytree(micro_data, data_dir)
+    path = data_dir / name
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8", "surrogateescape"))
+    write_config(config, tmp_path / "cfg.json")
+    assert cli.main(["--config", str(tmp_path / "cfg.json"), "pretrain"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -336,8 +336,31 @@ class TestCliExitCodes:
         cfg.write_text("{\"nonsense\": true}", encoding="utf-8")
         assert cli.main(["--config", str(cfg), "pretrain"]) == 1
 
+    def test_unknown_synthetic_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path), "synthetic": {"bogus": 1}}),
+                       encoding="utf-8")
+        assert cli.main(["--config", str(cfg), "gen-synthetic"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad config file {cfg}: ")
+
     def test_missing_config_and_out_exits_one(self):
         assert cli.main(["pretrain"]) == 1
+
+    def test_report_of_a_directory_exits_one(self, tmp_path, capsys):
+        assert cli.main(["report", "--input", str(tmp_path),
+                         "--output", str(tmp_path / "out.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_eval_of_an_unknown_checkpoint_says_it_does_not_exist(self, micro_run, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(micro_run.config, cfg)
+        assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                         "--checkpoint", "nope"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'eval' requires checkpoint nope.ckpt "
+            f"(no such checkpoint exists under {micro_run.ckpt_dir})\n")
 
     def test_contract_violation_exits_three(self, monkeypatch, tmp_path):
         from kgadapters.errors import ContractViolation
