@@ -146,8 +146,10 @@ def add(a: Tensor, b) -> Tensor:
         raise ShapeError(f"add: cannot broadcast shapes {a.shape} + {b.shape}") from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(out, (a, b), backward)
 
@@ -161,8 +163,10 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"mul: cannot broadcast shapes {a.shape} * {b.shape}") from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(out, (a, b), backward)
 
@@ -174,8 +178,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"div: cannot broadcast shapes {a.shape} / {b.shape}") from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out, (a, b), backward)
 
@@ -187,10 +193,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: cannot multiply shapes {a.shape} x {b.shape}") from None
 
     def backward(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(out, (a, b), backward)
 

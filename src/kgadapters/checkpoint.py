@@ -71,7 +71,11 @@ def _split_header(raw: bytes, path) -> tuple[dict, memoryview]:
     (mlen,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + mlen:
         raise DataError(f"{path}: truncated manifest")
-    return json.loads(raw[12:12 + mlen].decode("utf-8")), memoryview(raw)[12 + mlen:]
+    try:
+        manifest = json.loads(raw[12:12 + mlen].decode("utf-8"))
+    except ValueError:
+        raise DataError(f"{path}: manifest is not JSON") from None
+    return manifest, memoryview(raw)[12 + mlen:]
 
 
 def read_manifest(path) -> dict:

@@ -82,7 +82,10 @@ def _emit(ws: Workspace, name: str, reports) -> None:
 
 def run(args) -> int:
     if args.command == "report":
-        payload = json.loads(args.input.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(args.input.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"report file {args.input} is not JSON: {exc}") from None
         try:
             reports = [MetricReport.from_dict(r)
                        for r in (payload if isinstance(payload, list) else [payload])]
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

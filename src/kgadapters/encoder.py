@@ -2,16 +2,34 @@
 
 The encoder is deliberately ordinary: learned token + position embeddings,
 multi-head self-attention, GELU feed-forward, pre-norm residuals, final
-layer norm. Every batch is padded internally to config.max_seq_len so that
-identical inputs produce bitwise identical states regardless of how much
-padding the caller added. An optional adapter hook transforms the
-post-feed-forward output of every layer.
+layer norm. An optional adapter hook transforms the post-feed-forward output
+of every layer.
+
+`pad_batch` decides a batch's width by one rule. A batch that a backbone
+gradient flows through (some `encoder.*` leaf requires grad, or MLM
+pretraining) is padded to config.max_seq_len. Any other batch (evaluation,
+and the integrate and fuse stages, whose backbone is frozen) is padded to
+the smallest multiple of PAD_BUCKET that fits its longest sequence, capped
+at max_seq_len; `encode` takes the first `t` rows of the position table.
+PAD keys get exactly zero attention weight and PAD positions exactly zero
+pooling weight, so the extra slots only add exact zeros to numpy's sums
+(see PAD_BUCKET): every state at a real position and every pooled output
+has the same bits at every bucket width, so evaluation is unchanged.
+
+Gradients agree to float32 rounding, not always bit for bit: backbone weight
+gradients sum over more zero rows at wider widths, and BLAS may pick its
+kernel by row count, so a product with a transposed weight can round
+differently at 8 or 16 rows than at 24 (OpenBLAS's AVX-512 small-matrix
+kernels do, for d_model 64). Hence a batch that trains the backbone keeps
+the full width, which leaves pretraining and finetuning computed exactly as
+before; adapter and fusion training keep their bits wherever BLAS does not
+switch kernels between the widths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +44,14 @@ PAD_ID, UNK_ID, MASK_ID, SEP_ID = 0, 1, 2, 3
 SPECIAL_ID_RANGE = (PAD_ID, UNK_ID, MASK_ID, SEP_ID)
 
 AdapterHook = Callable[[Tensor, int], Tensor]
+
+# Bucket widths are multiples of 8 and never below 8: numpy sums a contiguous
+# axis of 8 or more elements in 8 interleaved partial sums (the softmax key
+# sums), and a strided axis term by term in order (pooling), so extending a
+# row of length >= 8 by exact zeros in blocks of 8 leaves every partial sum,
+# and the result, bitwise unchanged. Below 8 the sum is one plain loop, whose
+# bits can differ from the full-width pass.
+PAD_BUCKET = 8
 
 
 @dataclass
@@ -93,15 +119,26 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
     return p
 
 
-def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a batch to the model's fixed max_seq_len; oversize sequences error."""
+def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig,
+              leaves: Mapping[str, Tensor] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pad a batch for `encode` with `leaves`; oversize sequences error.
+
+    Without leaves (MLM pretraining pads its corpus before any exist), or
+    when some `encoder.*` leaf requires grad, the width is max_seq_len;
+    otherwise it is the smallest multiple of PAD_BUCKET that fits the
+    longest sequence, capped at max_seq_len.
+    """
+    longest = max((len(s.ids) for s in seqs), default=0)
+    if longest > config.max_seq_len:
+        raise ValueError(f"sequence of length {longest} exceeds max_seq_len {config.max_seq_len}")
     t = config.max_seq_len
+    if leaves is not None and not any(
+            leaf.requires_grad for name, leaf in leaves.items() if name.startswith("encoder.")):
+        t = min(t, max(PAD_BUCKET, -(-longest // PAD_BUCKET) * PAD_BUCKET))
     ids = np.full((len(seqs), t), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), t), dtype=np.float32)
     for i, s in enumerate(seqs):
         n = len(s.ids)
-        if n > t:
-            raise ValueError(f"sequence of length {n} exceeds max_seq_len {t}")
         if n == 0:
             raise ValueError("empty sequence in batch")
         ids[i, :n] = s.ids
@@ -115,13 +152,15 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
     if ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     b, t = ids.shape
-    if t != config.max_seq_len:
-        raise ValueError(f"batch must be padded to max_seq_len={config.max_seq_len}, got {t}")
+    if not 1 <= t <= config.max_seq_len:
+        raise ValueError(f"batch width must be 1..max_seq_len={config.max_seq_len}, got {t}")
     d, h, dh = config.d_model, config.n_heads, config.head_dim
 
     tok = ad.gather(leaves["encoder.emb.tok"], ids)                     # [B,T,d]
-    pos = ad.reshape(leaves["encoder.emb.pos"], (1, t, d))
-    x = ad.add(tok, pos)
+    pos = leaves["encoder.emb.pos"]
+    if t < config.max_seq_len:
+        pos = ad.split(pos, [t, config.max_seq_len - t], axis=0)[0]
+    x = ad.add(tok, ad.reshape(pos, (1, t, d)))
     embeddings = x
 
     # additive attention bias: 0 on real keys, -inf on PAD keys
@@ -163,9 +202,9 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
 def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfig,
                 adapter_hook: AdapterHook | None = None,
                 grad: bool = False) -> tuple[HiddenStates, np.ndarray, np.ndarray]:
-    """Convenience wrapper: pad, build leaves, encode. Returns (states, ids, mask)."""
-    ids, mask = pad_batch(seqs, config)
+    """Convenience wrapper: build leaves, pad, encode. Returns (states, ids, mask)."""
     leaves = ad.make_leaves(params, grad=grad)
+    ids, mask = pad_batch(seqs, config, leaves)
     return encode(leaves, ids, mask, config, adapter_hook), ids, mask
 
 

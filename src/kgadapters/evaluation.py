@@ -39,17 +39,25 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class CandidateIndex:
-    """All entity-label embeddings of one language, rows ordered by entity id."""
+    """All entity-label embeddings of one language, rows ordered by entity id.
+
+    The float64 copy of the matrix and its row norms, which `rank` scores
+    with, are computed once here rather than once per query.
+    """
 
     lang: str
     entity_ids: list[str]
     matrix: np.ndarray
+    matrix64: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entity_ids) != self.matrix.shape[0]:
             raise ValueError("CandidateIndex rows do not match ids")
         if not self.entity_ids:
             raise ValueError("empty candidate index")
+        self.matrix64 = self.matrix.astype(np.float64)
+        self.norms = np.linalg.norm(self.matrix64, axis=1)
 
 
 @dataclass
@@ -161,13 +169,14 @@ def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
 
 def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
                       batch_size: int = 64) -> np.ndarray:
-    """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
+    """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape,
+    each batch padded only to its length bucket."""
     rows = []
     leaves = ad.make_leaves(adapted.params, grad=False)
     hook = build_hook(adapted, leaves)
     for lo in range(0, len(seqs), batch_size):
         chunk = seqs[lo:lo + batch_size]
-        ids, mask = pad_batch(chunk, adapted.config)
+        ids, mask = pad_batch(chunk, adapted.config, leaves)
         states = encode(leaves, ids, mask, adapted.config, hook)
         weights = sentence_pool_weights(ids, mask)
         rows.append(pool(states.final, weights).data)
@@ -201,10 +210,9 @@ def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:
     if q.shape[0] != index.matrix.shape[1]:
         raise ValueError(
             f"query dim {q.shape[0]} != index dim {index.matrix.shape[1]}")
-    m = index.matrix.astype(np.float64)
     qn = np.linalg.norm(q)
-    mn = np.linalg.norm(m, axis=1)
-    scores = (m @ q) / np.where(mn * qn == 0.0, 1.0, mn * qn)
+    mn = index.norms
+    scores = (index.matrix64 @ q) / np.where(mn * qn == 0.0, 1.0, mn * qn)
     # entity_ids are ascending, so stable sort on -score preserves the tie rule
     order = np.argsort(-scores, kind="stable")
     return [index.entity_ids[i] for i in order]

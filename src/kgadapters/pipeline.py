@@ -94,7 +94,10 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"config file {path} is not JSON: {exc}") from None
         try:
             if "synthetic" in raw:
                 raw["synthetic"] = SyntheticConfig(**raw["synthetic"])

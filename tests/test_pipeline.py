@@ -108,6 +108,15 @@ class TestCheckpointFormat:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
+    def test_non_json_manifest_names_the_file(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, self.make_params())
+        raw = bytearray(path.read_bytes())
+        raw[12] = ord("#")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"{path}: manifest is not JSON"):
+            load_checkpoint(path)
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         path.write_bytes(b"definitely not a checkpoint")
@@ -342,6 +351,20 @@ class TestCliExitCodes:
                        encoding="utf-8")
         assert cli.main(["--config", str(cfg), "gen-synthetic"]) == 1
         assert capsys.readouterr().err.startswith(f"error: bad config file {cfg}: ")
+
+    def test_non_json_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("not json", encoding="utf-8")
+        assert cli.main(["--config", str(cfg), "pretrain"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not JSON: ")
+
+    def test_non_json_report_input_names_the_file(self, tmp_path, capsys):
+        report = tmp_path / "bad.json"
+        report.write_text("not json", encoding="utf-8")
+        assert cli.main(["report", "--input", str(report),
+                         "--output", str(tmp_path / "out.tsv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: report file {report} is not JSON: ")
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_missing_config_and_out_exits_one(self):
         assert cli.main(["pretrain"]) == 1
