@@ -1,4 +1,5 @@
-"""Bottleneck adapters, attention fusion over adapter outputs, and budgets.
+"""Bottleneck adapters, attention fusion over adapter outputs, and the LARGE
+adapter sized by their closed-form parameter counts.
 
 An adapter at layer m computes h + W_up . gelu(W_down . h + b_down) + b_up
 (residual added so a zero up-projection is the exact identity). The fusion
@@ -57,27 +58,13 @@ class AdaptedEncoder:
         return replace(self, mode=mode, single_kind=kind)
 
 
-@dataclass
-class ParamBudget:
-    backbone: int
-    per_adapter: dict[str, int]
-    fusion: int
-
-    @property
-    def adapter_total(self) -> int:
-        return sum(self.per_adapter.values())
-
-    @property
-    def ratio(self) -> float:
-        return (self.adapter_total + self.fusion) / self.backbone
-
-
 def adapter_param_count(layers: int, d: int, bottleneck: int) -> int:
     """Closed form L*(2*d*b + b + d) for one adapter across all layers."""
     return layers * (2 * d * bottleneck + bottleneck + d)
 
 
 def fusion_param_count(layers: int, d: int) -> int:
+    """Closed form L*3*d*d for the fusion Q, K and V across all layers."""
     return layers * 3 * d * d
 
 
@@ -192,14 +179,6 @@ def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],
 # parameter accounting
 # ---------------------------------------------------------------------------
 
-def param_counts(adapted: AdaptedEncoder) -> ParamBudget:
-    """Exhaustive enumeration of named tensors, grouped by role."""
-    p = adapted.params
-    per_adapter = {kind: p.count(f"adapter.{kind}.") for kind in adapted.kinds}
-    return ParamBudget(backbone=p.count("encoder."), per_adapter=per_adapter,
-                       fusion=p.count("fusion."))
-
-
 def large_adapter_bottleneck(reference_total: int, d: int, layers: int) -> int:
     """Largest b' with L*(2*d*b' + b' + d) <= reference_total."""
     b = (reference_total // layers - d) // (2 * d + 1)
@@ -209,10 +188,11 @@ def large_adapter_bottleneck(reference_total: int, d: int, layers: int) -> int:
     return int(b)
 
 
-def make_large_adapter(reference: AdaptedEncoder, backbone: ParamSet,
-                       seed: int) -> AdaptedEncoder:
-    """Single LARGE adapter sized to the reference adapter-set + fusion budget."""
-    budget = param_counts(reference)
-    total = budget.adapter_total + budget.fusion
-    b = large_adapter_bottleneck(total, reference.config.d_model, reference.config.layers)
-    return insert_adapters(backbone, [LARGE], b, seed, reference.config)
+def make_large_adapter(backbone: ParamSet, config: EncoderConfig, n_adapters: int,
+                       bottleneck: int, seed: int) -> AdaptedEncoder:
+    """Single LARGE adapter sized to the budget of n_adapters adapters of the
+    given bottleneck plus fusion."""
+    total = (n_adapters * adapter_param_count(config.layers, config.d_model, bottleneck)
+             + fusion_param_count(config.layers, config.d_model))
+    b = large_adapter_bottleneck(total, config.d_model, config.layers)
+    return insert_adapters(backbone, [LARGE], b, seed, config)

@@ -12,6 +12,7 @@ TSV that `eval` or `ablate` wrote, byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,17 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args) -> PipelineConfig:
     if args.config:
         config = PipelineConfig.from_json(args.config)
+    elif args.out is None:
+        raise ConfigError("either --config or --out is required")
     else:
-        if args.out is None:
-            raise ConfigError("either --config or --out is required")
         config = PipelineConfig(out_dir=str(args.out))
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.profile is not None:
-        config.profile = args.profile
-    if args.out is not None:
-        config.out_dir = str(args.out)
-    return config
+    overrides = {"seed": args.seed, "profile": args.profile,
+                 "out_dir": None if args.out is None else str(args.out)}
+    # replace() re-runs the config checks against the overridden profile
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(ws: Workspace, name: str, reports) -> None:

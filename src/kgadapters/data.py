@@ -1,5 +1,5 @@
-"""Multilingual KG data model, the format of every file in a benchmark's data
-directory, and the preprocessing filters applied before adapter training.
+"""Multilingual KG data model and the format of every file in a benchmark's
+data directory.
 
 Every file is UTF-8. The .tsv files hold one TAB-separated record per line
 (blank lines are skipped); `read_rows` reads and `write_rows` writes every one
@@ -116,13 +116,6 @@ class MLKG:
     entities: dict[str, Entity] = field(default_factory=dict)
     relations: dict[str, Relation] = field(default_factory=dict)
     triples: list[Triple] = field(default_factory=list)
-
-    def stats(self) -> dict[str, int]:
-        """Table-style corpus statistics: entities, alignment pairs, triples, relations."""
-        pairs = sum(n * (n - 1) // 2 for n in
-                    (len(e.labels) for e in self.entities.values()))
-        return {"entities": len(self.entities), "alignment_pairs": pairs,
-                "triples": len(self.triples), "relations": len(self.relations)}
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +271,6 @@ def read_corpus(path) -> list[tuple[str, list[str]]]:
 
 def write_corpus(path, records: Iterable[tuple[str, Sequence[str]]]) -> None:
     write_rows(path, ((lang, " ".join(tokens)) for lang, tokens in records))
-
-
-# ---------------------------------------------------------------------------
-# preprocessing filters
-# ---------------------------------------------------------------------------
-
-def filter_entities(mlkg: MLKG, min_labels: int = 10) -> MLKG:
-    """Keep entities with strictly more than min_labels multilingual labels.
-
-    Triples are re-filtered so both endpoints survive.
-    """
-    kept = {eid: e for eid, e in mlkg.entities.items() if len(e.labels) > min_labels}
-    return MLKG(entities=kept, relations=dict(mlkg.relations),
-                triples=filter_triples(mlkg, set(kept)))
-
-
-def filter_triples(mlkg: MLKG, surviving: set[str]) -> list[Triple]:
-    """Triples whose head and tail are both in the surviving entity set."""
-    return [t for t in mlkg.triples if t.head in surviving and t.tail in surviving]
-
-
-def filter_descriptions(c1: Sequence[TaggedSentence], min_langs: int = 2) -> list[TaggedSentence]:
-    """Keep an entity's tagged sentences only if it is described in >= min_langs languages."""
-    langs_per_entity: dict[str, set[str]] = {}
-    for r in c1:
-        langs_per_entity.setdefault(r.entity_id, set()).add(r.lang)
-    return [r for r in c1 if len(langs_per_entity[r.entity_id]) >= min_langs]
 
 
 def assign_language_splits(languages: Sequence[str], sup: int, zs_in: int,

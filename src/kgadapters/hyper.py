@@ -24,3 +24,9 @@ class TrainHyper:
             raise ValueError(f"code-switch probability must be in [0,1], got {self.p_cs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if self.warmup_steps < 1:
+            raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        if min(self.steps, self.epochs) < 0:
+            raise ValueError("steps and epochs must be >= 0")

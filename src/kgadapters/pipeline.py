@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adapters import LARGE, AdaptedEncoder, init_fusion, insert_adapters, make_large_adapter
+from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapters,
+                       make_large_adapter)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError
@@ -87,10 +89,28 @@ class PipelineConfig:
     hyper_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Every fault a stage would hit in the config is a ConfigError here."""
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (have {sorted(PROFILES)})")
-        if not self.adapter_kinds:
-            raise ConfigError("adapter_kinds must be non-empty")
+        if not self.adapter_kinds or len(set(self.adapter_kinds)) != len(self.adapter_kinds) \
+                or not set(self.adapter_kinds) <= set(KINDS):
+            raise ConfigError(f"adapter_kinds {self.adapter_kinds} must be distinct "
+                              f"kinds of {list(KINDS)}, at least one")
+        if self.bottleneck < 1:
+            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        try:
+            # as Workspace.encoder_config builds it; vocab_size comes from vocab.txt
+            EncoderConfig(vocab_size=0, **self.encoder)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"encoder: {exc}") from None
+        unknown = sorted(set(self.hyper_overrides) - set(PROFILES[self.profile]))
+        if unknown:
+            raise ConfigError(f"hyper_overrides: unknown stage(s) {unknown} "
+                              f"(have {sorted(PROFILES[self.profile])})")
+        for stage in PROFILES[self.profile]:
+            h = self._stage_hyper(stage)
+            if h.steps == 0 and h.epochs == 0:
+                raise ConfigError(f"stage {stage}: steps and epochs are both 0")
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -102,7 +122,7 @@ class PipelineConfig:
             if "synthetic" in raw:
                 raw["synthetic"] = SyntheticConfig(**raw["synthetic"])
             return cls(**raw)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"bad config file {path}: {exc}") from None
 
     def canonical_json(self) -> str:
@@ -113,12 +133,18 @@ class PipelineConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
+    def _stage_hyper(self, stage: str) -> TrainHyper:
+        """Profile hyper for a stage with its overrides applied."""
+        values = dataclasses.asdict(PROFILES[self.profile][stage])
+        try:
+            values.update(self.hyper_overrides.get(stage, {}))
+            return TrainHyper(**values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"hyper_overrides.{stage}: {exc}") from None
+
     def hyper(self, stage: str, data_size: int = 0) -> TrainHyper:
         """Profile hyper for a stage with overrides applied; epochs resolve to steps."""
-        base = PROFILES[self.profile][stage]
-        values = dataclasses.asdict(base)
-        values.update(self.hyper_overrides.get(stage, {}))
-        h = TrainHyper(**values)
+        h = self._stage_hyper(stage)
         if h.steps == 0 and h.epochs > 0:
             if data_size <= 0:
                 raise ConfigError(f"stage {stage}: epochs given but data size unknown")
@@ -258,17 +284,10 @@ def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
     if kind == "TS":
         records = ts_ingest(ds.c2)
         return lambda b, rng: sample_ts_batch(records, ds.base_lang, b, rng)
-    if kind == "LARGE":
+    if kind == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
-        samplers = [make_sampler(ds, k, hyper) for k in ("EP", "TP", "ES", "TS")]
-        counter = {"i": 0}
-
-        def mixed(b, rng):
-            s = samplers[counter["i"] % 4]
-            counter["i"] += 1
-            return s(b, rng)
-
-        return mixed
+        samplers = itertools.cycle([make_sampler(ds, k, hyper) for k in KINDS])
+        return lambda b, rng: next(samplers)(b, rng)
     raise ConfigError(f"unknown adapter kind {kind!r}")
 
 
@@ -280,12 +299,13 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
     base = load_model(ws, "pretrain", "integrate")
-    adapted = insert_adapters(base.params, ws.config.adapter_kinds, ws.config.bottleneck,
-                              _insert_seed(ws.config), base.config)
     if kind == LARGE:
         # sized to the parameter budget of every configured adapter plus fusion
-        reference = init_fusion(adapted, _insert_seed(ws.config) + 1)
-        adapted = make_large_adapter(reference, base.params, _insert_seed(ws.config))
+        adapted = make_large_adapter(base.params, base.config, len(ws.config.adapter_kinds),
+                                     ws.config.bottleneck, _insert_seed(ws.config))
+    else:
+        adapted = insert_adapters(base.params, ws.config.adapter_kinds, ws.config.bottleneck,
+                                  _insert_seed(ws.config), base.config)
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
     hyper.seed = ws.config.seed + sum(ord(c) for c in kind)
     sampler = make_sampler(ds, kind, hyper)

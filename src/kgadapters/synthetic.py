@@ -18,7 +18,8 @@ monolingual fact corpus), and parenthetical glosses pairing an entity
 label with its base-language label, the way real multilingual text glosses
 names. Glosses cycle through entities so every entity gets cross-lingual
 anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
-never contain unseen-category languages.
+never contain unseen-category languages, and `load_dataset` rejects a data
+directory whose files do.
 
 `save_dataset` and `load_dataset` persist a benchmark as one directory whose
 files, and their formats, are listed in data.py; every file is read and
@@ -273,7 +274,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
 
 # ---------------------------------------------------------------------------
-# persistence and audits
+# persistence; load_dataset enforces ZS-Un absence from training files
 # ---------------------------------------------------------------------------
 
 # task file fields: each names the collection its values must belong to
@@ -330,7 +331,7 @@ def load_dataset(data_dir) -> SyntheticDataset:
     for lang, h, r, t in _read_task_file(d / "comp_test.tsv", _TASK, known):
         comp_test.setdefault(lang, []).append((lang, Triple(h, r, t)))
     # train/test triples recovered in file order (deduplicated, order-stable)
-    return SyntheticDataset(
+    ds = SyntheticDataset(
         config=config, split=split, mlkg=mlkg,
         c1=load_c1(d / "c1.tsv", mlkg), c2=load_c2(d / "c2.tsv", mlkg),
         mlm_corpus=read_corpus(d / "mlm.tsv"),
@@ -339,6 +340,45 @@ def load_dataset(data_dir) -> SyntheticDataset:
         train_triples=list(dict.fromkeys(t for _, t in comp_train)),
         test_triples=list(dict.fromkeys(t for lang in sorted(comp_test)
                                         for _, t in comp_test[lang])))
+    _check_zs_un_absence(ds, d)
+    return ds
+
+
+def _check_zs_un_absence(ds: SyntheticDataset, d: Path) -> None:
+    """Zero-shot-unseen languages never reach adapter training or finetuning.
+
+    A record of c1.tsv, align_train.tsv or comp_train.tsv in a ZS-Un language,
+    or a c1.tsv or c2.tsv sentence with a token of one (a token ending in its
+    suffix), is a DataError naming the file and line.
+    """
+    unseen = set(ds.split.zs_un)
+    # gen_synthetic gives codes[i] the suffix of language index i, whatever
+    # category split.tsv puts it in
+    codes = _language_codes(len(_SUFFIX_SYLLABLES) + 1)
+    ends = [f"-{_SUFFIX_SYLLABLES[codes.index(lang) - 1]} " for lang in sorted(unseen)
+            if lang in codes[1:]]
+
+    def leaks(langs: list[str], sentences: list[list[str]]) -> bool:
+        # tokens hold no whitespace, so a token ends with a suffix exactly
+        # where the suffix is followed by a space in the joined text
+        text = " ".join([" ".join(tokens) for tokens in sentences]) + " "
+        return not unseen.isdisjoint(langs) or any(end in text for end in ends)
+
+    # file -> (fields per line, records, the records' languages and sentences)
+    files = {
+        "c1.tsv": (5, ds.c1, lambda rs: ([r.lang for r in rs], [r.tokens for r in rs])),
+        "c2.tsv": (6, ds.c2, lambda rs: ([], [r.tokens for r in rs])),
+        "align_train.tsv": (3, ds.align_train, lambda rs: ([l for p in rs for l in p[:2]], [])),
+        "comp_train.tsv": (4, ds.comp_train, lambda rs: ([lang for lang, _ in rs], [])),
+    }
+    for name, (n_fields, records, parts) in files.items():
+        if not leaks(*parts(records)):
+            continue
+        i = next(i for i, r in enumerate(records) if leaks(*parts([r])))
+        # the i-th record was read from the i-th non-blank line of its file
+        where, _ = next(itertools.islice(read_rows(d / name, n_fields, ""), i, None))
+        raise DataError(f"{where}: training record in a zero-shot-unseen language "
+                        f"(ZS-Un is {', '.join(sorted(unseen))})")
 
 
 def vocab_corpus(ds: SyntheticDataset) -> list[list[str]]:
@@ -352,34 +392,3 @@ def vocab_corpus(ds: SyntheticDataset) -> list[list[str]]:
     out.extend(r.tokens for r in ds.c1)
     out.extend(r.tokens for r in ds.c2)
     return out
-
-
-def audit_zs_un_absence(ds: SyntheticDataset) -> list[str]:
-    """Scan adapter-training and finetuning corpora for unseen-language records."""
-    zs_un = set(ds.split.zs_un)
-    violations = []
-    zs_un_tokens = set()
-    for lang in zs_un:
-        li = ds.languages.index(lang)
-        suffix = f"-{_SUFFIX_SYLLABLES[li - 1]}" if li > 0 else None
-        if suffix:
-            zs_un_tokens.add(suffix)
-
-    def token_violates(tok: str) -> bool:
-        return any(tok.endswith(s) for s in zs_un_tokens)
-
-    for r in ds.c1:
-        if r.lang in zs_un:
-            violations.append(f"c1 record in unseen language {r.lang}")
-        if any(token_violates(t) for t in r.tokens):
-            violations.append(f"c1 record contains unseen-language token: {r.tokens}")
-    for r in ds.c2:
-        if any(token_violates(t) for t in r.tokens):
-            violations.append(f"c2 record contains unseen-language token: {r.tokens}")
-    for src, tgt, eid in ds.align_train:
-        if src in zs_un or tgt in zs_un:
-            violations.append(f"alignment train pair uses unseen language: {src}->{tgt}")
-    for lang, _ in ds.comp_train:
-        if lang in zs_un:
-            violations.append(f"completion train item in unseen language {lang}")
-    return violations

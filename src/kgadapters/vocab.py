@@ -48,7 +48,7 @@ class Vocab:
             raise DataError(f"{path}: {exc}") from None
 
 
-def build_vocab(corpora: Iterable[Sequence[str]], min_freq: int = 1) -> Vocab:
+def build_vocab(corpora: Iterable[Sequence[str]]) -> Vocab:
     """Count tokens over tokenized sentences; order by frequency desc, then token."""
     counts: Counter = Counter()
     empty = True
@@ -57,7 +57,7 @@ def build_vocab(corpora: Iterable[Sequence[str]], min_freq: int = 1) -> Vocab:
         counts.update(sent)
     if empty:
         raise ValueError("build_vocab: empty corpora")
-    kept = sorted((t for t, c in counts.items() if c >= min_freq and t not in SPECIALS),
+    kept = sorted((t for t in counts if t not in SPECIALS),
                   key=lambda t: (-counts[t], t))
     return Vocab(list(SPECIALS) + kept)
 

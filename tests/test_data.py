@@ -1,4 +1,4 @@
-"""MLKG model, file formats, preprocessing filters, synthetic generator."""
+"""MLKG model, file formats, synthetic generator, ZS-Un absence at load."""
 
 import dataclasses
 import json
@@ -11,15 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from kgadapters import cli
 from kgadapters.data import (Entity, LanguageSplit, MLKG, Relation, Triple,
-                             assign_language_splits, filter_descriptions,
-                             filter_entities, filter_triples, load_c1, load_c2,
-                             load_mlkg, load_split, save_c1, save_c2,
-                             save_mlkg, save_split, TaggedSentence)
+                             assign_language_splits, load_c1, load_c2,
+                             load_mlkg, load_split, save_mlkg, save_split)
 from kgadapters.errors import DataError
 from kgadapters.pipeline import Workspace, run_stage
-from kgadapters.synthetic import (SyntheticConfig, audit_zs_un_absence,
-                                  gen_synthetic, load_dataset, save_dataset,
-                                  transform_word)
+from kgadapters.synthetic import (SyntheticConfig, gen_synthetic, load_dataset,
+                                  save_dataset, transform_word)
 
 from test_pipeline import micro_config, write_config
 
@@ -40,10 +37,7 @@ class TestLoadSave:
         mlkg = toy_mlkg()
         paths = (tmp_path / "e.tsv", tmp_path / "r.tsv", tmp_path / "t.tsv")
         save_mlkg(mlkg, *paths)
-        loaded = load_mlkg(*paths)
-        assert sorted(loaded.entities) == sorted(mlkg.entities)
-        assert loaded.triples == mlkg.triples
-        assert loaded.stats() == mlkg.stats()
+        assert load_mlkg(*paths) == mlkg
 
     def test_empty_triples_file_is_valid(self, tmp_path):
         mlkg = toy_mlkg()
@@ -68,58 +62,6 @@ class TestLoadSave:
         (tmp_path / "t.tsv").write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate id"):
             load_mlkg(p, tmp_path / "r.tsv", tmp_path / "t.tsv")
-
-    def test_alignment_pair_stats(self):
-        # entity with labels in n languages contributes n*(n-1)/2 pairs
-        assert toy_mlkg((3, 2, 1)).stats()["alignment_pairs"] == 3 + 1 + 0
-
-
-class TestFilters:
-    def test_strictly_more_than_threshold(self):
-        mlkg = toy_mlkg((11, 10, 2))
-        kept = filter_entities(mlkg, min_labels=10)
-        assert set(kept.entities) == {"e0"}
-
-    def test_threshold_zero_is_identity(self):
-        mlkg = toy_mlkg()
-        kept = filter_entities(mlkg, min_labels=0)
-        assert set(kept.entities) == set(mlkg.entities)
-        assert kept.triples == mlkg.triples
-
-    def test_triples_refiltered_with_entities(self):
-        mlkg = toy_mlkg((3, 3, 1))
-        kept = filter_entities(mlkg, min_labels=2)
-        assert set(kept.entities) == {"e0", "e1"}
-        assert kept.triples == [Triple("e0", "r0", "e1")]
-
-    def test_filter_triples_endpoint_rules(self):
-        mlkg = toy_mlkg()
-        assert filter_triples(mlkg, {"e0", "e1"}) == [Triple("e0", "r0", "e1")]
-        assert filter_triples(mlkg, {"e0"}) == []
-        assert filter_triples(mlkg, {"e0", "e1", "e2"}) == mlkg.triples
-
-    def test_filters_idempotent(self):
-        mlkg = toy_mlkg((11, 10, 2))
-        once = filter_entities(mlkg, min_labels=9)
-        twice = filter_entities(once, min_labels=9)
-        assert set(once.entities) == set(twice.entities)
-        assert once.triples == twice.triples
-
-    def test_no_dangling_triples_after_filtering(self):
-        mlkg = toy_mlkg((5, 4, 1))
-        kept = filter_entities(mlkg, min_labels=1)
-        for t in kept.triples:
-            assert t.head in kept.entities and t.tail in kept.entities
-
-    def test_filter_descriptions(self):
-        recs = [
-            TaggedSentence("aa", ["x", "word0"], "e0", (1, 1)),
-            TaggedSentence("bb", ["y", "word0b"], "e0", (1, 1)),
-            TaggedSentence("aa", ["z", "word1"], "e1", (1, 1)),
-        ]
-        kept = filter_descriptions(recs, min_langs=2)
-        assert {r.entity_id for r in kept} == {"e0"}
-        assert filter_descriptions(recs, min_langs=1) == recs
 
 
 class TestLanguageSplits:
@@ -185,16 +127,16 @@ class TestSyntheticGenerator:
             label = ds.mlkg.entities[r.triple.tail].labels[ds.base_lang]
             assert " ".join(r.tokens[r.obj_span[0]:r.obj_span[1] + 1]) == label
 
-    def test_zs_un_absent_from_training_corpora(self):
-        ds = gen_synthetic(small_config())
-        assert audit_zs_un_absence(ds) == []
+    def test_zs_un_absent_from_training_corpora(self, tmp_path):
+        save_dataset(gen_synthetic(small_config()), tmp_path)
+        load_dataset(tmp_path)      # a ZS-Un record in a training file is a DataError
 
     def test_saved_files_reload_cleanly(self, tmp_path):
         ds = gen_synthetic(small_config())
         save_dataset(ds, tmp_path)
         mlkg = load_mlkg(tmp_path / "entities.tsv", tmp_path / "relations.tsv",
                          tmp_path / "triples.tsv")
-        assert mlkg.stats() == ds.mlkg.stats()
+        assert mlkg == ds.mlkg
         c1 = load_c1(tmp_path / "c1.tsv", mlkg)
         c2 = load_c2(tmp_path / "c2.tsv", mlkg)
         assert len(c1) == len(ds.c1)
@@ -300,3 +242,54 @@ def test_malformed_data_file_exits_one(micro_data, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}{where}"), err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# (training file, edit of its text given the ZS-Un language and e0's label in it)
+ZS_UN_LEAKS = {
+    "c1_record": ("c1.tsv", lambda t, zu, label:
+                  t + f"{zu}\te0\t0\t{len(label.split()) - 1}\t{label} .\n"),
+    "c2_sentence": ("c2.tsv", lambda t, zu, label:
+                    t + f"e0\tr0\te0\t0\t{len(label.split()) - 1}\t{label} .\n"),
+    "align_train_pair": ("align_train.tsv", lambda t, zu, label: set_first_field(t, 1, zu)),
+    "comp_train_item": ("comp_train.tsv", lambda t, zu, label: set_first_field(t, 0, zu)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZS_UN_LEAKS))
+def test_zs_un_language_in_a_training_file_exits_one(micro_data, tmp_path, capsys, case):
+    name, edit = ZS_UN_LEAKS[case]
+    config = micro_config(tmp_path / "run")
+    data_dir = Workspace(config).data_dir
+    shutil.copytree(micro_data, data_dir)
+    (zu,) = load_split(data_dir / "split.tsv").zs_un
+    label = load_mlkg(data_dir / "entities.tsv", data_dir / "relations.tsv",
+                      data_dir / "triples.tsv").entities["e0"].labels[zu]
+    path = data_dir / name
+    path.write_text(edit(path.read_text(encoding="utf-8"), zu, label), encoding="utf-8")
+    write_config(config, tmp_path / "cfg.json")
+    assert cli.main(["--config", str(tmp_path / "cfg.json"), "pretrain"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "zero-shot-unseen" in err, err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run" / "checkpoints" / "pretrain.ckpt").exists()
+
+
+def test_zs_un_token_found_whatever_the_split_order(micro_data, tmp_path):
+    # make the zs_in language unseen and the unseen one zs_in; a sentence in
+    # the newly unseen language must still be caught by its token suffix
+    d = tmp_path / "data"
+    shutil.copytree(micro_data, d)
+    split = load_split(d / "split.tsv")
+    (was_in,), (was_un,) = split.zs_in, split.zs_un
+    save_split(d / "split.tsv", LanguageSplit(sup=split.sup, zs_in=[was_un], zs_un=[was_in]))
+    c1 = (d / "c1.tsv").read_text(encoding="utf-8").splitlines(True)
+    (d / "c1.tsv").write_text("".join(line for line in c1 if not line.startswith(f"{was_in}\t")),
+                              encoding="utf-8")
+    load_dataset(d)
+    label = load_mlkg(d / "entities.tsv", d / "relations.tsv",
+                      d / "triples.tsv").entities["e0"].labels[was_in]
+    _, edit = ZS_UN_LEAKS["c2_sentence"]
+    (d / "c2.tsv").write_text(edit((d / "c2.tsv").read_text(encoding="utf-8"), was_in, label),
+                              encoding="utf-8")
+    with pytest.raises(DataError, match=r"c2\.tsv:\d+: .*zero-shot-unseen"):
+        load_dataset(d)

@@ -14,13 +14,8 @@ from kgadapters.vocab import SPECIALS, TokenSeq, Vocab, build_vocab, tokenize
 
 class TestVocab:
     def test_frequency_then_lexicographic_order(self):
-        v = build_vocab([["a", "a", "b"]], min_freq=1)
+        v = build_vocab([["a", "a", "b"]])
         assert v.id_to_token == list(SPECIALS) + ["a", "b"]
-
-    def test_min_freq_drops_rare_tokens(self):
-        v = build_vocab([["a", "a", "b"]], min_freq=2)
-        assert "b" not in v
-        assert "a" in v
 
     def test_same_corpus_twice_identical_bytes(self, tmp_path):
         corpus = [["x", "y", "y"], ["z", "x"]]

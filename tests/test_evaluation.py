@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgadapters.adapters import insert_adapters
 from kgadapters.data import LanguageSplit
@@ -52,6 +53,20 @@ class TestHitsAndMrr:
             assert hits_at_k(ranks, 1) <= hits_at_k(ranks, k)
 
 
+@st.composite
+def tie_heavy_batches(draw):
+    """Integer-valued candidates holding a duplicate and a zero row, a batch of
+    integer-valued queries, and a gold candidate row per query."""
+    d = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(vectors, min_size=1, max_size=10))
+    rows = draw(st.permutations(rows + [rows[0], [0] * d]))
+    queries = draw(st.lists(vectors, min_size=1, max_size=5))
+    golds = draw(st.lists(st.integers(0, len(rows) - 1),
+                          min_size=len(queries), max_size=len(queries)))
+    return np.array(rows, dtype=np.float64), np.array(queries, dtype=np.float64), golds
+
+
 def make_index(vectors, ids=None):
     m = np.asarray(vectors, dtype=np.float32)
     ids = ids or [f"e{i}" for i in range(m.shape[0])]
@@ -67,9 +82,7 @@ class TestRank:
 
     def test_ties_broken_by_ascending_id(self):
         v = np.array([1.0, 0.0])
-        index = make_index([v, v, [0.0, 1.0]], ids=["e5", "e2", "e9"])
-        # ids are kept in the given (ascending) order by embed_labels; here we
-        # emulate an ascending index: e2 before e5 requires ascending input
+        # embed_labels orders an index by ascending entity id
         index = make_index([v, v, [0.0, 1.0]], ids=["e2", "e5", "e9"])
         assert rank(v, index)[:2] == ["e2", "e5"]
 
@@ -84,6 +97,20 @@ class TestRank:
                        index.entity_ids[i]) for i, row in enumerate(m.astype(np.float64))]
             expected = [eid for _, eid in sorted(scores)]
             assert rank(q, index) == expected
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(tie_heavy_batches())
+    def test_tie_rule_survives_batching(self, batch):
+        # integer-valued vectors make every dot product and squared norm exact,
+        # so one GEMM for the batch scores each query with rank's bits
+        m, queries, golds = batch
+        ids = np.array([f"e{i:02d}" for i in range(len(m))])
+        index = make_index(m, ids=list(ids))
+        norms = np.outer(np.linalg.norm(queries, axis=1), index.norms)
+        scores = (queries @ index.matrix64.T) / np.where(norms == 0.0, 1.0, norms)
+        for q, s, g in zip(queries, scores, golds):
+            count = (s > s[g]).sum() + ((s == s[g]) & (ids < ids[g])).sum() + 1
+            assert gold_rank(rank(q, index), ids[g]) == count
 
     def test_rank_invariant_under_query_rescaling(self):
         rng = np.random.default_rng(3)

@@ -31,18 +31,18 @@ def batch_from(anchors, positives):
 class TestInfonce:
     def test_single_pair_is_exactly_zero(self):
         batch = batch_from([[0.3, 0.4]], [[0.1, 0.9]])
-        assert infonce(batch, tau=1.0).item() == 0.0
+        assert float(infonce(batch, tau=1.0).data) == 0.0
 
     def test_b2_closed_form(self):
         batch = batch_from([[1, 0], [0, 1]], [[1, 0], [0, 1]])
         expected = math.log(1 + math.exp(-1))
-        assert infonce(batch, tau=1.0).item() == pytest.approx(expected, abs=1e-6)
+        assert float(infonce(batch, tau=1.0).data) == pytest.approx(expected, abs=1e-6)
 
     def test_loss_decreases_when_off_diagonal_cosine_drops(self):
         def loss_at(x):
             p2 = [x, 0.5, math.sqrt(0.75 - x * x)]
             batch = batch_from([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], p2])
-            return infonce(batch, tau=1.0).item()
+            return float(infonce(batch, tau=1.0).data)
 
         assert loss_at(0.1) < loss_at(0.5)
 
@@ -51,15 +51,15 @@ class TestInfonce:
         for _ in range(20):
             b = int(rng.integers(2, 6))
             batch = batch_from(rng.standard_normal((b, 4)), rng.standard_normal((b, 4)))
-            assert infonce(batch, tau=0.5).item() > 0.0
+            assert float(infonce(batch, tau=0.5).data) > 0.0
 
     def test_invariant_under_common_permutation(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 3)).astype(np.float32)
         p = rng.standard_normal((5, 3)).astype(np.float32)
         perm = rng.permutation(5)
-        l1 = infonce(batch_from(a, p), tau=0.2).item()
-        l2 = infonce(batch_from(a[perm], p[perm]), tau=0.2).item()
+        l1 = float(infonce(batch_from(a, p), tau=0.2).data)
+        l2 = float(infonce(batch_from(a[perm], p[perm]), tau=0.2).data)
         assert l1 == pytest.approx(l2, rel=1e-6)
 
     def test_anchor_rescaling_leaves_loss_unchanged(self):
@@ -68,8 +68,8 @@ class TestInfonce:
         p = rng.standard_normal((4, 3)).astype(np.float32)
         scaled = a.copy()
         scaled[2] *= 37.5
-        l1 = infonce(batch_from(a, p), tau=0.3).item()
-        l2 = infonce(batch_from(scaled, p), tau=0.3).item()
+        l1 = float(infonce(batch_from(a, p), tau=0.3).data)
+        l2 = float(infonce(batch_from(scaled, p), tau=0.3).data)
         assert l1 == pytest.approx(l2, rel=1e-5)
 
     def test_non_finite_representations_rejected(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -337,6 +338,54 @@ class TestRunLog:
         log.record("other", 0, "loss", 5.0)
         with pytest.raises(ValueError, match="monotone"):
             log.record("stage", 1, "loss", 0.8)
+
+
+def _override(stage, **values):
+    def edit(raw):
+        raw["hyper_overrides"].setdefault(stage, {}).update(values)
+    return edit
+
+
+# config fault -> (edit of the micro config's JSON object, command, text of the error)
+CONFIG_FAULTS = {
+    "encoder_unknown_key": (lambda raw: raw["encoder"].update(bogus=1),
+                            ["pretrain"], "encoder: "),
+    "encoder_vocab_size": (lambda raw: raw["encoder"].update(vocab_size=9),
+                           ["pretrain"], "vocab_size"),
+    "n_heads_not_dividing_d_model": (lambda raw: raw["encoder"].update(n_heads=3),
+                                     ["pretrain"], "must divide d_model"),
+    "override_unknown_key": (_override("adapter", bogus=1),
+                             ["train-adapter", "--kind", "ep"], "hyper_overrides.adapter: "),
+    "override_unknown_stage": (_override("fuse"), ["pretrain"], "unknown stage(s) ['fuse']"),
+    "batch_size_zero": (_override("adapter", batch_size=0),
+                        ["train-adapter", "--kind", "ep"], "batch_size"),
+    "warmup_steps_zero": (_override("pretrain", warmup_steps=0), ["pretrain"], "warmup_steps"),
+    "base_lr_zero": (_override("pretrain", base_lr=0.0), ["pretrain"], "base_lr"),
+    "steps_zero": (_override("pretrain", steps=0), ["pretrain"], "stage pretrain: "),
+    "bottleneck_zero": (lambda raw: raw.update(bottleneck=0),
+                        ["train-adapter", "--kind", "ep"], "bottleneck"),
+    "duplicate_adapter_kinds": (lambda raw: raw.update(adapter_kinds=["EP", "EP"]),
+                                ["train-adapter", "--kind", "ep"], "adapter_kinds"),
+    "unknown_adapter_kind": (lambda raw: raw.update(adapter_kinds=["EP", "XX"]),
+                             ["pretrain"], "adapter_kinds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+def test_config_fault_exits_one_when_the_config_loads(micro_run, tmp_path, capsys, case):
+    edit, command, text = CONFIG_FAULTS[case]
+    run_dir = tmp_path / "run"
+    shutil.copytree(micro_run.root, run_dir)
+    raw = {**dataclasses.asdict(micro_run.config), "out_dir": str(run_dir)}
+    edit(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in (run_dir / "checkpoints").iterdir()}
+    assert cli.main(["--config", str(cfg), *command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config file {cfg}: ") and text in err, err
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in (run_dir / "checkpoints").iterdir()} == before
 
 
 class TestCliExitCodes:
