@@ -5,31 +5,24 @@ multi-head self-attention, GELU feed-forward, pre-norm residuals, final
 layer norm. An optional adapter hook transforms the post-feed-forward output
 of every layer.
 
-`pad_batch` decides a batch's width by one rule. A batch that a backbone
-gradient flows through (some `encoder.*` leaf requires grad, or MLM
-pretraining) is padded to config.max_seq_len. Any other batch (evaluation,
-and the integrate and fuse stages, whose backbone is frozen) is padded to
-the smallest multiple of PAD_BUCKET that fits its longest sequence, capped
-at max_seq_len; `encode` takes the first `t` rows of the position table.
-PAD keys get exactly zero attention weight and PAD positions exactly zero
-pooling weight, so the extra slots only add exact zeros to numpy's sums
-(see PAD_BUCKET): every state at a real position and every pooled output
-has the same bits at every bucket width, so evaluation is unchanged.
+`pad_batch` pads every batch to its length bucket: the smallest multiple of
+PAD_BUCKET that fits its longest sequence, capped at max_seq_len; `encode`
+takes the first `t` rows of the position table. PAD keys get exactly zero
+attention weight and PAD positions exactly zero pooling weight, so the extra
+slots only add exact zeros to numpy's sums (see PAD_BUCKET): every state at
+a real position and every pooled output has the same bits at every bucket
+width.
 
-Gradients agree to float32 rounding, not always bit for bit: backbone weight
-gradients sum over more zero rows at wider widths, and BLAS may pick its
-kernel by row count, so a product with a transposed weight can round
+Gradients agree to float32 rounding, not always bit for bit: BLAS may pick
+its kernel by row count, so a product with a transposed weight can round
 differently at 8 or 16 rows than at 24 (OpenBLAS's AVX-512 small-matrix
-kernels do, for d_model 64). Hence a batch that trains the backbone keeps
-the full width, which leaves pretraining and finetuning computed exactly as
-before; adapter and fusion training keep their bits wherever BLAS does not
-switch kernels between the widths.
+kernels do, for d_model 64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +43,7 @@ AdapterHook = Callable[[Tensor, int], Tensor]
 # sums), and a strided axis term by term in order (pooling), so extending a
 # row of length >= 8 by exact zeros in blocks of 8 leaves every partial sum,
 # and the result, bitwise unchanged. Below 8 the sum is one plain loop, whose
-# bits can differ from the full-width pass.
+# bits can differ from those of a wider batch.
 PAD_BUCKET = 8
 
 
@@ -119,22 +112,13 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
     return p
 
 
-def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig,
-              leaves: Mapping[str, Tensor] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a batch for `encode` with `leaves`; oversize sequences error.
-
-    Without leaves (MLM pretraining pads its corpus before any exist), or
-    when some `encoder.*` leaf requires grad, the width is max_seq_len;
-    otherwise it is the smallest multiple of PAD_BUCKET that fits the
-    longest sequence, capped at max_seq_len.
-    """
+def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pad a batch for `encode` to the smallest multiple of PAD_BUCKET that
+    fits its longest sequence, capped at max_seq_len; oversize sequences error."""
     longest = max((len(s.ids) for s in seqs), default=0)
     if longest > config.max_seq_len:
         raise ValueError(f"sequence of length {longest} exceeds max_seq_len {config.max_seq_len}")
-    t = config.max_seq_len
-    if leaves is not None and not any(
-            leaf.requires_grad for name, leaf in leaves.items() if name.startswith("encoder.")):
-        t = min(t, max(PAD_BUCKET, -(-longest // PAD_BUCKET) * PAD_BUCKET))
+    t = min(config.max_seq_len, max(PAD_BUCKET, -(-longest // PAD_BUCKET) * PAD_BUCKET))
     ids = np.full((len(seqs), t), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), t), dtype=np.float32)
     for i, s in enumerate(seqs):
@@ -200,12 +184,10 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
 
 
 def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfig,
-                adapter_hook: AdapterHook | None = None,
-                grad: bool = False) -> tuple[HiddenStates, np.ndarray, np.ndarray]:
-    """Convenience wrapper: build leaves, pad, encode. Returns (states, ids, mask)."""
-    leaves = ad.make_leaves(params, grad=grad)
-    ids, mask = pad_batch(seqs, config, leaves)
-    return encode(leaves, ids, mask, config, adapter_hook), ids, mask
+                adapter_hook: AdapterHook | None = None) -> tuple[HiddenStates, np.ndarray, np.ndarray]:
+    """Convenience wrapper: pad, build gradient-free leaves, encode. Returns (states, ids, mask)."""
+    ids, mask = pad_batch(seqs, config)
+    return encode(ad.make_leaves(params, grad=False), ids, mask, config, adapter_hook), ids, mask
 
 
 def span_pool_weights(spans: Sequence[tuple[int, int]], mask: np.ndarray) -> np.ndarray:
@@ -253,11 +235,15 @@ def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:
 # masked language model pretraining
 # ---------------------------------------------------------------------------
 
-def make_mlm_batch(ids: np.ndarray, mask: np.ndarray, vocab_size: int,
+def make_mlm_batch(ids: np.ndarray, mask: np.ndarray, config: EncoderConfig,
                    rng: np.random.Generator, mask_rate: float):
     """Corrupt 80/10/10 over sampled positions; returns (corrupted, rows, cols, targets)."""
     real = mask > 0
-    sel = (rng.random(ids.shape) < mask_rate) & real
+    # drawn at max_seq_len and sliced to the batch's width, so that which
+    # positions a batch masks, and the RNG stream after it, do not depend on
+    # the batch's length bucket
+    draw = rng.random((ids.shape[0], config.max_seq_len))[:, :ids.shape[1]]
+    sel = (draw < mask_rate) & real
     if not sel.any():
         rows = np.argwhere(real)
         sel[tuple(rows[0])] = True
@@ -265,7 +251,7 @@ def make_mlm_batch(ids: np.ndarray, mask: np.ndarray, vocab_size: int,
     rows, cols = np.nonzero(sel)
     targets = ids[rows, cols].copy()
     action = rng.random(len(rows))
-    rand_tokens = rng.integers(len(SPECIAL_ID_RANGE), vocab_size, size=len(rows))
+    rand_tokens = rng.integers(len(SPECIAL_ID_RANGE), config.vocab_size, size=len(rows))
     corrupted[rows, cols] = np.where(
         action < 0.8, MASK_ID, np.where(action < 0.9, rand_tokens, targets))
     return corrupted, rows, cols, targets
@@ -297,14 +283,12 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
         raise ValueError("empty pretraining corpus")
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
-    all_ids, all_mask = pad_batch([tokenize(toks, lang, vocab, config.max_seq_len)
-                                   for lang, toks in corpus], config)
+    seqs = [tokenize(toks, lang, vocab, config.max_seq_len) for lang, toks in corpus]
 
     def loss_at(step):
         pick = rng.integers(0, len(corpus), size=hyper.batch_size)
-        ids, mask = all_ids[pick], all_mask[pick]
-        corrupted, rows, cols, targets = make_mlm_batch(
-            ids, mask, config.vocab_size, rng, hyper.mask_rate)
+        ids, mask = pad_batch([seqs[i] for i in pick], config)
+        corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng, hyper.mask_rate)
         return lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config)
 
     return params, train(params, [""], loss_at, hyper)

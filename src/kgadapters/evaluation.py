@@ -169,14 +169,13 @@ def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
 
 def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
                       batch_size: int = 64) -> np.ndarray:
-    """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape,
-    each batch padded only to its length bucket."""
+    """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
     rows = []
     leaves = ad.make_leaves(adapted.params, grad=False)
     hook = build_hook(adapted, leaves)
     for lo in range(0, len(seqs), batch_size):
         chunk = seqs[lo:lo + batch_size]
-        ids, mask = pad_batch(chunk, adapted.config, leaves)
+        ids, mask = pad_batch(chunk, adapted.config)
         states = encode(leaves, ids, mask, adapted.config, hook)
         weights = sentence_pool_weights(ids, mask)
         rows.append(pool(states.final, weights).data)

@@ -295,10 +295,7 @@ def _item_to_seq(tokens: list[str], lang: str, vocab: Vocab, max_len: int,
 
 def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
                       items: Sequence[PairItem], vocab: Vocab) -> ContrastiveBatch:
-    """One fused forward over anchors + positives, pooled to [B,d] each.
-
-    The batch is padded to its length bucket unless the backbone trains.
-    """
+    """One fused forward over anchors + positives, pooled to [B,d] each."""
     cfg = adapted.config
     anchor_seqs, spans = [], []
     for it in items:
@@ -309,7 +306,7 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
     positive_seqs = [_item_to_seq(it.positive_tokens, it.positive_lang, vocab,
                                   cfg.max_seq_len, None) for it in items]
     seqs = anchor_seqs + positive_seqs
-    ids, mask = pad_batch(seqs, cfg, leaves)
+    ids, mask = pad_batch(seqs, cfg)
     hook = build_hook(adapted, leaves)
     states = encode(leaves, ids, mask, cfg, hook)
 

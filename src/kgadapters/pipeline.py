@@ -153,18 +153,14 @@ class PipelineConfig:
 
 
 class RunLog:
-    """Append-only metric log; step must be monotone within a stage."""
+    """Append-only metric log; a re-run stage appends its records after the
+    earlier run's."""
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._last_step: dict[str, int] = {}
 
     def record(self, stage: str, step: int, metric: str, value: float) -> None:
-        last = self._last_step.get(stage, -1)
-        if step < last:
-            raise ValueError(f"non-monotone step {step} < {last} in stage {stage!r}")
-        self._last_step[stage] = step
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"ts": time.time(), "stage": stage, "step": step,
                                  "metric": metric, "value": value}) + "\n")

@@ -1,11 +1,13 @@
-"""Length buckets: where the backbone takes no gradient, a batch is padded
-only to the smallest multiple of 8 that fits it.
+"""Length buckets: every batch is padded only to the smallest multiple of 8
+that fits it, whether or not the backbone trains.
 
-The forward pass keeps its bits at every bucket width. Adapter and fusion
-gradients keep them in the golden pipeline's one-layer d=32 encoder; in the
-desk encoder (two layers, d=64) OpenBLAS's small-matrix kernels, chosen by
-row count, round some transposed-weight products differently at 8 or 16
-rows than at 24, and those gradients agree only to float32 rounding.
+The forward pass keeps its bits at every bucket width. In the golden
+pipeline's one-layer d=32 encoder, the MLM and InfoNCE losses and every
+gradient keep them too, with every group trainable; in the desk encoder
+(two layers, d=64) OpenBLAS's small-matrix kernels, chosen by row count,
+round some transposed-weight products differently at 8 or 16 rows than at
+24, and those gradients agree only to float32 rounding. MLM masking draws
+the same positions at every width.
 
 Also a float64 gradient check of the whole encoder + 4 adapters + fusion +
 InfoNCE graph at a bucketed width below max_seq_len.
@@ -18,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 from kgadapters import autodiff as ad
 from kgadapters import encoder, objectives
 from kgadapters.adapters import KINDS, build_hook, init_fusion, insert_adapters
-from kgadapters.encoder import (EncoderConfig, encode, init_encoder_params, mlm_pretrain,
-                                pad_batch, pool, sentence_pool_weights)
+from kgadapters.encoder import (EncoderConfig, encode, init_encoder_params, make_mlm_batch,
+                                mlm_loss, mlm_pretrain, pad_batch, pool, sentence_pool_weights)
 from kgadapters.evaluation import _pooled_encodings, finetune_contrastive
 from kgadapters.hyper import TrainHyper
-from kgadapters.objectives import ContrastiveBatch, PairItem, infonce, train_adapter
+from kgadapters.objectives import (ContrastiveBatch, PairItem, encode_pair_batch, infonce,
+                                   train_adapter)
 from kgadapters.vocab import TokenSeq, build_vocab
 
 VOCAB_SIZE = 40
@@ -31,6 +34,10 @@ DESK = EncoderConfig(layers=2, d_model=64, n_heads=4, ff_dim=128,
                      max_seq_len=MAX_LEN, vocab_size=VOCAB_SIZE)
 GOLDEN = EncoderConfig(layers=1, d_model=32, n_heads=2, ff_dim=64,
                        max_seq_len=MAX_LEN, vocab_size=VOCAB_SIZE)
+# the golden pipeline's encoder as the micro config builds it
+GOLDEN_16 = EncoderConfig(layers=1, d_model=32, n_heads=2, ff_dim=64,
+                          max_seq_len=16, vocab_size=VOCAB_SIZE)
+WORDS = [f"w{i}" for i in range(12)]
 
 
 def fused_model(config: EncoderConfig, seed: int = 0, up_std: float = 0.05,
@@ -64,11 +71,9 @@ def padded(seqs, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def adapter_fusion_grads(model, seqs, width: int, dtype=None):
-    """(loss, grads) of InfoNCE over the first and second half of `seqs` as
-    anchors and positives, padded to `width`, with the backbone frozen."""
-    frozen = model.params.copy()
-    frozen.set_trainable("encoder.", False)
+def infonce_grads(model, params, seqs, width: int, dtype=None):
+    """(loss, grads for the trainables of `params`) of InfoNCE over the first
+    and second half of `seqs` as anchors and positives, padded to `width`."""
     ids, mask = padded(seqs, width)
     b = len(seqs) // 2
 
@@ -78,41 +83,77 @@ def adapter_fusion_grads(model, seqs, width: int, dtype=None):
         anchors, positives = ad.split(pooled, [b, b], axis=0)
         return infonce(ContrastiveBatch(anchors, positives), tau=0.05)
 
-    return ad.grad_eval(loss, frozen if dtype is None else frozen.astype(dtype), dtype)
+    return ad.grad_eval(loss, params if dtype is None else params.astype(dtype), dtype)
 
 
-token_seqs = st.lists(st.integers(4, VOCAB_SIZE - 1), min_size=1, max_size=MAX_LEN).map(
-    lambda ids: TokenSeq(ids=ids, lang="l0"))
-pair_batches = st.integers(2, 6).flatmap(
-    lambda b: st.lists(token_seqs, min_size=2 * b, max_size=2 * b))
+def adapter_fusion_grads(model, seqs, width: int, dtype=None):
+    """`infonce_grads` with the backbone frozen."""
+    frozen = model.params.copy()
+    frozen.set_trainable("encoder.", False)
+    return infonce_grads(model, frozen, seqs, width, dtype)
+
+
+def mlm_grads(params, config, ids, mask, seed: int):
+    """(loss, grads of every parameter) of the MLM loss on one masked batch."""
+    corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config,
+                                                    np.random.default_rng(seed), 0.3)
+    return ad.grad_eval(lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config),
+                        params)
+
+
+@pytest.fixture
+def encode_widths(monkeypatch):
+    """The width of every batch that `encode` sees from the encoder and
+    objectives modules."""
+    widths = []
+    real = encoder.encode
+
+    def recording(leaves, ids, mask, config, adapter_hook=None):
+        widths.append(ids.shape[1])
+        return real(leaves, ids, mask, config, adapter_hook)
+
+    monkeypatch.setattr(encoder, "encode", recording)
+    monkeypatch.setattr(objectives, "encode", recording)
+    return widths
+
+
+def token_seqs(max_len: int = MAX_LEN):
+    return st.lists(st.integers(4, VOCAB_SIZE - 1), min_size=1, max_size=max_len).map(
+        lambda ids: TokenSeq(ids=ids, lang="l0"))
+
+
+def pair_batches(max_len: int = MAX_LEN):
+    return st.integers(2, 6).flatmap(
+        lambda b: st.lists(token_seqs(max_len), min_size=2 * b, max_size=2 * b))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
 
 
 class TestBucketWidth:
     @pytest.mark.parametrize("longest,width", [(1, 8), (8, 8), (9, 16), (16, 16),
                                                (17, 24), (24, 24)])
     def test_frozen_backbone_pads_to_bucket(self, model, longest, width):
-        leaves = ad.make_leaves(model.params, grad=False)
         seqs = [TokenSeq(ids=[4], lang="l0"), TokenSeq(ids=[5] * longest, lang="l0")]
-        ids, mask = pad_batch(seqs, model.config, leaves)
+        ids, mask = pad_batch(seqs, model.config)
         assert ids.shape == mask.shape == (2, width)
         assert mask.sum() == 1 + longest
 
     def test_bucket_is_capped_at_max_seq_len(self):
         config = EncoderConfig(layers=1, d_model=8, n_heads=2, ff_dim=8,
                                max_seq_len=12, vocab_size=VOCAB_SIZE)
-        leaves = ad.make_leaves(init_encoder_params(config, np.random.default_rng(0)),
-                                grad=False)
-        ids, _ = pad_batch([TokenSeq(ids=[4] * 9, lang="l0")], config, leaves)
+        ids, _ = pad_batch([TokenSeq(ids=[4] * 9, lang="l0")], config)
         assert ids.shape == (1, 12)
 
-    def test_backbone_gradient_pads_to_max_seq_len(self, model):
-        seqs = [TokenSeq(ids=[4, 5], lang="l0")]
-        assert pad_batch(seqs, model.config)[0].shape == (1, MAX_LEN)
-        leaves = ad.make_leaves(model.params)        # every group trainable
-        assert pad_batch(seqs, model.config, leaves)[0].shape == (1, MAX_LEN)
+    def test_backbone_gradient_pads_to_bucket(self, model, encode_widths):
+        vocab = build_vocab([WORDS])
+        items = [PairItem(anchor_tokens=WORDS[:3], anchor_lang="l0",
+                          positive_tokens=WORDS[3:5], positive_lang="l0")]
         frozen = model.params.copy()
         frozen.set_trainable("encoder.", False)
-        assert pad_batch(seqs, model.config, ad.make_leaves(frozen))[0].shape == (1, 8)
+        for params in (model.params, frozen):        # every group trainable, then frozen
+            encode_pair_batch(ad.make_leaves(params), model, items, vocab)
+        assert encode_widths == [8, 8]
 
     def test_encode_rejects_a_width_above_max_seq_len(self, model):
         leaves = ad.make_leaves(model.params, grad=False)
@@ -123,7 +164,7 @@ class TestBucketWidth:
 
 class TestBucketInvariance:
     @settings(max_examples=25, deadline=None, database=None)
-    @given(st.lists(token_seqs, min_size=1, max_size=10))
+    @given(st.lists(token_seqs(), min_size=1, max_size=10))
     def test_pooled_eval_encodings_match_full_width(self, model, seqs):
         bucketed = _pooled_encodings(model, seqs)
         leaves = ad.make_leaves(model.params, grad=False)
@@ -133,7 +174,7 @@ class TestBucketInvariance:
         np.testing.assert_array_equal(bucketed, full)
 
     @settings(max_examples=15, deadline=None, database=None)
-    @given(pair_batches)
+    @given(pair_batches())
     def test_adapter_and_fusion_gradients_match_at_every_width(self, seqs):
         model = fused_model(GOLDEN)
         longest = max(len(s.ids) for s in seqs)
@@ -145,69 +186,84 @@ class TestBucketInvariance:
             for name in g24:
                 np.testing.assert_array_equal(g[name], g24[name], err_msg=f"{name} @ {width}")
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(pair_batches(8), seeds)
+    def test_golden_losses_and_gradients_match_at_every_width(self, seqs, seed):
+        """With every group trainable, the MLM and InfoNCE losses and every
+        gradient of the golden pipeline's encoder have the same bits at
+        width 8 as at max_seq_len 16."""
+        model = fused_model(GOLDEN_16)
+        backbone = init_encoder_params(GOLDEN_16, np.random.default_rng(0))
+        mlm = [mlm_grads(backbone, GOLDEN_16, *padded(seqs, w), seed) for w in (8, 16)]
+        nce = [infonce_grads(model, model.params, seqs, w) for w in (8, 16)]
+        for (loss8, g8), (loss16, g16) in (mlm, nce):
+            assert loss8 == loss16
+            assert sorted(g8) == sorted(g16)
+            for name in g16:
+                np.testing.assert_array_equal(g8[name], g16[name], err_msg=name)
+
     @settings(max_examples=5, deadline=None, database=None)
-    @given(pair_batches)
+    @given(pair_batches())
     def test_desk_gradients_at_every_width_are_as_close_to_float64(self, model, seqs):
         """Bucketing adds no error beyond float32 rounding: against the float64
-        gradients, every width's float32 gradient is about as close as width
-        24's. The factor 10 covers the scatter of rounding errors (up to 4x
-        over 200 random batches, in the cancellation-heavy fusion Q/K
-        gradients of the untrained fusion)."""
+        gradients, every width's float32 gradient of every trainable group is
+        about as close as width 24's. The factor 10 covers the scatter of
+        rounding errors (up to 4x over 200 random batches, in the
+        cancellation-heavy fusion Q/K gradients of the untrained fusion).
+        The key biases are frozen: their exact gradient is 0, so their
+        float32 gradient is pure roundoff."""
+        params = model.params.copy()
+        for m in range(model.config.layers):
+            params.set_trainable(f"encoder.{m}.attn.bk", False)
         longest = max(len(s.ids) for s in seqs)
-        exact = adapter_fusion_grads(model, seqs, MAX_LEN, np.float64)[1]
-        g24 = adapter_fusion_grads(model, seqs, MAX_LEN)[1]
+        exact = infonce_grads(model, params, seqs, MAX_LEN, np.float64)[1]
+        g24 = infonce_grads(model, params, seqs, MAX_LEN)[1]
+        assert any(name.startswith("encoder.") for name in exact)
         for width in (w for w in (8, 16) if w >= longest):
-            g = adapter_fusion_grads(model, seqs, width)[1]
+            g = infonce_grads(model, params, seqs, width)[1]
             for name, ref in exact.items():
                 bound = 10 * np.linalg.norm(g24[name] - ref) + 1e-5 * np.linalg.norm(ref)
                 assert np.linalg.norm(g[name] - ref) <= bound, f"{name} @ {width}"
 
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.lists(token_seqs(8), min_size=1, max_size=8), seeds)
+    def test_mlm_masking_is_the_same_at_every_width(self, seqs, seed):
+        out8, out24 = (make_mlm_batch(*padded(seqs, w), DESK, np.random.default_rng(seed), 0.15)
+                       for w in (8, MAX_LEN))
+        for a, b in zip(out8[1:], out24[1:]):                # rows, cols, targets
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(out8[0], out24[0][:, :8])
+
 
 class TestTrainingPaths:
-    """Stages that train the backbone keep the full width; the others bucket."""
-
-    WORDS = [f"w{i}" for i in range(12)]
-
-    @pytest.fixture
-    def encode_widths(self, monkeypatch):
-        widths = []
-        real = encoder.encode
-
-        def recording(leaves, ids, mask, config, adapter_hook=None):
-            widths.append(ids.shape[1])
-            return real(leaves, ids, mask, config, adapter_hook)
-
-        monkeypatch.setattr(encoder, "encode", recording)
-        monkeypatch.setattr(objectives, "encode", recording)
-        return widths
+    """Every training stage pads to the bucket, whether or not it trains the
+    backbone."""
 
     def sampler(self, batch_size, rng):
-        return [PairItem(anchor_tokens=[self.WORDS[i], self.WORDS[i + 1]], anchor_lang="l0",
-                         positive_tokens=[self.WORDS[i + 2]], positive_lang="l0")
-                for i in rng.permutation(len(self.WORDS) - 2)[:batch_size]]
+        return [PairItem(anchor_tokens=[WORDS[i], WORDS[i + 1]], anchor_lang="l0",
+                         positive_tokens=[WORDS[i + 2]], positive_lang="l0")
+                for i in rng.permutation(len(WORDS) - 2)[:batch_size]]
 
     def make(self):
-        vocab = build_vocab([self.WORDS])
+        vocab = build_vocab([WORDS])
         config = EncoderConfig(layers=1, d_model=16, n_heads=2, ff_dim=16,
                                max_seq_len=MAX_LEN, vocab_size=len(vocab))
         hyper = TrainHyper(batch_size=4, steps=2, base_lr=1e-3, warmup_steps=1, seed=0)
         return vocab, config, hyper
 
-    def test_pretrain_pads_to_max_seq_len(self, encode_widths):
+    def test_pretrain_pads_to_bucket(self, encode_widths):
         vocab, config, hyper = self.make()
-        corpus = [("l0", self.WORDS[i:i + 3]) for i in range(8)]
+        corpus = [("l0", WORDS[i:i + 3]) for i in range(8)]
         mlm_pretrain(corpus, config, hyper, seed=0, vocab=vocab)
-        assert encode_widths == [MAX_LEN] * hyper.steps
+        assert encode_widths == [8] * hyper.steps
 
-    def test_finetune_pads_to_max_seq_len_and_fuse_buckets(self, encode_widths):
+    def test_finetune_and_fuse_pad_to_bucket(self, encode_widths):
         vocab, config, hyper = self.make()
         adapted = fused_model(config)
         finetune_contrastive(adapted, self.sampler, vocab, hyper,
                              ["encoder.", "adapter.", "fusion."])
-        assert encode_widths == [MAX_LEN] * hyper.steps
-        encode_widths.clear()
         finetune_contrastive(adapted, self.sampler, vocab, hyper, ["fusion."])
-        assert encode_widths == [8] * hyper.steps
+        assert encode_widths == [8] * 2 * hyper.steps
 
     def test_integrate_buckets(self, encode_widths):
         vocab, config, hyper = self.make()

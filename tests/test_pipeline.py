@@ -13,7 +13,7 @@ from kgadapters.adapters import adapter_param_count, fusion_param_count, large_a
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.params import ParamSet
-from kgadapters.pipeline import (PipelineConfig, RunLog, Workspace, load_model,
+from kgadapters.pipeline import (PipelineConfig, Workspace, load_model,
                                  model_from_checkpoint, run_stage)
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
 from kgadapters.synthetic import SyntheticConfig
@@ -331,13 +331,15 @@ class TestCliReports:
 
 
 class TestRunLog:
-    def test_monotone_step_enforced(self, tmp_path):
-        log = RunLog(tmp_path / "log.jsonl")
-        log.record("stage", 1, "loss", 1.0)
-        log.record("stage", 2, "loss", 0.9)
-        log.record("other", 0, "loss", 5.0)
-        with pytest.raises(ValueError, match="monotone"):
-            log.record("stage", 1, "loss", 0.8)
+    def test_rerun_stage_appends_both_runs(self, tmp_path):
+        ws = Workspace(micro_config(tmp_path))
+        run_stage(ws, "gen-synthetic")
+        run_stage(ws, "pretrain")
+        run_stage(ws, "pretrain")
+        lines = (ws.log_dir / "runlog.jsonl").read_text(encoding="utf-8").splitlines()
+        steps = [r["step"] for r in map(json.loads, lines) if r["stage"] == "pretrain"]
+        n = ws.config.hyper("pretrain").steps
+        assert steps == list(range(1, n + 1)) * 2
 
 
 def _override(stage, **values):
