@@ -31,12 +31,12 @@ FUSION_V_NOISE_STD = 1e-3
 
 @dataclass
 class AdaptedEncoder:
-    """Backbone plus an ordered adapter set and optional fusion parameters."""
+    """Backbone plus an ordered adapter set and optional fusion parameters;
+    an adapter's bottleneck is the width of its W_down."""
 
     config: EncoderConfig
     params: ParamSet
     kinds: list[str]
-    bottlenecks: dict[str, int]
     mode: str = "none"                # none | single | fusion
     single_kind: str | None = None
 
@@ -92,8 +92,7 @@ def insert_adapters(backbone: ParamSet, kinds: list[str], bottleneck: int,
     rng = np.random.default_rng(seed)
     for kind in kinds:
         _init_adapter(params, kind, config, bottleneck, rng)
-    return AdaptedEncoder(config=config, params=params, kinds=list(kinds),
-                          bottlenecks={k: bottleneck for k in kinds})
+    return AdaptedEncoder(config=config, params=params, kinds=list(kinds))
 
 
 def init_fusion(adapted: AdaptedEncoder, seed: int) -> AdaptedEncoder:
@@ -188,11 +187,9 @@ def large_adapter_bottleneck(reference_total: int, d: int, layers: int) -> int:
     return int(b)
 
 
-def make_large_adapter(backbone: ParamSet, config: EncoderConfig, n_adapters: int,
-                       bottleneck: int, seed: int) -> AdaptedEncoder:
-    """Single LARGE adapter sized to the budget of n_adapters adapters of the
-    given bottleneck plus fusion."""
+def large_bottleneck(config: EncoderConfig, n_adapters: int, bottleneck: int) -> int:
+    """Bottleneck of the single LARGE adapter: sized to the budget of
+    n_adapters adapters of the given bottleneck plus fusion."""
     total = (n_adapters * adapter_param_count(config.layers, config.d_model, bottleneck)
              + fusion_param_count(config.layers, config.d_model))
-    b = large_adapter_bottleneck(total, config.d_model, config.layers)
-    return insert_adapters(backbone, [LARGE], b, seed, config)
+    return large_adapter_bottleneck(total, config.d_model, config.layers)

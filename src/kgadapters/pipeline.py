@@ -2,16 +2,18 @@
 
 Stages and their freezing contracts (verified by checksums, not assumed):
   pretrain          trains the backbone (MLM)
-  integrate(kind)   backbone frozen, trains exactly one adapter
-  integrate(LARGE)  backbone frozen, trains one adapter sized to the budget of
-                    all configured adapters plus fusion, on all four objectives
-  fuse(task)        backbone + adapters frozen, trains fusion on task pairs
+  integrate(kind)   backbone frozen, inserts and trains the one adapter `kind`;
+                    the checkpoint holds encoder.* and adapter.<kind>.* only
+  integrate(LARGE)  the same for one adapter sized to the budget of all
+                    configured adapters plus fusion, on all four objectives
+  fuse(task)        the pretrain backbone plus every trained adapter group,
+                    frozen; trains fresh fusion parameters on task pairs
   finetune(task)    full unfreeze of the fused model on task pairs
 
 Every stage reads its prerequisite checkpoint from the run directory and
 writes a new one; nothing is mutated in place. `model_from_checkpoint` is the
 one way from a checkpoint to a model, for the stages, eval and the ablation
-alike. Two runs with the same config and seed produce byte-identical
+alike: the model follows from the checkpoint's parameters alone. Two runs with the same config and seed produce byte-identical
 checkpoints and reports (run logs carry wall-clock timestamps and are
 excluded from that guarantee).
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapters,
-                       make_large_adapter)
+                       large_bottleneck)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError
@@ -295,22 +297,17 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
     base = load_model(ws, "pretrain", "integrate")
-    if kind == LARGE:
-        # sized to the parameter budget of every configured adapter plus fusion
-        adapted = make_large_adapter(base.params, base.config, len(ws.config.adapter_kinds),
-                                     ws.config.bottleneck, _insert_seed(ws.config))
-    else:
-        adapted = insert_adapters(base.params, ws.config.adapter_kinds, ws.config.bottleneck,
-                                  _insert_seed(ws.config), base.config)
+    # LARGE is sized to the parameter budget of every configured adapter plus fusion
+    b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
+         if kind == LARGE else ws.config.bottleneck)
+    adapted = insert_adapters(base.params, [kind], b, _insert_seed(ws.config), base.config)
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
     hyper.seed = ws.config.seed + sum(ord(c) for c in kind)
     sampler = make_sampler(ds, kind, hyper)
     trained, curve = train_adapter(adapted, kind, sampler, vocab, hyper)
     ws.write_curve(f"integrate_{kind}", curve)
     path = ws.ckpt(f"adapter_{kind}")
-    save_checkpoint(path, trained.params, _provenance(
-        ws, "integrate", kind=kind, adapter_kinds=trained.kinds,
-        bottleneck=trained.bottlenecks[kind]))
+    save_checkpoint(path, trained.params, _provenance(ws, "integrate", kind=kind))
     return path
 
 
@@ -321,22 +318,22 @@ def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
 
 
 def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEncoder:
-    """Backbone + every trained adapter group + fresh fusion parameters.
+    """The pretrain backbone + each kind's trained adapter group + fresh fusion
+    parameters, with the adapters in KINDS order whatever the order asked for.
 
     Every kind needs its integrated adapter checkpoint; a missing one is an
     error rather than a randomly initialized adapter in the fusion.
     """
-    kinds = kinds or list(ws.config.adapter_kinds)
+    kinds = sorted(kinds or ws.config.adapter_kinds, key=KINDS.index)
     base = load_model(ws, "pretrain", "fuse")
     backbone_hash = base.params.checksum("encoder.")
-    adapted = insert_adapters(base.params, kinds, ws.config.bottleneck,
-                              _insert_seed(ws.config), base.config)
     for kind in kinds:
         path = ws.require_ckpt(f"adapter_{kind}", "fuse")
         trained, _ = load_checkpoint(path)
         if trained.checksum("encoder.") != backbone_hash:
             raise DataError(f"{path.name}: backbone differs from pretrain checkpoint")
-        adapted.params.merge(trained, f"adapter.{kind}.")
+        base.params.merge(trained, f"adapter.{kind}.")
+    adapted = AdaptedEncoder(config=base.config, params=base.params, kinds=kinds)
     return init_fusion(adapted, _fusion_seed(ws.config)).with_mode("fusion")
 
 
@@ -400,27 +397,25 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
-    """The one way from a checkpoint to a model.
+    """The one way from a checkpoint to a model, read from its parameters alone.
 
-    The vocabulary size is the row count of the token embedding, the adapter
-    kinds and bottleneck come from provenance, and the mode from what the
-    checkpoint holds: fusion if it has fusion parameters, the integrated
-    adapter alone for an `integrate` checkpoint, else the bare backbone.
+    The vocabulary size is the row count of the token embedding and the
+    adapter kinds are the `adapter.<kind>.` groups present, in KINDS order
+    and then LARGE. The mode follows: fusion if there are fusion parameters,
+    the one adapter alone if there is exactly one, else the bare backbone.
+    Several adapters without fusion is what an integrate checkpoint written
+    before each held only its own adapter looks like, and is an error. The
+    manifest is not read.
     """
-    prov = manifest["provenance"]
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
-    kinds = [k for k in prov.get("adapter_kinds", []) if params.names(f"adapter.{k}.")]
-    b = prov.get("bottleneck", ws.config.bottleneck)
-    model = AdaptedEncoder(config=config, params=params, kinds=kinds,
-                           bottlenecks={k: b for k in kinds})
+    kinds = [k for k in (*KINDS, LARGE) if params.names(f"adapter.{k}.")]
+    model = AdaptedEncoder(config=config, params=params, kinds=kinds)
     if model.has_fusion:
         return model.with_mode("fusion")
-    if prov.get("stage") == "integrate":
-        if prov["kind"] not in kinds:
-            raise DataError(f"checkpoint provenance lists adapters {prov.get('adapter_kinds')} "
-                            f"but not its own {prov['kind']!r}: re-run its integrate stage")
-        return model.with_mode("single", prov["kind"])
-    return model
+    if len(kinds) > 1:
+        raise DataError(f"checkpoint holds adapters {kinds} and no fusion: an integrate "
+                        f"checkpoint holds only its own adapter, so re-run integrate")
+    return model.with_mode("single", kinds[0]) if kinds else model
 
 
 def stage_eval(ws: Workspace, task: str, checkpoint: str) -> MetricReport:

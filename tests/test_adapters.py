@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from kgadapters import autodiff as ad
-from kgadapters.adapters import (KINDS, AdaptedEncoder, adapter_apply,
-                                 adapter_param_count, build_hook,
-                                 fusion_apply, fusion_param_count,
+from kgadapters.adapters import (KINDS, LARGE, adapter_apply, adapter_param_count,
+                                 build_hook, fusion_apply, fusion_param_count,
                                  init_fusion, insert_adapters,
-                                 large_adapter_bottleneck, make_large_adapter)
+                                 large_adapter_bottleneck, large_bottleneck)
 from kgadapters.autodiff import Tensor
 from kgadapters.encoder import EncoderConfig, encode_seqs, init_encoder_params
 from kgadapters.vocab import TokenSeq
@@ -168,6 +167,11 @@ class TestFusionInModel:
             adapted.with_mode("fusion")
 
 
+def size(params, prefix: str) -> int:
+    """Number of scalars in the parameter group `prefix`."""
+    return sum(params.get(n).size for n in params.names(prefix))
+
+
 class TestParamCounts:
     def test_closed_form_reference_value(self):
         assert adapter_param_count(12, 768, 8) == 156_768
@@ -176,9 +180,9 @@ class TestParamCounts:
         config, _, adapted = small_model(bottleneck=4)
         adapted = init_fusion(adapted, seed=3)
         for kind in adapted.kinds:
-            assert adapted.params.count(f"adapter.{kind}.") == adapter_param_count(
+            assert size(adapted.params, f"adapter.{kind}.") == adapter_param_count(
                 config.layers, config.d_model, 4)
-        assert adapted.params.count("fusion.") == fusion_param_count(config.layers,
+        assert size(adapted.params, "fusion.") == fusion_param_count(config.layers,
                                                                      config.d_model)
 
     def test_bottleneck_monotonicity(self):
@@ -198,12 +202,11 @@ class TestLargeAdapter:
     def test_maximality_within_one_increment(self):
         config, backbone, adapted = small_model()
         adapted = init_fusion(adapted, seed=3)
-        reference = adapted.params.count("adapter.") + adapted.params.count("fusion.")
-        large = make_large_adapter(backbone, config, len(adapted.kinds),
-                                   adapted.bottlenecks[adapted.kinds[0]], seed=11)
-        count = large.params.count("adapter.LARGE.")
-        b = large.bottlenecks["LARGE"]
-        assert count <= reference
+        reference = size(adapted.params, "adapter.") + size(adapted.params, "fusion.")
+        b = large_bottleneck(config, len(adapted.kinds), 4)
+        large = insert_adapters(backbone, [LARGE], b, seed=11, config=config)
+        assert large.params.get("adapter.LARGE.0.W_down").shape[1] == b
+        assert size(large.params, "adapter.LARGE.") <= reference
         assert adapter_param_count(config.layers, config.d_model, b + 1) > reference
 
     def test_budget_too_small_rejected(self):

@@ -11,6 +11,16 @@ Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 Haswell
 kernels); the values did not change between 1 and 2 BLAS threads. A change
 that moves any of these hashes must name the change and say why in
 CHANGES.md: a refactor keeps them byte-identical.
+
+Moved by "Integrate only the trained adapter and read a model from its
+parameters": an integrate checkpoint holds only encoder.* and its own
+adapter, and every adapter is drawn from the same insert seed as the first
+of the configured kinds. So adapter_EP loses the three untrained adapters it
+carried, adapter_TP/ES/TS get a new initial adapter (and with it their
+integrate curves), and every fused and finetuned checkpoint, their curves
+and the ablation grid move with them. The pretrain blob and curve, the
+adapter_LARGE blob, the integrate_EP and integrate_LARGE curves, the
+adapter.EP.* bytes and every data file are unchanged.
 """
 
 import hashlib
@@ -28,46 +38,46 @@ KINDS = ["EP", "TP", "ES", "TS"]
 
 CHECKPOINT_BLOB_SHA256 = {
     "adapter_EP":
-        "ab2d677b88b838af6aff17a7830bb0cbbda9c50ac35d463003f559ab77b7f06f",
+        "96990a76bd4711d505eeee09d21eca32b907789fd6de3f69a7a9a856a52b0cf1",
     "adapter_ES":
-        "07eca4e1f0afab7643b91b0cf18a4099d7995ce38dc7464780e17be429c15be1",
+        "20ba26ea21d09575c75bf1e458f3256ade0b912f9cd410732526fb0868c4953f",
     "adapter_LARGE":
         "0de8c6d72b4bbf7697041960a84503ac600d1bf8e39da809260aa196b6611885",
     "adapter_TP":
-        "6d9b6cff788f45d8df75375e99277e6cb07066ff23b8b5bc28d6a2b582d78def",
+        "9463a44e3b4d675455157c93e689080e4f38e003cb9dd195fa918fd11c897459",
     "adapter_TS":
-        "12305419c44bbfc07c3418ca61a696073029601709a28c16aeaa8707aed02c3c",
+        "de1556550aef72ad85b6e18b955ade9ad837f2161622683f7118f0413bb1654c",
     "finetuned_alignment":
-        "9434368a52cd69aeb4c0e233f83d7bb0c3c7594684405b5c393905d6d5ceae53",
+        "85e1acfc4c0a1790f4c0062fbb03407654df24c834ff7f045cb5b8ea7c48f6c7",
     "finetuned_completion":
-        "3b2152635ab708a5313d3ac87a24d9ae6eb534f93ce12ea1a7a0dc07c5afbd28",
+        "143a68dd3922b2c805a8775790eaee3e782d4f1f17c4cc5a7cb03476f609eaf0",
     "fused_alignment":
-        "8e9abcc7ef8edb029c82a7de291002331fbea9a3a497fb230e81dece48fdba8b",
+        "850639d1b50eb1b67397162aae970a98199a77ba59b0eb175a1a381f7a2687b0",
     "fused_completion":
-        "3d55b8c10257d82f88ea627f3723f9fa20f239d598486373580c29853559a785",
+        "729874961ead3ca629972205b8741877cbc06791dda31a6fcee7bad8a2ec7198",
     "pretrain":
         "2338c755337aa7fa772b8b467936667f8774d2be09215cbc3ceb594f3fd1a212",
 }
 
 CURVE_CSV_SHA256 = {
     "finetune_alignment":
-        "7e24376e2e93095947ea59916d0fc20a2f17ce06058cfd5917074598323fe912",
+        "2c5d8fb0c8c6ef3e89687279d3f37921dd6e743e954dd7e5d34bea334917317d",
     "finetune_completion":
-        "a91d6d7eb0b683ba052503c042df76fe3d64d31ec21b9c3286cbef91995c77d7",
+        "84b059531d3eb7ff00ad309a6145ef1dde6d7a23705f26addbf1d5a1430e09f5",
     "fuse_alignment":
-        "220103d80d215549a5b2101b6114437357ea46855bc616d0b879276d3e4281c5",
+        "843e8360df024dac12dcbab56010bd2c58f1aaa42cdf7562accc5ff3928e0d69",
     "fuse_completion":
-        "d7a8ee832929feefb8a4b1d189358684ae707a44f6dc4dbf844e358c3ab14fe5",
+        "84a0c2b16d466d3dbb6a458c269162693acf6191900df63d21127216b16297b0",
     "integrate_EP":
         "a9bed5c4437d50a28d6c836d672325b8a00dbb02f80ce6a3cc49c7e3f425bbad",
     "integrate_ES":
-        "7dcedb72f84150994f905e9d06d8fdb4d53767dd8e9010841ac984e0079b3278",
+        "0a1946fdd27d0dad3900077e406f7242534d9939eed543aae4c000af6c3875ed",
     "integrate_LARGE":
         "b0377b24ff1075cac4ea0cc66bfefd2f4a7b1bb22e171271e44454f82097e6c0",
     "integrate_TP":
-        "a3fea806ddd7cf6703c9a2ebd322ab1bc1ca20bc2401287e7a486c185f733150",
+        "4094fda949362d2d2e30e2a89248ca156ea6ece9a138afa46f97f5f30e62fb33",
     "integrate_TS":
-        "37b9985a48a79b3ceec71f5487e74b5e113ebb1463c525375de09bb7182e0328",
+        "8a1c55add5f47dc527184292d9f5979772de886e2ab0d8e0960ed3b883660f48",
     "pretrain":
         "b00efc64ab7ddcd3837fe961cf726d70980ca796512ad0562a458cc78a91afdd",
 }
@@ -76,7 +86,7 @@ CURVE_CSV_SHA256 = {
 # "transfer": run_transfer_benchmark(ws, "alignment", ["EP", "TP"]) as dicts},
 # each report dict without the "split" and "categories" keys that reports
 # gained after this value was pinned
-ABLATION_SHA256 = "6b818a207f746253fdf6372b1e714ef9caceba077ebc9a004954328c42e39631"
+ABLATION_SHA256 = "42e23e6081798aa63621ecb340ac9e688d86ee7b4b547d9e1240e16ff11efb38"
 
 # the 12 files save_dataset writes plus vocab.txt
 DATA_FILE_SHA256 = {

@@ -63,6 +63,20 @@ def micro_run(tmp_path_factory):
     return ws
 
 
+@pytest.fixture(scope="module")
+def large_run(micro_run):
+    """The micro run with the LARGE adapter integrated too."""
+    run_stage(micro_run, "integrate", kind="LARGE")
+    return micro_run
+
+
+def tensor_groups(path) -> set[str]:
+    """`encoder` and `adapter.<kind>`/`fusion` prefixes of a checkpoint's tensors."""
+    names = [t["name"] for t in read_manifest(path)["tensors"]]
+    return {".".join(n.split(".")[:2]) if n.startswith("adapter.") else n.split(".")[0]
+            for n in names}
+
+
 class TestCheckpointFormat:
     def make_params(self):
         rng = np.random.default_rng(0)
@@ -154,12 +168,10 @@ class TestCheckpointFormat:
 
 
 class TestStages:
-    def test_manifest_lists_adapter_tensor_names(self, micro_run):
-        manifest = read_manifest(micro_run.ckpt("adapter_EP"))
-        names = [t["name"] for t in manifest["tensors"]]
-        assert "adapter.EP.0.W_down" in names
-        assert "adapter.TP.0.W_up" in names
-        assert any(n.startswith("encoder.") for n in names)
+    def test_manifest_lists_adapter_tensor_names(self, large_run):
+        for kind in ("EP", "LARGE"):
+            assert tensor_groups(large_run.ckpt(f"adapter_{kind}")) == {
+                "encoder", f"adapter.{kind}"}, kind
 
     def test_integrate_leaves_backbone_bytes_identical(self, micro_run):
         pre, _ = load_checkpoint(micro_run.ckpt("pretrain"))
@@ -197,29 +209,30 @@ class TestStages:
         with pytest.raises(ConfigError, match="not in configured"):
             run_stage(micro_run, "integrate", kind="ES")
 
-    def test_model_mode_follows_checkpoint(self, micro_run):
-        run_stage(micro_run, "integrate", kind="LARGE")
-        cfg = micro_run.config
+    def test_model_mode_follows_checkpoint(self, large_run):
+        cfg = large_run.config
         d, layers = cfg.encoder["d_model"], cfg.encoder["layers"]
         budget = (len(cfg.adapter_kinds) * adapter_param_count(layers, d, cfg.bottleneck)
                   + fusion_param_count(layers, d))
+        widths = {"EP": 4, "TP": 4, "LARGE": large_adapter_bottleneck(budget, d, layers)}
         expected = {
-            "pretrain": ("none", None, [], {}),
-            "adapter_EP": ("single", "EP", ["EP", "TP"], {"EP": 4, "TP": 4}),
-            "adapter_LARGE": ("single", "LARGE", ["LARGE"],
-                              {"LARGE": large_adapter_bottleneck(budget, d, layers)}),
-            "fused_alignment": ("fusion", None, ["EP", "TP"], {"EP": 4, "TP": 4}),
-            "finetuned_alignment": ("fusion", None, ["EP", "TP"], {"EP": 4, "TP": 4}),
+            "pretrain": ("none", None, []),
+            "adapter_EP": ("single", "EP", ["EP"]),
+            "adapter_TP": ("single", "TP", ["TP"]),
+            "adapter_LARGE": ("single", "LARGE", ["LARGE"]),
+            "fused_alignment": ("fusion", None, ["EP", "TP"]),
+            "finetuned_alignment": ("fusion", None, ["EP", "TP"]),
         }
         for name, want in expected.items():
-            model = load_model(micro_run, name, "test")
-            assert (model.mode, model.single_kind, model.kinds, model.bottlenecks) == want, name
+            model = load_model(large_run, name, "test")
+            assert (model.mode, model.single_kind, model.kinds) == want, name
+            assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
+                    for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
 
-    def test_integrate_checkpoint_without_its_own_kind_rejected(self, micro_run):
-        params, manifest = load_checkpoint(micro_run.ckpt("adapter_EP"))
-        manifest["provenance"]["adapter_kinds"] = ["TP"]
-        with pytest.raises(DataError, match="not its own 'EP'"):
-            model_from_checkpoint(micro_run, params, manifest)
+    def test_model_reads_no_provenance(self, micro_run):
+        params, _ = load_checkpoint(micro_run.ckpt("adapter_TP"))
+        model = model_from_checkpoint(micro_run, params, {})
+        assert (model.mode, model.single_kind, model.kinds) == ("single", "TP", ["TP"])
 
     def test_eval_emits_hashes(self, micro_run):
         report = run_stage(micro_run, "eval", task="alignment",
@@ -245,6 +258,18 @@ class TestDeterminism:
         for rep in ("r.json", "r.tsv"):
             assert ((ws1.report_dir / rep).read_bytes()
                     == (ws2.report_dir / rep).read_bytes()), rep
+
+    def test_adapter_order_does_not_change_checkpoints(self, tmp_path):
+        workspaces = []
+        for kinds in (["TP", "EP"], ["EP", "TP"]):
+            ws = Workspace(dataclasses.replace(micro_config(tmp_path / "".join(kinds)),
+                                               adapter_kinds=kinds))
+            integrate_only(ws, kinds)
+            run_stage(ws, "fuse", task="alignment")
+            workspaces.append(ws)
+        for name in ("adapter_EP", "adapter_TP", "fused_alignment"):
+            assert (read_manifest(workspaces[0].ckpt(name))["blob_sha256"]
+                    == read_manifest(workspaces[1].ckpt(name))["blob_sha256"]), name
 
 
 class TestReports:
@@ -426,6 +451,24 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    def test_eval_of_two_adapters_without_fusion_exits_one(self, micro_run, tmp_path, capsys):
+        """An integrate checkpoint written when each held every configured
+        adapter: the model it holds cannot be told from its parameters."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(micro_run.root, run_dir)
+        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
+        params.merge(load_checkpoint(ws.ckpt("adapter_TP"))[0], "adapter.TP.")
+        save_checkpoint(ws.ckpt("adapter_old"), params, manifest["provenance"])
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                         "--checkpoint", "adapter_old"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint holds adapters ['EP', 'TP'] and no fusion")
+        assert "re-run integrate" in err and err.count("\n") == 1
+        assert not list(ws.report_dir.glob("*adapter_old*"))
+
     def test_eval_of_an_unknown_checkpoint_says_it_does_not_exist(self, micro_run, tmp_path,
                                                                   capsys):
         cfg = tmp_path / "cfg.json"
@@ -477,8 +520,8 @@ class TestCliExitCodes:
         cfg = tmp_path / "cfg.json"
         write_config(micro_run.config, cfg)
         assert cli.main(["--config", str(cfg), "train-adapter", "--kind", "large"]) == 0
-        provenance = read_manifest(micro_run.ckpt("adapter_LARGE"))["provenance"]
-        assert (provenance["kind"], provenance["adapter_kinds"]) == ("LARGE", ["LARGE"])
+        assert read_manifest(micro_run.ckpt("adapter_LARGE"))["provenance"]["kind"] == "LARGE"
+        assert tensor_groups(micro_run.ckpt("adapter_LARGE")) == {"encoder", "adapter.LARGE"}
 
     def test_gen_and_pretrain_via_cli(self, tmp_path):
         cfg = tmp_path / "cfg.json"
