@@ -71,10 +71,8 @@ class EncoderConfig:
 
 @dataclass
 class HiddenStates:
-    """Per-layer token representations; `final` is after the closing layer norm."""
+    """Token representations after the closing layer norm."""
 
-    embeddings: Tensor
-    layers: list[Tensor]
     final: Tensor
 
 
@@ -132,7 +130,7 @@ def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarr
 
 def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
            config: EncoderConfig, adapter_hook: AdapterHook | None = None) -> HiddenStates:
-    """Run the encoder over a padded id batch, returning all layer states."""
+    """Run the encoder over a padded id batch."""
     if ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     b, t = ids.shape
@@ -145,14 +143,12 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
     if t < config.max_seq_len:
         pos = ad.split(pos, [t, config.max_seq_len - t], axis=0)[0]
     x = ad.add(tok, ad.reshape(pos, (1, t, d)))
-    embeddings = x
 
     # additive attention bias: 0 on real keys, -inf on PAD keys
     key_bias = np.where(mask > 0, 0.0, -np.inf).astype(np.float32)
     key_bias = Tensor(key_bias.reshape(b, 1, 1, t))
     inv_sqrt_dh = float(1.0 / np.sqrt(dh))
 
-    states: list[Tensor] = []
     for m in range(config.layers):
         pre = f"encoder.{m}"
         xn = ad.layer_norm(x, leaves[f"{pre}.ln1.g"], leaves[f"{pre}.ln1.b"])
@@ -177,10 +173,8 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
 
         if adapter_hook is not None:
             x = adapter_hook(x, m)
-        states.append(x)
 
-    final = ad.layer_norm(x, leaves["encoder.ln_f.g"], leaves["encoder.ln_f.b"])
-    return HiddenStates(embeddings=embeddings, layers=states, final=final)
+    return HiddenStates(final=ad.layer_norm(x, leaves["encoder.ln_f.g"], leaves["encoder.ln_f.b"]))
 
 
 def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfig,

@@ -1,6 +1,6 @@
 """Cosine-retrieval evaluation (KG completion, entity alignment) and the
-task-pair samplers and contrastive finetuning used in the last workflow
-stages (fusion training and full finetuning). Finetuning is
+contrastive finetuning used in the last workflow stages (fusion training and
+full finetuning) on the task-pair samplers of `objectives`. Finetuning is
 `objectives.train_pairs`, which runs the one training loop `optim.train`.
 
 Ranking is raw: a query is scored against every entity label of the target
@@ -31,7 +31,7 @@ from .data import LanguageSplit, MLKG, Triple
 from .encoder import encode, pad_batch, pool, sentence_pool_weights
 from .errors import ConfigError
 from .hyper import TrainHyper
-from .objectives import PairItem, Sampler, _distinct_draws, train_pairs
+from .objectives import Sampler, train_pairs
 from .vocab import SEP, TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
@@ -295,48 +295,6 @@ def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k:
 # ---------------------------------------------------------------------------
 # task finetuning (workflow stages 3 and 4)
 # ---------------------------------------------------------------------------
-
-def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -> Sampler:
-    if not train_items:
-        raise ConfigError("no completion training items in supervised languages")
-
-    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
-        picked = _distinct_draws(len(train_items), batch_size,
-                                 lambda i: train_items[i][1].tail, rng)
-        out = []
-        for j in picked:
-            lang, t = train_items[j]
-            subj = mlkg.entities[t.head].labels[lang]
-            rel = mlkg.relations[t.rel].labels[lang]
-            out.append(PairItem(
-                anchor_tokens=subj.split() + [SEP] + rel.split(), anchor_lang=lang,
-                positive_tokens=mlkg.entities[t.tail].labels[lang].split(),
-                positive_lang=lang,
-                provenance=f"comp:{t.head}:{t.rel}:{t.tail}:{lang}"))
-        return out
-
-    return sampler
-
-
-def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> Sampler:
-    if not train_pairs:
-        raise ConfigError("no alignment training pairs in supervised languages")
-
-    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
-        picked = _distinct_draws(len(train_pairs), batch_size,
-                                 lambda i: train_pairs[i][2], rng)
-        out = []
-        for j in picked:
-            src, tgt, eid = train_pairs[j]
-            out.append(PairItem(
-                anchor_tokens=mlkg.entities[eid].labels[src].split(), anchor_lang=src,
-                positive_tokens=mlkg.entities[eid].labels[tgt].split(),
-                positive_lang=tgt,
-                provenance=f"align:{eid}:{src}->{tgt}"))
-        return out
-
-    return sampler
-
 
 def finetune_contrastive(adapted: AdaptedEncoder, sampler: Sampler, vocab: Vocab,
                          hyper: TrainHyper, train_groups: Sequence[str]

@@ -1,5 +1,6 @@
-"""InfoNCE with in-batch negatives, the four knowledge batch builders, and
-contrastive training of parameter groups on sampled pairs.
+"""InfoNCE with in-batch negatives, the four knowledge batch builders, the
+two task-pair samplers, and contrastive training of parameter groups on
+sampled pairs.
 
 Each sampler yields text pairs; encoding happens in one fused forward pass
 (anchors and positives concatenated into a single batch) so a training step
@@ -276,6 +277,52 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], base_lang: str,
             positive_tokens=list(r.tokens[i:j + 1]), positive_lang=base_lang,
             provenance=f"ts:{r.triple.head}:{r.triple.rel}:{r.triple.tail}"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# task-pair samplers (workflow stages 3 and 4)
+# ---------------------------------------------------------------------------
+
+def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -> Sampler:
+    if not train_items:
+        raise ConfigError("no completion training items in supervised languages")
+
+    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+        picked = _distinct_draws(len(train_items), batch_size,
+                                 lambda i: train_items[i][1].tail, rng)
+        out = []
+        for j in picked:
+            lang, t = train_items[j]
+            subj = mlkg.entities[t.head].labels[lang]
+            rel = mlkg.relations[t.rel].labels[lang]
+            out.append(PairItem(
+                anchor_tokens=subj.split() + [SEP] + rel.split(), anchor_lang=lang,
+                positive_tokens=mlkg.entities[t.tail].labels[lang].split(),
+                positive_lang=lang,
+                provenance=f"comp:{t.head}:{t.rel}:{t.tail}:{lang}"))
+        return out
+
+    return sampler
+
+
+def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> Sampler:
+    if not train_pairs:
+        raise ConfigError("no alignment training pairs in supervised languages")
+
+    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+        picked = _distinct_draws(len(train_pairs), batch_size,
+                                 lambda i: train_pairs[i][2], rng)
+        out = []
+        for j in picked:
+            src, tgt, eid = train_pairs[j]
+            out.append(PairItem(
+                anchor_tokens=mlkg.entities[eid].labels[src].split(), anchor_lang=src,
+                positive_tokens=mlkg.entities[eid].labels[tgt].split(),
+                positive_lang=tgt,
+                provenance=f"align:{eid}:{src}->{tgt}"))
+        return out
+
+    return sampler
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,6 @@ class ParamSet:
         for n in self.names(prefix):
             self._trainable[n] = flag
 
-    def count(self, prefix: str = "") -> int:
-        return sum(self._data[n].size for n in self.names(prefix))
-
     def checksum(self, prefix: str = "") -> str:
         """SHA-256 over names, shapes and raw bytes of a parameter group."""
         h = hashlib.sha256()

@@ -33,11 +33,11 @@ from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapter
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError
-from .evaluation import (MetricReport, alignment_item_sampler, completion_item_sampler,
-                         eval_alignment, eval_completion, finetune_contrastive)
+from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
 from .hyper import TrainHyper
-from .objectives import (ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
-                         sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
+from .objectives import (alignment_item_sampler, completion_item_sampler, ep_pair_universe,
+                         es_eligible, sample_ep_batch, sample_es_batch, sample_tp_batch,
+                         sample_ts_batch, train_adapter, ts_ingest)
 from .params import ParamSet
 from .synthetic import (SyntheticConfig, SyntheticDataset, gen_synthetic,
                         load_dataset, save_dataset, vocab_corpus)

@@ -99,7 +99,6 @@ class SyntheticDataset:
     comp_train: list[tuple[str, Triple]]                       # (lang, triple)
     comp_test: dict[str, list[tuple[str, Triple]]]             # lang -> items
     train_triples: list[Triple] = field(default_factory=list)
-    test_triples: list[Triple] = field(default_factory=list)
 
     @property
     def languages(self) -> list[str]:
@@ -270,7 +269,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         config=config, split=split, mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,
         align_train=align_train, align_test=align_test,
         comp_train=comp_train, comp_test=comp_test,
-        train_triples=train_triples, test_triples=test_triples)
+        train_triples=train_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,7 @@ def load_dataset(data_dir) -> SyntheticDataset:
         mlm_corpus=read_corpus(d / "mlm.tsv"),
         align_train=align_train, align_test=align_test,
         comp_train=comp_train, comp_test=comp_test,
-        train_triples=list(dict.fromkeys(t for _, t in comp_train)),
-        test_triples=list(dict.fromkeys(t for lang in sorted(comp_test)
-                                        for _, t in comp_test[lang])))
+        train_triples=list(dict.fromkeys(t for _, t in comp_train)))
     _check_zs_un_absence(ds, d)
     return ds
 

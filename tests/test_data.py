@@ -147,7 +147,8 @@ class TestSyntheticGenerator:
     def test_test_triples_held_out_of_c2(self):
         ds = gen_synthetic(small_config())
         c2_triples = {r.triple for r in ds.c2}
-        assert not c2_triples & set(ds.test_triples)
+        test_triples = {t for items in ds.comp_test.values() for _, t in items}
+        assert test_triples and not c2_triples & test_triples
 
     def test_relation_pools_constrain_tails(self):
         ds = gen_synthetic(small_config())

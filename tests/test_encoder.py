@@ -155,8 +155,10 @@ class TestEncode:
 
     def test_all_layers_available(self):
         config, params = tiny_setup()
-        states, _, _ = encode_seqs(params, [TokenSeq(ids=[4, 5], lang="l0")], config)
-        assert len(states.layers) == config.layers
+        layers = []
+        states, _, _ = encode_seqs(params, [TokenSeq(ids=[4, 5], lang="l0")], config,
+                                   adapter_hook=lambda x, m: layers.append(m) or x)
+        assert layers == list(range(config.layers))
         assert states.final.shape == (1, config.max_seq_len, config.d_model)
 
     def test_oversize_sequence_rejected(self):

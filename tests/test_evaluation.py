@@ -11,10 +11,10 @@ from kgadapters.adapters import insert_adapters
 from kgadapters.data import LanguageSplit
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
-                                   alignment_item_sampler, embed_labels,
-                                   eval_alignment, finetune_contrastive,
+                                   embed_labels, eval_alignment, finetune_contrastive,
                                    gold_rank, hits_at_k, mrr, rank)
 from kgadapters.hyper import TrainHyper
+from kgadapters.objectives import alignment_item_sampler
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
 

@@ -1,5 +1,7 @@
 """Every public top-level function and class of kgadapters has a caller in the
-program (src/kgadapters) or in the benchmark (perfbench/), not only in tests."""
+program (src/kgadapters) or in the benchmark (perfbench/), not only in tests,
+and every public method, property and dataclass field of its classes is read
+there."""
 
 import ast
 from pathlib import Path
@@ -25,15 +27,34 @@ def public_definitions() -> list[tuple[str, str]]:
             and not node.name.startswith("_")]
 
 
-def loaded_names() -> set[str]:
-    """Every name read as a Name or an Attribute in the program or the benchmark."""
+def public_members() -> list[tuple[str, str, str]]:
+    """(file name, class, member) of every public method, property and
+    annotated class attribute (a dataclass field) of a top-level class."""
+    members = []
+    for path in PROGRAM:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append((path.name, cls.name, name))
+    return members
+
+
+def loaded_names(kinds=(ast.Name, ast.Attribute)) -> set[str]:
+    """Every name read as one of `kinds` (a Name or an Attribute) in the
+    program or the benchmark."""
     names = set()
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
     return names
 
 
@@ -48,3 +69,12 @@ def test_allow_list_holds_only_names_without_a_caller():
     used = loaded_names()
     defined = {name for _, name in public_definitions()}
     assert set(ALLOWED) <= defined - used
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """A member counts as read wherever an attribute of its name is loaded,
+    so a dead member whose name another class's member uses goes unseen."""
+    used = loaded_names(ast.Attribute)
+    unread = [f"{file}: {cls}.{name}" for file, cls, name in public_members()
+              if name not in used]
+    assert not unread, f"public members that only tests read: {', '.join(unread)}"
