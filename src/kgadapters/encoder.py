@@ -93,7 +93,9 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
         pre = f"encoder.{m}"
         for w in ("wq", "wk", "wv", "wo"):
             p.add(f"{pre}.attn.{w}", normal((d, d)))
-        for b in ("bq", "bk", "bv", "bo"):
+        # no key bias: it adds the same q.bk to every score of a query, which
+        # the softmax cancels, so its exact gradient is 0
+        for b in ("bq", "bv", "bo"):
             p.add(f"{pre}.attn.{b}", np.zeros(d, dtype=np.float32))
         p.add(f"{pre}.ln1.g", np.ones(d, dtype=np.float32))
         p.add(f"{pre}.ln1.b", np.zeros(d, dtype=np.float32))
@@ -157,7 +159,7 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
             return ad.swapaxes(ad.reshape(t_in, (b, t, h, dh)), 1, 2)   # [B,H,T,dh]
 
         q = heads(ad.add(ad.matmul(xn, leaves[f"{pre}.attn.wq"]), leaves[f"{pre}.attn.bq"]))
-        k = heads(ad.add(ad.matmul(xn, leaves[f"{pre}.attn.wk"]), leaves[f"{pre}.attn.bk"]))
+        k = heads(ad.matmul(xn, leaves[f"{pre}.attn.wk"]))
         v = heads(ad.add(ad.matmul(xn, leaves[f"{pre}.attn.wv"]), leaves[f"{pre}.attn.bv"]))
         scores = ad.add(ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), inv_sqrt_dh), key_bias)
         ctx = ad.matmul(ad.softmax(scores, axis=-1), v)                 # [B,H,T,dh]

@@ -209,12 +209,8 @@ class TestBucketInvariance:
         gradients, every width's float32 gradient of every trainable group is
         about as close as width 24's. The factor 10 covers the scatter of
         rounding errors (up to 4x over 200 random batches, in the
-        cancellation-heavy fusion Q/K gradients of the untrained fusion).
-        The key biases are frozen: their exact gradient is 0, so their
-        float32 gradient is pure roundoff."""
+        cancellation-heavy fusion Q/K gradients of the untrained fusion)."""
         params = model.params.copy()
-        for m in range(model.config.layers):
-            params.set_trainable(f"encoder.{m}.attn.bk", False)
         longest = max(len(s.ids) for s in seqs)
         exact = infonce_grads(model, params, seqs, MAX_LEN, np.float64)[1]
         g24 = infonce_grads(model, params, seqs, MAX_LEN)[1]
@@ -284,9 +280,6 @@ def test_whole_graph_gradcheck_at_a_bucketed_width():
         if not name.endswith((".g", ".V")):
             arr = params.get(name)
             params.set_data(name, (rng.standard_normal(arr.shape) * 0.3).astype(np.float32))
-    # a key bias adds the same q.bk to every score of a query, so its exact
-    # gradient is 0 and a relative error there would measure only roundoff
-    params.set_trainable("encoder.0.attn.bk", False)
     seqs = [TokenSeq(ids=list(rng.integers(4, 12, size=n)), lang="l0") for n in (3, 5, 2, 7)]
     ids, mask = padded(seqs, 8)
 
