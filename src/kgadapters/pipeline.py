@@ -13,9 +13,9 @@ Stages and their freezing contracts (verified by checksums, not assumed):
 Every stage reads its prerequisite checkpoint from the run directory and
 writes a new one; nothing is mutated in place. `model_from_checkpoint` is the
 one way from a checkpoint to a model, for the stages, eval and the ablation
-alike: the model follows from the checkpoint's parameters alone. Two runs with the same config and seed produce byte-identical
-checkpoints and reports (run logs carry wall-clock timestamps and are
-excluded from that guarantee).
+alike, and reads the model from the checkpoint's parameters alone. Two runs
+with the same config and seed produce byte-identical checkpoints and reports
+(run logs carry wall-clock timestamps and are excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -397,15 +397,15 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
-    """The one way from a checkpoint to a model, read from its parameters alone.
+    """The one way from a checkpoint to a model, read from its parameters
+    alone (the manifest is not read).
 
     The vocabulary size is the row count of the token embedding and the
     adapter kinds are the `adapter.<kind>.` groups present, in KINDS order
-    and then LARGE. The mode follows: fusion if there are fusion parameters,
-    the one adapter alone if there is exactly one, else the bare backbone.
-    Several adapters without fusion is what an integrate checkpoint written
-    before each held only its own adapter looks like, and is an error. The
-    manifest is not read.
+    and then LARGE. Fusion parameters give fusion mode, one adapter single
+    mode, none the bare backbone; several adapters without fusion (an
+    integrate checkpoint written before each held only its own adapter) are
+    an error.
     """
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
     kinds = [k for k in (*KINDS, LARGE) if params.names(f"adapter.{k}.")]

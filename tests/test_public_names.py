@@ -47,13 +47,13 @@ def public_members() -> list[tuple[str, str, str]]:
     return members
 
 
-def loaded_names(kinds=(ast.Name, ast.Attribute)) -> set[str]:
-    """Every name read as one of `kinds` (a Name or an Attribute) in the
+def loaded_names(node_types=(ast.Name, ast.Attribute)) -> set[str]:
+    """Every name read as one of `node_types` (a Name or an Attribute) in the
     program or the benchmark."""
     names = set()
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, node_types) and isinstance(node.ctx, ast.Load):
                 names.add(node.id if isinstance(node, ast.Name) else node.attr)
     return names
 
