@@ -5,11 +5,12 @@ task-training budgets and seeds. Every variant is a pipeline checkpoint read
 through `pipeline.model_from_checkpoint`: base is `pretrain`, a single
 adapter is its `integrate` checkpoint, LARGE is the `integrate(LARGE)`
 checkpoint (trained on first use) and FUSION is `pipeline.assemble_fused`.
-Task training and evaluation are `pipeline.train_task` and
-`pipeline.evaluate`. Task training touches each variant's task-adaptable
-parameter group: the whole encoder for the no-adapter base, the adapter
-itself for single-adapter variants, and the fusion layer for the fused
-model (whose backbone and adapters stay frozen).
+Task training and evaluation are `pipeline.train_task` with the fuse
+budget and `pipeline.evaluate`. Task training touches each variant's
+task-adaptable parameter group, which `train_task` reads from the model's
+mode: the whole encoder for the no-adapter base, the adapter itself for
+single-adapter variants, and the fusion layer for the fused model (whose
+backbone and adapters stay frozen).
 """
 
 from __future__ import annotations
@@ -64,18 +65,10 @@ def build_variant(ws: Workspace, variant: str) -> AdaptedEncoder:
     raise ConfigError(f"unknown variant {variant!r} (have {_configured_variants(ws)})")
 
 
-def variant_train_groups(variant: str) -> list[str]:
-    if variant == "base":
-        return ["encoder."]
-    if variant == "FUSION":
-        return ["fusion."]
-    return [f"adapter.{variant}."]
-
-
 def task_train_and_eval(ws: Workspace, ds: SyntheticDataset, vocab: Vocab,
                         model: AdaptedEncoder, variant: str, task: str) -> MetricReport:
     """Identical task-training budget for every variant, then evaluation."""
-    trained, _ = train_task(ws, ds, vocab, model, task, "fuse", variant_train_groups(variant))
+    trained, _ = train_task(ws, ds, vocab, model, task, "fuse")
     return evaluate(ws, ds, vocab, trained, task, variant, trained.params.checksum())
 
 

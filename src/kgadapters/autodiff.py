@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation over a fixed op vocabulary.
 
-Dense math is numpy (float32 by default); every op records a backward
-closure on a tape. The vocabulary is deliberately small: matmul, add, mul
-(Hadamard), gelu, layer_norm, softmax/log_softmax, mean, sum, concat,
-gather, reshape/swapaxes, sqrt, div. That is enough for the encoder,
-adapters, fusion and every training objective in this package. There is no
-graph compiler and no user-extensible op registry.
+Dense math is numpy in the parameters' dtype (float32, or float64 in
+`gradcheck`); every op records a backward closure on a tape. The vocabulary
+is deliberately small: matmul, add, mul (Hadamard), gelu, layer_norm,
+softmax/log_softmax, mean, sum, concat, gather, reshape/swapaxes, sqrt, div.
+That is enough for the encoder, adapters, fusion and every training
+objective in this package. There is no graph compiler and no
+user-extensible op registry.
+
+`grad_eval` and `gradcheck` differentiate with respect to the parameter
+names their caller passes and no others; which parameters train is decided
+by the training loop, `optim.train`.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from scipy.special import erf
 
-
-DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -367,30 +370,27 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 # gradient evaluation and verification
 # ---------------------------------------------------------------------------
 
-def make_leaves(params, dtype=None, grad: bool = True) -> dict[str, Tensor]:
-    """Wrap a ParamSet's arrays as graph leaves (trainable => requires_grad).
+def make_leaves(params, grad: bool = False) -> dict[str, Tensor]:
+    """Wrap a ParamSet's arrays as graph leaves.
 
     With grad=False no leaf requires gradients and no tape is recorded,
-    which is the evaluation path.
+    which is the evaluation path; with grad=True every leaf does.
     """
-    leaves = {}
-    for name in params:
-        arr = params.get(name)
-        if dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
-        rg = grad and params.is_trainable(name)
-        leaves[name] = Tensor(arr, requires_grad=rg, name=name)
-    return leaves
+    return {name: Tensor(params.get(name), requires_grad=grad, name=name)
+            for name in params}
 
 
 def grad_eval(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
-              dtype=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Evaluate loss_fn on fresh leaves and return (loss, grads for trainables).
+              trainable: Iterable[str]) -> tuple[float, dict[str, np.ndarray]]:
+    """Evaluate loss_fn on fresh leaves and return (loss, grads of `trainable`).
 
-    Every trainable parameter gets a gradient entry (zeros if unused by the
-    graph); non-trainable parameters get none.
+    Only the named leaves require gradients, and exactly they get a gradient
+    entry (zeros if unused by the graph).
     """
-    leaves = make_leaves(params, dtype=dtype)
+    leaves = make_leaves(params)
+    trainable = list(trainable)
+    for name in trainable:
+        leaves[name].requires_grad = True
     loss = loss_fn(leaves)
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("grad_eval: loss graph must reduce to a single scalar")
@@ -398,9 +398,8 @@ def grad_eval(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
         raise NumericError(f"grad_eval: non-finite loss {float(loss.data)}")
     loss.backward()
     grads = {}
-    for name, leaf in leaves.items():
-        if not leaf.requires_grad:
-            continue
+    for name in trainable:
+        leaf = leaves[name]
         g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         if not np.isfinite(g).all():
             raise NumericError(f"grad_eval: non-finite gradient for {name!r}")
@@ -409,25 +408,27 @@ def grad_eval(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
 
 
 def gradcheck(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
-              eps: float = 1e-3) -> float:
+              names: Iterable[str], eps: float = 1e-3) -> float:
     """Max relative error between analytic gradients and central differences.
 
     Both sides are evaluated at float64 so the check measures the backward
     formulas rather than f32 roundoff; relative error is
-    |analytic - fd| / max(1e-8, |fd|), maximized over trainable scalars.
+    |analytic - fd| / max(1e-8, |fd|), maximized over every scalar of the
+    named parameters.
     """
     work = params.astype(np.float64)
-    _, grads = grad_eval(loss_fn, work, dtype=np.float64)
+    names = list(names)
+    _, grads = grad_eval(loss_fn, work, names)
 
     def eval_loss() -> float:
-        loss = loss_fn(make_leaves(work, dtype=np.float64))
+        loss = loss_fn(make_leaves(work))
         val = float(loss.data)
         if not math.isfinite(val):
             raise NumericError("gradcheck: non-finite loss during finite differences")
         return val
 
     worst = 0.0
-    for name in work.trainable_names():
+    for name in names:
         arr = work.get(name)
         flat = arr.reshape(-1)
         gflat = grads[name].reshape(-1)

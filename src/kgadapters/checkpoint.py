@@ -3,9 +3,10 @@
 Layout: 8-byte magic carrying the format version, a little-endian uint32
 manifest length, the UTF-8 JSON manifest, then every tensor's raw bytes
 (little-endian float32, row-major) concatenated in manifest order, which is
-the ParamSet's lexicographic order. The manifest records tensor names,
-shapes, trainable flags, free-form provenance, and the SHA-256 of the blob;
-load verifies the hash, so truncation or corruption is always detected.
+the ParamSet's lexicographic order. The manifest records each tensor's name
+and shape, free-form provenance, and the SHA-256 of the blob; load verifies
+the hash, so truncation or corruption is always detected. Load ignores any
+other key of a tensor entry.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def save_checkpoint(path, params: ParamSet, provenance: dict | None = None) -> s
         if arr.dtype != np.float32:
             raise DataError(f"checkpoint tensors must be float32, {name!r} is {arr.dtype}")
         data = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape),
-                        "trainable": params.is_trainable(name)})
+        tensors.append({"name": name, "shape": list(arr.shape)})
         blob.extend(data)
     blob_hash = hashlib.sha256(bytes(blob)).hexdigest()
     manifest = {
@@ -100,7 +100,7 @@ def load_checkpoint(path) -> tuple[ParamSet, dict]:
         if len(chunk) != nbytes:
             raise DataError(f"{path}: blob too short for tensor {spec['name']!r}")
         arr = np.frombuffer(chunk, dtype=_DTYPE).reshape(shape).copy()
-        params.add(spec["name"], arr, trainable=bool(spec["trainable"]))
+        params.add(spec["name"], arr)
         offset += nbytes
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes in blob")

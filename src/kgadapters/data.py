@@ -31,25 +31,17 @@ _CATEGORIES = ("sup", "zs_in", "zs_un")
 
 
 @dataclass
-class Entity:
+class Labelled:
+    """An entity or a relation: an id and its label in each language."""
+
     id: str
     labels: dict[str, str]
 
     def __post_init__(self):
         if not self.labels:
-            raise DataError(f"entity {self.id!r} has no labels")
+            raise DataError(f"{self.id!r} has no labels")
         if any(not v for v in self.labels.values()):
-            raise DataError(f"entity {self.id!r} has an empty label")
-
-
-@dataclass
-class Relation:
-    id: str
-    labels: dict[str, str]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise DataError(f"relation {self.id!r} has no labels")
+            raise DataError(f"{self.id!r} has an empty label")
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,8 @@ class LanguageSplit:
 
 @dataclass
 class MLKG:
-    entities: dict[str, Entity] = field(default_factory=dict)
-    relations: dict[str, Relation] = field(default_factory=dict)
+    entities: dict[str, Labelled] = field(default_factory=dict)
+    relations: dict[str, Labelled] = field(default_factory=dict)
     triples: list[Triple] = field(default_factory=list)
 
 
@@ -160,13 +152,13 @@ def _parse_labels(payload: str) -> dict[str, str]:
     return labels
 
 
-def _read_labelled(path, cls) -> dict:
+def _read_labelled(path) -> dict[str, Labelled]:
     out = {}
     for where, (rid, payload) in read_rows(path, 2, "id<TAB>labels"):
         if rid in out:
             raise DataError(f"{where}: duplicate id {rid!r}")
         try:
-            out[rid] = cls(id=rid, labels=_parse_labels(payload))
+            out[rid] = Labelled(id=rid, labels=_parse_labels(payload))
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
     return out
@@ -185,8 +177,8 @@ def _span(where: str, start: str, end: str, tokens: list[str]) -> tuple[int, int
 
 def load_mlkg(entities_path, relations_path, triples_path) -> MLKG:
     """Load and referentially validate a multilingual KG from three files."""
-    entities = _read_labelled(entities_path, Entity)
-    relations = _read_labelled(relations_path, Relation)
+    entities = _read_labelled(entities_path)
+    relations = _read_labelled(relations_path)
     triples = []
     for where, (h, r, t) in read_rows(triples_path, 3, "head<TAB>rel<TAB>tail"):
         if h not in entities:

@@ -183,7 +183,7 @@ def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfi
                 adapter_hook: AdapterHook | None = None) -> tuple[HiddenStates, np.ndarray, np.ndarray]:
     """Convenience wrapper: pad, build gradient-free leaves, encode. Returns (states, ids, mask)."""
     ids, mask = pad_batch(seqs, config)
-    return encode(ad.make_leaves(params, grad=False), ids, mask, config, adapter_hook), ids, mask
+    return encode(ad.make_leaves(params), ids, mask, config, adapter_hook), ids, mask
 
 
 def span_pool_weights(spans: Sequence[tuple[int, int]], mask: np.ndarray) -> np.ndarray:

@@ -171,7 +171,7 @@ def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
                       batch_size: int = 64) -> np.ndarray:
     """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
     rows = []
-    leaves = ad.make_leaves(adapted.params, grad=False)
+    leaves = ad.make_leaves(adapted.params)
     hook = build_hook(adapted, leaves)
     for lo in range(0, len(seqs), batch_size):
         chunk = seqs[lo:lo + batch_size]

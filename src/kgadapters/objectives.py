@@ -31,7 +31,7 @@ both call it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ class ContrastiveBatch:
 
     anchors: Tensor
     positives: Tensor
-    provenance: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.anchors.shape != self.positives.shape or self.anchors.shape[0] < 1:
@@ -88,7 +87,6 @@ class PairItem:
     positive_lang: str
     anchor_span: tuple[int, int] | None = None      # span pooling if set
     anchor_mask_span: tuple[int, int] | None = None  # masked before encoding
-    provenance: str = ""
 
 
 Sampler = Callable[[int, np.random.Generator], list[PairItem]]
@@ -152,8 +150,7 @@ def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
         eid, l1, l2 = universe[k]
         out.append(PairItem(
             anchor_tokens=mlkg.entities[eid].labels[l1].split(), anchor_lang=l1,
-            positive_tokens=mlkg.entities[eid].labels[l2].split(), positive_lang=l2,
-            provenance=f"ep:{eid}:{l1}->{l2}"))
+            positive_tokens=mlkg.entities[eid].labels[l2].split(), positive_lang=l2))
     return out
 
 
@@ -201,8 +198,7 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
             continue
         out.append(PairItem(
             anchor_tokens=head[lh].split() + [SEP] + rel[lr].split(), anchor_lang=lh,
-            positive_tokens=tail[lt].split(), positive_lang=lt,
-            provenance=f"tp:{t.head}:{t.rel}:{t.tail}:{lh}/{lr}/{lt}"))
+            positive_tokens=tail[lt].split(), positive_lang=lt))
     if not out:
         raise ConfigError("sample_tp_batch: could not fill a batch from permitted languages")
     return out
@@ -240,8 +236,7 @@ def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG,
         out.append(PairItem(
             anchor_tokens=list(r.tokens), anchor_lang=r.lang, anchor_span=r.span,
             positive_tokens=mlkg.entities[r.entity_id].labels[other].split(),
-            positive_lang=other,
-            provenance=f"es:{r.entity_id}:{r.lang}->{other}"))
+            positive_lang=other))
     return out
 
 
@@ -274,8 +269,7 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], base_lang: str,
         out.append(PairItem(
             anchor_tokens=list(r.tokens), anchor_lang=base_lang,
             anchor_mask_span=(i, j),
-            positive_tokens=list(r.tokens[i:j + 1]), positive_lang=base_lang,
-            provenance=f"ts:{r.triple.head}:{r.triple.rel}:{r.triple.tail}"))
+            positive_tokens=list(r.tokens[i:j + 1]), positive_lang=base_lang))
     return out
 
 
@@ -298,8 +292,7 @@ def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -
             out.append(PairItem(
                 anchor_tokens=subj.split() + [SEP] + rel.split(), anchor_lang=lang,
                 positive_tokens=mlkg.entities[t.tail].labels[lang].split(),
-                positive_lang=lang,
-                provenance=f"comp:{t.head}:{t.rel}:{t.tail}:{lang}"))
+                positive_lang=lang))
         return out
 
     return sampler
@@ -318,8 +311,7 @@ def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) 
             out.append(PairItem(
                 anchor_tokens=mlkg.entities[eid].labels[src].split(), anchor_lang=src,
                 positive_tokens=mlkg.entities[eid].labels[tgt].split(),
-                positive_lang=tgt,
-                provenance=f"align:{eid}:{src}->{tgt}"))
+                positive_lang=tgt))
         return out
 
     return sampler
@@ -367,8 +359,7 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
     weights[b:] = sentence_pool_weights(ids[b:], mask[b:])
     pooled = pool(states.final, weights)
     anchors, positives = ad.split(pooled, [b, b], axis=0)
-    return ContrastiveBatch(anchors=anchors, positives=positives,
-                            provenance=[it.provenance for it in items])
+    return ContrastiveBatch(anchors=anchors, positives=positives)
 
 
 def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,

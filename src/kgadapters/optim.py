@@ -2,7 +2,10 @@
 
 Every training stage (MLM pretraining, adapter integration, fusion and
 full finetuning) runs through `train`: the stages differ only in which
-parameter groups train and which batches the loss sees.
+parameter groups they name and which batches the loss sees. `train` is the
+only code that turns group prefixes into the parameters that train; it
+hands those names to `autodiff.grad_eval`, and `adam_step` updates exactly
+the parameters its gradients name.
 """
 
 from __future__ import annotations
@@ -22,40 +25,26 @@ LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per trainable parameter plus a step count."""
+    """First/second moment buffers per trained parameter plus a step count;
+    a parameter's buffers are created at its first update."""
 
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(params: ParamSet) -> AdamState:
-    state = AdamState()
-    for name in params.trainable_names():
-        arr = params.get(name)
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
-
-
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[ParamSet, AdamState]:
-    """One Adam update over the trainable parameters, in place.
+    """One Adam update, in place, of exactly the parameters `grads` names.
 
-    Only trainable parameters change; the step counter increments by one.
-    A trainable parameter without a gradient entry is an error.
+    Every other parameter is left alone; the step counter increments by one.
     """
-    trainable = params.trainable_names()
-    missing = [n for n in trainable if n not in grads]
-    if missing:
-        raise KeyError(f"adam_step: missing gradients for {missing}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name in trainable:
-        g = grads[name]
+    for name, g in grads.items():
         p = params.get(name)
         if g.shape != p.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.shape} for {name!r}")
@@ -91,22 +80,20 @@ def train(params: ParamSet, train_groups: Sequence[str],
           ) -> list[tuple[int, float, float]]:
     """Adam with linear warmup over only `train_groups`, in place.
 
-    Parameters whose names start with a listed prefix are trainable; every
-    other parameter is frozen and checksum-verified after the last step.
+    Parameters whose names start with a listed prefix train; every other
+    parameter is frozen and checksum-verified after the last step.
     `loss_at(step)` draws the step's batch and returns its loss closure.
     Returns the curve as (step, lr, loss) rows.
     """
-    params.set_trainable("", False)
-    for g in train_groups:
-        params.set_trainable(g, True)
-    if not params.trainable_names():
+    trainable = [n for n in params if n.startswith(tuple(train_groups))]
+    if not trainable:
         raise ConfigError(f"no parameters match train groups {list(train_groups)}")
-    frozen = {n: params.checksum(n) for n in params if not params.is_trainable(n)}
+    frozen = {n: params.checksum(n) for n in params if n not in trainable}
 
-    state = init_adam(params)
+    state = AdamState()
     curve = []
     for step in range(1, hyper.steps + 1):
-        loss, grads = ad.grad_eval(loss_at(step), params)
+        loss, grads = ad.grad_eval(loss_at(step), params, trainable)
         lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
         adam_step(params, grads, state, lr)
         curve.append((step, lr, loss))

@@ -1,4 +1,4 @@
-"""Named parameter collections with trainable flags and group checksums."""
+"""Named parameter collections and group checksums."""
 
 from __future__ import annotations
 
@@ -8,17 +8,15 @@ import numpy as np
 
 
 class ParamSet:
-    """Mapping name -> (array, trainable). Iteration order is lexicographic."""
+    """Mapping name -> array. Iteration order is lexicographic."""
 
     def __init__(self):
         self._data: dict[str, np.ndarray] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
+    def add(self, name: str, value: np.ndarray) -> None:
         if name in self._data:
             raise ValueError(f"duplicate parameter name {name!r}")
         self._data[name] = np.asarray(value)
-        self._trainable[name] = bool(trainable)
 
     def __iter__(self):
         return iter(sorted(self._data))
@@ -39,18 +37,8 @@ class ParamSet:
                 f"shape mismatch for {name!r}: {arr.shape} vs {self._data[name].shape}")
         self._data[name] = arr
 
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     def names(self, prefix: str = "") -> list[str]:
         return [n for n in self if n.startswith(prefix)]
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self if self._trainable[n]]
-
-    def set_trainable(self, prefix: str, flag: bool) -> None:
-        for n in self.names(prefix):
-            self._trainable[n] = flag
 
     def checksum(self, prefix: str = "") -> str:
         """SHA-256 over names, shapes and raw bytes of a parameter group."""
@@ -65,13 +53,13 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         out = ParamSet()
         for n in self:
-            out.add(n, self._data[n].copy(), self._trainable[n])
+            out.add(n, self._data[n].copy())
         return out
 
     def astype(self, dtype) -> "ParamSet":
         out = ParamSet()
         for n in self:
-            out.add(n, self._data[n].astype(dtype), self._trainable[n])
+            out.add(n, self._data[n].astype(dtype))
         return out
 
     def merge(self, other: "ParamSet", prefix: str = "") -> None:
@@ -79,6 +67,5 @@ class ParamSet:
         for n in other.names(prefix):
             if n in self._data:
                 self.set_data(n, other.get(n).copy())
-                self._trainable[n] = other.is_trainable(n)
             else:
-                self.add(n, other.get(n).copy(), other.is_trainable(n))
+                self.add(n, other.get(n).copy())

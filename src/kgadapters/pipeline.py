@@ -111,6 +111,9 @@ class PipelineConfig:
                               f"(have {sorted(PROFILES[self.profile])})")
         for stage in PROFILES[self.profile]:
             h = self._stage_hyper(stage)
+            if "seed" in self.hyper_overrides.get(stage, {}):
+                raise ConfigError(f"hyper_overrides.{stage}: a stage's seed derives from "
+                                  f"the top-level seed; set seed instead")
             if h.steps == 0 and h.epochs == 0:
                 raise ConfigError(f"stage {stage}: steps and epochs are both 0")
 
@@ -347,13 +350,21 @@ def _task_args(ds: SyntheticDataset, task: str):
 
 
 def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
-               task: str, stage: str, groups: list[str]
+               task: str, stage: str
                ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
-    """Train `groups` of a copy of the model on the task's training pairs with
-    the `<stage>_<task>` hyper; returns (trained model, loss curve)."""
+    """Train a copy of the model on the task's training pairs with the
+    `<stage>_<task>` hyper; returns (trained model, loss curve).
+
+    finetune trains every parameter. fuse trains the group the model's mode
+    adapts: the fusion layer of a fused model, the adapter of a
+    single-adapter model and the whole encoder of the bare backbone.
+    """
     sampler_fn, train_data, _, _ = _task_args(ds, task)
     hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
     hyper.seed = ws.config.seed + {"fuse": 101, "finetune": 211}[stage]
+    groups = [""] if stage == "finetune" else [
+        {"none": "encoder.", "single": f"adapter.{model.single_kind}.",
+         "fusion": "fusion."}[model.mode]]
     return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
                                 train_groups=groups)
 
@@ -376,7 +387,7 @@ def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
-    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws), task, "fuse", ["fusion."])
+    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws), task, "fuse")
     ws.write_curve(f"fuse_{task}", curve)
     path = ws.ckpt(f"fused_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "fuse", task=task))
@@ -388,8 +399,7 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
     ws.ensure_dirs()
     ds, vocab = ws.load_data()
     model = load_model(ws, f"fused_{task}", "finetune")
-    trained, curve = train_task(ws, ds, vocab, model, task, "finetune",
-                                ["encoder.", "adapter.", "fusion."])
+    trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
     ws.write_curve(f"finetune_{task}", curve)
     path = ws.ckpt(f"finetuned_{task}")
     save_checkpoint(path, trained.params, _provenance(ws, "finetune", task=task))

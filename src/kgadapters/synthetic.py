@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Entity, LanguageSplit, MLKG, Relation, TaggedSentence,
+from .data import (Labelled, LanguageSplit, MLKG, TaggedSentence,
                    Triple, TripleSentence, assign_language_splits, load_c1,
                    load_c2, load_mlkg, load_split, read_corpus, read_rows,
                    save_c1, save_c2, save_mlkg, save_split, write_corpus,
@@ -154,9 +154,9 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     def multilingual(words: list[str]) -> dict[str, str]:
         return {lang: " ".join(_transform(words, lang_index[lang])) for lang in languages}
 
-    entities = {eid: Entity(id=eid, labels=multilingual(ws))
+    entities = {eid: Labelled(id=eid, labels=multilingual(ws))
                 for eid, ws in entity_words.items()}
-    relations = {rid: Relation(id=rid, labels=multilingual(ws))
+    relations = {rid: Labelled(id=rid, labels=multilingual(ws))
                  for rid, ws in relation_words.items()}
 
     # triples with relation-specific tail pools (type constraint)

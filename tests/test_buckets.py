@@ -71,9 +71,9 @@ def padded(seqs, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def infonce_grads(model, params, seqs, width: int, dtype=None):
-    """(loss, grads for the trainables of `params`) of InfoNCE over the first
-    and second half of `seqs` as anchors and positives, padded to `width`."""
+def infonce_grads(model, params, names, seqs, width: int, dtype=None):
+    """(loss, grads of `names`) of InfoNCE over the first and second half of
+    `seqs` as anchors and positives, padded to `width`."""
     ids, mask = padded(seqs, width)
     b = len(seqs) // 2
 
@@ -83,14 +83,13 @@ def infonce_grads(model, params, seqs, width: int, dtype=None):
         anchors, positives = ad.split(pooled, [b, b], axis=0)
         return infonce(ContrastiveBatch(anchors, positives), tau=0.05)
 
-    return ad.grad_eval(loss, params if dtype is None else params.astype(dtype), dtype)
+    return ad.grad_eval(loss, params if dtype is None else params.astype(dtype), names)
 
 
-def adapter_fusion_grads(model, seqs, width: int, dtype=None):
+def adapter_fusion_grads(model, seqs, width: int):
     """`infonce_grads` with the backbone frozen."""
-    frozen = model.params.copy()
-    frozen.set_trainable("encoder.", False)
-    return infonce_grads(model, frozen, seqs, width, dtype)
+    names = model.params.names("adapter.") + model.params.names("fusion.")
+    return infonce_grads(model, model.params, names, seqs, width)
 
 
 def mlm_grads(params, config, ids, mask, seed: int):
@@ -98,7 +97,7 @@ def mlm_grads(params, config, ids, mask, seed: int):
     corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config,
                                                     np.random.default_rng(seed), 0.3)
     return ad.grad_eval(lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config),
-                        params)
+                        params, params.names())
 
 
 @pytest.fixture
@@ -149,10 +148,11 @@ class TestBucketWidth:
         vocab = build_vocab([WORDS])
         items = [PairItem(anchor_tokens=WORDS[:3], anchor_lang="l0",
                           positive_tokens=WORDS[3:5], positive_lang="l0")]
-        frozen = model.params.copy()
-        frozen.set_trainable("encoder.", False)
-        for params in (model.params, frozen):        # every group trainable, then frozen
-            encode_pair_batch(ad.make_leaves(params), model, items, vocab)
+        # every group trainable, then the backbone frozen
+        for names in (model.params.names(),
+                      model.params.names("adapter.") + model.params.names("fusion.")):
+            ad.grad_eval(lambda lv: infonce(encode_pair_batch(lv, model, items, vocab), 0.05),
+                         model.params, names)
         assert encode_widths == [8, 8]
 
     def test_encode_rejects_a_width_above_max_seq_len(self, model):
@@ -195,7 +195,8 @@ class TestBucketInvariance:
         model = fused_model(GOLDEN_16)
         backbone = init_encoder_params(GOLDEN_16, np.random.default_rng(0))
         mlm = [mlm_grads(backbone, GOLDEN_16, *padded(seqs, w), seed) for w in (8, 16)]
-        nce = [infonce_grads(model, model.params, seqs, w) for w in (8, 16)]
+        nce = [infonce_grads(model, model.params, model.params.names(), seqs, w)
+               for w in (8, 16)]
         for (loss8, g8), (loss16, g16) in (mlm, nce):
             assert loss8 == loss16
             assert sorted(g8) == sorted(g16)
@@ -211,12 +212,13 @@ class TestBucketInvariance:
         rounding errors (up to 4x over 200 random batches, in the
         cancellation-heavy fusion Q/K gradients of the untrained fusion)."""
         params = model.params.copy()
+        names = params.names()
         longest = max(len(s.ids) for s in seqs)
-        exact = infonce_grads(model, params, seqs, MAX_LEN, np.float64)[1]
-        g24 = infonce_grads(model, params, seqs, MAX_LEN)[1]
+        exact = infonce_grads(model, params, names, seqs, MAX_LEN, np.float64)[1]
+        g24 = infonce_grads(model, params, names, seqs, MAX_LEN)[1]
         assert any(name.startswith("encoder.") for name in exact)
         for width in (w for w in (8, 16) if w >= longest):
-            g = infonce_grads(model, params, seqs, width)[1]
+            g = infonce_grads(model, params, names, seqs, width)[1]
             for name, ref in exact.items():
                 bound = 10 * np.linalg.norm(g24[name] - ref) + 1e-5 * np.linalg.norm(ref)
                 assert np.linalg.norm(g[name] - ref) <= bound, f"{name} @ {width}"
@@ -289,6 +291,6 @@ def test_whole_graph_gradcheck_at_a_bucketed_width():
         anchors, positives = ad.split(pooled, [2, 2], axis=0)
         return infonce(ContrastiveBatch(anchors, positives), tau=0.5)
 
-    _, grads = ad.grad_eval(loss, params.astype(np.float64), dtype=np.float64)
+    _, grads = ad.grad_eval(loss, params.astype(np.float64), params.names())
     assert not grads["encoder.emb.pos"][8:].any() and grads["encoder.emb.pos"][:8].any()
-    assert ad.gradcheck(loss, params, eps=1e-5) < 1e-5
+    assert ad.gradcheck(loss, params, params.names(), eps=1e-5) < 1e-5

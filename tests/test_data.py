@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgadapters import cli
-from kgadapters.data import (Entity, LanguageSplit, MLKG, Relation, Triple,
+from kgadapters.data import (Labelled, LanguageSplit, MLKG, Triple,
                              assign_language_splits, load_c1, load_c2,
                              load_mlkg, load_split, save_mlkg, save_split)
 from kgadapters.errors import DataError
@@ -26,8 +26,8 @@ def toy_mlkg(label_counts=(3, 2, 1)):
     entities = {}
     for i, n in enumerate(label_counts):
         eid = f"e{i}"
-        entities[eid] = Entity(id=eid, labels={langs[j]: f"word{i}x{j}" for j in range(n)})
-    relations = {"r0": Relation(id="r0", labels={"aa": "rel zero"})}
+        entities[eid] = Labelled(id=eid, labels={langs[j]: f"word{i}x{j}" for j in range(n)})
+    relations = {"r0": Labelled(id="r0", labels={"aa": "rel zero"})}
     triples = [Triple("e0", "r0", "e1"), Triple("e1", "r0", "e2")]
     return MLKG(entities=entities, relations=relations, triples=triples)
 
@@ -216,6 +216,7 @@ MALFORMED = {
     "config_unknown_key": ("config.json",
                            lambda t: json.dumps({**json.loads(t), "bogus": 1}), ": "),
     "entity_empty_label": ("entities.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
+    "relation_empty_label": ("relations.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
     "align_test_two_fields": ("align_test.tsv", lambda t: "aa\tab\n" + t, ":1: "),
     "comp_test_unknown_lang": ("comp_test.tsv", lambda t: set_first_field(t, 0, "zz"), ":1: "),
     "c2_not_utf8": ("c2.tsv", lambda t: "\udcff" + t, ": "),

@@ -8,7 +8,7 @@ import pytest
 from kgadapters import autodiff as ad
 from kgadapters.adapters import insert_adapters
 from kgadapters.autodiff import Tensor
-from kgadapters.data import Entity, MLKG, Relation, TaggedSentence, Triple
+from kgadapters.data import Labelled, MLKG, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.errors import ConfigError
 from kgadapters.hyper import TrainHyper
@@ -85,13 +85,32 @@ def dataset():
         vocab_size=12, seed=3, sup=2, zs_in=1, zs_un=1, mlm_sentences_per_lang=15))
 
 
+def label_owners(records) -> dict[str, tuple[str, str]]:
+    """label -> (id, language) of entities or relations whose labels are all
+    distinct, which recovers what a sampled item was drawn from."""
+    owners = {label: (rid, lang) for rid, r in records.items()
+              for lang, label in r.labels.items()}
+    assert len(owners) == sum(len(r.labels) for r in records.values()), "labels repeat"
+    return owners
+
+
+def tp_languages(mlkg, item) -> tuple[str, str, str]:
+    """(head, relation, tail) label languages of a TP item."""
+    entities, relations = label_owners(mlkg.entities), label_owners(mlkg.relations)
+    sep = item.anchor_tokens.index("<sep>")
+    return (entities[" ".join(item.anchor_tokens[:sep])][1],
+            relations[" ".join(item.anchor_tokens[sep + 1:])][1],
+            entities[" ".join(item.positive_tokens)][1])
+
+
 class TestSamplers:
     def test_ep_pairs_are_true_alignments(self, dataset):
         rng = np.random.default_rng(0)
         langs = dataset.split.adapter_langs
         items = sample_ep_batch(dataset.mlkg, ep_pair_universe(dataset.mlkg, langs), 10, rng)
+        owners = label_owners(dataset.mlkg.entities)
         for it in items:
-            eid = it.provenance.split(":")[1]
+            eid = owners[" ".join(it.anchor_tokens)][0]
             e = dataset.mlkg.entities[eid]
             assert " ".join(it.anchor_tokens) == e.labels[it.anchor_lang]
             assert " ".join(it.positive_tokens) == e.labels[it.positive_lang]
@@ -100,18 +119,19 @@ class TestSamplers:
 
     def test_ep_single_label_entities_never_sampled(self):
         mlkg = MLKG(
-            entities={"e0": Entity("e0", {"aa": "one"}),
-                      "e1": Entity("e1", {"aa": "two", "bb": "two-b"})},
-            relations={"r0": Relation("r0", {"aa": "rel"})})
+            entities={"e0": Labelled("e0", {"aa": "one"}),
+                      "e1": Labelled("e1", {"aa": "two", "bb": "two-b"})},
+            relations={"r0": Labelled("r0", {"aa": "rel"})})
         rng = np.random.default_rng(0)
         universe = ep_pair_universe(mlkg, ["aa", "bb"])
+        owners = label_owners(mlkg.entities)
         for _ in range(20):
             items = sample_ep_batch(mlkg, universe, 1, rng)
-            assert all(it.provenance.split(":")[1] == "e1" for it in items)
+            assert all(owners[" ".join(it.anchor_tokens)][0] == "e1" for it in items)
 
     def test_ep_requires_a_multilingual_entity(self):
-        mlkg = MLKG(entities={"e0": Entity("e0", {"aa": "solo"})},
-                    relations={"r0": Relation("r0", {"aa": "rel"})})
+        mlkg = MLKG(entities={"e0": Labelled("e0", {"aa": "solo"})},
+                    relations={"r0": Labelled("r0", {"aa": "rel"})})
         with pytest.raises(ConfigError):
             sample_ep_batch(mlkg, ep_pair_universe(mlkg, ["aa", "bb"]), 4,
                             np.random.default_rng(0))
@@ -121,14 +141,14 @@ class TestSamplers:
         universe = ep_pair_universe(dataset.mlkg, langs)
         a = sample_ep_batch(dataset.mlkg, universe, 8, np.random.default_rng(11))
         b = sample_ep_batch(dataset.mlkg, universe, 8, np.random.default_rng(11))
-        assert [i.provenance for i in a] == [i.provenance for i in b]
+        assert a == b
 
     def test_tp_no_code_switch_shares_language(self, dataset):
         langs = dataset.split.adapter_langs
         items = sample_tp_batch(dataset.mlkg, dataset.train_triples, langs, 12,
                                 p_cs=0.0, rng=np.random.default_rng(1))
         for it in items:
-            lh, lr, lt = it.provenance.rsplit(":", 1)[1].split("/")
+            lh, lr, lt = tp_languages(dataset.mlkg, it)
             assert lh == lr == lt
 
     def test_tp_full_code_switch_mixing_rate(self, dataset):
@@ -139,8 +159,7 @@ class TestSamplers:
             items.extend(sample_tp_batch(dataset.mlkg, dataset.train_triples,
                                          langs, 8, p_cs=1.0, rng=rng))
         n = len(items)
-        mixed = sum(1 for it in items
-                    if len(set(it.provenance.rsplit(":", 1)[1].split("/"))) > 1)
+        mixed = sum(1 for it in items if len(set(tp_languages(dataset.mlkg, it))) > 1)
         p = 1 - 1 / len(langs) ** 2                  # P(not all three equal)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(mixed / n - p) <= 3 * sigma
@@ -162,17 +181,18 @@ class TestSamplers:
 
     def test_es_excludes_entities_without_cross_lingual_labels(self):
         mlkg = MLKG(
-            entities={"e0": Entity("e0", {"aa": "only"}),
-                      "e1": Entity("e1", {"aa": "both", "bb": "both-b"})},
-            relations={"r0": Relation("r0", {"aa": "rel"})})
+            entities={"e0": Labelled("e0", {"aa": "only"}),
+                      "e1": Labelled("e1", {"aa": "both", "bb": "both-b"})},
+            relations={"r0": Labelled("r0", {"aa": "rel"})})
         c1 = [TaggedSentence("aa", ["ctx", "only"], "e0", (1, 1)),
               TaggedSentence("aa", ["ctx", "both"], "e1", (1, 1))]
         eligible = es_eligible(c1, mlkg, ["aa", "bb"])
         assert [idx for idx, _ in eligible] == [1]
         rng = np.random.default_rng(0)
+        owners = label_owners(mlkg.entities)
         for _ in range(10):
             items = sample_es_batch(c1, mlkg, eligible, 1, rng)
-            assert all("e1" in it.provenance for it in items)
+            assert all(owners[" ".join(it.positive_tokens)][0] == "e1" for it in items)
 
     def test_ts_masks_object_and_pairs_its_label(self, dataset):
         items = sample_ts_batch(ts_ingest(dataset.c2), dataset.base_lang, 8,
@@ -192,7 +212,7 @@ class TestSamplers:
         records = ts_ingest(dataset.c2)
         a = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
         b = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
-        assert [i.provenance for i in a] == [i.provenance for i in b]
+        assert a == b
 
 
 @pytest.fixture(scope="module")

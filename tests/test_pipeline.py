@@ -3,15 +3,18 @@
 import dataclasses
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
+from kgadapters import autodiff as ad
 from kgadapters import checkpoint, cli, optim, pipeline
 from kgadapters.ablation import AblationReport
 from kgadapters.adapters import adapter_param_count, fusion_param_count, large_adapter_bottleneck
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.errors import ConfigError, DataError
+from kgadapters.hyper import TrainHyper
 from kgadapters.params import ParamSet
 from kgadapters.pipeline import (PipelineConfig, Workspace, load_model,
                                  model_from_checkpoint, run_stage)
@@ -82,8 +85,7 @@ class TestCheckpointFormat:
         rng = np.random.default_rng(0)
         p = ParamSet()
         p.add("adapter.EP.0.W_down", rng.standard_normal((4, 2)).astype(np.float32))
-        p.add("encoder.emb.tok", rng.standard_normal((6, 4)).astype(np.float32),
-              trainable=False)
+        p.add("encoder.emb.tok", rng.standard_normal((6, 4)).astype(np.float32))
         return p
 
     def test_roundtrip_bitwise(self, tmp_path):
@@ -92,10 +94,50 @@ class TestCheckpointFormat:
         save_checkpoint(path1, p, {"stage": "test"})
         loaded, manifest = load_checkpoint(path1)
         assert loaded.checksum() == p.checksum()
-        assert loaded.is_trainable("adapter.EP.0.W_down")
-        assert not loaded.is_trainable("encoder.emb.tok")
         save_checkpoint(path2, loaded, {"stage": "test"})
         assert path1.read_bytes() == path2.read_bytes()
+
+    def test_manifest_holds_only_name_and_shape(self, tmp_path):
+        """So equal arrays save to the same bytes whatever groups trained
+        before: here each run trains a different group on a loss whose
+        gradient is zero, which leaves every array as it was."""
+        hyper = TrainHyper(batch_size=1, steps=2, base_lr=0.1, warmup_steps=1)
+
+        def zero_loss_at(step):
+            return lambda lv: ad.tsum(ad.mul(lv["encoder.emb.tok"], 0.0))
+
+        files = []
+        for i, groups in enumerate((["encoder."], ["adapter."], [""])):
+            p = self.make_params()
+            optim.train(p, groups, zero_loss_at, hyper)
+            assert p.checksum() == self.make_params().checksum()
+            path = tmp_path / f"{i}.ckpt"
+            save_checkpoint(path, p, {"stage": "test"})
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+        assert read_manifest(tmp_path / "0.ckpt")["tensors"] == [
+            {"name": "adapter.EP.0.W_down", "shape": [4, 2]},
+            {"name": "encoder.emb.tok", "shape": [6, 4]}]
+
+    def test_manifest_with_trainable_keys_loads(self, tmp_path):
+        """A file whose tensor entries still carry a `trainable` key loads to
+        the same arrays."""
+        p = self.make_params()
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, p, {"stage": "test"})
+        raw = path.read_bytes()
+        (mlen,) = struct.unpack("<I", raw[8:12])
+        manifest = json.loads(raw[12:12 + mlen])
+        for spec in manifest["tensors"]:
+            spec["trainable"] = spec["name"].startswith("adapter.")
+        header = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(header)) + header
+                         + raw[12 + mlen:])
+        loaded, loaded_manifest = load_checkpoint(path)
+        assert [spec["trainable"] for spec in loaded_manifest["tensors"]] == [True, False]
+        assert loaded.names() == p.names()
+        for name in p:
+            np.testing.assert_array_equal(loaded.get(name), p.get(name))
 
     def test_truncated_blob_detected(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -384,6 +426,9 @@ CONFIG_FAULTS = {
     "override_unknown_key": (_override("adapter", bogus=1),
                              ["train-adapter", "--kind", "ep"], "hyper_overrides.adapter: "),
     "override_unknown_stage": (_override("fuse"), ["pretrain"], "unknown stage(s) ['fuse']"),
+    "override_seed": (_override("fuse_alignment", seed=5), ["pretrain"],
+                      "hyper_overrides.fuse_alignment: a stage's seed derives from "
+                      "the top-level seed"),
     "batch_size_zero": (_override("adapter", batch_size=0),
                         ["train-adapter", "--kind", "ep"], "batch_size"),
     "warmup_steps_zero": (_override("pretrain", warmup_steps=0), ["pretrain"], "warmup_steps"),
