@@ -264,9 +264,10 @@ def mlm_loss(leaves: dict[str, Tensor], corrupted: np.ndarray, mask: np.ndarray,
     logits = ad.add(ad.matmul(picked, ad.swapaxes(leaves["encoder.emb.tok"], 0, 1)),
                     leaves["encoder.mlm.b"])
     logp = ad.log_softmax(logits, axis=-1)
-    onehot = np.zeros((len(targets), config.vocab_size), dtype=logp.dtype)
-    onehot[np.arange(len(targets)), targets] = 1.0
-    return ad.mul(ad.mean(ad.tsum(ad.mul(logp, Tensor(onehot)), axis=-1)), -1.0)
+    s = len(targets)
+    target_logp = ad.gather(ad.reshape(logp, (s * config.vocab_size,)),
+                            np.arange(s) * config.vocab_size + targets)    # [S]
+    return ad.div(ad.tsum(target_logp), Tensor(np.asarray(-s, dtype=logp.dtype)))
 
 
 def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,

@@ -41,8 +41,9 @@ log = logging.getLogger(__name__)
 class CandidateIndex:
     """All entity-label embeddings of one language, rows ordered by entity id.
 
-    The float64 copy of the matrix and its row norms, which `rank` scores
-    with, are computed once here rather than once per query.
+    The float64 copy of the matrix, its row norms and the ids as an object
+    array, which `rank` scores and orders with, are computed once here rather
+    than once per query.
     """
 
     lang: str
@@ -50,6 +51,7 @@ class CandidateIndex:
     matrix: np.ndarray
     matrix64: np.ndarray = field(init=False, repr=False, compare=False)
     norms: np.ndarray = field(init=False, repr=False, compare=False)
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entity_ids) != self.matrix.shape[0]:
@@ -58,6 +60,7 @@ class CandidateIndex:
             raise ValueError("empty candidate index")
         self.matrix64 = self.matrix.astype(np.float64)
         self.norms = np.linalg.norm(self.matrix64, axis=1)
+        self.id_array = np.array(self.entity_ids, dtype=object)
 
 
 @dataclass
@@ -214,7 +217,7 @@ def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:
     scores = (index.matrix64 @ q) / np.where(mn * qn == 0.0, 1.0, mn * qn)
     # entity_ids are ascending, so stable sort on -score preserves the tie rule
     order = np.argsort(-scores, kind="stable")
-    return [index.entity_ids[i] for i in order]
+    return index.id_array[order].tolist()
 
 
 def gold_rank(ranked_ids: Sequence[str], gold: str) -> float:

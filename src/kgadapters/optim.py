@@ -53,13 +53,24 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        # the expressions and rounding of
+        #   m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
+        #   p - lr (m/bc1) / (sqrt(v/bc2) + eps)
+        # evaluated into two buffers instead of a temporary per operation
+        tmp = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        mhat = m / p.dtype.type(bc1)
-        vhat = v / p.dtype.type(bc2)
-        upd = p - p.dtype.type(lr) * mhat / (np.sqrt(vhat) + p.dtype.type(eps))
+        v += tmp
+        upd = np.divide(m, p.dtype.type(bc1))
+        upd *= p.dtype.type(lr)
+        np.divide(v, p.dtype.type(bc2), out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += p.dtype.type(eps)
+        upd /= tmp
+        np.subtract(p, upd, out=upd)
         if not np.isfinite(upd).all():
             raise FloatingPointError(f"adam_step: non-finite update for {name!r}")
         params.set_data(name, upd)
