@@ -150,7 +150,12 @@ def fusion_apply(x: Tensor, outputs: list[Tensor], leaves: dict[str, Tensor],
 
 def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],
                fusion_record: dict[int, np.ndarray] | None = None) -> AdapterHook | None:
-    """Adapter hook for encode() according to the model's mode."""
+    """Adapter hook for encode() according to the model's mode.
+
+    The hook sees the [N, d] packed rows of `encode`, so `fusion_record[layer]`
+    holds [N, paths] fusion weights, one row per real token in row-major order
+    of the batch's mask (plus the carried PAD row of a one-token batch).
+    """
     if adapted.mode == "none":
         return None
     if adapted.mode == "single":

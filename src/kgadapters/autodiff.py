@@ -3,10 +3,10 @@
 Dense math is numpy in the parameters' dtype (float32, or float64 in
 `gradcheck`); every op records a backward closure on a tape. The vocabulary
 is deliberately small: matmul, add, mul (Hadamard), gelu, layer_norm,
-softmax/log_softmax, mean, sum, concat, gather, reshape/swapaxes, sqrt, div.
-That is enough for the encoder, adapters, fusion and every training
-objective in this package. There is no graph compiler and no
-user-extensible op registry.
+softmax/log_softmax, mean, sum, concat/split, gather, take_rows/put_rows,
+reshape/swapaxes, sqrt, div. That is enough for the encoder, adapters,
+fusion and every training objective in this package. There is no graph
+compiler and no user-extensible op registry.
 
 `grad_eval` and `gradcheck` differentiate with respect to the parameter
 names their caller passes and no others; which parameters train is decided
@@ -324,6 +324,42 @@ def gather(table: Tensor, idx: np.ndarray) -> Tensor:
         _accumulate(table, acc)
 
     return _node(out, (table,), backward)
+
+
+def _check_rows(idx: np.ndarray, n: int, op: str) -> np.ndarray:
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and (idx[0] < 0 or idx[-1] >= n
+                                       or np.any(idx[1:] <= idx[:-1]))):
+        raise ShapeError(f"{op}: row indexes must be ascending and within {n} rows")
+    return idx
+
+
+def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows `idx` (ascending, so distinct) of x along axis 0; the backward
+    assigns the gradient into zeros, which needs no scatter-add."""
+    idx = _check_rows(idx, x.shape[0], "take_rows")
+    out = x.data[idx]
+
+    def backward(g):
+        acc = np.zeros_like(x.data)
+        acc[idx] = g
+        _accumulate(x, acc)
+
+    return _node(out, (x,), backward)
+
+
+def put_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """Inverse of take_rows: x's rows at rows `idx` (ascending) of n zero rows."""
+    idx = _check_rows(idx, n, "put_rows")
+    if idx.size != x.shape[0]:
+        raise ShapeError(f"put_rows: {idx.size} indexes for {x.shape[0]} rows")
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out[idx] = x.data
+
+    def backward(g):
+        _accumulate(x, g[idx])
+
+    return _node(out, (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -7,16 +7,31 @@ of every layer.
 
 `pad_batch` pads every batch to its length bucket: the smallest multiple of
 PAD_BUCKET that fits its longest sequence, capped at max_seq_len; `encode`
-takes the first `t` rows of the position table. PAD keys get exactly zero
-attention weight and PAD positions exactly zero pooling weight, so the extra
-slots only add exact zeros to numpy's sums (see PAD_BUCKET): every state at
-a real position and every pooled output has the same bits at every bucket
-width.
+takes the first `t` rows of the position table.
 
-Gradients agree to float32 rounding, not always bit for bit: BLAS may pick
-its kernel by row count, so a product with a transposed weight can round
-differently at 8 or 16 rows than at 24 (OpenBLAS's AVX-512 small-matrix
-kernels do, for d_model 64).
+Packed rows. After the embeddings, `encode` carries the residual stream as
+[N, d] rows: the real slots, in row-major order of `mask > 0`. LN1, the
+Q/K/V and output projections, LN2, the feed-forward and its GELU, the
+adapter hook and the final layer norm all run on those N rows; only the
+attention core (scores, key bias, softmax, context) uses the padded
+[B, H, T, dh] layout, with Q/K/V put into zero-filled slots and the context
+taken back at the real ones. `HiddenStates.final` is [B, T, d] with exact
+zeros in PAD slots.
+
+One-row rule: a product with one row takes BLAS's matrix-vector kernel,
+which rounds differently from the matrix-matrix kernel. So when only one
+slot of a batch is real, its first PAD slot is carried too. That row cannot
+reach a real one: as a key it gets weight exactly 0, and it is dropped
+before `final`.
+
+Why the bits hold. On OpenBLAS a non-transposed product `x @ W` of 2 or
+more rows gives each row the same bits whatever the row count, and layer
+norm, GELU and softmax work row by row, so a real slot's state does not
+depend on the other rows of the batch. PAD keys get exactly zero attention
+weight and PAD positions exactly zero pooling weight, so the padded slots
+only add exact zeros to numpy's sums (see PAD_BUCKET): every state at a real
+position and every pooled output has the same bits at every bucket width,
+and so do the gradients, whose weight reductions run over the same N rows.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ from .vocab import TokenSeq, Vocab, tokenize
 PAD_ID, UNK_ID, MASK_ID, SEP_ID = 0, 1, 2, 3
 SPECIAL_ID_RANGE = (PAD_ID, UNK_ID, MASK_ID, SEP_ID)
 
+# (packed [N, d] states, layer) -> [N, d] states; see "Packed rows" above
 AdapterHook = Callable[[Tensor, int], Tensor]
 
 # Bucket widths are multiples of 8 and never below 8: numpy sums a contiguous
@@ -132,7 +148,8 @@ def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarr
 
 def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
            config: EncoderConfig, adapter_hook: AdapterHook | None = None) -> HiddenStates:
-    """Run the encoder over a padded id batch."""
+    """Run the encoder over a padded id batch, position-wise layers on the
+    packed real rows (see the module docstring)."""
     if ids.max(initial=0) >= config.vocab_size:
         raise ValueError("token id out of vocabulary range")
     b, t = ids.shape
@@ -146,24 +163,33 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
         pos = ad.split(pos, [t, config.max_seq_len - t], axis=0)[0]
     x = ad.add(tok, ad.reshape(pos, (1, t, d)))
 
+    # the real slots; a lone real slot also carries the first PAD slot, so
+    # that no product has one row (the one-row rule)
+    real = np.flatnonzero(mask > 0)
+    rows = real
+    if real.size == 1 and b * t > 1:
+        rows = np.sort(np.append(real, np.flatnonzero(mask <= 0)[0]))
+    x = ad.take_rows(ad.reshape(x, (b * t, d)), rows)                  # [N,d]
+
     # additive attention bias: 0 on real keys, -inf on PAD keys
     key_bias = np.where(mask > 0, 0.0, -np.inf).astype(np.float32)
     key_bias = Tensor(key_bias.reshape(b, 1, 1, t))
     inv_sqrt_dh = float(1.0 / np.sqrt(dh))
 
+    def heads(t_in: Tensor) -> Tensor:
+        """[N,d] rows into zero-filled slots: [B,H,T,dh]."""
+        full = ad.reshape(ad.put_rows(t_in, rows, b * t), (b, t, h, dh))
+        return ad.swapaxes(full, 1, 2)
+
     for m in range(config.layers):
         pre = f"encoder.{m}"
         xn = ad.layer_norm(x, leaves[f"{pre}.ln1.g"], leaves[f"{pre}.ln1.b"])
-
-        def heads(t_in: Tensor) -> Tensor:
-            return ad.swapaxes(ad.reshape(t_in, (b, t, h, dh)), 1, 2)   # [B,H,T,dh]
-
         q = heads(ad.add(ad.matmul(xn, leaves[f"{pre}.attn.wq"]), leaves[f"{pre}.attn.bq"]))
         k = heads(ad.matmul(xn, leaves[f"{pre}.attn.wk"]))
         v = heads(ad.add(ad.matmul(xn, leaves[f"{pre}.attn.wv"]), leaves[f"{pre}.attn.bv"]))
         scores = ad.add(ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), inv_sqrt_dh), key_bias)
         ctx = ad.matmul(ad.softmax(scores, axis=-1), v)                 # [B,H,T,dh]
-        ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
+        ctx = ad.take_rows(ad.reshape(ad.swapaxes(ctx, 1, 2), (b * t, d)), rows)
         attn_out = ad.add(ad.matmul(ctx, leaves[f"{pre}.attn.wo"]), leaves[f"{pre}.attn.bo"])
         x = ad.add(x, attn_out)
 
@@ -176,7 +202,10 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
         if adapter_hook is not None:
             x = adapter_hook(x, m)
 
-    return HiddenStates(final=ad.layer_norm(x, leaves["encoder.ln_f.g"], leaves["encoder.ln_f.b"]))
+    x = ad.layer_norm(x, leaves["encoder.ln_f.g"], leaves["encoder.ln_f.b"])
+    if rows.size > real.size:                            # drop the carried PAD slot
+        x = ad.take_rows(x, np.flatnonzero(mask.reshape(-1)[rows] > 0))
+    return HiddenStates(final=ad.reshape(ad.put_rows(x, real, b * t), (b, t, d)))
 
 
 def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfig,

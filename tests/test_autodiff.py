@@ -125,6 +125,26 @@ class TestGradcheck:
 
         assert gradcheck(loss, params, params.names()) < 1e-4
 
+    def test_take_and_put_rows(self):
+        rng = np.random.default_rng(5)
+        params = make_params(x=rng.standard_normal((6, 3)))
+        idx = np.array([0, 2, 5])
+
+        def loss(lv):
+            rows = ad.take_rows(lv["x"], idx)
+            back = ad.put_rows(ad.mul(rows, rows), idx, 6)
+            return ad.tsum(ad.mul(back, lv["x"]))
+
+        assert gradcheck(loss, params, params.names()) < 1e-4
+
+    @pytest.mark.parametrize("idx", [[2, 1], [1, 1], [0, 6], [-1, 2]])
+    def test_row_ops_reject_unordered_or_out_of_range_indexes(self, idx):
+        x = Tensor(np.zeros((6, 2), dtype=np.float32))
+        with pytest.raises(ad.ShapeError, match="ascending"):
+            ad.take_rows(x, np.array(idx))
+        with pytest.raises(ad.ShapeError, match="ascending"):
+            ad.put_rows(Tensor(np.zeros((2, 2), dtype=np.float32)), np.array(idx), 6)
+
     def test_cosine_rows_gradient(self):
         rng = np.random.default_rng(4)
         params = make_params(a=rng.standard_normal((3, 5)), b=rng.standard_normal((4, 5)))

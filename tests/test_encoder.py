@@ -161,6 +161,29 @@ class TestEncode:
         assert layers == list(range(config.layers))
         assert states.final.shape == (1, config.max_seq_len, config.d_model)
 
+    @pytest.mark.parametrize("lengths", [[1], [2], [5], [1, 1], [3, 2], [8, 1, 4]])
+    def test_adapter_hook_sees_only_real_rows(self, lengths):
+        """The hook gets one row per real slot; a batch with a single real
+        slot also carries its first PAD slot, so no product has one row."""
+        config, params = tiny_setup()
+        seqs = [TokenSeq(ids=list(range(4, 4 + n)), lang="l0") for n in lengths]
+        shapes = []
+        states, _, mask = encode_seqs(params, seqs, config,
+                                      adapter_hook=lambda x, m: shapes.append(x.shape) or x)
+        rows = 2 if sum(lengths) == 1 else sum(lengths)
+        assert mask.sum() == sum(lengths)
+        assert shapes == [(rows, config.d_model)] * config.layers
+
+    @pytest.mark.parametrize("lengths", [[1], [3, 2], [8, 1, 4]])
+    def test_pad_slots_of_final_states_are_zero(self, lengths):
+        config, params = tiny_setup()
+        seqs = [TokenSeq(ids=list(range(4, 4 + n)), lang="l0") for n in lengths]
+        states, _, mask = encode_seqs(params, seqs, config)
+        final = states.final.data
+        assert final.shape == mask.shape + (config.d_model,)
+        assert not final[mask == 0].any()
+        assert np.abs(final[mask > 0]).sum(axis=-1).min() > 0
+
     def test_oversize_sequence_rejected(self):
         config, params = tiny_setup(max_len=4)
         with pytest.raises(ValueError, match="max_seq_len"):

@@ -12,7 +12,7 @@ from kgadapters.data import LanguageSplit
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
                                    embed_labels, eval_alignment, finetune_contrastive,
-                                   gold_rank, hits_at_k, mrr, rank)
+                                   gold_rank, hits_at_k, label_seq, mrr, rank)
 from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import alignment_item_sampler
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
@@ -166,6 +166,23 @@ class TestEmbedAndEval:
 
     def test_batched_matches_one_at_a_time_exactly(self, bench):
         ds, vocab, adapted = bench
+        full = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=64)
+        single = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=1)
+        np.testing.assert_array_equal(full.matrix, single.matrix)
+
+    def test_batched_matches_one_at_a_time_at_desk_dims(self, bench):
+        """At d_model 64 a product of one row would take BLAS's matrix-vector
+        kernel and round differently, so a one-token label alone in its batch
+        must still be encoded through products of two or more rows."""
+        ds, vocab, _ = bench
+        config = EncoderConfig(layers=2, d_model=64, n_heads=4, ff_dim=128,
+                               max_seq_len=12, vocab_size=len(vocab))
+        backbone = init_encoder_params(config, np.random.default_rng(0))
+        adapted = insert_adapters(backbone, ["EP"], 8, seed=1, config=config)
+        adapted = adapted.with_mode("single", "EP")
+        lengths = {len(label_seq(e.labels[ds.base_lang], ds.base_lang, vocab, 12).ids)
+                   for e in ds.mlkg.entities.values()}
+        assert lengths == {1, 2}
         full = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=64)
         single = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=1)
         np.testing.assert_array_equal(full.matrix, single.matrix)
