@@ -53,10 +53,9 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        # the expressions and rounding of
-        #   m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
-        #   p - lr (m/bc1) / (sqrt(v/bc2) + eps)
-        # evaluated into two buffers instead of a temporary per operation
+        # p - lr (m/bc1) / (sqrt(v/bc2) + eps), m = b1 m + (1-b1) g and
+        # v = b2 v + (1-b2) g^2, in two buffers; the operation order below is
+        # the one these expressions are written in, which fixes the rounding
         tmp = np.multiply(g, 1.0 - beta1)
         m *= beta1
         m += tmp
