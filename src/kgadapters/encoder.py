@@ -25,9 +25,11 @@ reach a real one: as a key it gets weight exactly 0, and it is dropped
 before `final`.
 
 Why the bits hold. On OpenBLAS a non-transposed product `x @ W` of 2 or
-more rows gives each row the same bits whatever the row count, and layer
-norm, GELU and softmax work row by row, so a real slot's state does not
-depend on the other rows of the batch. PAD keys get exactly zero attention
+more rows gives each row the same bits whatever the row count (checked from
+2 to 512 rows at d_model 64 against the weights of the encoder and the
+adapters, and against the batched [B, T, d] product), and layer norm, GELU
+and softmax work row by row, so a real slot's state does not depend on the
+other rows of the batch. PAD keys get exactly zero attention
 weight and PAD positions exactly zero pooling weight, so the padded slots
 only add exact zeros to numpy's sums (see PAD_BUCKET): every state at a real
 position and every pooled output has the same bits at every bucket width,
