@@ -4,7 +4,8 @@ All variants share one pretrained backbone, one data split, and identical
 task-training budgets and seeds. Every variant is a pipeline checkpoint read
 through `pipeline.model_from_checkpoint`: base is `pretrain`, a single
 adapter is its `integrate` checkpoint, LARGE is the `integrate(LARGE)`
-checkpoint (trained on first use) and FUSION is `pipeline.assemble_fused`.
+checkpoint, which `build_variant` trains on first use through
+`pipeline.run_stage`, and FUSION is `pipeline.assemble_fused`.
 Task training and evaluation are `pipeline.train_task` with the fuse
 budget and `pipeline.evaluate`. Task training touches each variant's
 task-adaptable parameter group, which `train_task` reads from the model's
@@ -39,28 +40,25 @@ class AblationReport:
                              for v, tasks in sorted(self.variants.items())}}
 
 
-def train_large_adapter(ws: Workspace) -> AdaptedEncoder:
-    """Single adapter with the four-adapter + fusion parameter budget,
-    trained on all four objectives at once (rotating per batch); the
-    `integrate(LARGE)` stage runs only if its checkpoint is missing."""
-    if not ws.ckpt(f"adapter_{LARGE}").exists():
-        run_stage(ws, "integrate", kind=LARGE)
-    return load_model(ws, f"adapter_{LARGE}", "ablate")
-
-
 def _configured_variants(ws: Workspace) -> tuple[str, ...]:
     return ("base", *ws.config.adapter_kinds, LARGE, "FUSION")
 
 
 def build_variant(ws: Workspace, variant: str) -> AdaptedEncoder:
-    """Assemble one evaluation-ready model (before task training)."""
+    """Assemble one evaluation-ready model (before task training).
+
+    LARGE, one adapter with the four-adapter + fusion parameter budget
+    trained on all four objectives at once (rotating per batch), is
+    integrated here on first use: the `integrate(LARGE)` stage runs only if
+    its checkpoint is missing.
+    """
     if variant == "base":
         return load_model(ws, "pretrain", "ablate")
     if variant == "FUSION":
         return assemble_fused(ws)
-    if variant == LARGE:
-        return train_large_adapter(ws)
-    if variant in ws.config.adapter_kinds:
+    if variant == LARGE and not ws.ckpt(f"adapter_{LARGE}").exists():
+        run_stage(ws, "integrate", kind=LARGE)
+    if variant in (*ws.config.adapter_kinds, LARGE):
         return load_model(ws, f"adapter_{variant}", "ablate")
     raise ConfigError(f"unknown variant {variant!r} (have {_configured_variants(ws)})")
 
@@ -83,15 +81,12 @@ def run_transfer_benchmark(ws: Workspace, task: str,
     }
 
 
-def run_ablation(ws: Workspace, tasks=("completion", "alignment"),
-                 variants=None) -> AblationReport:
-    """Every variant on every task; by default base, each configured adapter,
-    LARGE and FUSION."""
-    if variants is None:
-        variants = _configured_variants(ws)
+def run_ablation(ws: Workspace, tasks=("completion", "alignment")) -> AblationReport:
+    """Every variant on every task: base, each configured adapter, LARGE and
+    FUSION."""
     ds, vocab = ws.load_data()
     report = AblationReport(seed=ws.config.seed, config_hash=ws.config.config_hash())
-    for variant in variants:
+    for variant in _configured_variants(ws):
         model = build_variant(ws, variant)
         report.variants[variant] = {
             task: task_train_and_eval(ws, ds, vocab, model, variant, task) for task in tasks}

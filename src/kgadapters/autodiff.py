@@ -200,7 +200,7 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -208,7 +208,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(1e-5))
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -246,14 +246,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    n = x.data.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+def mean(x: Tensor) -> Tensor:
+    """The mean of every element, as a scalar."""
+    out = x.data.mean()
 
     def backward(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape) / x.dtype.type(n))
+        _accumulate(x, np.broadcast_to(g, x.shape) / x.dtype.type(x.data.size))
 
     return _node(out, (x,), backward)
 
@@ -392,12 +390,12 @@ def sqrt(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
+def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarity matrix between rows of a [N,d] and b [M,d]."""
     if a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"cosine_rows: dim mismatch {a.shape} vs {b.shape}")
-    na = sqrt(add(tsum(mul(a, a), axis=-1, keepdims=True), eps))  # [N,1]
-    nb = sqrt(add(tsum(mul(b, b), axis=-1, keepdims=True), eps))  # [M,1]
+    na = sqrt(add(tsum(mul(a, a), axis=-1, keepdims=True), 1e-12))  # [N,1]
+    nb = sqrt(add(tsum(mul(b, b), axis=-1, keepdims=True), 1e-12))  # [M,1]
     dots = matmul(a, swapaxes(b, -1, -2))                         # [N,M]
     return div(dots, matmul(na, swapaxes(nb, -1, -2)))
 

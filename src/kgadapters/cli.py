@@ -26,6 +26,13 @@ from .pipeline import PROFILES, TASKS, PipelineConfig, Workspace, run_stage
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONTRACT = 0, 1, 2, 3
 
+# command that writes a stage's output -> (stage, the line printed with its path)
+_WRITERS = {"gen-synthetic": ("gen-synthetic", "synthetic benchmark written to {}"),
+            "pretrain": ("pretrain", "pretrained backbone checkpoint: {}"),
+            "train-adapter": ("integrate", "integrated adapter checkpoint: {}"),
+            "train-fusion": ("fuse", "fused checkpoint: {}"),
+            "finetune": ("finetune", "finetuned checkpoint: {}")}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -96,21 +103,10 @@ def run(args) -> int:
     config = load_config(args)
     ws = Workspace(config)
 
-    if args.command == "gen-synthetic":
-        path = run_stage(ws, "gen-synthetic")
-        print(f"synthetic benchmark written to {path}")
-    elif args.command == "pretrain":
-        path = run_stage(ws, "pretrain")
-        print(f"pretrained backbone checkpoint: {path}")
-    elif args.command == "train-adapter":
-        path = run_stage(ws, "integrate", kind=args.kind.upper())
-        print(f"integrated adapter checkpoint: {path}")
-    elif args.command == "train-fusion":
-        path = run_stage(ws, "fuse", task=args.task)
-        print(f"fused checkpoint: {path}")
-    elif args.command == "finetune":
-        path = run_stage(ws, "finetune", task=args.task)
-        print(f"finetuned checkpoint: {path}")
+    if args.command in _WRITERS:
+        stage, line = _WRITERS[args.command]
+        kw = {k: v for k, v in vars(args).items() if k in ("kind", "task")}
+        print(line.format(run_stage(ws, stage, **kw)))
     elif args.command == "eval":
         report = run_stage(ws, "eval", task=args.task, checkpoint=args.checkpoint)
         _emit(ws, f"eval_{args.task}_{report.variant}", [report])

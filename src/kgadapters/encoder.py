@@ -94,15 +94,14 @@ class HiddenStates:
     final: Tensor
 
 
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator,
-                        scale: float = 0.02) -> ParamSet:
+def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> ParamSet:
     """Backbone parameters under the `encoder.` prefix (includes the MLM head)."""
     if config.vocab_size < 5:
         raise ValueError("vocab_size must cover the special tokens")
     p = ParamSet()
 
     def normal(shape):
-        return (rng.standard_normal(shape) * scale).astype(np.float32)
+        return (rng.standard_normal(shape) * 0.02).astype(np.float32)
 
     d, ff, v = config.d_model, config.ff_dim, config.vocab_size
     p.add("encoder.emb.tok", normal((v, d)))
@@ -230,10 +229,9 @@ def span_pool_weights(spans: Sequence[tuple[int, int]], mask: np.ndarray) -> np.
     return w
 
 
-def sentence_pool_weights(ids: np.ndarray, mask: np.ndarray,
-                          exclude: tuple[int, ...] = (PAD_ID, SEP_ID, MASK_ID)) -> np.ndarray:
+def sentence_pool_weights(ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Whole-sentence pooling weights; PAD, SEP and MASK never contribute."""
-    keep = (mask > 0) & ~np.isin(ids, exclude)
+    keep = (mask > 0) & ~np.isin(ids, (PAD_ID, SEP_ID, MASK_ID))
     counts = keep.sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("sentence has no poolable tokens (empty context)")

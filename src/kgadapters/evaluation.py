@@ -31,8 +31,8 @@ from .data import LanguageSplit, MLKG, Triple
 from .encoder import encode, pad_batch, pool, sentence_pool_weights
 from .errors import ConfigError
 from .hyper import TrainHyper
-from .objectives import Sampler, train_pairs
-from .vocab import SEP, TokenSeq, Vocab, tokenize
+from .objectives import Sampler, _query_tokens, train_pairs
+from .vocab import TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -253,9 +253,9 @@ def _language_result(ranks: list[float], k: int) -> LanguageResult:
 def completion_query_seq(mlkg: MLKG, triple: Triple, lang: str, vocab: Vocab,
                          max_len: int) -> TokenSeq:
     """Encode "subject <sep> relation" in one language (never code-switched)."""
-    subj = mlkg.entities[triple.head].labels[lang]
-    rel = mlkg.relations[triple.rel].labels[lang]
-    return tokenize(subj.split() + [SEP] + rel.split(), lang, vocab, max_len)
+    return tokenize(_query_tokens(mlkg.entities[triple.head].labels[lang],
+                                  mlkg.relations[triple.rel].labels[lang]),
+                    lang, vocab, max_len)
 
 
 def eval_completion(adapted: AdaptedEncoder, mlkg: MLKG,

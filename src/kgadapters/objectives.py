@@ -154,6 +154,11 @@ def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
     return out
 
 
+def _query_tokens(subject: str, relation: str) -> list[str]:
+    """The completion query "subject label <sep> relation label" as tokens."""
+    return subject.split() + [SEP] + relation.split()
+
+
 def _slot_lang(labels: dict[str, str], langs: Sequence[str],
                rng: np.random.Generator) -> str | None:
     available = [l for l in langs if l in labels]
@@ -197,7 +202,7 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
             log.warning("sample_tp_batch: skipping %s (no usable language)", t)
             continue
         out.append(PairItem(
-            anchor_tokens=head[lh].split() + [SEP] + rel[lr].split(), anchor_lang=lh,
+            anchor_tokens=_query_tokens(head[lh], rel[lr]), anchor_lang=lh,
             positive_tokens=tail[lt].split(), positive_lang=lt))
     if not out:
         raise ConfigError("sample_tp_batch: could not fill a batch from permitted languages")
@@ -287,10 +292,10 @@ def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -
         out = []
         for j in picked:
             lang, t = train_items[j]
-            subj = mlkg.entities[t.head].labels[lang]
-            rel = mlkg.relations[t.rel].labels[lang]
             out.append(PairItem(
-                anchor_tokens=subj.split() + [SEP] + rel.split(), anchor_lang=lang,
+                anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
+                                            mlkg.relations[t.rel].labels[lang]),
+                anchor_lang=lang,
                 positive_tokens=mlkg.entities[t.tail].labels[lang].split(),
                 positive_lang=lang))
         return out
@@ -299,22 +304,11 @@ def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -
 
 
 def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> Sampler:
+    """EP's batches over the task's (src, tgt, entity) training pairs."""
     if not train_pairs:
         raise ConfigError("no alignment training pairs in supervised languages")
-
-    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
-        picked = _distinct_draws(len(train_pairs), batch_size,
-                                 lambda i: train_pairs[i][2], rng)
-        out = []
-        for j in picked:
-            src, tgt, eid = train_pairs[j]
-            out.append(PairItem(
-                anchor_tokens=mlkg.entities[eid].labels[src].split(), anchor_lang=src,
-                positive_tokens=mlkg.entities[eid].labels[tgt].split(),
-                positive_lang=tgt))
-        return out
-
-    return sampler
+    universe = [(eid, src, tgt) for src, tgt, eid in train_pairs]
+    return lambda batch_size, rng: sample_ep_batch(mlkg, universe, batch_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +330,8 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
                       items: Sequence[PairItem], vocab: Vocab) -> ContrastiveBatch:
     """One fused forward over anchors + positives, pooled to [B,d] each."""
     cfg = adapted.config
-    anchor_seqs, spans = [], []
-    for it in items:
-        seq = _item_to_seq(it.anchor_tokens, it.anchor_lang, vocab, cfg.max_seq_len,
-                           it.anchor_mask_span)
-        anchor_seqs.append(seq)
-        spans.append(it.anchor_span)
+    anchor_seqs = [_item_to_seq(it.anchor_tokens, it.anchor_lang, vocab, cfg.max_seq_len,
+                                it.anchor_mask_span) for it in items]
     positive_seqs = [_item_to_seq(it.positive_tokens, it.positive_lang, vocab,
                                   cfg.max_seq_len, None) for it in items]
     seqs = anchor_seqs + positive_seqs
@@ -350,13 +340,9 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
     states = encode(leaves, ids, mask, cfg, hook)
 
     b = len(items)
-    weights = np.zeros_like(mask)
-    for row, span in enumerate(spans):
-        if span is not None:
-            weights[row] = span_pool_weights([span], mask[row:row + 1])[0]
-        else:
-            weights[row] = sentence_pool_weights(ids[row:row + 1], mask[row:row + 1])[0]
-    weights[b:] = sentence_pool_weights(ids[b:], mask[b:])
+    weights = sentence_pool_weights(ids, mask)
+    rows = [row for row, it in enumerate(items) if it.anchor_span is not None]
+    weights[rows] = span_pool_weights([items[row].anchor_span for row in rows], mask[rows])
     pooled = pool(states.final, weights)
     anchors, positives = ad.split(pooled, [b, b], axis=0)
     return ContrastiveBatch(anchors=anchors, positives=positives)

@@ -22,6 +22,8 @@ from .params import ParamSet
 
 LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -34,16 +36,15 @@ class AdamState:
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[ParamSet, AdamState]:
+              lr: float) -> tuple[ParamSet, AdamState]:
     """One Adam update, in place, of exactly the parameters `grads` names.
 
     Every other parameter is left alone; the step counter increments by one.
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, g in grads.items():
         p = params.get(name)
         if g.shape != p.shape:
@@ -56,18 +57,18 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
         # p - lr (m/bc1) / (sqrt(v/bc2) + eps), m = b1 m + (1-b1) g and
         # v = b2 v + (1-b2) g^2, in two buffers; the operation order below is
         # the one these expressions are written in, which fixes the rounding
-        tmp = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        tmp = np.multiply(g, 1.0 - _BETA1)
+        m *= _BETA1
         m += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
+        tmp *= 1.0 - _BETA2
+        v *= _BETA2
         v += tmp
         upd = np.divide(m, p.dtype.type(bc1))
         upd *= p.dtype.type(lr)
         np.divide(v, p.dtype.type(bc2), out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += p.dtype.type(eps)
+        tmp += p.dtype.type(_ADAM_EPS)
         upd /= tmp
         np.subtract(p, upd, out=upd)
         if not np.isfinite(upd).all():

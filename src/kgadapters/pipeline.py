@@ -10,12 +10,14 @@ Stages and their freezing contracts (verified by checksums, not assumed):
                     frozen; trains fresh fusion parameters on task pairs
   finetune(task)    full unfreeze of the fused model on task pairs
 
-Every stage reads its prerequisite checkpoint from the run directory and
-writes a new one; nothing is mutated in place. `model_from_checkpoint` is the
-one way from a checkpoint to a model, for the stages, eval and the ablation
-alike, and reads the model from the checkpoint's parameters alone. Two runs
-with the same config and seed produce byte-identical checkpoints and reports
-(run logs carry wall-clock timestamps and are excluded from that guarantee).
+`run_stage` is the one entry point: the CLI, the ablation and the benchmark
+run every stage through it by name. Every stage reads its prerequisite
+checkpoint from the run directory and writes a new one; nothing is mutated
+in place. `model_from_checkpoint` is the one way from a checkpoint to a
+model, for the stages, eval and the ablation alike, and reads the model from
+the checkpoint's parameters alone. Two runs with the same config and seed
+produce byte-identical checkpoints and reports (run logs carry wall-clock
+timestamps and are excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ class PipelineConfig:
                               f"kinds of {list(KINDS)}, at least one")
         if self.bottleneck < 1:
             raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        if self.eval_k < 1:
+            raise ConfigError(f"eval_k must be >= 1, got {self.eval_k}")
         try:
             # as Workspace.encoder_config builds it; vocab_size comes from vocab.txt
             EncoderConfig(vocab_size=0, **self.encoder)
@@ -224,7 +228,6 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 def stage_gen(ws: Workspace) -> Path:
-    ws.ensure_dirs()
     ds = gen_synthetic(ws.config.synthetic)
     save_dataset(ds, ws.data_dir)
     vocab = build_vocab(vocab_corpus(ds))
@@ -234,31 +237,24 @@ def stage_gen(ws: Workspace) -> Path:
 
 
 def stage_pretrain(ws: Workspace) -> Path:
-    ws.ensure_dirs()
     ds, vocab = ws.load_data()
     config = ws.encoder_config(len(vocab))
     hyper = ws.config.hyper("pretrain", len(ds.mlm_corpus))
     params, curve = mlm_pretrain(ds.mlm_corpus, config, hyper, ws.config.seed, vocab)
-    ws.write_curve("pretrain", curve)
-    path = ws.ckpt("pretrain")
-    save_checkpoint(path, params, _provenance(ws, "pretrain"))
+    return _save_stage(ws, "pretrain", "pretrain", params, curve)
+
+
+def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
+                curve: list[tuple[int, float, float]], **extra) -> Path:
+    """Write a training stage's loss curve, named by the stage and the values
+    of `extra`, and its checkpoint `ckpt` with its provenance; return its path."""
+    ws.write_curve("_".join((stage, *extra.values())), curve)
+    path = ws.ckpt(ckpt)
+    save_checkpoint(path, params, {
+        "stage": stage, "seed": ws.config.seed, "profile": ws.config.profile,
+        "config_hash": ws.config.config_hash(), "adapter_kinds": list(ws.config.adapter_kinds),
+        "bottleneck": ws.config.bottleneck, "encoder": dict(ws.config.encoder), **extra})
     return path
-
-
-def _provenance(ws: Workspace, stage: str, **extra) -> dict:
-    return {"stage": stage, "seed": ws.config.seed, "profile": ws.config.profile,
-            "config_hash": ws.config.config_hash(),
-            "adapter_kinds": list(ws.config.adapter_kinds),
-            "bottleneck": ws.config.bottleneck, "encoder": dict(ws.config.encoder),
-            **extra}
-
-
-def _insert_seed(config: PipelineConfig) -> int:
-    return config.seed + 1009
-
-
-def _fusion_seed(config: PipelineConfig) -> int:
-    return config.seed + 2003
 
 
 def load_model(ws: Workspace, name: str, needed_for: str) -> AdaptedEncoder:
@@ -293,7 +289,6 @@ def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
 
 
 def stage_integrate(ws: Workspace, kind: str) -> Path:
-    ws.ensure_dirs()
     kind = kind.upper()
     if kind not in (*ws.config.adapter_kinds, LARGE):
         raise ConfigError(f"kind {kind!r} not in configured adapters "
@@ -303,15 +298,12 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
     # LARGE is sized to the parameter budget of every configured adapter plus fusion
     b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
          if kind == LARGE else ws.config.bottleneck)
-    adapted = insert_adapters(base.params, [kind], b, _insert_seed(ws.config), base.config)
+    adapted = insert_adapters(base.params, [kind], b, ws.config.seed + 1009, base.config)
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
     hyper.seed = ws.config.seed + sum(ord(c) for c in kind)
     sampler = make_sampler(ds, kind, hyper)
     trained, curve = train_adapter(adapted, kind, sampler, vocab, hyper)
-    ws.write_curve(f"integrate_{kind}", curve)
-    path = ws.ckpt(f"adapter_{kind}")
-    save_checkpoint(path, trained.params, _provenance(ws, "integrate", kind=kind))
-    return path
+    return _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve, kind=kind)
 
 
 def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
@@ -337,7 +329,7 @@ def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEnco
             raise DataError(f"{path.name}: backbone differs from pretrain checkpoint")
         base.params.merge(trained, f"adapter.{kind}.")
     adapted = AdaptedEncoder(config=base.config, params=base.params, kinds=kinds)
-    return init_fusion(adapted, _fusion_seed(ws.config)).with_mode("fusion")
+    return init_fusion(adapted, ws.config.seed + 2003).with_mode("fusion")
 
 
 def _task_args(ds: SyntheticDataset, task: str):
@@ -385,25 +377,17 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
 
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
-    ws.ensure_dirs()
     ds, vocab = ws.load_data()
     trained, curve = train_task(ws, ds, vocab, assemble_fused(ws), task, "fuse")
-    ws.write_curve(f"fuse_{task}", curve)
-    path = ws.ckpt(f"fused_{task}")
-    save_checkpoint(path, trained.params, _provenance(ws, "fuse", task=task))
-    return path
+    return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
 
 
 def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
-    ws.ensure_dirs()
     ds, vocab = ws.load_data()
     model = load_model(ws, f"fused_{task}", "finetune")
     trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
-    ws.write_curve(f"finetune_{task}", curve)
-    path = ws.ckpt(f"finetuned_{task}")
-    save_checkpoint(path, trained.params, _provenance(ws, "finetune", task=task))
-    return path
+    return _save_stage(ws, "finetune", f"finetuned_{task}", trained.params, curve, task=task)
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
@@ -428,30 +412,24 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     return model.with_mode("single", kinds[0]) if kinds else model
 
 
-def stage_eval(ws: Workspace, task: str, checkpoint: str) -> MetricReport:
-    ws.ensure_dirs()
+def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport:
+    """Score `checkpoint`, by default `fused_<task>`, on the task's test split."""
+    checkpoint = checkpoint or f"fused_{task}"
     ds, vocab = ws.load_data()
     params, manifest = load_checkpoint(ws.require_ckpt(checkpoint, "eval"))
     model = model_from_checkpoint(ws, params, manifest)
     return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 
-STAGE_ORDER = ("gen-synthetic", "pretrain", "integrate", "fuse", "finetune", "eval")
+STAGES = {"gen-synthetic": stage_gen, "pretrain": stage_pretrain,
+          "integrate": stage_integrate, "fuse": stage_fuse, "finetune": stage_finetune,
+          "eval": stage_eval}
 
 
 def run_stage(ws: Workspace, stage: str, **kw):
-    """Dispatch a named stage; prerequisite checkpoints are checked inside."""
-    if stage == "gen-synthetic":
-        return stage_gen(ws)
-    if stage == "pretrain":
-        return stage_pretrain(ws)
-    if stage == "integrate":
-        return stage_integrate(ws, kw["kind"])
-    if stage == "fuse":
-        return stage_fuse(ws, kw["task"])
-    if stage == "finetune":
-        return stage_finetune(ws, kw["task"])
-    if stage == "eval":
-        return stage_eval(ws, kw["task"], kw.get("checkpoint") or f"fused_{kw['task']}")
-    raise ConfigError(f"unknown stage {stage!r} (have {STAGE_ORDER})")
-
+    """Run the named stage with its keyword arguments (kind, task,
+    checkpoint); prerequisite checkpoints are checked inside."""
+    if stage not in STAGES:
+        raise ConfigError(f"unknown stage {stage!r} (have {tuple(STAGES)})")
+    ws.ensure_dirs()
+    return STAGES[stage](ws, **kw)

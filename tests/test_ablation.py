@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from kgadapters.ablation import run_ablation
+from kgadapters.ablation import build_variant, run_ablation
 from kgadapters.errors import ConfigError
 from kgadapters.pipeline import Workspace
 
@@ -29,4 +29,4 @@ def test_default_variants_follow_configured_kinds(integrated):
 def test_unconfigured_variant_rejected(integrated):
     with pytest.raises(ConfigError, match=re.escape(
             "unknown variant 'ES' (have ('base', 'EP', 'TP', 'LARGE', 'FUSION'))")):
-        run_ablation(integrated, tasks=("alignment",), variants=("ES",))
+        build_variant(integrated, "ES")

@@ -215,6 +215,8 @@ MALFORMED = {
     "vocab_without_specials": ("vocab.txt", lambda t: t.split("\n", 4)[4], ": "),
     "config_unknown_key": ("config.json",
                            lambda t: json.dumps({**json.loads(t), "bogus": 1}), ": "),
+    "config_zero_triples": ("config.json",
+                            lambda t: json.dumps({**json.loads(t), "triples": 0}), ": "),
     "entity_empty_label": ("entities.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
     "relation_empty_label": ("relations.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
     "align_test_two_fields": ("align_test.tsv", lambda t: "aa\tab\n" + t, ":1: "),

@@ -43,7 +43,7 @@ import json
 
 import pytest
 
-from kgadapters.ablation import run_ablation, run_transfer_benchmark, train_large_adapter
+from kgadapters.ablation import run_ablation, run_transfer_benchmark
 from kgadapters.checkpoint import read_manifest
 from kgadapters.pipeline import TASKS, Workspace, run_stage
 
@@ -146,7 +146,7 @@ def golden_run(tmp_path_factory):
     for task in TASKS:
         run_stage(ws, "fuse", task=task)
         run_stage(ws, "finetune", task=task)
-    train_large_adapter(ws)
+    run_stage(ws, "integrate", kind="LARGE")
     return ws
 
 

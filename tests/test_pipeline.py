@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shutil
 import struct
 
@@ -440,6 +441,14 @@ CONFIG_FAULTS = {
                                 ["train-adapter", "--kind", "ep"], "adapter_kinds"),
     "unknown_adapter_kind": (lambda raw: raw.update(adapter_kinds=["EP", "XX"]),
                              ["pretrain"], "adapter_kinds"),
+    "eval_k_zero": (lambda raw: raw.update(eval_k=0), ["eval", "--task", "alignment"],
+                    "eval_k must be >= 1, got 0"),
+    **{f"synthetic_{name}_zero": ((lambda raw, name=name: raw["synthetic"].update({name: 0})),
+                                  [command], f"{name} must be >= 1, got 0")
+       for name, command in [("triples", "gen-synthetic"), ("vocab_size", "gen-synthetic"),
+                             ("relation_pool_size", "gen-synthetic"),
+                             ("label_max_words", "gen-synthetic"),
+                             ("mlm_sentences_per_lang", "pretrain")]},
 }
 
 
@@ -568,9 +577,29 @@ class TestCliExitCodes:
         assert read_manifest(micro_run.ckpt("adapter_LARGE"))["provenance"]["kind"] == "LARGE"
         assert tensor_groups(micro_run.ckpt("adapter_LARGE")) == {"encoder", "adapter.LARGE"}
 
-    def test_gen_and_pretrain_via_cli(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        write_config(micro_config(tmp_path / "run"), cfg)
-        assert cli.main(["--config", str(cfg), "gen-synthetic"]) == 0
-        assert cli.main(["--config", str(cfg), "pretrain"]) == 0
-        assert (tmp_path / "run" / "checkpoints" / "pretrain.ckpt").exists()
+    def test_each_writing_command_prints_its_path(self, micro_run, tmp_path, capsys):
+        config = micro_config(tmp_path / "run")
+        write_config(config, tmp_path / "cfg.json")
+        ws = Workspace(config)
+        commands = [
+            (["gen-synthetic"], f"synthetic benchmark written to {ws.data_dir}"),
+            (["pretrain"], f"pretrained backbone checkpoint: {ws.ckpt('pretrain')}"),
+            (["train-adapter", "--kind", "ep"],
+             f"integrated adapter checkpoint: {ws.ckpt('adapter_EP')}"),
+            (["train-adapter", "--kind", "tp"],
+             f"integrated adapter checkpoint: {ws.ckpt('adapter_TP')}"),
+            (["train-fusion", "--task", "alignment"],
+             f"fused checkpoint: {ws.ckpt('fused_alignment')}"),
+            (["finetune", "--task", "alignment"],
+             f"finetuned checkpoint: {ws.ckpt('finetuned_alignment')}")]
+        for argv, line in commands:
+            assert cli.main(["--config", str(tmp_path / "cfg.json"), *argv]) == 0
+            assert capsys.readouterr().out == line + "\n"
+        # the CLI runs the same stages as run_stage: the micro run's checkpoints
+        blobs = {p.name: read_manifest(p)["blob_sha256"] for p in ws.ckpt_dir.iterdir()}
+        assert len(blobs) == 5 and blobs == {name: read_manifest(micro_run.ckpt_dir / name)["blob_sha256"]
+                         for name in blobs}
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown stage 'nope' (have ('gen-synthetic', 'pretrain', 'integrate', "
+                "'fuse', 'finetune', 'eval'))")):
+            run_stage(ws, "nope")
