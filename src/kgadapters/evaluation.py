@@ -190,8 +190,16 @@ def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> TokenSeq:
 
 
 def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
-                 vocab: Vocab, batch_size: int = 64) -> CandidateIndex:
-    """Embed every entity's label in one language, ordered by entity id."""
+                 vocab: Vocab, batch_size: int = 512) -> CandidateIndex:
+    """Embed every entity's label in one language, ordered by entity id.
+
+    Labels are a few tokens long, so 512 of them make products of several
+    hundred packed rows (about 770 on a 5000-entity KG) at an eighth of the
+    per-op calls of 64-label batches. The vectors keep the bits of smaller
+    batches while every product stays within OpenBLAS's small-matrix limit
+    of M*N*K = 1e6: a d_model 64 to bottleneck 8 down-projection rounds
+    differently from 1954 rows on.
+    """
     ids, seqs = [], []
     for eid in sorted(mlkg.entities):
         label = mlkg.entities[eid].labels.get(lang)
@@ -215,8 +223,13 @@ def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:
     qn = np.linalg.norm(q)
     mn = index.norms
     scores = (index.matrix64 @ q) / np.where(mn * qn == 0.0, 1.0, mn * qn)
-    # entity_ids are ascending, so stable sort on -score preserves the tie rule
-    order = np.argsort(-scores, kind="stable")
+    # entity_ids are ascending, so stable sort on -score preserves the tie rule;
+    # the unstable sort is several times faster and gives the same order when
+    # the sorted scores strictly decrease (no tie, no NaN)
+    order = np.argsort(-scores)
+    ordered = scores[order]
+    if not (ordered[:-1] > ordered[1:]).all():
+        order = np.argsort(-scores, kind="stable")
     return index.id_array[order].tolist()
 
 

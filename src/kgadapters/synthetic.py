@@ -74,10 +74,13 @@ class SyntheticConfig:
             raise ConfigError("need at least 2 relations")
         if self.languages < 3:
             raise ConfigError("need at least 3 languages")
-        for name in ("triples", "vocab_size", "relation_pool_size", "mlm_sentences_per_lang",
-                     "label_max_words"):
+        for name in ("triples", "sentences_per_entity", "vocab_size", "relation_pool_size",
+                     "mlm_sentences_per_lang", "label_max_words"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("gloss_rate", "fact_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.sup + self.zs_in + self.zs_un != self.languages:
             raise ConfigError(
                 f"split sizes {self.sup}+{self.zs_in}+{self.zs_un} must equal "

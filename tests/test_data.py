@@ -13,7 +13,7 @@ from kgadapters import cli
 from kgadapters.data import (Labelled, LanguageSplit, MLKG, Triple,
                              assign_language_splits, load_c1, load_c2,
                              load_mlkg, load_split, save_mlkg, save_split)
-from kgadapters.errors import DataError
+from kgadapters.errors import ConfigError, DataError
 from kgadapters.pipeline import Workspace, run_stage
 from kgadapters.synthetic import (SyntheticConfig, gen_synthetic, load_dataset,
                                   save_dataset, transform_word)
@@ -95,6 +95,24 @@ def small_config(**kw):
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("field, value, text", [
+        ("sentences_per_entity", 0, "sentences_per_entity must be >= 1, got 0"),
+        ("sentences_per_entity", -2, "sentences_per_entity must be >= 1, got -2"),
+        ("gloss_rate", 2.0, "gloss_rate must be in [0, 1], got 2.0"),
+        ("gloss_rate", -0.01, "gloss_rate must be in [0, 1], got -0.01"),
+        ("fact_rate", -1.0, "fact_rate must be in [0, 1], got -1.0"),
+        ("fact_rate", float("nan"), "fact_rate must be in [0, 1], got nan"),
+    ])
+    def test_config_rejects_out_of_range(self, field, value, text):
+        with pytest.raises(ConfigError) as err:
+            small_config(**{field: value})
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("field", ["gloss_rate", "fact_rate"])
+    def test_rates_accept_both_ends(self, field):
+        for value in (0.0, 1.0):
+            assert getattr(small_config(**{field: value}), field) == value
+
     def test_same_config_twice_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         save_dataset(gen_synthetic(small_config()), d1)

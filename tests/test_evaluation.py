@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgadapters.adapters import insert_adapters
+from kgadapters.adapters import init_fusion, insert_adapters
 from kgadapters.data import LanguageSplit
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
@@ -112,6 +112,24 @@ class TestRank:
             count = (s > s[g]).sum() + ((s == s[g]) & (ids < ids[g])).sum() + 1
             assert gold_rank(rank(q, index), ids[g]) == count
 
+    @pytest.mark.parametrize("fault", ["none", "ties", "nan"])
+    def test_order_is_the_stable_sort_of_the_scores(self, fault):
+        # 300 rows, so numpy's unstable sort is not its insertion sort; ties
+        # and NaN scores must take the stable path
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((300, 4))
+        if fault == "ties":
+            m = m[rng.integers(0, 20, size=300)]
+        if fault == "nan":
+            m[rng.integers(0, 300, size=30)] = np.nan
+        index = make_index(m)
+        for _ in range(10):
+            q = rng.standard_normal(4)
+            norms = index.norms * np.linalg.norm(q)
+            scores = (index.matrix64 @ q) / np.where(norms == 0.0, 1.0, norms)
+            order = np.argsort(-scores, kind="stable")
+            assert rank(q, index) == [index.entity_ids[i] for i in order]
+
     def test_rank_invariant_under_query_rescaling(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((10, 5))
@@ -186,6 +204,23 @@ class TestEmbedAndEval:
         full = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=64)
         single = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=1)
         np.testing.assert_array_equal(full.matrix, single.matrix)
+
+    def test_default_batches_keep_the_bits_of_64_label_batches(self):
+        """The default batch of 512 labels at desk dims, fused: 600 labels
+        give a full and a partial batch of products of several hundred rows."""
+        ds = gen_synthetic(SyntheticConfig(
+            languages=3, entities=600, relations=3, triples=40, sentences_per_entity=1,
+            vocab_size=12, seed=3, sup=1, zs_in=1, zs_un=1, mlm_sentences_per_lang=15))
+        vocab = build_vocab(vocab_corpus(ds))
+        config = EncoderConfig(layers=2, d_model=64, n_heads=4, ff_dim=128,
+                               max_seq_len=12, vocab_size=len(vocab))
+        backbone = init_encoder_params(config, np.random.default_rng(0))
+        adapted = insert_adapters(backbone, ["EP", "TP"], 8, seed=1, config=config)
+        fused = init_fusion(adapted, 2).with_mode("fusion")
+        default = embed_labels(fused, ds.mlkg, ds.base_lang, vocab)
+        small = embed_labels(fused, ds.mlkg, ds.base_lang, vocab, batch_size=64)
+        assert len(default.entity_ids) == 600
+        np.testing.assert_array_equal(default.matrix, small.matrix)
 
     def test_missing_label_excluded_with_warning(self, bench, caplog):
         ds, vocab, adapted = bench

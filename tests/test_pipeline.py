@@ -446,9 +446,15 @@ CONFIG_FAULTS = {
     **{f"synthetic_{name}_zero": ((lambda raw, name=name: raw["synthetic"].update({name: 0})),
                                   [command], f"{name} must be >= 1, got 0")
        for name, command in [("triples", "gen-synthetic"), ("vocab_size", "gen-synthetic"),
+                             ("sentences_per_entity", "gen-synthetic"),
                              ("relation_pool_size", "gen-synthetic"),
                              ("label_max_words", "gen-synthetic"),
                              ("mlm_sentences_per_lang", "pretrain")]},
+    **{f"synthetic_{name}_{value}": ((lambda raw, name=name, value=value:
+                                      raw["synthetic"].update({name: value})),
+                                     [command], f"{name} must be in [0, 1], got {value}")
+       for name, value, command in [("gloss_rate", 2.0, "gen-synthetic"),
+                                    ("fact_rate", -1.0, "pretrain")]},
 }
 
 
