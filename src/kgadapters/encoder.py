@@ -45,6 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import check_int_fields
 from .hyper import TrainHyper
 from .optim import train
 from .params import ParamSet
@@ -64,6 +65,9 @@ AdapterHook = Callable[[Tensor, int], Tensor]
 # bits can differ from those of a wider batch.
 PAD_BUCKET = 8
 
+# share of real positions an MLM batch corrupts, BERT's rate
+MASK_RATE = 0.15
+
 
 @dataclass
 class EncoderConfig:
@@ -75,6 +79,7 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         for name in ("layers", "d_model", "n_heads", "ff_dim", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"EncoderConfig.{name} must be positive")
@@ -143,7 +148,7 @@ def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarr
         if n == 0:
             raise ValueError("empty sequence in batch")
         ids[i, :n] = s.ids
-        mask[i, :n] = s.mask
+        mask[i, :n] = 1.0
     return ids, mask
 
 
@@ -249,11 +254,7 @@ def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:
     i, j = span
     if not (0 <= i <= j < len(seq.ids)):
         raise ValueError(f"span [{i},{j}] invalid for sequence of length {len(seq.ids)}")
-    if not all(seq.mask[i:j + 1]):
-        raise ValueError(f"span [{i},{j}] touches PAD positions")
-    ids = list(seq.ids[:i]) + [MASK_ID] + list(seq.ids[j + 1:])
-    mask = list(seq.mask[:i]) + [1] + list(seq.mask[j + 1:])
-    return TokenSeq(ids=ids, lang=seq.lang, mask=mask)
+    return TokenSeq(ids=list(seq.ids[:i]) + [MASK_ID] + list(seq.ids[j + 1:]), lang=seq.lang)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +262,14 @@ def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:
 # ---------------------------------------------------------------------------
 
 def make_mlm_batch(ids: np.ndarray, mask: np.ndarray, config: EncoderConfig,
-                   rng: np.random.Generator, mask_rate: float):
+                   rng: np.random.Generator):
     """Corrupt 80/10/10 over sampled positions; returns (corrupted, rows, cols, targets)."""
     real = mask > 0
     # drawn at max_seq_len and sliced to the batch's width, so that which
     # positions a batch masks, and the RNG stream after it, do not depend on
     # the batch's length bucket
     draw = rng.random((ids.shape[0], config.max_seq_len))[:, :ids.shape[1]]
-    sel = (draw < mask_rate) & real
+    sel = (draw < MASK_RATE) & real
     if not sel.any():
         rows = np.argwhere(real)
         sel[tuple(rows[0])] = True
@@ -303,8 +304,6 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
                  hyper: TrainHyper, seed: int, vocab: Vocab
                  ) -> tuple[ParamSet, list[tuple[int, float, float]]]:
     """Train the backbone with MLM on a tokenized corpus; deterministic per seed."""
-    if hyper.mask_rate <= 0:
-        raise ValueError("MLM masking rate must be positive")
     if not corpus:
         raise ValueError("empty pretraining corpus")
     rng = np.random.default_rng(seed)
@@ -314,7 +313,7 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
     def loss_at(step):
         pick = rng.integers(0, len(corpus), size=hyper.batch_size)
         ids, mask = pad_batch([seqs[i] for i in pick], config)
-        corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng, hyper.mask_rate)
+        corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng)
         return lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config)
 
     return params, train(params, [""], loss_at, hyper)

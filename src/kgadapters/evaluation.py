@@ -46,7 +46,6 @@ class CandidateIndex:
     than once per query.
     """
 
-    lang: str
     entity_ids: list[str]
     matrix: np.ndarray
     matrix64: np.ndarray = field(init=False, repr=False, compare=False)
@@ -210,8 +209,7 @@ def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
         seqs.append(label_seq(label, lang, vocab, adapted.config.max_seq_len))
     if not ids:
         raise ConfigError(f"no entity has a label in language {lang!r}")
-    return CandidateIndex(lang=lang, entity_ids=ids,
-                          matrix=_pooled_encodings(adapted, seqs, batch_size))
+    return CandidateIndex(entity_ids=ids, matrix=_pooled_encodings(adapted, seqs, batch_size))
 
 
 def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:
@@ -313,11 +311,11 @@ def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k:
 # ---------------------------------------------------------------------------
 
 def finetune_contrastive(adapted: AdaptedEncoder, sampler: Sampler, vocab: Vocab,
-                         hyper: TrainHyper, train_groups: Sequence[str]
+                         hyper: TrainHyper, seed: int, train_groups: Sequence[str]
                          ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
     """Train only the given parameter groups of a copy on task pairs with InfoNCE.
 
     Groups not listed are frozen and checksum-verified by `optim.train`.
     """
     model = replace(adapted, params=adapted.params.copy())
-    return model, train_pairs(model, train_groups, sampler, vocab, hyper)
+    return model, train_pairs(model, train_groups, sampler, vocab, hyper, seed)

@@ -1,8 +1,11 @@
-"""Training hyperparameter bundle shared by pretraining and adapter stages."""
+"""The training hyperparameters a profile sets per stage; seeds are trainer arguments."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import check_int_fields
 
 
 @dataclass
@@ -12,20 +15,13 @@ class TrainHyper:
     epochs: int = 0
     base_lr: float = 1e-4
     warmup_steps: int = 10_000
-    tau: float = 0.05
-    p_cs: float = 0.0
-    seed: int = 0
-    mask_rate: float = 0.15
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if not 0.0 <= self.p_cs <= 1.0:
-            raise ValueError(f"code-switch probability must be in [0,1], got {self.p_cs}")
+        check_int_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.warmup_steps < 1:
             raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if min(self.steps, self.epochs) < 0:

@@ -6,15 +6,15 @@ Each sampler yields text pairs; encoding happens in one fused forward pass
 (anchors and positives concatenated into a single batch) so a training step
 is one graph. The loss is the softmax form exp(cos/tau): the raw log-ratio
 of cosines is undefined for negative similarities, so the temperatured
-exponent is used with tau configurable (default 0.05). Negatives for an
-anchor are the other positives in the batch.
+exponent is used, and every stage trains at tau = TAU (0.05). Negatives for
+an anchor are the other positives in the batch.
 
 Samplers are pure in (data, seed): the same seed reproduces the same pair
 sequence. The data a sampler draws from (the EP pair universe, the ES
 eligible sentences, the ingested TS records) is built once per stage by the
 caller and passed in. Code-switching draws each slot's language
-independently with probability p_cs, otherwise the whole item shares one
-language.
+independently with probability p_cs (P_CS, 0.5, in adapter training),
+otherwise the whole item shares one language.
 
 Within one batch the positive-side entities are distinct: a duplicated
 entity would put a copy of an anchor's own positive among its negatives,
@@ -48,6 +48,9 @@ from .optim import train
 from .vocab import SEP, TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
+
+# the InfoNCE temperature of every training stage and the TP code-switch rate
+TAU, P_CS = 0.05, 0.5
 
 
 @dataclass
@@ -316,14 +319,13 @@ def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) 
 # ---------------------------------------------------------------------------
 
 def _item_to_seq(tokens: list[str], lang: str, vocab: Vocab, max_len: int,
-                 mask_at: tuple[int, int] | None) -> TokenSeq:
+                 mask_at: tuple[int, int] | None, pool_span: tuple[int, int] | None
+                 ) -> TokenSeq:
     seq = tokenize(tokens, lang, vocab, max_len)
-    if mask_at is not None:
-        if mask_at[1] >= len(seq.ids):
-            raise ConfigError(
-                f"mask span {mask_at} truncated away at max_seq_len={max_len}")
-        seq = mask_span(seq, mask_at)
-    return seq
+    for what, span in (("mask", mask_at), ("pooling", pool_span)):
+        if span is not None and span[1] >= len(seq.ids):
+            raise ConfigError(f"{what} span {span} truncated away at max_seq_len={max_len}")
+    return seq if mask_at is None else mask_span(seq, mask_at)
 
 
 def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
@@ -331,9 +333,9 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
     """One fused forward over anchors + positives, pooled to [B,d] each."""
     cfg = adapted.config
     anchor_seqs = [_item_to_seq(it.anchor_tokens, it.anchor_lang, vocab, cfg.max_seq_len,
-                                it.anchor_mask_span) for it in items]
-    positive_seqs = [_item_to_seq(it.positive_tokens, it.positive_lang, vocab,
-                                  cfg.max_seq_len, None) for it in items]
+                                it.anchor_mask_span, it.anchor_span) for it in items]
+    positive_seqs = [tokenize(it.positive_tokens, it.positive_lang, vocab, cfg.max_seq_len)
+                     for it in items]
     seqs = anchor_seqs + positive_seqs
     ids, mask = pad_batch(seqs, cfg)
     hook = build_hook(adapted, leaves)
@@ -349,19 +351,19 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
 
 
 def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
-                vocab: Vocab, hyper: TrainHyper) -> list[tuple[int, float, float]]:
+                vocab: Vocab, hyper: TrainHyper, seed: int) -> list[tuple[int, float, float]]:
     """InfoNCE over sampled pairs, training only `groups` of model.params in place."""
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(seed)
 
     def loss_at(step):
         items = sampler(hyper.batch_size, rng)
-        return lambda leaves: infonce(encode_pair_batch(leaves, model, items, vocab), hyper.tau)
+        return lambda leaves: infonce(encode_pair_batch(leaves, model, items, vocab), TAU)
 
     return train(model.params, groups, loss_at, hyper)
 
 
 def train_adapter(adapted: AdaptedEncoder, kind: str, sampler: Sampler,
-                  vocab: Vocab, hyper: TrainHyper
+                  vocab: Vocab, hyper: TrainHyper, seed: int
                   ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
     """Stage-2 integration: train one adapter with the backbone frozen.
 
@@ -371,4 +373,4 @@ def train_adapter(adapted: AdaptedEncoder, kind: str, sampler: Sampler,
     if kind not in adapted.kinds:
         raise ConfigError(f"adapter kind {kind!r} not inserted (have {adapted.kinds})")
     model = replace(adapted, params=adapted.params.copy(), mode="single", single_kind=kind)
-    return model, train_pairs(model, [f"adapter.{kind}."], sampler, vocab, hyper)
+    return model, train_pairs(model, [f"adapter.{kind}."], sampler, vocab, hyper, seed)

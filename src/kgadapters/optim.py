@@ -72,7 +72,7 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
         upd /= tmp
         np.subtract(p, upd, out=upd)
         if not np.isfinite(upd).all():
-            raise FloatingPointError(f"adam_step: non-finite update for {name!r}")
+            raise ad.NumericError(f"adam_step: non-finite update for {name!r}")
         params.set_data(name, upd)
     return params, state
 

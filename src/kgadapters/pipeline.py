@@ -34,12 +34,12 @@ from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapter
                        large_bottleneck)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int_fields
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
 from .hyper import TrainHyper
-from .objectives import (alignment_item_sampler, completion_item_sampler, ep_pair_universe,
-                         es_eligible, sample_ep_batch, sample_es_batch, sample_tp_batch,
-                         sample_ts_batch, train_adapter, ts_ingest)
+from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
+                         ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
+                         sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
 from .params import ParamSet
 from .synthetic import (SyntheticConfig, SyntheticDataset, gen_synthetic,
                         load_dataset, save_dataset, vocab_corpus)
@@ -54,12 +54,14 @@ PROFILES: dict[str, dict[str, TrainHyper]] = {
     # Full-scale settings: integration batch 128, lr 1e-4, 1e4 warmup steps,
     # 10 epochs; downstream batch 8, lr 1e-8, 10 epochs for completion and
     # 1 for alignment. Pretraining values are placeholders (the full-scale
-    # recipe starts from an already pretrained encoder).
+    # recipe starts from an already pretrained encoder). The paper trains
+    # every adapter with the same hyperparameters, so a value no stage varies
+    # is a constant, not a field: the InfoNCE temperature objectives.TAU
+    # (0.05), the TP code-switch rate objectives.P_CS (0.5) and the MLM mask
+    # rate encoder.MASK_RATE (0.15, as in BERT).
     "paper": {
-        "pretrain": TrainHyper(batch_size=128, steps=10_000, base_lr=1e-4,
-                               warmup_steps=10_000, mask_rate=0.15),
-        "adapter": TrainHyper(batch_size=128, epochs=10, base_lr=1e-4,
-                              warmup_steps=10_000, tau=0.05, p_cs=0.5),
+        "pretrain": TrainHyper(batch_size=128, steps=10_000, base_lr=1e-4, warmup_steps=10_000),
+        "adapter": TrainHyper(batch_size=128, epochs=10, base_lr=1e-4, warmup_steps=10_000),
         "fuse_completion": TrainHyper(batch_size=8, epochs=10, base_lr=1e-8, warmup_steps=1),
         "fuse_alignment": TrainHyper(batch_size=8, epochs=1, base_lr=1e-8, warmup_steps=1),
         "finetune_completion": TrainHyper(batch_size=8, epochs=10, base_lr=1e-8, warmup_steps=1),
@@ -67,10 +69,8 @@ PROFILES: dict[str, dict[str, TrainHyper]] = {
     },
     # Desk-scale settings sized for minutes-long CPU runs.
     "desk": {
-        "pretrain": TrainHyper(batch_size=32, steps=500, base_lr=2e-3,
-                               warmup_steps=50, mask_rate=0.15),
-        "adapter": TrainHyper(batch_size=32, steps=300, base_lr=2e-3,
-                              warmup_steps=30, tau=0.05, p_cs=0.5),
+        "pretrain": TrainHyper(batch_size=32, steps=500, base_lr=2e-3, warmup_steps=50),
+        "adapter": TrainHyper(batch_size=32, steps=300, base_lr=2e-3, warmup_steps=30),
         "fuse_completion": TrainHyper(batch_size=32, steps=150, base_lr=2e-3, warmup_steps=15),
         "fuse_alignment": TrainHyper(batch_size=32, steps=150, base_lr=2e-3, warmup_steps=15),
         "finetune_completion": TrainHyper(batch_size=32, steps=150, base_lr=2e-3, warmup_steps=15),
@@ -94,16 +94,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Every fault a stage would hit in the config is a ConfigError here."""
+        check_int_fields(self)
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (have {sorted(PROFILES)})")
         if not self.adapter_kinds or len(set(self.adapter_kinds)) != len(self.adapter_kinds) \
                 or not set(self.adapter_kinds) <= set(KINDS):
             raise ConfigError(f"adapter_kinds {self.adapter_kinds} must be distinct "
                               f"kinds of {list(KINDS)}, at least one")
-        if self.bottleneck < 1:
-            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
-        if self.eval_k < 1:
-            raise ConfigError(f"eval_k must be >= 1, got {self.eval_k}")
+        for name in ("bottleneck", "eval_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:
             # as Workspace.encoder_config builds it; vocab_size comes from vocab.txt
             EncoderConfig(vocab_size=0, **self.encoder)
@@ -115,9 +115,6 @@ class PipelineConfig:
                               f"(have {sorted(PROFILES[self.profile])})")
         for stage in PROFILES[self.profile]:
             h = self._stage_hyper(stage)
-            if "seed" in self.hyper_overrides.get(stage, {}):
-                raise ConfigError(f"hyper_overrides.{stage}: a stage's seed derives from "
-                                  f"the top-level seed; set seed instead")
             if h.steps == 0 and h.epochs == 0:
                 raise ConfigError(f"stage {stage}: steps and epochs are both 0")
 
@@ -157,7 +154,7 @@ class PipelineConfig:
         if h.steps == 0 and h.epochs > 0:
             if data_size <= 0:
                 raise ConfigError(f"stage {stage}: epochs given but data size unknown")
-            h.steps = h.epochs * max(1, data_size // h.batch_size)
+            h = dataclasses.replace(h, steps=h.epochs * max(1, data_size // h.batch_size))
         return h
 
 
@@ -263,7 +260,7 @@ def load_model(ws: Workspace, name: str, needed_for: str) -> AdaptedEncoder:
     return model_from_checkpoint(ws, params, manifest)
 
 
-def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
+def make_sampler(ds: SyntheticDataset, kind: str):
     """Bind one adapter kind's objective to the benchmark data.
 
     What a sampler draws from is built here, once per stage, not per batch.
@@ -273,8 +270,7 @@ def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
         universe = ep_pair_universe(ds.mlkg, langs)
         return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
     if kind == "TP":
-        return lambda b, rng: sample_tp_batch(ds.mlkg, ds.train_triples, langs, b,
-                                              hyper.p_cs, rng)
+        return lambda b, rng: sample_tp_batch(ds.mlkg, ds.train_triples, langs, b, P_CS, rng)
     if kind == "ES":
         eligible = es_eligible(ds.c1, ds.mlkg, langs)
         return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng)
@@ -283,7 +279,7 @@ def make_sampler(ds: SyntheticDataset, kind: str, hyper: TrainHyper):
         return lambda b, rng: sample_ts_batch(records, ds.base_lang, b, rng)
     if kind == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
-        samplers = itertools.cycle([make_sampler(ds, k, hyper) for k in KINDS])
+        samplers = itertools.cycle([make_sampler(ds, k) for k in KINDS])
         return lambda b, rng: next(samplers)(b, rng)
     raise ConfigError(f"unknown adapter kind {kind!r}")
 
@@ -300,9 +296,8 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
          if kind == LARGE else ws.config.bottleneck)
     adapted = insert_adapters(base.params, [kind], b, ws.config.seed + 1009, base.config)
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
-    hyper.seed = ws.config.seed + sum(ord(c) for c in kind)
-    sampler = make_sampler(ds, kind, hyper)
-    trained, curve = train_adapter(adapted, kind, sampler, vocab, hyper)
+    trained, curve = train_adapter(adapted, kind, make_sampler(ds, kind), vocab, hyper,
+                                   ws.config.seed + sum(ord(c) for c in kind))
     return _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve, kind=kind)
 
 
@@ -353,12 +348,11 @@ def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: Adapted
     """
     sampler_fn, train_data, _, _ = _task_args(ds, task)
     hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
-    hyper.seed = ws.config.seed + {"fuse": 101, "finetune": 211}[stage]
     groups = [""] if stage == "finetune" else [
         {"none": "encoder.", "single": f"adapter.{model.single_kind}.",
          "fusion": "fusion."}[model.mode]]
     return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
-                                train_groups=groups)
+                                ws.config.seed + {"fuse": 101, "finetune": 211}[stage], groups)
 
 
 def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,

@@ -40,7 +40,7 @@ from .data import (Labelled, LanguageSplit, MLKG, TaggedSentence,
                    load_c2, load_mlkg, load_split, read_corpus, read_rows,
                    save_c1, save_c2, save_mlkg, save_split, write_corpus,
                    write_rows)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int_fields
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -68,6 +68,7 @@ class SyntheticConfig:
     label_max_words: int = 2
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.entities < 10:
             raise ConfigError("need at least 10 entities")
         if self.relations < 2:

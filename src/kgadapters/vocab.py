@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,17 +64,10 @@ def build_vocab(corpora: Iterable[Sequence[str]]) -> Vocab:
 
 @dataclass
 class TokenSeq:
-    """Token ids with language tag and attention mask (0 marks PAD)."""
+    """Token ids with a language tag; `pad_batch` pads them and masks the PAD."""
 
     ids: list[int]
     lang: str
-    mask: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.mask:
-            self.mask = [1] * len(self.ids)
-        if len(self.mask) != len(self.ids):
-            raise ValueError("TokenSeq: ids and mask lengths differ")
 
     def __len__(self) -> int:
         return len(self.ids)

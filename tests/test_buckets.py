@@ -95,7 +95,7 @@ def adapter_fusion_grads(model, seqs, width: int):
 def mlm_grads(params, config, ids, mask, seed: int):
     """(loss, grads of every parameter) of the MLM loss on one masked batch."""
     corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config,
-                                                    np.random.default_rng(seed), 0.3)
+                                                    np.random.default_rng(seed))
     return ad.grad_eval(lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config),
                         params, params.names())
 
@@ -228,7 +228,7 @@ class TestBucketInvariance:
     @settings(max_examples=25, deadline=None, database=None)
     @given(st.lists(token_seqs(8), min_size=1, max_size=8), seeds)
     def test_mlm_masking_is_the_same_at_every_width(self, seqs, seed):
-        out8, out24 = (make_mlm_batch(*padded(seqs, w), DESK, np.random.default_rng(seed), 0.15)
+        out8, out24 = (make_mlm_batch(*padded(seqs, w), DESK, np.random.default_rng(seed))
                        for w in (8, MAX_LEN))
         for a, b in zip(out8[1:], out24[1:]):                # rows, cols, targets
             np.testing.assert_array_equal(a, b)
@@ -248,7 +248,7 @@ class TestTrainingPaths:
         vocab = build_vocab([WORDS])
         config = EncoderConfig(layers=1, d_model=16, n_heads=2, ff_dim=16,
                                max_seq_len=MAX_LEN, vocab_size=len(vocab))
-        hyper = TrainHyper(batch_size=4, steps=2, base_lr=1e-3, warmup_steps=1, seed=0)
+        hyper = TrainHyper(batch_size=4, steps=2, base_lr=1e-3, warmup_steps=1)
         return vocab, config, hyper
 
     def test_pretrain_pads_to_bucket(self, encode_widths):
@@ -260,14 +260,14 @@ class TestTrainingPaths:
     def test_finetune_and_fuse_pad_to_bucket(self, encode_widths):
         vocab, config, hyper = self.make()
         adapted = fused_model(config)
-        finetune_contrastive(adapted, self.sampler, vocab, hyper,
+        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0,
                              ["encoder.", "adapter.", "fusion."])
-        finetune_contrastive(adapted, self.sampler, vocab, hyper, ["fusion."])
+        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0, ["fusion."])
         assert encode_widths == [8] * 2 * hyper.steps
 
     def test_integrate_buckets(self, encode_widths):
         vocab, config, hyper = self.make()
-        train_adapter(fused_model(config), "EP", self.sampler, vocab, hyper)
+        train_adapter(fused_model(config), "EP", self.sampler, vocab, hyper, 0)
         assert encode_widths == [8] * hyper.steps
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgadapters.autodiff import Tensor
-from kgadapters.encoder import (EncoderConfig, MASK_ID, PAD_ID, encode_seqs,
+from kgadapters.encoder import (EncoderConfig, MASK_ID, encode_seqs,
                                 init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
                                 span_pool_weights, sentence_pool_weights)
@@ -47,7 +47,6 @@ class TestTokenize:
     def test_truncation_at_max_length(self):
         seq = tokenize("zurich is nice is nice is nice", "en", self.vocab, max_len=4)
         assert len(seq.ids) == 4
-        assert seq.mask == [1, 1, 1, 1]
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
@@ -130,14 +129,16 @@ class TestEncode:
         np.testing.assert_array_equal(states.final.data[2], states_p.final.data[0])
 
     def test_padding_invariance_of_span_pooling(self):
-        config, params = tiny_setup()
+        """Alone, the sequence pads to width 8; beside a 9-token one, to 16."""
+        config, params = tiny_setup(max_len=16)
         bare = TokenSeq(ids=[4, 5, 6], lang="l0")
-        padded = TokenSeq(ids=[4, 5, 6, PAD_ID, PAD_ID], lang="l0", mask=[1, 1, 1, 0, 0])
+        longer = TokenSeq(ids=list(range(4, 13)), lang="l0")
         s1, ids1, m1 = encode_seqs(params, [bare], config)
-        s2, ids2, m2 = encode_seqs(params, [padded], config)
+        s2, ids2, m2 = encode_seqs(params, [bare, longer], config)
+        assert (m1.shape[1], m2.shape[1]) == (8, 16)
         w1 = span_pool_weights([(0, 2)], m1)
-        w2 = span_pool_weights([(0, 2)], m2)
-        np.testing.assert_array_equal(pool(s1.final, w1).data, pool(s2.final, w2).data)
+        w2 = span_pool_weights([(0, 2), (0, 8)], m2)
+        np.testing.assert_array_equal(pool(s1.final, w1).data[0], pool(s2.final, w2).data[0])
 
     def test_single_vs_batched_encoding_identical(self):
         config, params = tiny_setup()
@@ -217,7 +218,7 @@ class TestMlmPretrain:
         vocab = build_vocab([toks for _, toks in corpus])
         config = EncoderConfig(layers=1, d_model=16, n_heads=2, ff_dim=32,
                                max_seq_len=8, vocab_size=len(vocab))
-        hyper = TrainHyper(batch_size=8, steps=60, base_lr=3e-3, warmup_steps=10, seed=1)
+        hyper = TrainHyper(batch_size=8, steps=60, base_lr=3e-3, warmup_steps=10)
         _, curve = mlm_pretrain(corpus, config, hyper, seed=1, vocab=vocab)
         assert curve[-1][2] < curve[0][2]
 
@@ -226,20 +227,11 @@ class TestMlmPretrain:
         vocab = build_vocab([toks for _, toks in corpus])
         config = EncoderConfig(layers=1, d_model=16, n_heads=2, ff_dim=32,
                                max_seq_len=8, vocab_size=len(vocab))
-        hyper = TrainHyper(batch_size=8, steps=15, base_lr=3e-3, warmup_steps=10, seed=7)
+        hyper = TrainHyper(batch_size=8, steps=15, base_lr=3e-3, warmup_steps=10)
         p1, c1 = mlm_pretrain(corpus, config, hyper, seed=7, vocab=vocab)
         p2, c2 = mlm_pretrain(corpus, config, hyper, seed=7, vocab=vocab)
         assert p1.checksum() == p2.checksum()
         assert c1 == c2
-
-    def test_zero_mask_rate_rejected(self):
-        corpus = self.make_corpus()
-        vocab = build_vocab([toks for _, toks in corpus])
-        config = EncoderConfig(layers=1, d_model=16, n_heads=2, ff_dim=32,
-                               max_seq_len=8, vocab_size=len(vocab))
-        hyper = TrainHyper(batch_size=8, steps=5, mask_rate=0.0)
-        with pytest.raises(ValueError, match="masking rate"):
-            mlm_pretrain(corpus, config, hyper, seed=0, vocab=vocab)
 
 
 class TestPadBatch:

@@ -70,7 +70,7 @@ def tie_heavy_batches(draw):
 def make_index(vectors, ids=None):
     m = np.asarray(vectors, dtype=np.float32)
     ids = ids or [f"e{i}" for i in range(m.shape[0])]
-    return CandidateIndex(lang="xx", entity_ids=ids, matrix=m)
+    return CandidateIndex(entity_ids=ids, matrix=m)
 
 
 class TestRank:
@@ -139,7 +139,7 @@ class TestRank:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
-            CandidateIndex(lang="xx", entity_ids=[], matrix=np.zeros((0, 3)))
+            CandidateIndex(entity_ids=[], matrix=np.zeros((0, 3)))
 
     def test_gold_rank_missing_warns(self, caplog):
         with caplog.at_level("WARNING"):
@@ -253,11 +253,11 @@ class TestEmbedAndEval:
     def test_finetune_trains_only_requested_groups(self, bench):
         ds, vocab, adapted = bench
         model = adapted.with_mode("single", "EP")
-        hyper = TrainHyper(batch_size=6, steps=4, base_lr=1e-3, warmup_steps=2, seed=5)
+        hyper = TrainHyper(batch_size=6, steps=4, base_lr=1e-3, warmup_steps=2)
         enc_before = model.params.checksum("encoder.")
         ad_before = model.params.checksum("adapter.")
         sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
-        trained, curve = finetune_contrastive(model, sampler, vocab, hyper,
+        trained, curve = finetune_contrastive(model, sampler, vocab, hyper, 5,
                                               train_groups=["adapter.EP."])
         assert trained.params.checksum("encoder.") == enc_before
         assert trained.params.checksum("adapter.") != ad_before

@@ -239,11 +239,11 @@ class TestTrainAdapter:
 
     def test_backbone_and_sibling_adapters_frozen(self, setup):
         ds, vocab, adapted = setup
-        hyper = TrainHyper(batch_size=8, steps=10, base_lr=1e-3, warmup_steps=2, seed=4)
+        hyper = TrainHyper(batch_size=8, steps=10, base_lr=1e-3, warmup_steps=2)
         before_backbone = adapted.params.checksum("encoder.")
         before_tp = adapted.params.checksum("adapter.TP.")
         before_ep = adapted.params.checksum("adapter.EP.")
-        trained, curve = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper)
+        trained, curve = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 4)
         assert trained.params.checksum("encoder.") == before_backbone
         assert trained.params.checksum("adapter.TP.") == before_tp
         assert trained.params.checksum("adapter.EP.") != before_ep
@@ -251,10 +251,10 @@ class TestTrainAdapter:
 
     def test_positive_cosine_increases_on_seeded_run(self, setup):
         ds, vocab, adapted = setup
-        hyper = TrainHyper(batch_size=8, steps=30, base_lr=3e-3, warmup_steps=3, seed=4)
+        hyper = TrainHyper(batch_size=8, steps=30, base_lr=3e-3, warmup_steps=3)
         probe = self.sampler(ds)(12, np.random.default_rng(99))
         before = mean_positive_cosine(adapted.with_mode("single", "EP"), probe, vocab)
-        trained, _ = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper)
+        trained, _ = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 4)
         after = mean_positive_cosine(trained, probe, vocab)
         assert after > before
 
@@ -262,12 +262,12 @@ class TestTrainAdapter:
         ds, vocab, adapted = setup
         with pytest.raises(ConfigError, match="not inserted"):
             train_adapter(adapted, "ES", self.sampler(ds), vocab,
-                          TrainHyper(batch_size=4, steps=1))
+                          TrainHyper(batch_size=4, steps=1), 0)
 
     def test_training_depends_only_on_seed(self, setup):
         ds, vocab, adapted = setup
-        hyper = TrainHyper(batch_size=4, steps=5, base_lr=1e-3, warmup_steps=2, seed=12)
-        t1, c1 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper)
-        t2, c2 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper)
+        hyper = TrainHyper(batch_size=4, steps=5, base_lr=1e-3, warmup_steps=2)
+        t1, c1 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 12)
+        t2, c2 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 12)
         assert t1.params.checksum() == t2.params.checksum()
         assert c1 == c2

@@ -69,6 +69,13 @@ class TestAdam:
         np.testing.assert_array_equal(p.get("b"), np.zeros(2, dtype=np.float32))
         assert set(state.m) == set(state.v) == {"a"}
 
+    def test_non_finite_update_is_a_numeric_error(self):
+        """The CLI maps it to exit 2, and the parameter keeps its value."""
+        p = scalar_params()
+        with pytest.raises(ad.NumericError, match="non-finite update for 'w'"):
+            adam_step(p, {"w": np.ones(1, dtype=np.float32)}, AdamState(), lr=np.inf)
+        np.testing.assert_array_equal(p.get("w"), [0.5])
+
 
 class TestWarmup:
     def test_ramp_endpoint(self):

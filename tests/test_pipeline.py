@@ -14,6 +14,7 @@ from kgadapters import checkpoint, cli, optim, pipeline
 from kgadapters.ablation import AblationReport
 from kgadapters.adapters import adapter_param_count, fusion_param_count, large_adapter_bottleneck
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.hyper import TrainHyper
 from kgadapters.params import ParamSet
@@ -427,16 +428,30 @@ CONFIG_FAULTS = {
     "override_unknown_key": (_override("adapter", bogus=1),
                              ["train-adapter", "--kind", "ep"], "hyper_overrides.adapter: "),
     "override_unknown_stage": (_override("fuse"), ["pretrain"], "unknown stage(s) ['fuse']"),
-    "override_seed": (_override("fuse_alignment", seed=5), ["pretrain"],
-                      "hyper_overrides.fuse_alignment: a stage's seed derives from "
-                      "the top-level seed"),
+    **{f"override_{key}": (_override(stage, **{key: value}), command,
+                           f"hyper_overrides.{stage}: TrainHyper.__init__() got an "
+                           f"unexpected keyword argument '{key}'")
+       for stage, key, value, command in [
+           ("pretrain", "mask_rate", 0.15, ["pretrain"]),
+           ("adapter", "tau", 0.05, ["train-adapter", "--kind", "ep"]),
+           ("adapter", "p_cs", 0.5, ["train-adapter", "--kind", "tp"]),
+           ("fuse_alignment", "seed", 5, ["pretrain"])]},
     "batch_size_zero": (_override("adapter", batch_size=0),
                         ["train-adapter", "--kind", "ep"], "batch_size"),
     "warmup_steps_zero": (_override("pretrain", warmup_steps=0), ["pretrain"], "warmup_steps"),
     "base_lr_zero": (_override("pretrain", base_lr=0.0), ["pretrain"], "base_lr"),
+    "base_lr_infinite": (_override("pretrain", base_lr=float("inf")), ["pretrain"],
+                         "base_lr must be positive and finite, got inf"),
+    "steps_fraction": (_override("adapter", steps=2.5), ["train-adapter", "--kind", "ep"],
+                       "hyper_overrides.adapter: steps must be an integer, got 2.5"),
     "steps_zero": (_override("pretrain", steps=0), ["pretrain"], "stage pretrain: "),
     "bottleneck_zero": (lambda raw: raw.update(bottleneck=0),
                         ["train-adapter", "--kind", "ep"], "bottleneck"),
+    "bottleneck_fraction": (lambda raw: raw.update(bottleneck=4.5),
+                            ["train-adapter", "--kind", "ep"],
+                            "bottleneck must be an integer, got 4.5"),
+    "eval_k_bool": (lambda raw: raw.update(eval_k=True), ["eval", "--task", "alignment"],
+                    "eval_k must be an integer, got True"),
     "duplicate_adapter_kinds": (lambda raw: raw.update(adapter_kinds=["EP", "EP"]),
                                 ["train-adapter", "--kind", "ep"], "adapter_kinds"),
     "unknown_adapter_kind": (lambda raw: raw.update(adapter_kinds=["EP", "XX"]),
@@ -458,6 +473,15 @@ CONFIG_FAULTS = {
 }
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: PipelineConfig(out_dir="run", bottleneck=v), lambda v: TrainHyper(steps=v),
+    lambda v: EncoderConfig(layers=v), lambda v: SyntheticConfig(entities=v)])
+@pytest.mark.parametrize("value", [20.5, True])
+def test_config_int_fields_reject_fractions_and_bools(make, value):
+    with pytest.raises(ConfigError, match=f"must be an integer, got {value}"):
+        make(value)
+
+
 @pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
 def test_config_fault_exits_one_when_the_config_loads(micro_run, tmp_path, capsys, case):
     edit, command, text = CONFIG_FAULTS[case]
@@ -473,6 +497,24 @@ def test_config_fault_exits_one_when_the_config_loads(micro_run, tmp_path, capsy
     assert err.startswith(f"error: bad config file {cfg}: ") and text in err, err
     assert err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in (run_dir / "checkpoints").iterdir()} == before
+
+
+def test_es_span_cut_off_by_max_seq_len_exits_one(tmp_path, capsys):
+    """A fault the config check lets through: the data's ES entity spans run
+    past max_seq_len 4. It needs a backbone pretrained at that width, so it
+    runs its own stages rather than a copy of the micro run."""
+    micro = micro_config(tmp_path / "run")
+    config = dataclasses.replace(micro, encoder={**micro.encoder, "max_seq_len": 4},
+                                 adapter_kinds=["ES"])
+    cfg = tmp_path / "cfg.json"
+    write_config(config, cfg)
+    for command in (["gen-synthetic"], ["pretrain"]):
+        assert cli.main(["--config", str(cfg), *command]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "train-adapter", "--kind", "es"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: pooling span \(\d+, \d+\) truncated away at "
+                        r"max_seq_len=4\n", err), err
 
 
 class TestCliExitCodes:
