@@ -12,11 +12,12 @@ task-adaptable parameter group, which `train_task` reads from the model's
 mode: the whole encoder for the no-adapter base, the adapter itself for
 single-adapter variants, and the fusion layer for the fused model (whose
 backbone and adapters stay frozen).
+
+`run_ablation` returns variant -> task -> MetricReport; `cli ablate` writes
+each task's reports as one list to reports/ablation_<task>.json and .tsv.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .adapters import LARGE, AdaptedEncoder
 from .errors import ConfigError
@@ -24,20 +25,6 @@ from .evaluation import MetricReport
 from .pipeline import Workspace, assemble_fused, evaluate, load_model, run_stage, train_task
 from .synthetic import SyntheticDataset
 from .vocab import Vocab
-
-
-@dataclass
-class AblationReport:
-    """variant -> task -> MetricReport, evaluated on identical splits and seeds."""
-
-    variants: dict[str, dict[str, MetricReport]] = field(default_factory=dict)
-    seed: int = 0
-    config_hash: str = ""
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "config_hash": self.config_hash,
-                "variants": {v: {t: r.to_dict() for t, r in tasks.items()}
-                             for v, tasks in sorted(self.variants.items())}}
 
 
 def _configured_variants(ws: Workspace) -> tuple[str, ...]:
@@ -53,13 +40,13 @@ def build_variant(ws: Workspace, variant: str) -> AdaptedEncoder:
     its checkpoint is missing.
     """
     if variant == "base":
-        return load_model(ws, "pretrain", "ablate")
+        return load_model(ws, "pretrain", "ablate")[0]
     if variant == "FUSION":
         return assemble_fused(ws)
     if variant == LARGE and not ws.ckpt(f"adapter_{LARGE}").exists():
         run_stage(ws, "integrate", kind=LARGE)
     if variant in (*ws.config.adapter_kinds, LARGE):
-        return load_model(ws, f"adapter_{variant}", "ablate")
+        return load_model(ws, f"adapter_{variant}", "ablate")[0]
     raise ConfigError(f"unknown variant {variant!r} (have {_configured_variants(ws)})")
 
 
@@ -81,13 +68,14 @@ def run_transfer_benchmark(ws: Workspace, task: str,
     }
 
 
-def run_ablation(ws: Workspace, tasks=("completion", "alignment")) -> AblationReport:
-    """Every variant on every task: base, each configured adapter, LARGE and
-    FUSION."""
+def run_ablation(ws: Workspace, tasks=("completion", "alignment")
+                 ) -> dict[str, dict[str, MetricReport]]:
+    """variant -> task -> MetricReport for every variant on every task (base,
+    each configured adapter, LARGE and FUSION), on identical splits and seeds."""
     ds, vocab = ws.load_data()
-    report = AblationReport(seed=ws.config.seed, config_hash=ws.config.config_hash())
+    grid = {}
     for variant in _configured_variants(ws):
         model = build_variant(ws, variant)
-        report.variants[variant] = {
+        grid[variant] = {
             task: task_train_and_eval(ws, ds, vocab, model, variant, task) for task in tasks}
-    return report
+    return grid

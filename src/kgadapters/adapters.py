@@ -1,5 +1,5 @@
-"""Bottleneck adapters, attention fusion over adapter outputs, and the LARGE
-adapter sized by their closed-form parameter counts.
+"""Bottleneck adapters, attention fusion over adapter outputs, and the width
+of the LARGE adapter sized to their parameter budget.
 
 An adapter at layer m computes h + W_up . gelu(W_down . h + b_down) + b_up
 (residual added so a zero up-projection is the exact identity). The fusion
@@ -56,16 +56,6 @@ class AdaptedEncoder:
         if mode == "fusion" and not self.has_fusion:
             raise ValueError("fusion parameters not initialized")
         return replace(self, mode=mode, single_kind=kind)
-
-
-def adapter_param_count(layers: int, d: int, bottleneck: int) -> int:
-    """Closed form L*(2*d*b + b + d) for one adapter across all layers."""
-    return layers * (2 * d * bottleneck + bottleneck + d)
-
-
-def fusion_param_count(layers: int, d: int) -> int:
-    """Closed form L*3*d*d for the fusion Q, K and V across all layers."""
-    return layers * 3 * d * d
 
 
 def _init_adapter(params: ParamSet, kind: str, config: EncoderConfig,
@@ -183,18 +173,15 @@ def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],
 # parameter accounting
 # ---------------------------------------------------------------------------
 
-def large_adapter_bottleneck(reference_total: int, d: int, layers: int) -> int:
-    """Largest b' with L*(2*d*b' + b' + d) <= reference_total."""
-    b = (reference_total // layers - d) // (2 * d + 1)
-    if b < 1:
-        raise ValueError(
-            f"reference budget {reference_total} too small for a bottleneck of 1")
-    return int(b)
-
-
 def large_bottleneck(config: EncoderConfig, n_adapters: int, bottleneck: int) -> int:
-    """Bottleneck of the single LARGE adapter: sized to the budget of
-    n_adapters adapters of the given bottleneck plus fusion."""
-    total = (n_adapters * adapter_param_count(config.layers, config.d_model, bottleneck)
-             + fusion_param_count(config.layers, config.d_model))
-    return large_adapter_bottleneck(total, config.d_model, config.layers)
+    """Largest width b' of one adapter whose parameters fit the budget of
+    n_adapters adapters of width b plus fusion.
+
+    An adapter has L*(2*d*b + b + d) parameters (W_down, b_down, W_up, b_up
+    at each of L layers) and fusion L*3*d*d (Q, K, V). Every term carries the
+    factor L, so L cancels from L*(2*d*b' + b' + d) <= n*L*(2*d*b + b + d) +
+    3*L*d*d and b' = (n*(2*d*b + b + d) + 3*d*d - d) // (2*d + 1), which is
+    at least b for n >= 1.
+    """
+    n, b, d = n_adapters, bottleneck, config.d_model
+    return (n * (2 * d * b + b + d) + 3 * d * d - d) // (2 * d + 1)

@@ -4,9 +4,11 @@ Subcommands: gen-synthetic, pretrain, train-adapter, train-fusion, finetune,
 eval, ablate, report. Exit codes: 0 success, 1 config, data-file or I/O error,
 2 numerical failure (non-finite loss), 3 frozen-group contract violation.
 
-`eval` and `ablate` write each report as JSON and TSV under reports/. A stored
-report carries its language split, so `report` re-renders its JSON into the
-TSV that `eval` or `ablate` wrote, byte for byte.
+`eval` writes its report to reports/eval_<task>_<checkpoint>.json and .tsv,
+`ablate` the reports of every variant on a task to reports/ablation_<task>.json
+and .tsv, each JSON an `emit_report` list. A stored report carries its
+language split, so `report` re-renders such a list into the TSV that `eval` or
+`ablate` wrote, byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .ablation import run_ablation
 from .adapters import KINDS, LARGE
@@ -92,11 +96,13 @@ def run(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"report file {args.input} is not JSON: {exc}") from None
         try:
-            reports = [MetricReport.from_dict(r)
-                       for r in (payload if isinstance(payload, list) else [payload])]
+            # emit_report writes a non-empty list of report dicts; the items of
+            # any other JSON value are not dicts, so from_dict fails on them
+            reports = [MetricReport.from_dict(r) for r in payload]
         except (AttributeError, KeyError, TypeError):
-            raise ConfigError(f"{args.input} holds no metric report (the ablation's "
-                              f"reports are in reports/ablation_<task>.json)") from None
+            reports = []
+        if not reports:
+            raise ConfigError(f"{args.input} holds no list of metric reports")
         emit_report(reports, "tsv", args.output)
         return EXIT_OK
 
@@ -111,20 +117,19 @@ def run(args) -> int:
         report = run_stage(ws, "eval", task=args.task, checkpoint=args.checkpoint)
         _emit(ws, f"eval_{args.task}_{report.variant}", [report])
     elif args.command == "ablate":
-        report = run_ablation(ws, tasks=tuple(args.tasks))
-        out = ws.report_dir / "ablation.json"
-        out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True)
-                       + "\n", encoding="utf-8")
+        grid = run_ablation(ws, tasks=tuple(args.tasks))
         for task in args.tasks:
-            _emit(ws, f"ablation_{task}",
-                  [report.variants[v][task] for v in sorted(report.variants)])
+            _emit(ws, f"ablation_{task}", [grid[v][task] for v in sorted(grid)])
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        # every training path turns a non-finite value into a NumericError, so
+        # numpy's overflow warnings would only precede its one line on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(args)
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 
-_CATEGORIES = ("sup", "zs_in", "zs_un")
+CATEGORIES = ("sup", "zs_in", "zs_un")
 
 
 @dataclass
@@ -241,10 +241,10 @@ def save_c2(path, records: Iterable[TripleSentence]) -> None:
 
 
 def load_split(path) -> LanguageSplit:
-    cats: dict[str, list[str]] = {cat: [] for cat in _CATEGORIES}
+    cats: dict[str, list[str]] = {cat: [] for cat in CATEGORIES}
     for where, (cat, lang) in read_rows(path, 2, "category<TAB>language"):
         if cat not in cats:
-            raise DataError(f"{where}: unknown category {cat!r} (have {_CATEGORIES})")
+            raise DataError(f"{where}: unknown category {cat!r} (have {CATEGORIES})")
         cats[cat].append(lang)
     try:
         return LanguageSplit(**cats)
@@ -253,7 +253,7 @@ def load_split(path) -> LanguageSplit:
 
 
 def save_split(path, split: LanguageSplit) -> None:
-    write_rows(path, ((cat, lang) for cat in _CATEGORIES for lang in getattr(split, cat)))
+    write_rows(path, ((cat, lang) for cat in CATEGORIES for lang in getattr(split, cat)))
 
 
 def read_corpus(path) -> list[tuple[str, list[str]]]:

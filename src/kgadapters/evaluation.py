@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .adapters import AdaptedEncoder, build_hook
-from .data import LanguageSplit, MLKG, Triple
+from .data import CATEGORIES, LanguageSplit, MLKG, Triple
 from .encoder import encode, pad_batch, pool, sentence_pool_weights
 from .errors import ConfigError
 from .hyper import TrainHyper
@@ -68,9 +68,6 @@ class LanguageResult:
     hit1: float
     hitk: float
     mrr: float
-
-
-CATEGORIES = ("sup", "zs_in", "zs_un")
 
 
 def _aggregate(rows: list[LanguageResult]) -> LanguageResult:

@@ -21,12 +21,6 @@ class ParamSet:
     def __iter__(self):
         return iter(sorted(self._data))
 
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._data
-
     def get(self, name: str) -> np.ndarray:
         return self._data[name]
 

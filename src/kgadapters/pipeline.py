@@ -254,10 +254,15 @@ def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
     return path
 
 
-def load_model(ws: Workspace, name: str, needed_for: str) -> AdaptedEncoder:
-    """The model of checkpoint `name`, which stage `needed_for` requires."""
-    params, manifest = load_checkpoint(ws.require_ckpt(name, needed_for))
-    return model_from_checkpoint(ws, params, manifest)
+def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncoder, dict]:
+    """The model and manifest of checkpoint `name`, which stage `needed_for`
+    requires; a checkpoint that holds no model of the run config names itself."""
+    path = ws.require_ckpt(name, needed_for)
+    params, manifest = load_checkpoint(path)
+    try:
+        return model_from_checkpoint(ws, params, manifest), manifest
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def make_sampler(ds: SyntheticDataset, kind: str):
@@ -290,7 +295,7 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
         raise ConfigError(f"kind {kind!r} not in configured adapters "
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
-    base = load_model(ws, "pretrain", "integrate")
+    base, _ = load_model(ws, "pretrain", "integrate")
     # LARGE is sized to the parameter budget of every configured adapter plus fusion
     b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
          if kind == LARGE else ws.config.bottleneck)
@@ -315,7 +320,7 @@ def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEnco
     error rather than a randomly initialized adapter in the fusion.
     """
     kinds = sorted(kinds or ws.config.adapter_kinds, key=KINDS.index)
-    base = load_model(ws, "pretrain", "fuse")
+    base, _ = load_model(ws, "pretrain", "fuse")
     backbone_hash = base.params.checksum("encoder.")
     for kind in kinds:
         path = ws.require_ckpt(f"adapter_{kind}", "fuse")
@@ -379,7 +384,7 @@ def stage_fuse(ws: Workspace, task: str) -> Path:
 def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
     ds, vocab = ws.load_data()
-    model = load_model(ws, f"fused_{task}", "finetune")
+    model, _ = load_model(ws, f"fused_{task}", "finetune")
     trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
     return _save_stage(ws, "finetune", f"finetuned_{task}", trained.params, curve, task=task)
 
@@ -393,9 +398,19 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     and then LARGE. Fusion parameters give fusion mode, one adapter single
     mode, none the bare backbone; several adapters without fusion (an
     integrate checkpoint written before each held only its own adapter) are
-    an error.
+    an error. So is a run config whose encoder differs from the parameters'
+    shapes, which would train a truncated model or fail inside `encode`; the
+    head count leaves no trace in the shapes and is not checked.
     """
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
+    shapes = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
+              "d_model": params.get("encoder.emb.tok").shape[1],
+              "ff_dim": params.get("encoder.0.ff.w1").shape[1],
+              "max_seq_len": params.get("encoder.emb.pos").shape[0]}
+    for name, found in shapes.items():
+        if getattr(config, name) != found:
+            raise DataError(f"encoder.{name} is {getattr(config, name)} in the run config "
+                            f"but {found} in the checkpoint: re-run pretrain")
     kinds = [k for k in (*KINDS, LARGE) if params.names(f"adapter.{k}.")]
     model = AdaptedEncoder(config=config, params=params, kinds=kinds)
     if model.has_fusion:
@@ -410,8 +425,7 @@ def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport
     """Score `checkpoint`, by default `fused_<task>`, on the task's test split."""
     checkpoint = checkpoint or f"fused_{task}"
     ds, vocab = ws.load_data()
-    params, manifest = load_checkpoint(ws.require_ckpt(checkpoint, "eval"))
-    model = model_from_checkpoint(ws, params, manifest)
+    model, manifest = load_model(ws, checkpoint, "eval")
     return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 

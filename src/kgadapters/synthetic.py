@@ -109,10 +109,6 @@ class SyntheticDataset:
     train_triples: list[Triple] = field(default_factory=list)
 
     @property
-    def languages(self) -> list[str]:
-        return self.split.all_langs
-
-    @property
     def base_lang(self) -> str:
         return self.split.sup[0]
 

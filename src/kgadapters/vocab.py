@@ -27,9 +27,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     @property
     def unk_id(self) -> int:
         return 1

@@ -19,9 +19,9 @@ def integrated(tmp_path_factory):
 
 
 def test_default_variants_follow_configured_kinds(integrated):
-    report = run_ablation(integrated, tasks=("alignment",))
-    assert list(report.variants) == ["base", "EP", "TP", "LARGE", "FUSION"]
-    for variant, tasks in report.variants.items():
+    grid = run_ablation(integrated, tasks=("alignment",))
+    assert list(grid) == ["base", "EP", "TP", "LARGE", "FUSION"]
+    for variant, tasks in grid.items():
         assert tasks["alignment"].overall().n > 0, variant
         assert tasks["alignment"].variant == variant
 

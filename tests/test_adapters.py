@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from kgadapters import autodiff as ad
-from kgadapters.adapters import (KINDS, LARGE, adapter_apply, adapter_param_count,
-                                 build_hook, fusion_apply, fusion_param_count,
-                                 init_fusion, insert_adapters,
-                                 large_adapter_bottleneck, large_bottleneck)
+from kgadapters.adapters import (KINDS, LARGE, adapter_apply, build_hook, fusion_apply,
+                                 init_fusion, insert_adapters, large_bottleneck)
 from kgadapters.autodiff import Tensor
 from kgadapters.encoder import EncoderConfig, encode_seqs, init_encoder_params
 from kgadapters.vocab import TokenSeq
@@ -174,41 +172,45 @@ def size(params, prefix: str) -> int:
 
 class TestParamCounts:
     def test_closed_form_reference_value(self):
-        assert adapter_param_count(12, 768, 8) == 156_768
+        # four adapters of width 8 plus fusion at the BERT-base width
+        config = EncoderConfig(layers=12, d_model=768, n_heads=12, ff_dim=3072)
+        assert large_bottleneck(config, 4, 8) == 1184
 
     def test_enumeration_matches_closed_form(self):
-        config, _, adapted = small_model(bottleneck=4)
-        adapted = init_fusion(adapted, seed=3)
-        for kind in adapted.kinds:
-            assert size(adapted.params, f"adapter.{kind}.") == adapter_param_count(
-                config.layers, config.d_model, 4)
-        assert size(adapted.params, "fusion.") == fusion_param_count(config.layers,
-                                                                     config.d_model)
+        """The largest b' with L*(2*d*b' + b' + d) <= n*L*(2*d*b + b + d) +
+        3*L*d*d, found by search, at every L: the layer count cancels, and
+        b' is never below b."""
+        for layers in (1, 2, 3, 12):
+            for d in (1, 2, 16, 33):
+                for n in (1, 2, 4):
+                    for b in (1, 4, 8):
+                        budget = n * layers * (2 * d * b + b + d) + 3 * layers * d * d
+                        want = 0
+                        while layers * (2 * d * (want + 1) + want + 1 + d) <= budget:
+                            want += 1
+                        config = EncoderConfig(layers=layers, d_model=d, n_heads=1, ff_dim=1)
+                        assert large_bottleneck(config, n, b) == want >= b, (layers, d, n, b)
 
     def test_bottleneck_monotonicity(self):
-        assert adapter_param_count(2, 16, 8) > adapter_param_count(2, 16, 4)
+        config, _, _ = small_model()
+        assert large_bottleneck(config, 4, 8) > large_bottleneck(config, 4, 4)
+        assert large_bottleneck(config, 4, 4) > large_bottleneck(config, 2, 4)
 
 
 class TestLargeAdapter:
-    def test_reference_of_one_small_adapter_gives_same_bottleneck(self):
-        total = adapter_param_count(2, 16, 4)
-        assert large_adapter_bottleneck(total, 16, 2) == 4
-
     def test_four_plus_fusion_budget_exceeds_four_b_small(self):
-        d, layers, b = 16, 2, 4
-        total = 4 * adapter_param_count(layers, d, b) + fusion_param_count(layers, d)
-        assert large_adapter_bottleneck(total, d, layers) > 4 * b
+        config, _, _ = small_model()
+        assert large_bottleneck(config, 4, 4) > 4 * 4
 
     def test_maximality_within_one_increment(self):
-        config, backbone, adapted = small_model()
-        adapted = init_fusion(adapted, seed=3)
-        reference = size(adapted.params, "adapter.") + size(adapted.params, "fusion.")
-        b = large_bottleneck(config, len(adapted.kinds), 4)
-        large = insert_adapters(backbone, [LARGE], b, seed=11, config=config)
-        assert large.params.get("adapter.LARGE.0.W_down").shape[1] == b
-        assert size(large.params, "adapter.LARGE.") <= reference
-        assert adapter_param_count(config.layers, config.d_model, b + 1) > reference
-
-    def test_budget_too_small_rejected(self):
-        with pytest.raises(ValueError, match="too small"):
-            large_adapter_bottleneck(10, 16, 2)
+        """Counted on real models: LARGE at b' fits the parameters of n
+        adapters of width 4 plus fusion, and at b' + 1 it does not."""
+        for n in (1, 2, 4):
+            config, backbone, adapted = small_model(kinds=list(KINDS[:n]))
+            adapted = init_fusion(adapted, seed=3)
+            reference = size(adapted.params, "adapter.") + size(adapted.params, "fusion.")
+            b = large_bottleneck(config, n, 4)
+            for width, fits in ((b, True), (b + 1, False)):
+                large = insert_adapters(backbone, [LARGE], width, seed=11, config=config)
+                assert large.params.get("adapter.LARGE.0.W_down").shape[1] == width
+                assert (size(large.params, "adapter.LARGE.") <= reference) == fits, (n, width)

@@ -122,8 +122,8 @@ class TestSyntheticGenerator:
 
     def test_alignment_ground_truth_is_bijection(self):
         ds = gen_synthetic(small_config())
-        for l1 in ds.languages:
-            for l2 in ds.languages:
+        for l1 in ds.split.all_langs:
+            for l2 in ds.split.all_langs:
                 if l1 == l2:
                     continue
                 labels1 = [e.labels[l1] for e in ds.mlkg.entities.values()]
@@ -186,7 +186,7 @@ class TestSyntheticGenerator:
 def assert_same_dataset(got, want):
     for f in dataclasses.fields(want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert (got.languages, got.base_lang) == (want.languages, want.base_lang)
+    assert (got.split.all_langs, got.base_lang) == (want.split.all_langs, want.base_lang)
 
 
 @st.composite

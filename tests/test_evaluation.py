@@ -232,7 +232,7 @@ class TestEmbedAndEval:
             assert eid not in idx.entity_ids
             assert any("excluded" in rec.message for rec in caplog.records)
         finally:
-            label = ds.mlkg.entities[eid].labels[ds.languages[1]]
+            label = ds.mlkg.entities[eid].labels[ds.split.all_langs[1]]
             ds.mlkg.entities[eid].labels[ds.base_lang] = label.rsplit("-", 1)[0]
 
     def test_evaluation_is_side_effect_free(self, bench):
@@ -243,7 +243,7 @@ class TestEmbedAndEval:
 
     def test_single_pair_testset_gives_reciprocal_rank(self, bench):
         ds, vocab, adapted = bench
-        tgt = ds.languages[1]
+        tgt = ds.split.all_langs[1]
         pairs = {tgt: ds.align_test[tgt][:1]}
         report = eval_alignment(adapted, ds.mlkg, pairs, vocab, k=5)
         r = report.per_language[tgt]

@@ -97,10 +97,11 @@ CURVE_CSV_SHA256 = {
         "f88b9ec245e40a49e4566eaa878a1dd176e70ff5baffd8d67eae915f06044a05",
 }
 
-# json.dumps(..., sort_keys=True) of {"ablation": run_ablation(ws).to_dict(),
-# "transfer": run_transfer_benchmark(ws, "alignment", ["EP", "TP"]) as dicts},
-# each report dict without the "split" and "categories" keys that reports
-# gained after this value was pinned
+# json.dumps(..., sort_keys=True) of {"ablation": {"seed", "config_hash",
+# "variants": run_ablation(ws) as dicts}, "transfer":
+# run_transfer_benchmark(ws, "alignment", ["EP", "TP"]) as dicts}, each report
+# dict without the "split" and "categories" keys that reports gained after
+# this value was pinned
 ABLATION_SHA256 = "369f53c4ecf950c9480d62ea360cf63c7e8d42ae725e62ba31c6608be903b3f8"
 
 # the 12 files save_dataset writes plus vocab.txt
@@ -181,12 +182,12 @@ def test_ablation_grid_matches_golden(golden_run):
     transfer = run_transfer_benchmark(golden_run, "alignment", ["EP", "TP"])
     ablation = run_ablation(golden_run)
     split = golden_run.load_data()[0].split
-    for report in [*transfer.values(), *(r for tasks in ablation.variants.values()
+    for report in [*transfer.values(), *(r for tasks in ablation.values()
                                          for r in tasks.values())]:
         assert report.split == split, report.variant
-    grid = ablation.to_dict()
-    grid["variants"] = {v: {t: pinned_fields(r) for t, r in tasks.items()}
-                        for v, tasks in grid["variants"].items()}
+    grid = {"seed": golden_run.config.seed, "config_hash": golden_run.config.config_hash(),
+            "variants": {v: {t: pinned_fields(r.to_dict()) for t, r in tasks.items()}
+                         for v, tasks in ablation.items()}}
     payload = {"ablation": grid,
                "transfer": {name: pinned_fields(r.to_dict()) for name, r in transfer.items()}}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -11,8 +11,6 @@ import pytest
 
 from kgadapters import autodiff as ad
 from kgadapters import checkpoint, cli, optim, pipeline
-from kgadapters.ablation import AblationReport
-from kgadapters.adapters import adapter_param_count, fusion_param_count, large_adapter_bottleneck
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
@@ -254,11 +252,8 @@ class TestStages:
             run_stage(micro_run, "integrate", kind="ES")
 
     def test_model_mode_follows_checkpoint(self, large_run):
-        cfg = large_run.config
-        d, layers = cfg.encoder["d_model"], cfg.encoder["layers"]
-        budget = (len(cfg.adapter_kinds) * adapter_param_count(layers, d, cfg.bottleneck)
-                  + fusion_param_count(layers, d))
-        widths = {"EP": 4, "TP": 4, "LARGE": large_adapter_bottleneck(budget, d, layers)}
+        # LARGE: two adapters of width 4 plus fusion at d = 32
+        widths = {"EP": 4, "TP": 4, "LARGE": 55}
         expected = {
             "pretrain": ("none", None, []),
             "adapter_EP": ("single", "EP", ["EP"]),
@@ -268,7 +263,7 @@ class TestStages:
             "finetuned_alignment": ("fusion", None, ["EP", "TP"]),
         }
         for name, want in expected.items():
-            model = load_model(large_run, name, "test")
+            model, _ = load_model(large_run, name, "test")
             assert (model.mode, model.single_kind, model.kinds) == want, name
             assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
                     for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
@@ -352,12 +347,16 @@ class TestReports:
         assert got.count("demo\tall\toverall\t8\t13.1\t50.0\t26.2\n") == 2
 
     def test_cli_report_of_ablation_file_exits_one(self, tmp_path, capsys):
-        ablation = AblationReport(variants={"demo": {"alignment": self.make_report()}})
+        """`report` reads the list `emit_report` writes: a variant -> task
+        grid of reports, one bare report and other JSON values exit 1."""
+        report = self.make_report().to_dict()
+        ablation = {"seed": 1, "config_hash": "cf", "variants": {"demo": {"alignment": report}}}
         path = tmp_path / "ablation.json"
-        path.write_text(json.dumps(ablation.to_dict()), encoding="utf-8")
-        assert cli.main(["report", "--input", str(path),
-                         "--output", str(tmp_path / "out.tsv")]) == 1
-        assert "ablation_<task>.json" in capsys.readouterr().err
+        for payload in (ablation, report, 3, None, "text", [["list"]], [], {}):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            assert cli.main(["report", "--input", str(path),
+                             "--output", str(tmp_path / "out.tsv")]) == 1
+            assert capsys.readouterr().err == f"error: {path} holds no list of metric reports\n"
         assert not (tmp_path / "out.tsv").exists()
 
 
@@ -390,6 +389,11 @@ class TestCliReports:
     def test_ablate_loads_dataset_twice(self, cli_reports):
         # once for the grid, once in the integrate stage of the missing LARGE adapter
         assert cli_reports[1]["ablate"] == 2
+
+    def test_reports_are_json_and_tsv_of_each_command(self, cli_reports):
+        assert sorted(p.name for p in cli_reports[0].report_dir.iterdir()) == [
+            "ablation_alignment.json", "ablation_alignment.tsv",
+            "eval_alignment_adapter_EP.json", "eval_alignment_adapter_EP.tsv"]
 
     @pytest.mark.parametrize("name", ["eval_alignment_adapter_EP", "ablation_alignment"])
     def test_report_reproduces_written_tsv(self, cli_reports, name, tmp_path):
@@ -452,6 +456,8 @@ CONFIG_FAULTS = {
                             "bottleneck must be an integer, got 4.5"),
     "eval_k_bool": (lambda raw: raw.update(eval_k=True), ["eval", "--task", "alignment"],
                     "eval_k must be an integer, got True"),
+    "unknown_profile": (lambda raw: raw.update(profile="nope"), ["pretrain"],
+                        "unknown profile 'nope'"),
     "duplicate_adapter_kinds": (lambda raw: raw.update(adapter_kinds=["EP", "EP"]),
                                 ["train-adapter", "--kind", "ep"], "adapter_kinds"),
     "unknown_adapter_kind": (lambda raw: raw.update(adapter_kinds=["EP", "XX"]),
@@ -497,6 +503,75 @@ def test_config_fault_exits_one_when_the_config_loads(micro_run, tmp_path, capsy
     assert err.startswith(f"error: bad config file {cfg}: ") and text in err, err
     assert err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in (run_dir / "checkpoints").iterdir()} == before
+
+
+def test_paper_profile_loads():
+    config = PipelineConfig(out_dir="run", profile="paper")
+    assert config.hyper("adapter", 1280).steps == 10 * 1280 // 128
+
+
+def test_epochs_resolve_to_steps_of_the_data_size(micro_run, tmp_path):
+    """With steps 0, a stage runs epochs x (data size // batch) steps, one
+    curve row each."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(micro_run.root, run_dir)
+    by_epoch = {"steps": 0, "epochs": 1, "batch_size": 8}
+    overrides = micro_run.config.hyper_overrides
+    ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir), hyper_overrides={
+        **overrides, "adapter": {**overrides["adapter"], **by_epoch},
+        "fuse_alignment": {**overrides["fuse_alignment"], **by_epoch}}))
+    for kind in ("EP", "TP"):
+        run_stage(ws, "integrate", kind=kind)
+    run_stage(ws, "fuse", task="alignment")
+    ds, _ = ws.load_data()
+    sizes = {"integrate_EP": len(ds.mlkg.entities) * len(ds.split.adapter_langs),
+             "integrate_TP": len(ds.train_triples), "fuse_alignment": len(ds.align_train)}
+    for curve, size in sizes.items():
+        rows = (ws.log_dir / f"{curve}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 1 * (size // 8) >= 1, curve
+
+
+@pytest.fixture(scope="module")
+def two_layer_run(tmp_path_factory):
+    """The micro config with two encoder layers, pretrained."""
+    micro = micro_config(tmp_path_factory.mktemp("two_layer"))
+    ws = Workspace(dataclasses.replace(micro, encoder={**micro.encoder, "layers": 2}))
+    run_stage(ws, "gen-synthetic")
+    run_stage(ws, "pretrain")
+    return ws
+
+
+# encoder field, its run config value and the value the two-layer pretrain
+# checkpoint holds; unchecked, layers 1 trains a truncated model and the
+# others fail inside encode
+@pytest.mark.parametrize("field, value, found", [
+    ("layers", 1, 2), ("layers", 3, 2), ("max_seq_len", 4, 16), ("d_model", 16, 32),
+    ("ff_dim", 32, 64)])
+def test_encoder_config_unlike_the_checkpoint_exits_one(two_layer_run, tmp_path, capsys,
+                                                        field, value, found):
+    ws = two_layer_run
+    cfg = tmp_path / "cfg.json"
+    write_config(dataclasses.replace(ws.config, encoder={**ws.config.encoder, field: value}),
+                 cfg)
+    assert cli.main(["--config", str(cfg), "train-adapter", "--kind", "ep"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ws.ckpt('pretrain')}: encoder.{field} is {value} in the run config "
+        f"but {found} in the checkpoint: re-run pretrain\n")
+    assert [p.name for p in ws.ckpt_dir.iterdir()] == ["pretrain.ckpt"]
+
+
+@pytest.mark.parametrize("base_lr", [1e30, 1e300])
+def test_divergence_is_one_line_of_stderr(micro_run, tmp_path, capsys, base_lr):
+    """Numpy's overflow warnings do not reach stderr before the failure."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(micro_run.root, run_dir)
+    raw = {**dataclasses.asdict(micro_run.config), "out_dir": str(run_dir)}
+    _override("pretrain", base_lr=base_lr)(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["--config", str(cfg), "pretrain"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
 
 def test_es_span_cut_off_by_max_seq_len_exits_one(tmp_path, capsys):
@@ -567,7 +642,8 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
                          "--checkpoint", "adapter_old"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: checkpoint holds adapters ['EP', 'TP'] and no fusion")
+        assert err.startswith(f"error: {ws.ckpt('adapter_old')}: checkpoint holds adapters "
+                              f"['EP', 'TP'] and no fusion")
         assert "re-run integrate" in err and err.count("\n") == 1
         assert not list(ws.report_dir.glob("*adapter_old*"))
 
