@@ -1,4 +1,4 @@
-"""Variant orchestration: zero-shot transfer benchmark and the ablation grid.
+"""Variant orchestration: the ablation grid.
 
 All variants share one pretrained backbone, one data split, and identical
 task-training budgets and seeds. Every variant is a pipeline checkpoint read
@@ -55,17 +55,6 @@ def task_train_and_eval(ws: Workspace, ds: SyntheticDataset, vocab: Vocab,
     """Identical task-training budget for every variant, then evaluation."""
     trained, _ = train_task(ws, ds, vocab, model, task, "fuse")
     return evaluate(ws, ds, vocab, trained, task, variant, trained.params.checksum())
-
-
-def run_transfer_benchmark(ws: Workspace, task: str,
-                           kinds: list[str]) -> dict[str, MetricReport]:
-    """Fusion over a subset of adapters vs the identically trained baseline."""
-    ds, vocab = ws.load_data()
-    return {
-        "baseline": task_train_and_eval(ws, ds, vocab, build_variant(ws, "base"), "base", task),
-        "fusion": task_train_and_eval(ws, ds, vocab, assemble_fused(ws, kinds=kinds),
-                                      "FUSION", task),
-    }
 
 
 def run_ablation(ws: Workspace, tasks=("completion", "alignment")

@@ -9,6 +9,10 @@ of every layer.
 PAD_BUCKET that fits its longest sequence, capped at max_seq_len; `encode`
 takes the first `t` rows of the position table.
 
+`encode_pooled` pads, encodes and pools a batch, each row over its poolable
+tokens or a given span: the one such sequence of contrastive training
+(`objectives.encode_pair_batch`) and of retrieval (`evaluation`).
+
 Packed rows. After the embeddings, `encode` carries the residual stream as
 [N, d] rows: the real slots, in row-major order of `mask > 0`. LN1, the
 Q/K/V and output projections, LN2, the feed-forward and its GELU, the
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import check_int_fields
+from .errors import check_number_fields
 from .hyper import TrainHyper
 from .optim import train
 from .params import ParamSet
@@ -79,7 +83,7 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         for name in ("layers", "d_model", "n_heads", "ff_dim", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"EncoderConfig.{name} must be positive")
@@ -247,6 +251,19 @@ def pool(x: Tensor, weights: np.ndarray) -> Tensor:
     """Weighted sum over the token axis: [B,T,d] x [B,T] -> [B,d]."""
     w = Tensor(weights[:, :, None])
     return ad.tsum(ad.mul(x, w), axis=1)
+
+
+def encode_pooled(leaves: dict[str, Tensor], seqs: Sequence[TokenSeq], config: EncoderConfig,
+                  adapter_hook: AdapterHook | None,
+                  spans: Sequence[tuple[int, int] | None] | None = None) -> Tensor:
+    """Pad, encode and pool a batch to [B,d]: each row over its poolable
+    tokens, or over the inclusive span `spans[row]` where one is given."""
+    ids, mask = pad_batch(seqs, config)
+    states = encode(leaves, ids, mask, config, adapter_hook)
+    weights = sentence_pool_weights(ids, mask)
+    rows = [row for row, span in enumerate(spans or ()) if span is not None]
+    weights[rows] = span_pool_weights([spans[row] for row in rows], mask[rows])
+    return pool(states.final, weights)
 
 
 def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:

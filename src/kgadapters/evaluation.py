@@ -7,6 +7,7 @@ Ranking is raw: a query is scored against every entity label of the target
 language by cosine similarity, descending, ties broken by ascending entity
 id. A gold entity missing from the candidate set counts as rank infinity
 (misses every Hit@k, contributes 0 to MRR) and logs a loud warning.
+Queries and labels are pooled by `encoder.encode_pooled`, as in training.
 Category aggregates are unweighted means over the category's languages.
 
 This module owns the report format. A `MetricReport` carries its dataset's
@@ -28,13 +29,21 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import AdaptedEncoder, build_hook
 from .data import CATEGORIES, LanguageSplit, MLKG, Triple
-from .encoder import encode, pad_batch, pool, sentence_pool_weights
+from .encoder import encode_pooled
 from .errors import ConfigError
 from .hyper import TrainHyper
 from .objectives import Sampler, _query_tokens, train_pairs
 from .vocab import TokenSeq, Vocab, tokenize
 
 log = logging.getLogger(__name__)
+
+# Labels are a few tokens long, so 512 of them make products of several
+# hundred packed rows (about 770 on a 5000-entity KG) at an eighth of the
+# per-op calls of 64-label batches. The vectors keep the bits of smaller
+# batches while every product stays within OpenBLAS's small-matrix limit of
+# M*N*K = 1e6: a d_model 64 to bottleneck 8 down-projection rounds
+# differently from 1954 rows on.
+LABEL_BATCH = 512
 
 
 @dataclass
@@ -169,16 +178,11 @@ def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
 def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
                       batch_size: int = 64) -> np.ndarray:
     """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
-    rows = []
     leaves = ad.make_leaves(adapted.params)
     hook = build_hook(adapted, leaves)
-    for lo in range(0, len(seqs), batch_size):
-        chunk = seqs[lo:lo + batch_size]
-        ids, mask = pad_batch(chunk, adapted.config)
-        states = encode(leaves, ids, mask, adapted.config, hook)
-        weights = sentence_pool_weights(ids, mask)
-        rows.append(pool(states.final, weights).data)
-    return np.concatenate(rows, axis=0)
+    return np.concatenate([encode_pooled(leaves, seqs[lo:lo + batch_size], adapted.config,
+                                         hook).data
+                           for lo in range(0, len(seqs), batch_size)], axis=0)
 
 
 def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> TokenSeq:
@@ -186,16 +190,9 @@ def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> TokenSeq:
 
 
 def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
-                 vocab: Vocab, batch_size: int = 512) -> CandidateIndex:
-    """Embed every entity's label in one language, ordered by entity id.
-
-    Labels are a few tokens long, so 512 of them make products of several
-    hundred packed rows (about 770 on a 5000-entity KG) at an eighth of the
-    per-op calls of 64-label batches. The vectors keep the bits of smaller
-    batches while every product stays within OpenBLAS's small-matrix limit
-    of M*N*K = 1e6: a d_model 64 to bottleneck 8 down-projection rounds
-    differently from 1954 rows on.
-    """
+                 vocab: Vocab) -> CandidateIndex:
+    """Embed every entity's label in one language, ordered by entity id, in
+    batches of LABEL_BATCH labels."""
     ids, seqs = [], []
     for eid in sorted(mlkg.entities):
         label = mlkg.entities[eid].labels.get(lang)
@@ -206,7 +203,7 @@ def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
         seqs.append(label_seq(label, lang, vocab, adapted.config.max_seq_len))
     if not ids:
         raise ConfigError(f"no entity has a label in language {lang!r}")
-    return CandidateIndex(entity_ids=ids, matrix=_pooled_encodings(adapted, seqs, batch_size))
+    return CandidateIndex(entity_ids=ids, matrix=_pooled_encodings(adapted, seqs, LABEL_BATCH))
 
 
 def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_int_fields
+from .errors import check_number_fields
 
 
 @dataclass
@@ -17,7 +17,7 @@ class TrainHyper:
     warmup_steps: int = 10_000
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.base_lr < math.inf:

@@ -2,8 +2,8 @@
 two task-pair samplers, and contrastive training of parameter groups on
 sampled pairs.
 
-Each sampler yields text pairs; encoding happens in one fused forward pass
-(anchors and positives concatenated into a single batch) so a training step
+Each sampler yields text pairs; `encode_pair_batch` pools anchors and
+positives in one `encoder.encode_pooled` forward pass, so a training step
 is one graph. The loss is the softmax form exp(cos/tau): the raw log-ratio
 of cosines is undefined for negative similarities, so the temperatured
 exponent is used, and every stage trains at tau = TAU (0.05). Negatives for
@@ -40,8 +40,7 @@ from . import autodiff as ad
 from .adapters import AdaptedEncoder, build_hook
 from .autodiff import Tensor
 from .data import MLKG, TaggedSentence, Triple, TripleSentence
-from .encoder import (encode, mask_span, pad_batch, pool,
-                      sentence_pool_weights, span_pool_weights)
+from .encoder import encode_pooled, mask_span
 from .errors import ConfigError
 from .hyper import TrainHyper
 from .optim import train
@@ -53,29 +52,13 @@ log = logging.getLogger(__name__)
 TAU, P_CS = 0.05, 0.5
 
 
-@dataclass
-class ContrastiveBatch:
-    """Paired anchor/positive representations feeding InfoNCE."""
-
-    anchors: Tensor
-    positives: Tensor
-
-    def __post_init__(self):
-        if self.anchors.shape != self.positives.shape or self.anchors.shape[0] < 1:
-            raise ValueError(
-                f"anchor/positive shapes differ: {self.anchors.shape} vs {self.positives.shape}")
-
-
-def infonce(batch: ContrastiveBatch, tau: float) -> Tensor:
+def infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
     """-mean_i log softmax_j(cos(a_i, p_j)/tau) at j=i; negatives are in-batch."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    if not (np.isfinite(batch.anchors.data).all() and np.isfinite(batch.positives.data).all()):
+    if not (np.isfinite(anchors.data).all() and np.isfinite(positives.data).all()):
         raise ad.NumericError("infonce: non-finite representations")
-    b = batch.anchors.shape[0]
-    cos = ad.cosine_rows(batch.anchors, batch.positives)        # [B,B]
+    cos = ad.cosine_rows(anchors, positives)                    # [B,B]
     logp = ad.log_softmax(ad.mul(cos, 1.0 / tau), axis=-1)
-    eye = np.eye(b, dtype=logp.dtype)
+    eye = np.eye(anchors.shape[0], dtype=logp.dtype)
     diag = ad.tsum(ad.mul(logp, Tensor(eye)), axis=-1)          # [B]
     return ad.mul(ad.mean(diag), -1.0)
 
@@ -329,25 +312,17 @@ def _item_to_seq(tokens: list[str], lang: str, vocab: Vocab, max_len: int,
 
 
 def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
-                      items: Sequence[PairItem], vocab: Vocab) -> ContrastiveBatch:
-    """One fused forward over anchors + positives, pooled to [B,d] each."""
+                      items: Sequence[PairItem], vocab: Vocab) -> tuple[Tensor, Tensor]:
+    """One fused forward over anchors + positives; (anchors, positives), [B,d] each."""
     cfg = adapted.config
     anchor_seqs = [_item_to_seq(it.anchor_tokens, it.anchor_lang, vocab, cfg.max_seq_len,
                                 it.anchor_mask_span, it.anchor_span) for it in items]
     positive_seqs = [tokenize(it.positive_tokens, it.positive_lang, vocab, cfg.max_seq_len)
                      for it in items]
-    seqs = anchor_seqs + positive_seqs
-    ids, mask = pad_batch(seqs, cfg)
-    hook = build_hook(adapted, leaves)
-    states = encode(leaves, ids, mask, cfg, hook)
-
-    b = len(items)
-    weights = sentence_pool_weights(ids, mask)
-    rows = [row for row, it in enumerate(items) if it.anchor_span is not None]
-    weights[rows] = span_pool_weights([items[row].anchor_span for row in rows], mask[rows])
-    pooled = pool(states.final, weights)
-    anchors, positives = ad.split(pooled, [b, b], axis=0)
-    return ContrastiveBatch(anchors=anchors, positives=positives)
+    pooled = encode_pooled(leaves, anchor_seqs + positive_seqs, cfg, build_hook(adapted, leaves),
+                           [it.anchor_span for it in items] + [None] * len(items))
+    anchors, positives = ad.split(pooled, [len(items)] * 2, axis=0)
+    return anchors, positives
 
 
 def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
@@ -357,7 +332,7 @@ def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
 
     def loss_at(step):
         items = sampler(hyper.batch_size, rng)
-        return lambda leaves: infonce(encode_pair_batch(leaves, model, items, vocab), TAU)
+        return lambda leaves: infonce(*encode_pair_batch(leaves, model, items, vocab), TAU)
 
     return train(model.params, groups, loss_at, hyper)
 

@@ -15,9 +15,9 @@ run every stage through it by name. Every stage reads its prerequisite
 checkpoint from the run directory and writes a new one; nothing is mutated
 in place. `model_from_checkpoint` is the one way from a checkpoint to a
 model, for the stages, eval and the ablation alike, and reads the model from
-the checkpoint's parameters alone. Two runs with the same config and seed
-produce byte-identical checkpoints and reports (run logs carry wall-clock
-timestamps and are excluded from that guarantee).
+the checkpoint's parameters (and the head count from its manifest). Two runs
+with the same config and seed produce byte-identical checkpoints and reports
+(run logs carry wall-clock timestamps and are excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapter
                        large_bottleneck)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
-from .errors import ConfigError, DataError, check_int_fields
+from .errors import ConfigError, DataError, check_number_fields
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
 from .hyper import TrainHyper
 from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
@@ -94,16 +94,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Every fault a stage would hit in the config is a ConfigError here."""
-        check_int_fields(self)
+        check_number_fields(self)
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (have {sorted(PROFILES)})")
         if not self.adapter_kinds or len(set(self.adapter_kinds)) != len(self.adapter_kinds) \
                 or not set(self.adapter_kinds) <= set(KINDS):
             raise ConfigError(f"adapter_kinds {self.adapter_kinds} must be distinct "
                               f"kinds of {list(KINDS)}, at least one")
-        for name in ("bottleneck", "eval_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("bottleneck", 1), ("eval_k", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         try:
             # as Workspace.encoder_config builds it; vocab_size comes from vocab.txt
             EncoderConfig(vocab_size=0, **self.encoder)
@@ -312,14 +312,15 @@ def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
             "LARGE": len(ds.train_triples)}.get(kind, 0)
 
 
-def assemble_fused(ws: Workspace, kinds: list[str] | None = None) -> AdaptedEncoder:
-    """The pretrain backbone + each kind's trained adapter group + fresh fusion
-    parameters, with the adapters in KINDS order whatever the order asked for.
+def assemble_fused(ws: Workspace) -> AdaptedEncoder:
+    """The pretrain backbone + each configured kind's trained adapter group +
+    fresh fusion parameters, with the adapters in KINDS order whatever the
+    configured order.
 
     Every kind needs its integrated adapter checkpoint; a missing one is an
     error rather than a randomly initialized adapter in the fusion.
     """
-    kinds = sorted(kinds or ws.config.adapter_kinds, key=KINDS.index)
+    kinds = sorted(ws.config.adapter_kinds, key=KINDS.index)
     base, _ = load_model(ws, "pretrain", "fuse")
     backbone_hash = base.params.checksum("encoder.")
     for kind in kinds:
@@ -390,8 +391,7 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
-    """The one way from a checkpoint to a model, read from its parameters
-    alone (the manifest is not read).
+    """The one way from a checkpoint to a model, read from its parameters.
 
     The vocabulary size is the row count of the token embedding and the
     adapter kinds are the `adapter.<kind>.` groups present, in KINDS order
@@ -399,15 +399,20 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     mode, none the bare backbone; several adapters without fusion (an
     integrate checkpoint written before each held only its own adapter) are
     an error. So is a run config whose encoder differs from the parameters'
-    shapes, which would train a truncated model or fail inside `encode`; the
-    head count leaves no trace in the shapes and is not checked.
+    shapes, which would train a truncated model or fail inside `encode`, or
+    from the head count, which leaves no trace in the shapes, that every
+    stage records in the manifest's `provenance.encoder` (if that is absent,
+    the head count is not checked).
     """
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
-    shapes = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
-              "d_model": params.get("encoder.emb.tok").shape[1],
-              "ff_dim": params.get("encoder.0.ff.w1").shape[1],
-              "max_seq_len": params.get("encoder.emb.pos").shape[0]}
-    for name, found in shapes.items():
+    in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
+               "d_model": params.get("encoder.emb.tok").shape[1],
+               "ff_dim": params.get("encoder.0.ff.w1").shape[1],
+               "max_seq_len": params.get("encoder.emb.pos").shape[0]}
+    recorded = manifest.get("provenance", {}).get("encoder")
+    if recorded is not None:
+        in_ckpt["n_heads"] = recorded.get("n_heads", EncoderConfig.n_heads)
+    for name, found in in_ckpt.items():
         if getattr(config, name) != found:
             raise DataError(f"encoder.{name} is {getattr(config, name)} in the run config "
                             f"but {found} in the checkpoint: re-run pretrain")

@@ -40,7 +40,7 @@ from .data import (Labelled, LanguageSplit, MLKG, TaggedSentence,
                    load_c2, load_mlkg, load_split, read_corpus, read_rows,
                    save_c1, save_c2, save_mlkg, save_split, write_corpus,
                    write_rows)
-from .errors import ConfigError, DataError, check_int_fields
+from .errors import ConfigError, DataError, check_number_fields
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -68,7 +68,7 @@ class SyntheticConfig:
     label_max_words: int = 2
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_number_fields(self)
         if self.entities < 10:
             raise ConfigError("need at least 10 entities")
         if self.relations < 2:
@@ -90,6 +90,11 @@ class SyntheticConfig:
             raise ConfigError("need at least one supervised language")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0,1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if _test_count(self.triples, self.test_fraction) >= self.triples:
+            raise ConfigError(f"triples ({self.triples}) must leave a training triple "
+                              f"beside the test split (test_fraction {self.test_fraction})")
         if len(_SUFFIX_SYLLABLES) < self.languages - 1:
             raise ConfigError(f"at most {len(_SUFFIX_SYLLABLES) + 1} languages supported")
 
@@ -111,6 +116,11 @@ class SyntheticDataset:
     @property
     def base_lang(self) -> str:
         return self.split.sup[0]
+
+
+def _test_count(n: int, test_fraction: float) -> int:
+    """How many of n triples or entities the test split holds out."""
+    return max(1, int(round(n * test_fraction)))
 
 
 def _language_codes(n: int) -> list[str]:
@@ -190,12 +200,12 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     # held-out splits: triples for completion, entities for alignment
     order = rng.permutation(len(triples))
-    n_test_t = max(1, int(round(len(triples) * config.test_fraction)))
+    n_test_t = _test_count(len(triples), config.test_fraction)
     test_triples = [triples[i] for i in order[:n_test_t]]
     train_triples = [triples[i] for i in order[n_test_t:]]
 
     ent_order = rng.permutation(len(entity_ids))
-    n_test_e = max(1, int(round(len(entity_ids) * config.test_fraction)))
+    n_test_e = _test_count(len(entity_ids), config.test_fraction)
     test_entities = [entity_ids[i] for i in ent_order[:n_test_e]]
     train_entities = [entity_ids[i] for i in ent_order[n_test_e:]]
 

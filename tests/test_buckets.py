@@ -18,14 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgadapters import autodiff as ad
-from kgadapters import encoder, objectives
+from kgadapters import encoder
 from kgadapters.adapters import KINDS, build_hook, init_fusion, insert_adapters
 from kgadapters.encoder import (EncoderConfig, encode, init_encoder_params, make_mlm_batch,
                                 mlm_loss, mlm_pretrain, pad_batch, pool, sentence_pool_weights)
 from kgadapters.evaluation import _pooled_encodings, finetune_contrastive
 from kgadapters.hyper import TrainHyper
-from kgadapters.objectives import (ContrastiveBatch, PairItem, encode_pair_batch, infonce,
-                                   train_adapter)
+from kgadapters.objectives import PairItem, encode_pair_batch, infonce, train_adapter
 from kgadapters.vocab import TokenSeq, build_vocab
 
 VOCAB_SIZE = 40
@@ -81,7 +80,7 @@ def infonce_grads(model, params, names, seqs, width: int):
         states = encode(leaves, ids, mask, model.config, build_hook(model, leaves))
         pooled = pool(states.final, sentence_pool_weights(ids, mask))
         anchors, positives = ad.split(pooled, [b, b], axis=0)
-        return infonce(ContrastiveBatch(anchors, positives), tau=0.05)
+        return infonce(anchors, positives, tau=0.05)
 
     return ad.grad_eval(loss, params, names)
 
@@ -102,8 +101,8 @@ def mlm_grads(params, config, ids, mask, seed: int):
 
 @pytest.fixture
 def encode_widths(monkeypatch):
-    """The width of every batch that `encode` sees from the encoder and
-    objectives modules."""
+    """The width of every batch that `encode` sees; every caller in the
+    program looks it up in the encoder module."""
     widths = []
     real = encoder.encode
 
@@ -112,7 +111,6 @@ def encode_widths(monkeypatch):
         return real(leaves, ids, mask, config, adapter_hook)
 
     monkeypatch.setattr(encoder, "encode", recording)
-    monkeypatch.setattr(objectives, "encode", recording)
     return widths
 
 
@@ -151,7 +149,7 @@ class TestBucketWidth:
         # every group trainable, then the backbone frozen
         for names in (model.params.names(),
                       model.params.names("adapter.") + model.params.names("fusion.")):
-            ad.grad_eval(lambda lv: infonce(encode_pair_batch(lv, model, items, vocab), 0.05),
+            ad.grad_eval(lambda lv: infonce(*encode_pair_batch(lv, model, items, vocab), 0.05),
                          model.params, names)
         assert encode_widths == [8, 8]
 
@@ -291,7 +289,7 @@ def test_whole_graph_gradcheck_at_a_bucketed_width():
         states = encode(leaves, ids, mask, config, build_hook(model, leaves))
         pooled = pool(states.final, sentence_pool_weights(ids, mask))
         anchors, positives = ad.split(pooled, [2, 2], axis=0)
-        return infonce(ContrastiveBatch(anchors, positives), tau=0.5)
+        return infonce(anchors, positives, tau=0.5)
 
     _, grads = ad.grad_eval(loss, params.astype(np.float64), params.names())
     assert not grads["encoder.emb.pos"][8:].any() and grads["encoder.emb.pos"][:8].any()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgadapters import evaluation
 from kgadapters.adapters import init_fusion, insert_adapters
 from kgadapters.data import LanguageSplit
 from kgadapters.encoder import EncoderConfig, init_encoder_params
@@ -174,6 +175,12 @@ def bench():
     return ds, vocab, adapted
 
 
+def embed_in_batches(monkeypatch, size, adapted, ds, vocab):
+    """`embed_labels` of the base language in batches of `size` labels."""
+    monkeypatch.setattr(evaluation, "LABEL_BATCH", size)
+    return embed_labels(adapted, ds.mlkg, ds.base_lang, vocab)
+
+
 class TestEmbedAndEval:
     def test_rows_ordered_by_entity_id_and_deterministic(self, bench):
         ds, vocab, adapted = bench
@@ -182,13 +189,13 @@ class TestEmbedAndEval:
         assert idx1.entity_ids == sorted(ds.mlkg.entities)
         np.testing.assert_array_equal(idx1.matrix, idx2.matrix)
 
-    def test_batched_matches_one_at_a_time_exactly(self, bench):
+    def test_batched_matches_one_at_a_time_exactly(self, bench, monkeypatch):
         ds, vocab, adapted = bench
-        full = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=64)
-        single = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=1)
+        full = embed_in_batches(monkeypatch, 64, adapted, ds, vocab)
+        single = embed_in_batches(monkeypatch, 1, adapted, ds, vocab)
         np.testing.assert_array_equal(full.matrix, single.matrix)
 
-    def test_batched_matches_one_at_a_time_at_desk_dims(self, bench):
+    def test_batched_matches_one_at_a_time_at_desk_dims(self, bench, monkeypatch):
         """At d_model 64 a product of one row would take BLAS's matrix-vector
         kernel and round differently, so a one-token label alone in its batch
         must still be encoded through products of two or more rows."""
@@ -201,11 +208,11 @@ class TestEmbedAndEval:
         lengths = {len(label_seq(e.labels[ds.base_lang], ds.base_lang, vocab, 12).ids)
                    for e in ds.mlkg.entities.values()}
         assert lengths == {1, 2}
-        full = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=64)
-        single = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab, batch_size=1)
+        full = embed_in_batches(monkeypatch, 64, adapted, ds, vocab)
+        single = embed_in_batches(monkeypatch, 1, adapted, ds, vocab)
         np.testing.assert_array_equal(full.matrix, single.matrix)
 
-    def test_default_batches_keep_the_bits_of_64_label_batches(self):
+    def test_default_batches_keep_the_bits_of_64_label_batches(self, monkeypatch):
         """The default batch of 512 labels at desk dims, fused: 600 labels
         give a full and a partial batch of products of several hundred rows."""
         ds = gen_synthetic(SyntheticConfig(
@@ -218,7 +225,7 @@ class TestEmbedAndEval:
         adapted = insert_adapters(backbone, ["EP", "TP"], 8, seed=1, config=config)
         fused = init_fusion(adapted, 2).with_mode("fusion")
         default = embed_labels(fused, ds.mlkg, ds.base_lang, vocab)
-        small = embed_labels(fused, ds.mlkg, ds.base_lang, vocab, batch_size=64)
+        small = embed_in_batches(monkeypatch, 64, fused, ds, vocab)
         assert len(default.entity_ids) == 600
         np.testing.assert_array_equal(default.matrix, small.matrix)
 

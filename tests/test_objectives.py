@@ -12,7 +12,7 @@ from kgadapters.data import Labelled, MLKG, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.errors import ConfigError
 from kgadapters.hyper import TrainHyper
-from kgadapters.objectives import (ContrastiveBatch, encode_pair_batch,
+from kgadapters.objectives import (encode_pair_batch,
                                    ep_pair_universe, es_eligible, infonce,
                                    sample_ep_batch, sample_es_batch,
                                    sample_tp_batch, sample_ts_batch,
@@ -23,26 +23,26 @@ from kgadapters.vocab import build_vocab
 
 
 def batch_from(anchors, positives):
-    a = np.asarray(anchors, dtype=np.float32)
-    p = np.asarray(positives, dtype=np.float32)
-    return ContrastiveBatch(anchors=Tensor(a), positives=Tensor(p))
+    """(anchors, positives) as float32 tensors, the arguments of infonce."""
+    return (Tensor(np.asarray(anchors, dtype=np.float32)),
+            Tensor(np.asarray(positives, dtype=np.float32)))
 
 
 class TestInfonce:
     def test_single_pair_is_exactly_zero(self):
         batch = batch_from([[0.3, 0.4]], [[0.1, 0.9]])
-        assert float(infonce(batch, tau=1.0).data) == 0.0
+        assert float(infonce(*batch, tau=1.0).data) == 0.0
 
     def test_b2_closed_form(self):
         batch = batch_from([[1, 0], [0, 1]], [[1, 0], [0, 1]])
         expected = math.log(1 + math.exp(-1))
-        assert float(infonce(batch, tau=1.0).data) == pytest.approx(expected, abs=1e-6)
+        assert float(infonce(*batch, tau=1.0).data) == pytest.approx(expected, abs=1e-6)
 
     def test_loss_decreases_when_off_diagonal_cosine_drops(self):
         def loss_at(x):
             p2 = [x, 0.5, math.sqrt(0.75 - x * x)]
             batch = batch_from([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], p2])
-            return float(infonce(batch, tau=1.0).data)
+            return float(infonce(*batch, tau=1.0).data)
 
         assert loss_at(0.1) < loss_at(0.5)
 
@@ -51,15 +51,15 @@ class TestInfonce:
         for _ in range(20):
             b = int(rng.integers(2, 6))
             batch = batch_from(rng.standard_normal((b, 4)), rng.standard_normal((b, 4)))
-            assert float(infonce(batch, tau=0.5).data) > 0.0
+            assert float(infonce(*batch, tau=0.5).data) > 0.0
 
     def test_invariant_under_common_permutation(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 3)).astype(np.float32)
         p = rng.standard_normal((5, 3)).astype(np.float32)
         perm = rng.permutation(5)
-        l1 = float(infonce(batch_from(a, p), tau=0.2).data)
-        l2 = float(infonce(batch_from(a[perm], p[perm]), tau=0.2).data)
+        l1 = float(infonce(*batch_from(a, p), tau=0.2).data)
+        l2 = float(infonce(*batch_from(a[perm], p[perm]), tau=0.2).data)
         assert l1 == pytest.approx(l2, rel=1e-6)
 
     def test_anchor_rescaling_leaves_loss_unchanged(self):
@@ -68,14 +68,14 @@ class TestInfonce:
         p = rng.standard_normal((4, 3)).astype(np.float32)
         scaled = a.copy()
         scaled[2] *= 37.5
-        l1 = float(infonce(batch_from(a, p), tau=0.3).data)
-        l2 = float(infonce(batch_from(scaled, p), tau=0.3).data)
+        l1 = float(infonce(*batch_from(a, p), tau=0.3).data)
+        l2 = float(infonce(*batch_from(scaled, p), tau=0.3).data)
         assert l1 == pytest.approx(l2, rel=1e-5)
 
     def test_non_finite_representations_rejected(self):
         a = np.full((2, 2), np.nan, dtype=np.float32)
         with pytest.raises(FloatingPointError):
-            infonce(batch_from(a, a), tau=1.0)
+            infonce(*batch_from(a, a), tau=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +228,8 @@ def setup(dataset):
 def mean_positive_cosine(adapted, items, vocab) -> float:
     """Mean cos(anchor_i, positive_i) under the current parameters, no tape."""
     leaves = ad.make_leaves(adapted.params, grad=False)
-    batch = encode_pair_batch(leaves, adapted, items, vocab)
-    return float(np.mean(np.diag(ad.cosine_rows(batch.anchors, batch.positives).data)))
+    anchors, positives = encode_pair_batch(leaves, adapted, items, vocab)
+    return float(np.mean(np.diag(ad.cosine_rows(anchors, positives).data)))
 
 
 class TestTrainAdapter:

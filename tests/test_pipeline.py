@@ -464,6 +464,16 @@ CONFIG_FAULTS = {
                              ["pretrain"], "adapter_kinds"),
     "eval_k_zero": (lambda raw: raw.update(eval_k=0), ["eval", "--task", "alignment"],
                     "eval_k must be >= 1, got 0"),
+    "seed_negative": (lambda raw: raw.update(seed=-1), ["pretrain"], "seed must be >= 0, got -1"),
+    "synthetic_seed_negative": (lambda raw: raw["synthetic"].update(seed=-1), ["gen-synthetic"],
+                                "seed must be >= 0, got -1"),
+    "synthetic_triples_all_test": (lambda raw: raw["synthetic"].update(triples=1),
+                                   ["gen-synthetic"], "triples (1) must leave a training triple"),
+    "base_lr_string": (_override("pretrain", base_lr="fast"), ["pretrain"],
+                       "hyper_overrides.pretrain: base_lr must be a number, got 'fast'"),
+    **{f"synthetic_{name}_string": ((lambda raw, name=name: raw["synthetic"].update({name: "0.5"})),
+                                    ["gen-synthetic"], f"{name} must be a number, got '0.5'")
+       for name in ("test_fraction", "gloss_rate", "fact_rate")},
     **{f"synthetic_{name}_zero": ((lambda raw, name=name: raw["synthetic"].update({name: 0})),
                                   [command], f"{name} must be >= 1, got 0")
        for name, command in [("triples", "gen-synthetic"), ("vocab_size", "gen-synthetic"),
@@ -542,11 +552,12 @@ def two_layer_run(tmp_path_factory):
 
 
 # encoder field, its run config value and the value the two-layer pretrain
-# checkpoint holds; unchecked, layers 1 trains a truncated model and the
-# others fail inside encode
+# checkpoint holds; unchecked, layers 1 trains a truncated model, n_heads 4
+# trains on a backbone whose attention was pretrained split in 2 heads, and
+# the others fail inside encode
 @pytest.mark.parametrize("field, value, found", [
     ("layers", 1, 2), ("layers", 3, 2), ("max_seq_len", 4, 16), ("d_model", 16, 32),
-    ("ff_dim", 32, 64)])
+    ("ff_dim", 32, 64), ("n_heads", 4, 2)])
 def test_encoder_config_unlike_the_checkpoint_exits_one(two_layer_run, tmp_path, capsys,
                                                         field, value, found):
     ws = two_layer_run

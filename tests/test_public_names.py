@@ -1,7 +1,8 @@
 """Every public top-level function and class of kgadapters has a caller in the
 program (src/kgadapters) or in the benchmark (perfbench/), not only in tests,
-and every public method, property and dataclass field of its classes is read
-there."""
+every public method, property and dataclass field of its classes is read
+there, and every defaulted parameter of its public top-level functions is
+passed there."""
 
 import ast
 from pathlib import Path
@@ -14,8 +15,19 @@ CALLERS = PROGRAM + sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = {
     "gradcheck": "verification tool: the float64 finite-difference check of every "
                  "backward formula, which the gradient tests run",
-    "run_transfer_benchmark": "pinned by ABLATION_SHA256 in test_golden.py and not "
-                              "yet exposed as a CLI command",
+}
+
+# (function, defaulted parameter) -> why it stays although no call in the
+# program or the benchmark passes it
+DEFAULTS_ALLOWED = {
+    ("gradcheck", "eps"): "verification tool: the gradient tests choose the "
+                          "finite-difference step of each check",
+    ("build_hook", "fusion_record"): "the hook's record of fusion attention weights per "
+                                     "layer, kept for the planned report of them in "
+                                     "the run directory (ROADMAP, observability)",
+    ("main", "argv"): "the CLI entry point: the console script calls it bare, so "
+                      "argparse reads sys.argv, and a caller in the same process "
+                      "passes its own argument vector",
 }
 
 
@@ -78,3 +90,61 @@ def test_every_public_member_is_read_outside_the_tests():
     unread = [f"{file}: {cls}.{name}" for file, cls, name in public_members()
               if name not in used]
     assert not unread, f"public members that only tests read: {', '.join(unread)}"
+
+
+def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
+    """(file name, function, parameter, position) of every parameter with a
+    default of a public top-level function; keyword-only ones have no
+    position."""
+    found = []
+    for path in PROGRAM:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                found.append((path.name, node.name, positional[i].arg, i))
+            found += [(path.name, node.name, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the program or the benchmark, by the called name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword, by position or
+    through a * or ** argument."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A default that no call overrides is a constant, or an option only a
+    test sets."""
+    calls = calls_by_name()
+    unpassed = [f"{file}: {fn}({name})" for file, fn, name, position in defaulted_parameters()
+                if (fn, name) not in DEFAULTS_ALLOWED
+                and not any(passes(c, name, position) for c in calls.get(fn, []))]
+    assert not unpassed, f"defaulted parameters no call passes: {', '.join(unpassed)}"
+
+
+def test_default_allow_list_holds_only_unpassed_parameters():
+    calls = calls_by_name()
+    positions = {(fn, name): position for _, fn, name, position in defaulted_parameters()}
+    for key in DEFAULTS_ALLOWED:
+        assert key in positions, key
+        assert not any(passes(c, key[1], positions[key]) for c in calls.get(key[0], [])), key
