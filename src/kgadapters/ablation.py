@@ -9,9 +9,9 @@ checkpoint, which `build_variant` trains on first use through
 Task training and evaluation are `pipeline.train_task` with the fuse
 budget and `pipeline.evaluate`. Task training touches each variant's
 task-adaptable parameter group, which `train_task` reads from the model's
-mode: the whole encoder for the no-adapter base, the adapter itself for
-single-adapter variants, and the fusion layer for the fused model (whose
-backbone and adapters stay frozen).
+mode, itself read from the parameter names: the whole encoder for the
+no-adapter base, the adapter itself for single-adapter variants, and the
+fusion layer for the fused model (whose backbone and adapters stay frozen).
 
 `run_ablation` returns variant -> task -> MetricReport; `cli ablate` writes
 each task's reports as one list to reports/ablation_<task>.json and .tsv.

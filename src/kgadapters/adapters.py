@@ -7,7 +7,8 @@ layer scores the identity path and every adapter output against the input
 with a bilinear form <hQ, A_n(h)K>, softmaxes the scores and mixes the
 V-projected outputs. Parameters are shared across token positions within a
 layer. Checkpoint tensor names follow adapter.<kind>.<layer>.<matrix> and
-fusion.<layer>.<Q|K|V>.
+fusion.<layer>.<Q|K|V>, and a model's adapter kinds and mode are read from
+them: fused with fusion parameters, single with one adapter, none otherwise.
 """
 
 from __future__ import annotations
@@ -31,31 +32,33 @@ FUSION_V_NOISE_STD = 1e-3
 
 @dataclass
 class AdaptedEncoder:
-    """Backbone plus an ordered adapter set and optional fusion parameters;
-    an adapter's bottleneck is the width of its W_down."""
+    """Backbone plus adapters and optional fusion parameters; an adapter's
+    bottleneck is the width of its W_down."""
 
     config: EncoderConfig
     params: ParamSet
-    kinds: list[str]
-    mode: str = "none"                # none | single | fusion
-    single_kind: str | None = None
 
-    def __post_init__(self):
-        if self.mode not in ("none", "single", "fusion"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "single" and self.single_kind not in self.kinds:
-            raise ValueError(f"single mode needs an inserted kind, got {self.single_kind!r}")
-        if self.mode == "fusion" and not self.kinds:
-            raise ValueError("fusion mode requires at least one adapter")
+    @property
+    def kinds(self) -> list[str]:
+        """The `adapter.<kind>.` groups present, in KINDS order and then LARGE."""
+        present = {n.split(".", 2)[1] for n in self.params.names("adapter.")}
+        return [k for k in (*KINDS, LARGE) if k in present]
 
     @property
     def has_fusion(self) -> bool:
         return bool(self.params.names("fusion."))
 
-    def with_mode(self, mode: str, kind: str | None = None) -> "AdaptedEncoder":
-        if mode == "fusion" and not self.has_fusion:
-            raise ValueError("fusion parameters not initialized")
-        return replace(self, mode=mode, single_kind=kind)
+    @property
+    def mode(self) -> str:
+        if self.has_fusion:
+            return "fusion"
+        return "single" if len(self.kinds) == 1 else "none"
+
+    def with_mode(self, mode: str) -> "AdaptedEncoder":
+        """This model, if its parameters give it `mode`."""
+        if mode != self.mode:
+            raise ValueError(f"model runs in {self.mode!r} mode, not {mode!r}")
+        return self
 
 
 def _init_adapter(params: ParamSet, kind: str, config: EncoderConfig,
@@ -76,13 +79,11 @@ def insert_adapters(backbone: ParamSet, kinds: list[str], bottleneck: int,
     """Attach one freshly initialized adapter per kind to a copy of the backbone."""
     if not kinds:
         raise ValueError("insert_adapters: kinds must be non-empty")
-    if len(set(kinds)) != len(kinds):
-        raise ValueError(f"insert_adapters: duplicate kinds in {kinds}")
     params = backbone.copy()
     rng = np.random.default_rng(seed)
     for kind in kinds:
         _init_adapter(params, kind, config, bottleneck, rng)
-    return AdaptedEncoder(config=config, params=params, kinds=list(kinds))
+    return AdaptedEncoder(config, params)
 
 
 def init_fusion(adapted: AdaptedEncoder, seed: int) -> AdaptedEncoder:
@@ -146,21 +147,19 @@ def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],
     holds [N, paths] fusion weights, one row per real token in row-major order
     of the batch's mask (plus the carried PAD row of a one-token batch).
     """
-    if adapted.mode == "none":
+    mode, kinds = adapted.mode, adapted.kinds
+    if mode == "none":
         return None
-    if adapted.mode == "single":
-        kind = adapted.single_kind
+    if mode == "single":
+        kind, = kinds
 
         def single_hook(x: Tensor, layer: int) -> Tensor:
             return adapter_apply(x, leaves, kind, layer)
 
         return single_hook
 
-    if not adapted.has_fusion:
-        raise ValueError("fusion mode without fusion parameters")
-
     def fusion_hook(x: Tensor, layer: int) -> Tensor:
-        outputs = [adapter_apply(x, leaves, kind, layer) for kind in adapted.kinds]
+        outputs = [adapter_apply(x, leaves, kind, layer) for kind in kinds]
         mixed, a = fusion_apply(x, outputs, leaves, layer)
         if fusion_record is not None:
             fusion_record[layer] = a.data.copy()

@@ -337,15 +337,15 @@ def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
     return train(model.params, groups, loss_at, hyper)
 
 
-def train_adapter(adapted: AdaptedEncoder, kind: str, sampler: Sampler,
+def train_adapter(adapted: AdaptedEncoder, sampler: Sampler,
                   vocab: Vocab, hyper: TrainHyper, seed: int
                   ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
-    """Stage-2 integration: train one adapter with the backbone frozen.
-
-    Only parameters named adapter.<kind>.* may change; backbone, fusion and
-    sibling adapters are checksum-verified by `optim.train`.
+    """Stage-2 integration: train a copy of a single-adapter model's one
+    adapter; the backbone is checksum-verified by `optim.train`. A model with
+    no adapter, several, or fusion parameters is rejected.
     """
-    if kind not in adapted.kinds:
-        raise ConfigError(f"adapter kind {kind!r} not inserted (have {adapted.kinds})")
-    model = replace(adapted, params=adapted.params.copy(), mode="single", single_kind=kind)
-    return model, train_pairs(model, [f"adapter.{kind}."], sampler, vocab, hyper, seed)
+    if adapted.mode != "single":
+        raise ConfigError(f"train_adapter needs exactly one adapter and no fusion, "
+                          f"got adapters {adapted.kinds} in {adapted.mode!r} mode")
+    model = replace(adapted, params=adapted.params.copy())
+    return model, train_pairs(model, ["adapter."], sampler, vocab, hyper, seed)

@@ -275,7 +275,8 @@ def make_sampler(ds: SyntheticDataset, kind: str):
         universe = ep_pair_universe(ds.mlkg, langs)
         return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
     if kind == "TP":
-        return lambda b, rng: sample_tp_batch(ds.mlkg, ds.train_triples, langs, b, P_CS, rng)
+        triples = ds.train_triples
+        return lambda b, rng: sample_tp_batch(ds.mlkg, triples, langs, b, P_CS, rng)
     if kind == "ES":
         eligible = es_eligible(ds.c1, ds.mlkg, langs)
         return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng)
@@ -301,7 +302,7 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
          if kind == LARGE else ws.config.bottleneck)
     adapted = insert_adapters(base.params, [kind], b, ws.config.seed + 1009, base.config)
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
-    trained, curve = train_adapter(adapted, kind, make_sampler(ds, kind), vocab, hyper,
+    trained, curve = train_adapter(adapted, make_sampler(ds, kind), vocab, hyper,
                                    ws.config.seed + sum(ord(c) for c in kind))
     return _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve, kind=kind)
 
@@ -320,17 +321,15 @@ def assemble_fused(ws: Workspace) -> AdaptedEncoder:
     Every kind needs its integrated adapter checkpoint; a missing one is an
     error rather than a randomly initialized adapter in the fusion.
     """
-    kinds = sorted(ws.config.adapter_kinds, key=KINDS.index)
     base, _ = load_model(ws, "pretrain", "fuse")
     backbone_hash = base.params.checksum("encoder.")
-    for kind in kinds:
+    for kind in sorted(ws.config.adapter_kinds, key=KINDS.index):
         path = ws.require_ckpt(f"adapter_{kind}", "fuse")
         trained, _ = load_checkpoint(path)
         if trained.checksum("encoder.") != backbone_hash:
             raise DataError(f"{path.name}: backbone differs from pretrain checkpoint")
         base.params.merge(trained, f"adapter.{kind}.")
-    adapted = AdaptedEncoder(config=base.config, params=base.params, kinds=kinds)
-    return init_fusion(adapted, ws.config.seed + 2003).with_mode("fusion")
+    return init_fusion(base, ws.config.seed + 2003)
 
 
 def _task_args(ds: SyntheticDataset, task: str):
@@ -355,8 +354,7 @@ def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: Adapted
     sampler_fn, train_data, _, _ = _task_args(ds, task)
     hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
     groups = [""] if stage == "finetune" else [
-        {"none": "encoder.", "single": f"adapter.{model.single_kind}.",
-         "fusion": "fusion."}[model.mode]]
+        {"none": "encoder.", "single": "adapter.", "fusion": "fusion."}[model.mode]]
     return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
                                 ws.config.seed + {"fuse": 101, "finetune": 211}[stage], groups)
 
@@ -393,16 +391,15 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
     """The one way from a checkpoint to a model, read from its parameters.
 
-    The vocabulary size is the row count of the token embedding and the
-    adapter kinds are the `adapter.<kind>.` groups present, in KINDS order
-    and then LARGE. Fusion parameters give fusion mode, one adapter single
-    mode, none the bare backbone; several adapters without fusion (an
-    integrate checkpoint written before each held only its own adapter) are
-    an error. So is a run config whose encoder differs from the parameters'
-    shapes, which would train a truncated model or fail inside `encode`, or
-    from the head count, which leaves no trace in the shapes, that every
-    stage records in the manifest's `provenance.encoder` (if that is absent,
-    the head count is not checked).
+    The vocabulary size is the row count of the token embedding; the model's
+    adapter kinds and mode come from its parameter names (`AdaptedEncoder`).
+    Several adapters without fusion (an integrate checkpoint written before
+    each held only its own adapter) are an error. So is a run config whose
+    encoder differs from the parameters' shapes, which would train a
+    truncated model or fail inside `encode`, or from the head count, which
+    leaves no trace in the shapes, that every stage records in the
+    manifest's `provenance.encoder` (if that is absent, the head count is
+    not checked).
     """
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
     in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
@@ -416,14 +413,11 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
         if getattr(config, name) != found:
             raise DataError(f"encoder.{name} is {getattr(config, name)} in the run config "
                             f"but {found} in the checkpoint: re-run pretrain")
-    kinds = [k for k in (*KINDS, LARGE) if params.names(f"adapter.{k}.")]
-    model = AdaptedEncoder(config=config, params=params, kinds=kinds)
-    if model.has_fusion:
-        return model.with_mode("fusion")
-    if len(kinds) > 1:
-        raise DataError(f"checkpoint holds adapters {kinds} and no fusion: an integrate "
+    model = AdaptedEncoder(config, params)
+    if len(model.kinds) > 1 and not model.has_fusion:
+        raise DataError(f"checkpoint holds adapters {model.kinds} and no fusion: an integrate "
                         f"checkpoint holds only its own adapter, so re-run integrate")
-    return model.with_mode("single", kinds[0]) if kinds else model
+    return model
 
 
 def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport:

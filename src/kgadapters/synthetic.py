@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +92,11 @@ class SyntheticConfig:
             raise ConfigError("test_fraction must be in (0,1)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if _test_count(self.triples, self.test_fraction) >= self.triples:
-            raise ConfigError(f"triples ({self.triples}) must leave a training triple "
-                              f"beside the test split (test_fraction {self.test_fraction})")
+        for name, one in (("triples", "triple"), ("entities", "entity")):
+            n = getattr(self, name)
+            if _test_count(n, self.test_fraction) >= n:
+                raise ConfigError(f"{name} ({n}) must leave a training {one} "
+                                  f"beside the test split (test_fraction {self.test_fraction})")
         if len(_SUFFIX_SYLLABLES) < self.languages - 1:
             raise ConfigError(f"at most {len(_SUFFIX_SYLLABLES) + 1} languages supported")
 
@@ -111,7 +113,11 @@ class SyntheticDataset:
     align_test: dict[str, list[tuple[str, str, str]]]          # tgt lang -> pairs
     comp_train: list[tuple[str, Triple]]                       # (lang, triple)
     comp_test: dict[str, list[tuple[str, Triple]]]             # lang -> items
-    train_triples: list[Triple] = field(default_factory=list)
+
+    @property
+    def train_triples(self) -> list[Triple]:
+        """The distinct triples of comp_train, in file order."""
+        return list(dict.fromkeys(t for _, t in self.comp_train))
 
     @property
     def base_lang(self) -> str:
@@ -282,8 +288,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     return SyntheticDataset(
         config=config, split=split, mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,
         align_train=align_train, align_test=align_test,
-        comp_train=comp_train, comp_test=comp_test,
-        train_triples=train_triples)
+        comp_train=comp_train, comp_test=comp_test)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +348,12 @@ def load_dataset(data_dir) -> SyntheticDataset:
     comp_test: dict[str, list[tuple[str, Triple]]] = {}
     for lang, h, r, t in _read_task_file(d / "comp_test.tsv", _TASK, known):
         comp_test.setdefault(lang, []).append((lang, Triple(h, r, t)))
-    # train/test triples recovered in file order (deduplicated, order-stable)
     ds = SyntheticDataset(
         config=config, split=split, mlkg=mlkg,
         c1=load_c1(d / "c1.tsv", mlkg), c2=load_c2(d / "c2.tsv", mlkg),
         mlm_corpus=read_corpus(d / "mlm.tsv"),
         align_train=align_train, align_test=align_test,
-        comp_train=comp_train, comp_test=comp_test,
-        train_triples=list(dict.fromkeys(t for _, t in comp_train)))
+        comp_train=comp_train, comp_test=comp_test)
     _check_zs_un_absence(ds, d)
     return ds
 

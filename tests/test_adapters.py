@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kgadapters import autodiff as ad
-from kgadapters.adapters import (KINDS, LARGE, adapter_apply, build_hook, fusion_apply,
-                                 init_fusion, insert_adapters, large_bottleneck)
+from kgadapters.adapters import (KINDS, LARGE, AdaptedEncoder, adapter_apply, build_hook,
+                                 fusion_apply, init_fusion, insert_adapters, large_bottleneck)
 from kgadapters.autodiff import Tensor
 from kgadapters.encoder import EncoderConfig, encode_seqs, init_encoder_params
 from kgadapters.vocab import TokenSeq
@@ -138,10 +138,17 @@ class TestInsertAdapters:
         with pytest.raises(ValueError, match="duplicate"):
             insert_adapters(backbone, ["EP", "EP"], 4, 0, config)
 
-    def test_single_mode_requires_inserted_kind(self):
-        _, _, adapted = small_model(kinds=["EP"])
-        with pytest.raises(ValueError):
-            adapted.with_mode("single", "TP")
+    def test_mode_read_from_parameter_names(self):
+        config, backbone, adapted = small_model(kinds=["TP", "EP"])
+        assert (adapted.mode, adapted.kinds) == ("none", ["EP", "TP"])
+        with pytest.raises(ValueError, match="'none' mode"):
+            adapted.with_mode("single")
+        _, _, single = small_model(kinds=[LARGE])
+        assert (single.mode, single.kinds) == ("single", [LARGE])
+        assert single.with_mode("single") is single
+        fused = init_fusion(adapted, seed=9)
+        assert (fused.mode, fused.kinds) == ("fusion", ["EP", "TP"])
+        assert AdaptedEncoder(config, backbone).mode == "none"
 
 
 class TestFusionInModel:

@@ -265,7 +265,9 @@ class TestTrainingPaths:
 
     def test_integrate_buckets(self, encode_widths):
         vocab, config, hyper = self.make()
-        train_adapter(fused_model(config), "EP", self.sampler, vocab, hyper, 0)
+        backbone = init_encoder_params(config, np.random.default_rng(0))
+        train_adapter(insert_adapters(backbone, ["EP"], 8, 1, config),
+                      self.sampler, vocab, hyper, 0)
         assert encode_widths == [8] * hyper.steps
 
 

@@ -204,7 +204,6 @@ class TestEmbedAndEval:
                                max_seq_len=12, vocab_size=len(vocab))
         backbone = init_encoder_params(config, np.random.default_rng(0))
         adapted = insert_adapters(backbone, ["EP"], 8, seed=1, config=config)
-        adapted = adapted.with_mode("single", "EP")
         lengths = {len(label_seq(e.labels[ds.base_lang], ds.base_lang, vocab, 12).ids)
                    for e in ds.mlkg.entities.values()}
         assert lengths == {1, 2}
@@ -258,8 +257,7 @@ class TestEmbedAndEval:
         assert r.mrr == pytest.approx(1.0 / round(1.0 / r.mrr)) or r.mrr == 0.0
 
     def test_finetune_trains_only_requested_groups(self, bench):
-        ds, vocab, adapted = bench
-        model = adapted.with_mode("single", "EP")
+        ds, vocab, model = bench
         hyper = TrainHyper(batch_size=6, steps=4, base_lr=1e-3, warmup_steps=2)
         enc_before = model.params.checksum("encoder.")
         ad_before = model.params.checksum("adapter.")

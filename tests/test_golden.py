@@ -8,7 +8,9 @@ of the ablation grid run on that workspace and the SHA-256 of every file in
 its data directory.
 
 Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 Haswell
-kernels); the values did not change between 1 and 2 BLAS threads. A change
+kernels); the values are the same under 1 and 2 BLAS threads, which
+test_pins_hold_under_another_blas_thread_count checks by running these pins
+again in a subprocess with the other of the two counts. A change
 that moves any of these hashes must name the change and say why in
 CHANGES.md: a refactor keeps them byte-identical.
 
@@ -46,6 +48,10 @@ content does not move: the new value was computed before the deletion.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +199,18 @@ def test_ablation_grid_matches_golden(golden_run):
                          for v, tasks in ablation.items()}}
     digest = hashlib.sha256(json.dumps({"ablation": grid}, sort_keys=True).encode()).hexdigest()
     assert digest == ABLATION_SHA256
+
+
+def test_pins_hold_under_another_blas_thread_count(tmp_path):
+    """The pins above, run in a fresh interpreter under 1 BLAS thread, or
+    under 2 when this process is pinned to 1; the subprocess skips this test."""
+    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    here = Path(__file__).resolve()
+    pins = f"tests/{here.name}"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path}",
+         pins, "--deselect", f"{pins}::test_pins_hold_under_another_blas_thread_count"],
+        cwd=here.parents[1], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "4 passed, 1 deselected" in out.stdout, out.stdout

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgadapters import autodiff as ad
-from kgadapters.adapters import insert_adapters
+from kgadapters.adapters import AdaptedEncoder, init_fusion, insert_adapters
 from kgadapters.autodiff import Tensor
 from kgadapters.data import Labelled, MLKG, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
@@ -221,7 +221,7 @@ def setup(dataset):
     config = EncoderConfig(layers=2, d_model=16, n_heads=2, ff_dim=32,
                            max_seq_len=12, vocab_size=len(vocab))
     backbone = init_encoder_params(config, np.random.default_rng(0))
-    adapted = insert_adapters(backbone, ["EP", "TP"], 4, seed=1, config=config)
+    adapted = insert_adapters(backbone, ["EP"], 4, seed=1, config=config)
     return dataset, vocab, adapted
 
 
@@ -237,15 +237,14 @@ class TestTrainAdapter:
         universe = ep_pair_universe(ds.mlkg, ds.split.adapter_langs)
         return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
 
-    def test_backbone_and_sibling_adapters_frozen(self, setup):
+    def test_backbone_frozen_and_adapter_trained(self, setup):
         ds, vocab, adapted = setup
         hyper = TrainHyper(batch_size=8, steps=10, base_lr=1e-3, warmup_steps=2)
         before_backbone = adapted.params.checksum("encoder.")
-        before_tp = adapted.params.checksum("adapter.TP.")
         before_ep = adapted.params.checksum("adapter.EP.")
-        trained, curve = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 4)
+        trained, curve = train_adapter(adapted, self.sampler(ds), vocab, hyper, 4)
         assert trained.params.checksum("encoder.") == before_backbone
-        assert trained.params.checksum("adapter.TP.") == before_tp
+        assert adapted.params.checksum("adapter.EP.") == before_ep
         assert trained.params.checksum("adapter.EP.") != before_ep
         assert len(curve) == 10
 
@@ -253,21 +252,27 @@ class TestTrainAdapter:
         ds, vocab, adapted = setup
         hyper = TrainHyper(batch_size=8, steps=30, base_lr=3e-3, warmup_steps=3)
         probe = self.sampler(ds)(12, np.random.default_rng(99))
-        before = mean_positive_cosine(adapted.with_mode("single", "EP"), probe, vocab)
-        trained, _ = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 4)
+        before = mean_positive_cosine(adapted, probe, vocab)
+        trained, _ = train_adapter(adapted, self.sampler(ds), vocab, hyper, 4)
         after = mean_positive_cosine(trained, probe, vocab)
         assert after > before
 
     def test_unknown_kind_rejected(self, setup):
+        """Which adapter to train is read from the model: one that holds two
+        adapters and no fusion, fusion, or no adapter names none."""
         ds, vocab, adapted = setup
-        with pytest.raises(ConfigError, match="not inserted"):
-            train_adapter(adapted, "ES", self.sampler(ds), vocab,
-                          TrainHyper(batch_size=4, steps=1), 0)
+        two = insert_adapters(adapted.params, ["TP"], 4, seed=2, config=adapted.config)
+        bare = AdaptedEncoder(adapted.config,
+                              init_encoder_params(adapted.config, np.random.default_rng(0)))
+        for model in (two, init_fusion(two, seed=3), bare):
+            with pytest.raises(ConfigError, match="exactly one adapter"):
+                train_adapter(model, self.sampler(ds), vocab,
+                              TrainHyper(batch_size=4, steps=1), 0)
 
     def test_training_depends_only_on_seed(self, setup):
         ds, vocab, adapted = setup
         hyper = TrainHyper(batch_size=4, steps=5, base_lr=1e-3, warmup_steps=2)
-        t1, c1 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 12)
-        t2, c2 = train_adapter(adapted, "EP", self.sampler(ds), vocab, hyper, 12)
+        t1, c1 = train_adapter(adapted, self.sampler(ds), vocab, hyper, 12)
+        t2, c2 = train_adapter(adapted, self.sampler(ds), vocab, hyper, 12)
         assert t1.params.checksum() == t2.params.checksum()
         assert c1 == c2

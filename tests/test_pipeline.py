@@ -255,23 +255,23 @@ class TestStages:
         # LARGE: two adapters of width 4 plus fusion at d = 32
         widths = {"EP": 4, "TP": 4, "LARGE": 55}
         expected = {
-            "pretrain": ("none", None, []),
-            "adapter_EP": ("single", "EP", ["EP"]),
-            "adapter_TP": ("single", "TP", ["TP"]),
-            "adapter_LARGE": ("single", "LARGE", ["LARGE"]),
-            "fused_alignment": ("fusion", None, ["EP", "TP"]),
-            "finetuned_alignment": ("fusion", None, ["EP", "TP"]),
+            "pretrain": ("none", []),
+            "adapter_EP": ("single", ["EP"]),
+            "adapter_TP": ("single", ["TP"]),
+            "adapter_LARGE": ("single", ["LARGE"]),
+            "fused_alignment": ("fusion", ["EP", "TP"]),
+            "finetuned_alignment": ("fusion", ["EP", "TP"]),
         }
         for name, want in expected.items():
             model, _ = load_model(large_run, name, "test")
-            assert (model.mode, model.single_kind, model.kinds) == want, name
+            assert (model.mode, model.kinds) == want, name
             assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
                     for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
 
     def test_model_reads_no_provenance(self, micro_run):
         params, _ = load_checkpoint(micro_run.ckpt("adapter_TP"))
         model = model_from_checkpoint(micro_run, params, {})
-        assert (model.mode, model.single_kind, model.kinds) == ("single", "TP", ["TP"])
+        assert (model.mode, model.kinds) == ("single", ["TP"])
 
     def test_eval_emits_hashes(self, micro_run):
         report = run_stage(micro_run, "eval", task="alignment",
@@ -469,6 +469,9 @@ CONFIG_FAULTS = {
                                 "seed must be >= 0, got -1"),
     "synthetic_triples_all_test": (lambda raw: raw["synthetic"].update(triples=1),
                                    ["gen-synthetic"], "triples (1) must leave a training triple"),
+    "synthetic_entities_all_test": (
+        lambda raw: raw["synthetic"].update(entities=10, triples=50, test_fraction=0.96),
+        ["gen-synthetic"], "entities (10) must leave a training entity"),
     "base_lr_string": (_override("pretrain", base_lr="fast"), ["pretrain"],
                        "hyper_overrides.pretrain: base_lr must be a number, got 'fast'"),
     **{f"synthetic_{name}_string": ((lambda raw, name=name: raw["synthetic"].update({name: "0.5"})),
