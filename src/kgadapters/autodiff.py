@@ -8,6 +8,9 @@ reshape/swapaxes, sqrt, div. That is enough for the encoder, adapters,
 fusion and every training objective in this package. There is no graph
 compiler and no user-extensible op registry.
 
+`gelu` is the exact x * Phi(x) and needs only numpy: its erf is a float64
+port of fdlibm's erf, rounded to float32 for float32 inputs.
+
 `grad_eval` and `gradcheck` differentiate with respect to the parameter
 names their caller passes and no others; which parameters train is decided
 by the training loop, `optim.train`.
@@ -19,7 +22,6 @@ import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import erf
 
 
 _INV_SQRT2 = math.sqrt(0.5)
@@ -188,9 +190,108 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), backward)
 
 
+# erf, ported from fdlibm s_erf.c. Copyright (C) 1993 by Sun Microsystems,
+# Inc. All rights reserved. Developed at SunPro, a Sun Microsystems, Inc.
+# business. Permission to use, copy, modify, and distribute this software is
+# freely granted, provided that this notice is preserved.
+#
+# Each coefficient tuple is (c0, c1, ..., cn) of c0 + s*(c1 + ... + s*cn),
+# evaluated in fdlibm's order so that every rounding is the same.
+_ERX = 8.45062911510467529297e-01
+_ERF_P = (1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+          -5.77027029648944159157e-03, -2.37630166566501626084e-05)
+_ERF_Q = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+          5.08130628187576562776e-03, 1.32494738004321644526e-04, -3.96022827877536812320e-06)
+_ERX_P = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
+          3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+          -2.16637559486879084300e-03)
+_ERX_Q = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+          7.18286544141962662868e-02, 1.26171219808761642112e-01, 1.36370839120290507362e-02,
+          1.19844998467991074170e-02)
+_ERFC_NEAR = ((-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+               -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+               -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+               -8.12874355063065934246e+01, -9.81432934416914548592e+00),
+              (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+               4.34565877475229228821e+02, 6.45387271733267880336e+02,
+               4.29008140027567833386e+02, 1.08635005541779435134e+02,
+               6.57024977031928170135e+00, -6.04244152148580987438e-02))
+_ERFC_FAR = ((-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+              -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+              -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+              -4.83519191608651397019e+02),
+             (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+              1.53672958608443695994e+03, 3.19985821950859553908e+03,
+              2.55305040643316442583e+03, 4.74528541206955367215e+02,
+              -2.24409524465858183362e+01))
+# fdlibm branches on the high word: 1/0.35 with its low 32 bits cleared
+_ERFC_SPLIT = 2.857143402099609375
+_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
+
+
+def _horner(s: np.ndarray, coefs: tuple) -> np.ndarray:
+    acc = s * coefs[-1]
+    for c in coefs[-2:0:-1]:
+        acc += c
+        acc *= s
+    acc += coefs[0]
+    return acc
+
+
+def _erfc_tail(ax: np.ndarray, coefs: tuple) -> np.ndarray:
+    """erf(ax) = 1 - exp(-ax^2 - 0.5625 + R/S)/ax on 1.25 <= ax < 6."""
+    s = 1.0 / (ax * ax)
+    r = _horner(s, coefs[0])
+    r /= _horner(s, coefs[1])
+    z = (ax.view(np.uint64) & _HIGH_WORD).view(np.float64)
+    r += (z - ax) * (z + ax)
+    np.exp(r, out=r)
+    z *= z
+    z += 0.5625
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    r *= z
+    r /= ax
+    return np.subtract(1.0, r, out=r)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf in float64, rounded to float32 for a float32 input.
+
+    The |x| < 0.84375 rational runs over the whole array in place; the other
+    branches run only on the entries outside it.
+    """
+    y = np.array(x, dtype=np.float64, order="C")
+    flat = y.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and huge x, fixed below
+        z = flat * flat
+        outside = np.flatnonzero(z >= 0.7119140625)       # 0.84375 ** 2, exact
+        xo = flat[outside]
+        r = _horner(z, _ERF_P)
+        r /= _horner(z, _ERF_Q)
+        r *= flat
+        flat += r
+    if outside.size:
+        ax = np.abs(xo)
+        out = np.ones_like(ax)                            # |x| >= 6, inf included
+        i = np.flatnonzero(ax < 1.25)
+        if i.size:
+            s = ax[i] - 1.0
+            p = _horner(s, _ERX_P)
+            p /= _horner(s, _ERX_Q)
+            p += _ERX
+            out[i] = p
+        for lo, hi, coefs in ((1.25, _ERFC_SPLIT, _ERFC_NEAR), (_ERFC_SPLIT, 6.0, _ERFC_FAR)):
+            i = np.flatnonzero((ax >= lo) & (ax < hi))
+            if i.size:
+                out[i] = _erfc_tail(ax[i], coefs)
+        flat[outside] = np.copysign(out, xo, out=out)
+    return y.astype(np.float32) if x.dtype == np.float32 else y
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x), with Phi the standard normal CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data * x.dtype.type(_INV_SQRT2)))
+    cdf = 0.5 * (1.0 + _erf(x.data * x.dtype.type(_INV_SQRT2)))
     out = x.data * cdf
 
     def backward(g):

@@ -223,9 +223,11 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     comp_train = [(lang, t) for lang in split.sup for t in train_triples]
     comp_test = {lang: [(lang, t) for t in test_triples] for lang in languages}
 
+    context_forms = [_transform(context_words, li) for li in range(len(languages))]
+
     def ctx(k: int, li: int) -> list[str]:
-        return _transform([context_words[int(rng.integers(len(context_words)))]
-                           for _ in range(k)], li)
+        forms = context_forms[li]
+        return [forms[int(rng.integers(len(forms)))] for _ in range(k)]
 
     def entity_sentence(eid: str, lang: str) -> TaggedSentence:
         li = lang_index[lang]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,15 +48,12 @@ class Vocab:
 
 def build_vocab(corpora: Iterable[Sequence[str]]) -> Vocab:
     """Count tokens over tokenized sentences; order by frequency desc, then token."""
-    counts: Counter = Counter()
-    empty = True
-    for sent in corpora:
-        empty = False
-        counts.update(sent)
-    if empty:
+    corpora = list(corpora)
+    if not corpora:
         raise ValueError("build_vocab: empty corpora")
-    kept = sorted((t for t in counts if t not in SPECIALS),
-                  key=lambda t: (-counts[t], t))
+    counts = Counter(itertools.chain.from_iterable(corpora))
+    kept = sorted(t for t in counts if t not in SPECIALS)
+    kept.sort(key=counts.__getitem__, reverse=True)     # stable: ties stay by token
     return Vocab(list(SPECIALS) + kept)
 
 

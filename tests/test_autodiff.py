@@ -1,5 +1,8 @@
 """Gradient engine checks: analytic cases, linearity, finite differences."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,3 +195,71 @@ class TestOpOutputsFinite:
             b = Tensor(np.zeros(7, dtype=np.float32))
             y = ad.softmax(ad.layer_norm(ad.gelu(x), g, b), axis=-1)
             assert np.isfinite(y.data).all()
+
+
+def window(center, k: int = 4) -> np.ndarray:
+    """A float32 away from 0 and its k float32 neighbours on each side."""
+    bits = np.array(center, dtype=np.float32).view(np.int32) + np.arange(-k, k + 1, dtype=np.int32)
+    return bits.view(np.float32)
+
+
+def only_the_minus_inf_warning(compute) -> np.ndarray:
+    """compute(), asserting that its one warning is the final product's
+    -inf * Phi(-inf) = -inf * 0, which is NaN."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = compute()
+    assert [str(w.message) for w in caught] == ["invalid value encountered in multiply"]
+    return out
+
+
+class TestGeluBits:
+    # the branches of fdlibm's erf, on erf's argument x / sqrt(2); fdlibm
+    # splits at 1/0.35 with the low 32 bits cleared, two float32 ulps above
+    BOUNDARIES = (0.84375, 1.25, 1 / 0.35, 2.857143402099609375, 6.0)
+
+    def test_float32_forward_is_double_erf_rounded_to_float32(self):
+        """Bit for bit the GELU of a double-precision erf rounded to float32,
+        as with scipy's float32 erf. Inputs: every branch boundary, both as
+        the GELU input and scaled so that erf's argument straddles it, with
+        their neighbours; subnormals, signed zeros, infinities, NaN, and 1e5
+        seeded values; each with both signs."""
+        c = np.float32(math.sqrt(0.5))
+        parts = []
+        for b in self.BOUNDARIES:
+            scaled = window(np.float32(b / c))
+            assert (scaled * c).min() < b <= (scaled * c).max()
+            parts += [window(np.float32(b)), scaled]
+        subnormal = np.array([1e-45, 1e-40, 1.1754942e-38], dtype=np.float32)
+        special = np.array([0.0, np.inf, np.nan], dtype=np.float32)
+        rng = np.random.default_rng(18)
+        spread = rng.choice(np.array([0.1, 1.0, 4.0], dtype=np.float32), 100_000)
+        seeded = rng.standard_normal(100_000, dtype=np.float32) * spread
+        x = np.concatenate(parts + [subnormal, special, seeded])
+        x = np.concatenate([x, -x])
+
+        erf = np.array([math.erf(v) for v in (x * c).tolist()], dtype=np.float32)
+        ref = only_the_minus_inf_warning(lambda: x * (np.float32(0.5) * (np.float32(1) + erf)))
+        out = only_the_minus_inf_warning(lambda: ad.gelu(Tensor(x)).data)
+        assert out.dtype == np.float32
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        np.testing.assert_array_equal(out[~nan].view(np.uint32), ref[~nan].view(np.uint32))
+
+    def test_float64_erf_within_two_ulp(self):
+        """The float64 erf behind gelu (gradcheck's dtype) is within 2 ulp of
+        math.erf, with no warning for infinities or for x whose square
+        overflows. Read from the private erf: in GELU, 1 + erf cancels for
+        negative x, so an ulp bound on erf does not carry over."""
+        rng = np.random.default_rng(18)
+        parts = [np.array([b, np.nextafter(b, 0.0), np.nextafter(b, 7.0)])
+                 for b in self.BOUNDARIES]
+        parts += [np.array([5e-324, 1e-310, 2.0 ** -29, 1e200, np.inf, 0.0]),
+                  rng.standard_normal(100_000) * rng.choice([0.1, 1.0, 4.0], 100_000)]
+        x = np.concatenate(parts)
+        x = np.concatenate([x, -x])
+        out = ad._erf(x)
+        ref = np.array([math.erf(v) for v in x.tolist()])
+        assert out.dtype == np.float64
+        assert np.all(np.abs(out - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert np.isnan(ad._erf(np.array([np.nan]))).all()

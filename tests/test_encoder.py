@@ -1,5 +1,7 @@
 """Vocabulary, tokenization, encoder forward and MLM pretraining contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,21 @@ class TestVocab:
     def test_frequency_then_lexicographic_order(self):
         v = build_vocab([["a", "a", "b"]])
         assert v.id_to_token == list(SPECIALS) + ["a", "b"]
+        v = build_vocab([["c", "b", "<mask>"], ["d", "a", "a", "c", "b"]])
+        assert v.id_to_token == list(SPECIALS) + ["a", "b", "c", "d"]
+
+    def test_many_ties_match_a_sort_by_count_then_token(self):
+        rng = np.random.default_rng(3)
+        corpus = [[f"w{int(i)}" for i in rng.integers(0, 300, rng.integers(0, 8))]
+                  for _ in range(400)]
+        counts = Counter(t for sent in corpus for t in sent)
+        assert build_vocab(corpus).id_to_token == list(SPECIALS) + sorted(
+            counts, key=lambda t: (-counts[t], t))
+
+    def test_empty_corpora(self):
+        with pytest.raises(ValueError, match="empty corpora"):
+            build_vocab([])
+        assert build_vocab([[]]).id_to_token == list(SPECIALS)
 
     def test_same_corpus_twice_identical_bytes(self, tmp_path):
         corpus = [["x", "y", "y"], ["z", "x"]]

@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import re
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,3 +745,16 @@ class TestCliExitCodes:
                 "unknown stage 'nope' (have ('gen-synthetic', 'pretrain', 'integrate', "
                 "'fuse', 'finetune', 'eval'))")):
             run_stage(ws, "nope")
+
+
+def test_cli_start_up_imports_no_scipy():
+    """Every CLI stage is its own process: a fresh interpreter importing the
+    CLI loads numpy and no scipy module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kgadapters.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
