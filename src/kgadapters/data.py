@@ -10,7 +10,8 @@ are joined by single spaces; token spans are 0-based and inclusive.
   triples.tsv                      head TAB rel TAB tail
   c1.tsv                           lang TAB entity_id TAB start TAB end TAB tokens
   c2.tsv                           head TAB rel TAB tail TAB start TAB end TAB tokens
-  split.tsv                        category TAB language   (sup, zs_in or zs_un)
+  split.tsv                        category TAB language   (sup, zs_in or zs_un;
+                                   at least one sup)
   mlm.tsv                          lang TAB tokens
   align_train.tsv / align_test.tsv src_lang TAB tgt_lang TAB entity_id
   comp_train.tsv / comp_test.tsv   lang TAB head TAB rel TAB tail
@@ -246,6 +247,8 @@ def load_split(path) -> LanguageSplit:
         if cat not in cats:
             raise DataError(f"{where}: unknown category {cat!r} (have {CATEGORIES})")
         cats[cat].append(lang)
+    if not cats["sup"]:
+        raise DataError(f"{path}: no supervised (sup) language")
     try:
         return LanguageSplit(**cats)
     except DataError as exc:

@@ -5,9 +5,9 @@ multi-head self-attention, GELU feed-forward, pre-norm residuals, final
 layer norm. An optional adapter hook transforms the post-feed-forward output
 of every layer.
 
-`pad_batch` pads every batch to its length bucket: the smallest multiple of
-PAD_BUCKET that fits its longest sequence, capped at max_seq_len; `encode`
-takes the first `t` rows of the position table.
+`pad_batch` pads a batch of token id lists to its length bucket: the
+smallest multiple of PAD_BUCKET that fits its longest sequence, capped at
+max_seq_len; `encode` takes the first `t` rows of the position table.
 
 `encode_pooled` pads, encodes and pools a batch, each row over its poolable
 tokens or a given span: the one such sequence of contrastive training
@@ -53,10 +53,7 @@ from .errors import check_number_fields
 from .hyper import TrainHyper
 from .optim import train
 from .params import ParamSet
-from .vocab import TokenSeq, Vocab, tokenize
-
-PAD_ID, UNK_ID, MASK_ID, SEP_ID = 0, 1, 2, 3
-SPECIAL_ID_RANGE = (PAD_ID, UNK_ID, MASK_ID, SEP_ID)
+from .vocab import MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, tokenize
 
 # (packed [N, d] states, layer) -> [N, d] states; see "Packed rows" above
 AdapterHook = Callable[[Tensor, int], Tensor]
@@ -138,20 +135,20 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> Para
     return p
 
 
-def pad_batch(seqs: Sequence[TokenSeq], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a batch for `encode` to the smallest multiple of PAD_BUCKET that
-    fits its longest sequence, capped at max_seq_len; oversize sequences error."""
-    longest = max((len(s.ids) for s in seqs), default=0)
+def pad_batch(seqs: Sequence[list[int]], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pad token id lists for `encode` to the smallest multiple of PAD_BUCKET
+    that fits the longest, capped at max_seq_len; oversize sequences error."""
+    longest = max(map(len, seqs), default=0)
     if longest > config.max_seq_len:
         raise ValueError(f"sequence of length {longest} exceeds max_seq_len {config.max_seq_len}")
     t = min(config.max_seq_len, max(PAD_BUCKET, -(-longest // PAD_BUCKET) * PAD_BUCKET))
     ids = np.full((len(seqs), t), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(seqs), t), dtype=np.float32)
     for i, s in enumerate(seqs):
-        n = len(s.ids)
+        n = len(s)
         if n == 0:
             raise ValueError("empty sequence in batch")
-        ids[i, :n] = s.ids
+        ids[i, :n] = s
         mask[i, :n] = 1.0
     return ids, mask
 
@@ -218,7 +215,7 @@ def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,
     return HiddenStates(final=ad.reshape(ad.put_rows(x, real, b * t), (b, t, d)))
 
 
-def encode_seqs(params: ParamSet, seqs: Sequence[TokenSeq], config: EncoderConfig,
+def encode_seqs(params: ParamSet, seqs: Sequence[list[int]], config: EncoderConfig,
                 adapter_hook: AdapterHook | None = None) -> tuple[HiddenStates, np.ndarray, np.ndarray]:
     """Convenience wrapper: pad, build gradient-free leaves, encode. Returns (states, ids, mask)."""
     ids, mask = pad_batch(seqs, config)
@@ -253,7 +250,7 @@ def pool(x: Tensor, weights: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(x, w), axis=1)
 
 
-def encode_pooled(leaves: dict[str, Tensor], seqs: Sequence[TokenSeq], config: EncoderConfig,
+def encode_pooled(leaves: dict[str, Tensor], seqs: Sequence[list[int]], config: EncoderConfig,
                   adapter_hook: AdapterHook | None,
                   spans: Sequence[tuple[int, int] | None] | None = None) -> Tensor:
     """Pad, encode and pool a batch to [B,d]: each row over its poolable
@@ -266,12 +263,12 @@ def encode_pooled(leaves: dict[str, Tensor], seqs: Sequence[TokenSeq], config: E
     return pool(states.final, weights)
 
 
-def mask_span(seq: TokenSeq, span: tuple[int, int]) -> TokenSeq:
+def mask_span(ids: list[int], span: tuple[int, int]) -> list[int]:
     """Replace the whole span by exactly one MASK token."""
     i, j = span
-    if not (0 <= i <= j < len(seq.ids)):
-        raise ValueError(f"span [{i},{j}] invalid for sequence of length {len(seq.ids)}")
-    return TokenSeq(ids=list(seq.ids[:i]) + [MASK_ID] + list(seq.ids[j + 1:]), lang=seq.lang)
+    if not (0 <= i <= j < len(ids)):
+        raise ValueError(f"span [{i},{j}] invalid for sequence of length {len(ids)}")
+    return [*ids[:i], MASK_ID, *ids[j + 1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +291,7 @@ def make_mlm_batch(ids: np.ndarray, mask: np.ndarray, config: EncoderConfig,
     rows, cols = np.nonzero(sel)
     targets = ids[rows, cols].copy()
     action = rng.random(len(rows))
-    rand_tokens = rng.integers(len(SPECIAL_ID_RANGE), config.vocab_size, size=len(rows))
+    rand_tokens = rng.integers(len(SPECIALS), config.vocab_size, size=len(rows))
     corrupted[rows, cols] = np.where(
         action < 0.8, MASK_ID, np.where(action < 0.9, rand_tokens, targets))
     return corrupted, rows, cols, targets
@@ -325,9 +322,9 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
         raise ValueError("empty pretraining corpus")
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
-    seqs = [tokenize(toks, lang, vocab, config.max_seq_len) for lang, toks in corpus]
+    seqs = [tokenize(toks, vocab, config.max_seq_len) for _, toks in corpus]
 
-    def loss_at(step):
+    def loss_at():
         pick = rng.integers(0, len(corpus), size=hyper.batch_size)
         ids, mask = pad_batch([seqs[i] for i in pick], config)
         corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng)

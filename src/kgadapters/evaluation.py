@@ -33,7 +33,7 @@ from .encoder import encode_pooled
 from .errors import ConfigError
 from .hyper import TrainHyper
 from .objectives import Sampler, _query_tokens, train_pairs
-from .vocab import TokenSeq, Vocab, tokenize
+from .vocab import Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
 # embedding, ranking, metrics
 # ---------------------------------------------------------------------------
 
-def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
+def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[list[int]],
                       batch_size: int = 64) -> np.ndarray:
     """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
     leaves = ad.make_leaves(adapted.params)
@@ -185,8 +185,10 @@ def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[TokenSeq],
                            for lo in range(0, len(seqs), batch_size)], axis=0)
 
 
-def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> TokenSeq:
-    return tokenize(text, lang, vocab, max_len)
+def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> list[int]:
+    """A label's token ids; `lang` goes unread, and stays because the
+    benchmark's oracle (perfbench/oracle.py) passes it."""
+    return tokenize(text.split(), vocab, max_len)
 
 
 def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
@@ -256,11 +258,11 @@ def _language_result(ranks: list[float], k: int) -> LanguageResult:
 # ---------------------------------------------------------------------------
 
 def completion_query_seq(mlkg: MLKG, triple: Triple, lang: str, vocab: Vocab,
-                         max_len: int) -> TokenSeq:
+                         max_len: int) -> list[int]:
     """Encode "subject <sep> relation" in one language (never code-switched)."""
     return tokenize(_query_tokens(mlkg.entities[triple.head].labels[lang],
                                   mlkg.relations[triple.rel].labels[lang]),
-                    lang, vocab, max_len)
+                    vocab, max_len)
 
 
 def eval_completion(adapted: AdaptedEncoder, mlkg: MLKG,
@@ -285,7 +287,7 @@ def eval_alignment(adapted: AdaptedEncoder, mlkg: MLKG,
 
 
 def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k: int,
-                queries: dict[str, list[tuple[TokenSeq, str]]]) -> MetricReport:
+                queries: dict[str, list[tuple[list[int], str]]]) -> MetricReport:
     """`queries` maps a language to (query, gold entity id) pairs; each gold is
     ranked among the entity labels of that language, embedded once."""
     report = MetricReport(task=task, variant="", k=k)

@@ -2,9 +2,10 @@
 two task-pair samplers, and contrastive training of parameter groups on
 sampled pairs.
 
-Each sampler yields text pairs; `encode_pair_batch` pools anchors and
-positives in one `encoder.encode_pooled` forward pass, so a training step
-is one graph. The loss is the softmax form exp(cos/tau): the raw log-ratio
+Each sampler yields text pairs, whose languages only decide which labels
+it picks; `encode_pair_batch` tokenizes them and pools anchors and positives
+in one `encoder.encode_pooled` forward pass, so a training step is one
+graph. The loss is the softmax form exp(cos/tau): the raw log-ratio
 of cosines is undefined for negative similarities, so the temperatured
 exponent is used, and every stage trains at tau = TAU (0.05). Negatives for
 an anchor are the other positives in the batch.
@@ -44,7 +45,7 @@ from .encoder import encode_pooled, mask_span
 from .errors import ConfigError
 from .hyper import TrainHyper
 from .optim import train
-from .vocab import SEP, TokenSeq, Vocab, tokenize
+from .vocab import SEP, Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +69,7 @@ class PairItem:
     """One sampled anchor/positive text pair before tokenization."""
 
     anchor_tokens: list[str]
-    anchor_lang: str
     positive_tokens: list[str]
-    positive_lang: str
     anchor_span: tuple[int, int] | None = None      # span pooling if set
     anchor_mask_span: tuple[int, int] | None = None  # masked before encoding
 
@@ -135,8 +134,8 @@ def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
     for k in picked:
         eid, l1, l2 = universe[k]
         out.append(PairItem(
-            anchor_tokens=mlkg.entities[eid].labels[l1].split(), anchor_lang=l1,
-            positive_tokens=mlkg.entities[eid].labels[l2].split(), positive_lang=l2))
+            anchor_tokens=mlkg.entities[eid].labels[l1].split(),
+            positive_tokens=mlkg.entities[eid].labels[l2].split()))
     return out
 
 
@@ -188,8 +187,8 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
             log.warning("sample_tp_batch: skipping %s (no usable language)", t)
             continue
         out.append(PairItem(
-            anchor_tokens=_query_tokens(head[lh], rel[lr]), anchor_lang=lh,
-            positive_tokens=tail[lt].split(), positive_lang=lt))
+            anchor_tokens=_query_tokens(head[lh], rel[lr]),
+            positive_tokens=tail[lt].split()))
     if not out:
         raise ConfigError("sample_tp_batch: could not fill a batch from permitted languages")
     return out
@@ -225,9 +224,8 @@ def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG,
         r = c1[idx]
         other = others[int(rng.integers(len(others)))]
         out.append(PairItem(
-            anchor_tokens=list(r.tokens), anchor_lang=r.lang, anchor_span=r.span,
-            positive_tokens=mlkg.entities[r.entity_id].labels[other].split(),
-            positive_lang=other))
+            anchor_tokens=list(r.tokens), anchor_span=r.span,
+            positive_tokens=mlkg.entities[r.entity_id].labels[other].split()))
     return out
 
 
@@ -243,8 +241,8 @@ def ts_ingest(c2: Sequence[TripleSentence]) -> list[TripleSentence]:
     return kept
 
 
-def sample_ts_batch(pool_records: Sequence[TripleSentence], base_lang: str,
-                    batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+def sample_ts_batch(pool_records: Sequence[TripleSentence], batch_size: int,
+                    rng: np.random.Generator) -> list[PairItem]:
     """Anchor = sentence with the object span masked, positive = object label.
 
     `pool_records` is `ts_ingest(c2)`.
@@ -257,10 +255,8 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], base_lang: str,
     for k in picked:
         r = pool_records[k]
         i, j = r.obj_span
-        out.append(PairItem(
-            anchor_tokens=list(r.tokens), anchor_lang=base_lang,
-            anchor_mask_span=(i, j),
-            positive_tokens=list(r.tokens[i:j + 1]), positive_lang=base_lang))
+        out.append(PairItem(anchor_tokens=list(r.tokens), anchor_mask_span=(i, j),
+                            positive_tokens=list(r.tokens[i:j + 1])))
     return out
 
 
@@ -281,9 +277,7 @@ def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -
             out.append(PairItem(
                 anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
                                             mlkg.relations[t.rel].labels[lang]),
-                anchor_lang=lang,
-                positive_tokens=mlkg.entities[t.tail].labels[lang].split(),
-                positive_lang=lang))
+                positive_tokens=mlkg.entities[t.tail].labels[lang].split()))
         return out
 
     return sampler
@@ -301,12 +295,12 @@ def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) 
 # pair encoding and adapter training
 # ---------------------------------------------------------------------------
 
-def _item_to_seq(tokens: list[str], lang: str, vocab: Vocab, max_len: int,
+def _item_to_seq(tokens: list[str], vocab: Vocab, max_len: int,
                  mask_at: tuple[int, int] | None, pool_span: tuple[int, int] | None
-                 ) -> TokenSeq:
-    seq = tokenize(tokens, lang, vocab, max_len)
+                 ) -> list[int]:
+    seq = tokenize(tokens, vocab, max_len)
     for what, span in (("mask", mask_at), ("pooling", pool_span)):
-        if span is not None and span[1] >= len(seq.ids):
+        if span is not None and span[1] >= len(seq):
             raise ConfigError(f"{what} span {span} truncated away at max_seq_len={max_len}")
     return seq if mask_at is None else mask_span(seq, mask_at)
 
@@ -315,10 +309,9 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
                       items: Sequence[PairItem], vocab: Vocab) -> tuple[Tensor, Tensor]:
     """One fused forward over anchors + positives; (anchors, positives), [B,d] each."""
     cfg = adapted.config
-    anchor_seqs = [_item_to_seq(it.anchor_tokens, it.anchor_lang, vocab, cfg.max_seq_len,
+    anchor_seqs = [_item_to_seq(it.anchor_tokens, vocab, cfg.max_seq_len,
                                 it.anchor_mask_span, it.anchor_span) for it in items]
-    positive_seqs = [tokenize(it.positive_tokens, it.positive_lang, vocab, cfg.max_seq_len)
-                     for it in items]
+    positive_seqs = [tokenize(it.positive_tokens, vocab, cfg.max_seq_len) for it in items]
     pooled = encode_pooled(leaves, anchor_seqs + positive_seqs, cfg, build_hook(adapted, leaves),
                            [it.anchor_span for it in items] + [None] * len(items))
     anchors, positives = ad.split(pooled, [len(items)] * 2, axis=0)
@@ -330,7 +323,7 @@ def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
     """InfoNCE over sampled pairs, training only `groups` of model.params in place."""
     rng = np.random.default_rng(seed)
 
-    def loss_at(step):
+    def loss_at():
         items = sampler(hyper.batch_size, rng)
         return lambda leaves: infonce(*encode_pair_batch(leaves, model, items, vocab), TAU)
 

@@ -87,13 +87,14 @@ def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
 
 
 def train(params: ParamSet, train_groups: Sequence[str],
-          loss_at: Callable[[int], LossFn], hyper: TrainHyper
+          loss_at: Callable[[], LossFn], hyper: TrainHyper
           ) -> list[tuple[int, float, float]]:
     """Adam with linear warmup over only `train_groups`, in place.
 
     Parameters whose names start with a listed prefix train; every other
     parameter is frozen and checksum-verified after the last step.
-    `loss_at(step)` draws the step's batch and returns its loss closure.
+    `loss_at()`, called once per step, draws the step's batch and returns
+    its loss closure.
     Returns the curve as (step, lr, loss) rows.
     """
     trainable = [n for n in params if n.startswith(tuple(train_groups))]
@@ -104,7 +105,7 @@ def train(params: ParamSet, train_groups: Sequence[str],
     state = AdamState()
     curve = []
     for step in range(1, hyper.steps + 1):
-        loss, grads = ad.grad_eval(loss_at(step), params, trainable)
+        loss, grads = ad.grad_eval(loss_at(), params, trainable)
         lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
         adam_step(params, grads, state, lr)
         curve.append((step, lr, loss))

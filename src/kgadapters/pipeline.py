@@ -282,7 +282,7 @@ def make_sampler(ds: SyntheticDataset, kind: str):
         return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng)
     if kind == "TS":
         records = ts_ingest(ds.c2)
-        return lambda b, rng: sample_ts_batch(records, ds.base_lang, b, rng)
+        return lambda b, rng: sample_ts_batch(records, b, rng)
     if kind == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
         samplers = itertools.cycle([make_sampler(ds, k) for k in KINDS])

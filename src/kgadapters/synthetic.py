@@ -119,10 +119,6 @@ class SyntheticDataset:
         """The distinct triples of comp_train, in file order."""
         return list(dict.fromkeys(t for _, t in self.comp_train))
 
-    @property
-    def base_lang(self) -> str:
-        return self.split.sup[0]
-
 
 def _test_count(n: int, test_fraction: float) -> int:
     """How many of n triples or entities the test split holds out."""
@@ -297,9 +293,15 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 # persistence; load_dataset enforces ZS-Un absence from training files
 # ---------------------------------------------------------------------------
 
-# task file fields: each names the collection its values must belong to
+# task file -> its fields, each naming the collection its values must belong
+# to, and the (language, entity or relation) field pair of each label its
+# query or training pair reads; a gold label may be missing (it ranks inf)
 _PAIR = ("lang", "lang", "entity")
 _TASK = ("lang", "entity", "relation", "entity")
+_TASK_FILES = {"align_train.tsv": (_PAIR, ((0, 2), (1, 2))),
+               "align_test.tsv": (_PAIR, ((0, 2),)),
+               "comp_train.tsv": (_TASK, ((0, 1), (0, 2), (0, 3))),
+               "comp_test.tsv": (_TASK, ((0, 1), (0, 2)))}
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:
@@ -320,19 +322,26 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
                                        for lang, t in ds.comp_test[key]))
 
 
-def _read_task_file(path, fields: tuple[str, ...], known: dict) -> list[list[str]]:
-    """Rows of a task file whose every value belongs to the collection its field names."""
+def _read_task_file(d: Path, name: str, known: dict) -> list[list[str]]:
+    """Rows of a task file whose every value belongs to the collection its
+    field names and that have every label their query or training pair reads."""
+    fields, labels = _TASK_FILES[name]
     rows = []
-    for where, row in read_rows(path, len(fields), "<TAB>".join(fields)):
-        for name, value in zip(fields, row):
-            if value not in known[name]:
-                raise DataError(f"{where}: unknown {name} {value!r}")
+    for where, row in read_rows(d / name, len(fields), "<TAB>".join(fields)):
+        for field, value in zip(fields, row):
+            if value not in known[field]:
+                raise DataError(f"{where}: unknown {field} {value!r}")
+        for at_lang, at_record in labels:
+            if row[at_lang] not in known[fields[at_record]][row[at_record]].labels:
+                raise DataError(f"{where}: {fields[at_record]} {row[at_record]!r} "
+                                f"has no label in {row[at_lang]!r}")
         rows.append(row)
     return rows
 
 
 def load_dataset(data_dir) -> SyntheticDataset:
-    """Reload a generated benchmark from its directory."""
+    """Reload a generated benchmark from its directory; a task record without a
+    label its query or training pair reads is a DataError naming file and line."""
     d = Path(data_dir)
     try:
         config = SyntheticConfig(**json.loads((d / "config.json").read_text(encoding="utf-8")))
@@ -341,14 +350,14 @@ def load_dataset(data_dir) -> SyntheticDataset:
     mlkg = load_mlkg(d / "entities.tsv", d / "relations.tsv", d / "triples.tsv")
     split = load_split(d / "split.tsv")
     known = {"lang": set(split.all_langs), "entity": mlkg.entities, "relation": mlkg.relations}
-    align_train = [tuple(f) for f in _read_task_file(d / "align_train.tsv", _PAIR, known)]
+    align_train = [tuple(f) for f in _read_task_file(d, "align_train.tsv", known)]
     align_test: dict[str, list[tuple[str, str, str]]] = {}
-    for src, tgt, eid in _read_task_file(d / "align_test.tsv", _PAIR, known):
+    for src, tgt, eid in _read_task_file(d, "align_test.tsv", known):
         align_test.setdefault(tgt, []).append((src, tgt, eid))
     comp_train = [(lang, Triple(h, r, t))
-                  for lang, h, r, t in _read_task_file(d / "comp_train.tsv", _TASK, known)]
+                  for lang, h, r, t in _read_task_file(d, "comp_train.tsv", known)]
     comp_test: dict[str, list[tuple[str, Triple]]] = {}
-    for lang, h, r, t in _read_task_file(d / "comp_test.tsv", _TASK, known):
+    for lang, h, r, t in _read_task_file(d, "comp_test.tsv", known):
         comp_test.setdefault(lang, []).append((lang, Triple(h, r, t)))
     ds = SyntheticDataset(
         config=config, split=split, mlkg=mlkg,

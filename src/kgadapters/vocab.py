@@ -1,10 +1,15 @@
-"""Whitespace tokenization over a shared multilingual vocabulary."""
+"""Whitespace tokenization over a shared multilingual vocabulary.
+
+A token sequence is a plain list of ids. No id carries a language: the
+encoder takes no language embedding, as mBERT and XLM-R take none, so a
+language only decides which label text gets tokenized. The four special
+tokens hold ids 0..3, and this module is the one place that says so.
+"""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -12,6 +17,7 @@ from .errors import DataError
 
 PAD, UNK, MASK, SEP = "<pad>", "<unk>", "<mask>", "<sep>"
 SPECIALS = (PAD, UNK, MASK, SEP)
+PAD_ID, UNK_ID, MASK_ID, SEP_ID = range(len(SPECIALS))
 
 
 class Vocab:
@@ -28,12 +34,8 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def unk_id(self) -> int:
-        return 1
-
     def id(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
+        return self.token_to_id.get(token, UNK_ID)
 
     def save(self, path) -> None:
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
@@ -57,24 +59,8 @@ def build_vocab(corpora: Iterable[Sequence[str]]) -> Vocab:
     return Vocab(list(SPECIALS) + kept)
 
 
-@dataclass
-class TokenSeq:
-    """Token ids with a language tag; `pad_batch` pads them and masks the PAD."""
-
-    ids: list[int]
-    lang: str
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def tokenize(text: str | Sequence[str], lang: str, vocab: Vocab,
-             max_len: int | None = None) -> TokenSeq:
-    """Map whitespace-split text (or already split tokens) to ids.
-
-    OOV tokens map to UNK; the sequence is truncated at max_len.
-    """
-    tokens = text.split() if isinstance(text, str) else text
+def tokenize(tokens: Sequence[str], vocab: Vocab, max_len: int | None = None) -> list[int]:
+    """Map tokens to ids; OOV tokens map to UNK and the ids are cut at max_len."""
     if not tokens:
         raise ValueError("tokenize: empty text")
-    return TokenSeq(ids=[vocab.id(t) for t in tokens][:max_len], lang=lang)
+    return [vocab.id(t) for t in tokens][:max_len]

@@ -8,7 +8,6 @@ from kgadapters.adapters import (KINDS, LARGE, AdaptedEncoder, adapter_apply, bu
                                  fusion_apply, init_fusion, insert_adapters, large_bottleneck)
 from kgadapters.autodiff import Tensor
 from kgadapters.encoder import EncoderConfig, encode_seqs, init_encoder_params
-from kgadapters.vocab import TokenSeq
 
 
 def layer_weights(d, b, rng=None, zero_up=False):
@@ -113,7 +112,7 @@ def small_model(seed=0, kinds=list(KINDS), bottleneck=4):
 class TestInsertAdapters:
     def test_mode_none_reproduces_backbone_bitwise(self):
         config, backbone, adapted = small_model()
-        seqs = [TokenSeq(ids=[4, 5, 6], lang="l0")]
+        seqs = [[4, 5, 6]]
         plain, _, _ = encode_seqs(backbone, seqs, config)
         leaves = ad.make_leaves(adapted.params, grad=False)
         hook = build_hook(adapted, leaves)
@@ -158,7 +157,7 @@ class TestFusionInModel:
         record = {}
         leaves = ad.make_leaves(adapted.params, grad=False)
         hook = build_hook(adapted, leaves, fusion_record=record)
-        seqs = [TokenSeq(ids=[4, 5, 6, 7], lang="l0"), TokenSeq(ids=[8, 9], lang="l0")]
+        seqs = [[4, 5, 6, 7], [8, 9]]
         encode_seqs(adapted.params, seqs, adapted.config, adapter_hook=hook)
         assert set(record) == {0, 1}
         for a in record.values():

@@ -25,7 +25,7 @@ from kgadapters.encoder import (EncoderConfig, encode, init_encoder_params, make
 from kgadapters.evaluation import _pooled_encodings, finetune_contrastive
 from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import PairItem, encode_pair_batch, infonce, train_adapter
-from kgadapters.vocab import TokenSeq, build_vocab
+from kgadapters.vocab import build_vocab
 
 VOCAB_SIZE = 40
 MAX_LEN = 24
@@ -65,8 +65,8 @@ def padded(seqs, width: int) -> tuple[np.ndarray, np.ndarray]:
     ids = np.zeros((len(seqs), width), dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=np.float32)
     for i, s in enumerate(seqs):
-        ids[i, :len(s.ids)] = s.ids
-        mask[i, :len(s.ids)] = 1.0
+        ids[i, :len(s)] = s
+        mask[i, :len(s)] = 1.0
     return ids, mask
 
 
@@ -115,8 +115,7 @@ def encode_widths(monkeypatch):
 
 
 def token_seqs(max_len: int = MAX_LEN):
-    return st.lists(st.integers(4, VOCAB_SIZE - 1), min_size=1, max_size=max_len).map(
-        lambda ids: TokenSeq(ids=ids, lang="l0"))
+    return st.lists(st.integers(4, VOCAB_SIZE - 1), min_size=1, max_size=max_len)
 
 
 def pair_batches(max_len: int = MAX_LEN):
@@ -131,7 +130,7 @@ class TestBucketWidth:
     @pytest.mark.parametrize("longest,width", [(1, 8), (8, 8), (9, 16), (16, 16),
                                                (17, 24), (24, 24)])
     def test_frozen_backbone_pads_to_bucket(self, model, longest, width):
-        seqs = [TokenSeq(ids=[4], lang="l0"), TokenSeq(ids=[5] * longest, lang="l0")]
+        seqs = [[4], [5] * longest]
         ids, mask = pad_batch(seqs, model.config)
         assert ids.shape == mask.shape == (2, width)
         assert mask.sum() == 1 + longest
@@ -139,13 +138,12 @@ class TestBucketWidth:
     def test_bucket_is_capped_at_max_seq_len(self):
         config = EncoderConfig(layers=1, d_model=8, n_heads=2, ff_dim=8,
                                max_seq_len=12, vocab_size=VOCAB_SIZE)
-        ids, _ = pad_batch([TokenSeq(ids=[4] * 9, lang="l0")], config)
+        ids, _ = pad_batch([[4] * 9], config)
         assert ids.shape == (1, 12)
 
     def test_backbone_gradient_pads_to_bucket(self, model, encode_widths):
         vocab = build_vocab([WORDS])
-        items = [PairItem(anchor_tokens=WORDS[:3], anchor_lang="l0",
-                          positive_tokens=WORDS[3:5], positive_lang="l0")]
+        items = [PairItem(anchor_tokens=WORDS[:3], positive_tokens=WORDS[3:5])]
         # every group trainable, then the backbone frozen
         for names in (model.params.names(),
                       model.params.names("adapter.") + model.params.names("fusion.")):
@@ -155,7 +153,7 @@ class TestBucketWidth:
 
     def test_encode_rejects_a_width_above_max_seq_len(self, model):
         leaves = ad.make_leaves(model.params, grad=False)
-        ids, mask = padded([TokenSeq(ids=[4], lang="l0")], MAX_LEN + 8)
+        ids, mask = padded([[4]], MAX_LEN + 8)
         with pytest.raises(ValueError, match="max_seq_len"):
             encode(leaves, ids, mask, model.config)
 
@@ -175,7 +173,7 @@ class TestBucketInvariance:
     @given(pair_batches())
     def test_adapter_and_fusion_gradients_match_at_every_width(self, seqs):
         model = fused_model(GOLDEN)
-        longest = max(len(s.ids) for s in seqs)
+        longest = max(map(len, seqs))
         loss24, g24 = adapter_fusion_grads(model, seqs, MAX_LEN)
         assert sorted(g24) == model.params.names("adapter.") + model.params.names("fusion.")
         for width in (w for w in (8, 16) if w >= longest):
@@ -209,7 +207,7 @@ class TestBucketInvariance:
         the same bits at every bucket width that fits the batch as at
         max_seq_len 24."""
         backbone = init_encoder_params(DESK, np.random.default_rng(0))
-        longest = max(len(s.ids) for s in seqs)
+        longest = max(map(len, seqs))
         for grads in (lambda w: mlm_grads(backbone, DESK, *padded(seqs, w), seed),
                       lambda w: infonce_grads(model, model.params, model.params.names(),
                                               seqs, w)):
@@ -238,8 +236,7 @@ class TestTrainingPaths:
     backbone."""
 
     def sampler(self, batch_size, rng):
-        return [PairItem(anchor_tokens=[WORDS[i], WORDS[i + 1]], anchor_lang="l0",
-                         positive_tokens=[WORDS[i + 2]], positive_lang="l0")
+        return [PairItem(anchor_tokens=[WORDS[i], WORDS[i + 1]], positive_tokens=[WORDS[i + 2]])
                 for i in rng.permutation(len(WORDS) - 2)[:batch_size]]
 
     def make(self):
@@ -284,7 +281,7 @@ def test_whole_graph_gradcheck_at_a_bucketed_width():
         if not name.endswith((".g", ".V")):
             arr = params.get(name)
             params.set_data(name, (rng.standard_normal(arr.shape) * 0.3).astype(np.float32))
-    seqs = [TokenSeq(ids=list(rng.integers(4, 12, size=n)), lang="l0") for n in (3, 5, 2, 7)]
+    seqs = [list(rng.integers(4, 12, size=n)) for n in (3, 5, 2, 7)]
     ids, mask = padded(seqs, 8)
 
     def loss(leaves):

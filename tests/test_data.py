@@ -18,7 +18,7 @@ from kgadapters.pipeline import Workspace, run_stage
 from kgadapters.synthetic import (SyntheticConfig, gen_synthetic, load_dataset,
                                   save_dataset, transform_word)
 
-from test_pipeline import micro_config, write_config
+from test_pipeline import drop_label, micro_config, write_config
 
 
 def toy_mlkg(label_counts=(3, 2, 1)):
@@ -142,7 +142,7 @@ class TestSyntheticGenerator:
             label = ds.mlkg.entities[r.entity_id].labels[r.lang]
             assert " ".join(r.tokens[r.span[0]:r.span[1] + 1]) == label
         for r in ds.c2:
-            label = ds.mlkg.entities[r.triple.tail].labels[ds.base_lang]
+            label = ds.mlkg.entities[r.triple.tail].labels[ds.split.sup[0]]
             assert " ".join(r.tokens[r.obj_span[0]:r.obj_span[1] + 1]) == label
 
     def test_zs_un_absent_from_training_corpora(self, tmp_path):
@@ -186,7 +186,7 @@ class TestSyntheticGenerator:
 def assert_same_dataset(got, want):
     for f in dataclasses.fields(want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert (got.split.all_langs, got.base_lang) == (want.split.all_langs, want.base_lang)
+    assert got.split.all_langs == want.split.all_langs
 
 
 @st.composite
@@ -315,3 +315,18 @@ def test_zs_un_token_found_whatever_the_split_order(micro_data, tmp_path):
                               encoding="utf-8")
     with pytest.raises(DataError, match=r"c2\.tsv:\d+: .*zero-shot-unseen"):
         load_dataset(d)
+
+
+def test_missing_gold_label_still_loads(micro_data, tmp_path):
+    """A test record whose gold entity has no label in the record's language
+    loads: the gold is only missing from the candidates, a warning and a rank
+    of inf at eval."""
+    d = tmp_path / "data"
+    shutil.copytree(micro_data, d)
+    (zu,) = load_split(d / "split.tsv").zs_un
+    ds = load_dataset(d)
+    heads = {t.head for _, t in ds.comp_test[zu]}
+    golds = [t.tail for _, t in ds.comp_test[zu]] + [eid for _, _, eid in ds.align_test[zu]]
+    gold = next(e for e in golds if e not in heads)
+    drop_label(d / "entities.tsv", gold, zu)
+    assert zu not in load_dataset(d).mlkg.entities[gold].labels

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from kgadapters.autodiff import Tensor
-from kgadapters.encoder import (EncoderConfig, MASK_ID, encode_seqs,
+from kgadapters.encoder import (EncoderConfig, encode_seqs,
                                 init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
                                 span_pool_weights, sentence_pool_weights)
 from kgadapters.hyper import TrainHyper
-from kgadapters.vocab import SPECIALS, TokenSeq, Vocab, build_vocab, tokenize
+from kgadapters.vocab import MASK_ID, SPECIALS, UNK_ID, Vocab, build_vocab, tokenize
 
 
 class TestVocab:
@@ -53,48 +53,43 @@ class TestTokenize:
         self.vocab = build_vocab([["zurich", "is", "nice"]])
 
     def test_known_tokens(self):
-        seq = tokenize("zurich is nice", "en", self.vocab)
-        assert len(seq.ids) == 3
-        assert all(i >= 4 for i in seq.ids)
+        seq = tokenize("zurich is nice".split(), self.vocab)
+        assert len(seq) == 3
+        assert all(i >= 4 for i in seq)
 
     def test_unseen_token_maps_to_unk(self):
-        seq = tokenize("zurich is boring", "en", self.vocab)
-        assert seq.ids[-1] == self.vocab.unk_id
+        seq = tokenize("zurich is boring".split(), self.vocab)
+        assert seq[-1] == UNK_ID
 
     def test_truncation_at_max_length(self):
-        seq = tokenize("zurich is nice is nice is nice", "en", self.vocab, max_len=4)
-        assert len(seq.ids) == 4
+        seq = tokenize("zurich is nice is nice is nice".split(), self.vocab, max_len=4)
+        assert len(seq) == 4
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            tokenize("   ", "en", self.vocab)
+            tokenize("   ".split(), self.vocab)
         with pytest.raises(ValueError):
-            tokenize([], "en", self.vocab)
-
-    def test_token_list_matches_text(self):
-        text = "zurich is boring is nice"
-        assert (tokenize(text.split(), "en", self.vocab, max_len=3)
-                == tokenize(text, "en", self.vocab, max_len=3))
+            tokenize([], self.vocab)
 
 
 class TestMaskSpan:
     def test_whole_span_becomes_single_mask(self):
-        seq = TokenSeq(ids=[10, 11, 12, 13, 14, 15, 16], lang="en")
+        seq = [10, 11, 12, 13, 14, 15, 16]
         out = mask_span(seq, (6, 6))
-        assert out.ids == [10, 11, 12, 13, 14, 15, MASK_ID]
+        assert out == [10, 11, 12, 13, 14, 15, MASK_ID]
 
     def test_single_token_span_preserves_length(self):
-        seq = TokenSeq(ids=[5, 6, 7], lang="en")
+        seq = [5, 6, 7]
         assert len(mask_span(seq, (1, 1))) == 3
 
     def test_three_token_span_shortens_by_two(self):
-        seq = TokenSeq(ids=[5, 6, 7, 8, 9], lang="en")
+        seq = [5, 6, 7, 8, 9]
         out = mask_span(seq, (1, 3))
-        assert out.ids == [5, MASK_ID, 9]
+        assert out == [5, MASK_ID, 9]
         assert len(out) == 3
 
     def test_invalid_span_rejected(self):
-        seq = TokenSeq(ids=[5, 6], lang="en")
+        seq = [5, 6]
         with pytest.raises(ValueError):
             mask_span(seq, (1, 2))
 
@@ -136,9 +131,7 @@ def tiny_setup(seed=0, vocab_size=20, max_len=8):
 class TestEncode:
     def test_batch_permutation_equivariance_bitwise(self):
         config, params = tiny_setup()
-        seqs = [TokenSeq(ids=[4, 5, 6], lang="l0"),
-                TokenSeq(ids=[7, 8], lang="l0"),
-                TokenSeq(ids=[9, 10, 11, 12], lang="l0")]
+        seqs = [[4, 5, 6], [7, 8], [9, 10, 11, 12]]
         states, _, _ = encode_seqs(params, seqs, config)
         perm = [seqs[2], seqs[0], seqs[1]]
         states_p, _, _ = encode_seqs(params, perm, config)
@@ -148,8 +141,8 @@ class TestEncode:
     def test_padding_invariance_of_span_pooling(self):
         """Alone, the sequence pads to width 8; beside a 9-token one, to 16."""
         config, params = tiny_setup(max_len=16)
-        bare = TokenSeq(ids=[4, 5, 6], lang="l0")
-        longer = TokenSeq(ids=list(range(4, 13)), lang="l0")
+        bare = [4, 5, 6]
+        longer = list(range(4, 13))
         s1, ids1, m1 = encode_seqs(params, [bare], config)
         s2, ids2, m2 = encode_seqs(params, [bare, longer], config)
         assert (m1.shape[1], m2.shape[1]) == (8, 16)
@@ -159,14 +152,14 @@ class TestEncode:
 
     def test_single_vs_batched_encoding_identical(self):
         config, params = tiny_setup()
-        seqs = [TokenSeq(ids=[4, 5, 6], lang="l0"), TokenSeq(ids=[7, 8, 9], lang="l0")]
+        seqs = [[4, 5, 6], [7, 8, 9]]
         batched, _, _ = encode_seqs(params, seqs, config)
         alone, _, _ = encode_seqs(params, [seqs[1]], config)
         np.testing.assert_array_equal(batched.final.data[1], alone.final.data[0])
 
     def test_identity_hook_is_bitwise_noop(self):
         config, params = tiny_setup()
-        seqs = [TokenSeq(ids=[4, 5, 6, 7], lang="l0")]
+        seqs = [[4, 5, 6, 7]]
         plain, _, _ = encode_seqs(params, seqs, config)
         hooked, _, _ = encode_seqs(params, seqs, config, adapter_hook=lambda x, m: x)
         np.testing.assert_array_equal(plain.final.data, hooked.final.data)
@@ -174,7 +167,7 @@ class TestEncode:
     def test_all_layers_available(self):
         config, params = tiny_setup()
         layers = []
-        states, _, _ = encode_seqs(params, [TokenSeq(ids=[4, 5], lang="l0")], config,
+        states, _, _ = encode_seqs(params, [[4, 5]], config,
                                    adapter_hook=lambda x, m: layers.append(m) or x)
         assert layers == list(range(config.layers))
         assert states.final.shape == (1, config.max_seq_len, config.d_model)
@@ -184,7 +177,7 @@ class TestEncode:
         """The hook gets one row per real slot; a batch with a single real
         slot also carries its first PAD slot, so no product has one row."""
         config, params = tiny_setup()
-        seqs = [TokenSeq(ids=list(range(4, 4 + n)), lang="l0") for n in lengths]
+        seqs = [list(range(4, 4 + n)) for n in lengths]
         shapes = []
         states, _, mask = encode_seqs(params, seqs, config,
                                       adapter_hook=lambda x, m: shapes.append(x.shape) or x)
@@ -195,7 +188,7 @@ class TestEncode:
     @pytest.mark.parametrize("lengths", [[1], [3, 2], [8, 1, 4]])
     def test_pad_slots_of_final_states_are_zero(self, lengths):
         config, params = tiny_setup()
-        seqs = [TokenSeq(ids=list(range(4, 4 + n)), lang="l0") for n in lengths]
+        seqs = [list(range(4, 4 + n)) for n in lengths]
         states, _, mask = encode_seqs(params, seqs, config)
         final = states.final.data
         assert final.shape == mask.shape + (config.d_model,)
@@ -205,7 +198,7 @@ class TestEncode:
     def test_oversize_sequence_rejected(self):
         config, params = tiny_setup(max_len=4)
         with pytest.raises(ValueError, match="max_seq_len"):
-            encode_seqs(params, [TokenSeq(ids=[4, 5, 6, 7, 8], lang="l0")], config)
+            encode_seqs(params, [[4, 5, 6, 7, 8]], config)
 
     def test_sentence_pool_excludes_specials(self):
         ids = np.array([[4, 3, 5, 0]])          # token, SEP, token, PAD
@@ -254,7 +247,7 @@ class TestMlmPretrain:
 class TestPadBatch:
     def test_pads_to_model_length(self):
         config, _ = tiny_setup(max_len=6)
-        ids, mask = pad_batch([TokenSeq(ids=[4, 5], lang="l0")], config)
+        ids, mask = pad_batch([[4, 5]], config)
         assert ids.shape == (1, 6)
         np.testing.assert_array_equal(ids[0], [4, 5, 0, 0, 0, 0])
         np.testing.assert_array_equal(mask[0], [1, 1, 0, 0, 0, 0])

@@ -178,14 +178,14 @@ def bench():
 def embed_in_batches(monkeypatch, size, adapted, ds, vocab):
     """`embed_labels` of the base language in batches of `size` labels."""
     monkeypatch.setattr(evaluation, "LABEL_BATCH", size)
-    return embed_labels(adapted, ds.mlkg, ds.base_lang, vocab)
+    return embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
 
 
 class TestEmbedAndEval:
     def test_rows_ordered_by_entity_id_and_deterministic(self, bench):
         ds, vocab, adapted = bench
-        idx1 = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab)
-        idx2 = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab)
+        idx1 = embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
+        idx2 = embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
         assert idx1.entity_ids == sorted(ds.mlkg.entities)
         np.testing.assert_array_equal(idx1.matrix, idx2.matrix)
 
@@ -204,7 +204,8 @@ class TestEmbedAndEval:
                                max_seq_len=12, vocab_size=len(vocab))
         backbone = init_encoder_params(config, np.random.default_rng(0))
         adapted = insert_adapters(backbone, ["EP"], 8, seed=1, config=config)
-        lengths = {len(label_seq(e.labels[ds.base_lang], ds.base_lang, vocab, 12).ids)
+        lang = ds.split.sup[0]
+        lengths = {len(label_seq(e.labels[lang], lang, vocab, 12))
                    for e in ds.mlkg.entities.values()}
         assert lengths == {1, 2}
         full = embed_in_batches(monkeypatch, 64, adapted, ds, vocab)
@@ -223,7 +224,7 @@ class TestEmbedAndEval:
         backbone = init_encoder_params(config, np.random.default_rng(0))
         adapted = insert_adapters(backbone, ["EP", "TP"], 8, seed=1, config=config)
         fused = init_fusion(adapted, 2).with_mode("fusion")
-        default = embed_labels(fused, ds.mlkg, ds.base_lang, vocab)
+        default = embed_labels(fused, ds.mlkg, ds.split.sup[0], vocab)
         small = embed_in_batches(monkeypatch, 64, fused, ds, vocab)
         assert len(default.entity_ids) == 600
         np.testing.assert_array_equal(default.matrix, small.matrix)
@@ -231,15 +232,15 @@ class TestEmbedAndEval:
     def test_missing_label_excluded_with_warning(self, bench, caplog):
         ds, vocab, adapted = bench
         eid = sorted(ds.mlkg.entities)[0]
-        del ds.mlkg.entities[eid].labels[ds.base_lang]
+        del ds.mlkg.entities[eid].labels[ds.split.sup[0]]
         try:
             with caplog.at_level("WARNING"):
-                idx = embed_labels(adapted, ds.mlkg, ds.base_lang, vocab)
+                idx = embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
             assert eid not in idx.entity_ids
             assert any("excluded" in rec.message for rec in caplog.records)
         finally:
             label = ds.mlkg.entities[eid].labels[ds.split.all_langs[1]]
-            ds.mlkg.entities[eid].labels[ds.base_lang] = label.rsplit("-", 1)[0]
+            ds.mlkg.entities[eid].labels[ds.split.sup[0]] = label.rsplit("-", 1)[0]
 
     def test_evaluation_is_side_effect_free(self, bench):
         ds, vocab, adapted = bench

@@ -110,12 +110,11 @@ class TestSamplers:
         items = sample_ep_batch(dataset.mlkg, ep_pair_universe(dataset.mlkg, langs), 10, rng)
         owners = label_owners(dataset.mlkg.entities)
         for it in items:
-            eid = owners[" ".join(it.anchor_tokens)][0]
-            e = dataset.mlkg.entities[eid]
-            assert " ".join(it.anchor_tokens) == e.labels[it.anchor_lang]
-            assert " ".join(it.positive_tokens) == e.labels[it.positive_lang]
-            assert it.anchor_lang != it.positive_lang
-            assert it.anchor_lang in langs and it.positive_lang in langs
+            eid, l1 = owners[" ".join(it.anchor_tokens)]
+            pid, l2 = owners[" ".join(it.positive_tokens)]
+            assert pid == eid
+            assert l1 != l2
+            assert l1 in langs and l2 in langs
 
     def test_ep_single_label_entities_never_sampled(self):
         mlkg = MLKG(
@@ -170,14 +169,18 @@ class TestSamplers:
                                 p_cs=0.0, rng=np.random.default_rng(3))
         assert all("<sep>" in it.anchor_tokens for it in items)
 
-    def test_es_positive_language_differs_from_sentence(self, dataset):
+    def test_es_label_language_differs_from_sentence(self, dataset):
         langs = dataset.split.adapter_langs
         eligible = es_eligible(dataset.c1, dataset.mlkg, langs)
         items = sample_es_batch(dataset.c1, dataset.mlkg, eligible, 10,
                                 np.random.default_rng(4))
+        owners = label_owners(dataset.mlkg.entities)
         for it in items:
-            assert it.anchor_span is not None
-            assert it.positive_lang != it.anchor_lang
+            i, j = it.anchor_span
+            eid, sentence_lang = owners[" ".join(it.anchor_tokens[i:j + 1])]
+            pid, label_lang = owners[" ".join(it.positive_tokens)]
+            assert pid == eid
+            assert label_lang != sentence_lang
 
     def test_es_excludes_entities_without_cross_lingual_labels(self):
         mlkg = MLKG(
@@ -195,23 +198,22 @@ class TestSamplers:
             assert all(owners[" ".join(it.positive_tokens)][0] == "e1" for it in items)
 
     def test_ts_masks_object_and_pairs_its_label(self, dataset):
-        items = sample_ts_batch(ts_ingest(dataset.c2), dataset.base_lang, 8,
-                                np.random.default_rng(5))
+        items = sample_ts_batch(ts_ingest(dataset.c2), 8, np.random.default_rng(5))
         for it in items:
             i, j = it.anchor_mask_span
             assert it.positive_tokens == it.anchor_tokens[i:j + 1]
 
     def test_ts_ingest_rejects_label_only_sentence(self, dataset):
         t = dataset.mlkg.triples[0]
-        label_tokens = dataset.mlkg.entities[t.tail].labels[dataset.base_lang].split()
+        label_tokens = dataset.mlkg.entities[t.tail].labels[dataset.split.sup[0]].split()
         degenerate = TripleSentence(tokens=label_tokens, triple=t,
                                     obj_span=(0, len(label_tokens) - 1))
         assert ts_ingest([degenerate]) == []
 
     def test_ts_fixed_seed_reproducible(self, dataset):
         records = ts_ingest(dataset.c2)
-        a = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
-        b = sample_ts_batch(records, dataset.base_lang, 6, np.random.default_rng(6))
+        a = sample_ts_batch(records, 6, np.random.default_rng(6))
+        b = sample_ts_batch(records, 6, np.random.default_rng(6))
         assert a == b
 
 

@@ -106,7 +106,7 @@ def two_group_params():
     return p
 
 
-def square_loss_at(step):
+def square_loss_at():
     """Sum of squares of every parameter; the same closure at every step."""
     return lambda lv: ad.add(ad.tsum(ad.mul(lv["encoder.w"], lv["encoder.w"])),
                              ad.tsum(ad.mul(lv["fusion.w"], lv["fusion.w"])))
@@ -134,15 +134,22 @@ class TestTrain:
         assert [(s, lr) for s, lr, _ in curve] == [(1, 0.05), (2, 0.1), (3, 0.1)]
         assert curve[-1][2] < curve[0][2]
 
-    def test_loss_at_called_once_per_step_in_order(self):
-        steps = []
+    def test_loss_at_called_once_per_step_in_order(self, monkeypatch):
+        """Each step draws its batch before its update."""
+        events = []
+        real_step = optim.adam_step
 
-        def loss_at(step):
-            steps.append(step)
-            return square_loss_at(step)
+        def loss_at():
+            events.append("loss_at")
+            return square_loss_at()
 
+        def recording_step(params, grads, state, lr):
+            events.append("adam_step")
+            return real_step(params, grads, state, lr)
+
+        monkeypatch.setattr(optim, "adam_step", recording_step)
         train(two_group_params(), [""], loss_at, HYPER)
-        assert steps == [1, 2, 3]
+        assert events == ["loss_at", "adam_step"] * HYPER.steps
 
     def test_unmatched_groups_rejected(self):
         with pytest.raises(ConfigError, match="no parameters match"):

@@ -16,6 +16,7 @@ import pytest
 from kgadapters import autodiff as ad
 from kgadapters import checkpoint, cli, optim, pipeline
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from kgadapters.data import load_split
 from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.hyper import TrainHyper
@@ -107,7 +108,7 @@ class TestCheckpointFormat:
         gradient is zero, which leaves every array as it was."""
         hyper = TrainHyper(batch_size=1, steps=2, base_lr=0.1, warmup_steps=1)
 
-        def zero_loss_at(step):
+        def zero_loss_at():
             return lambda lv: ad.tsum(ad.mul(lv["encoder.emb.tok"], 0.0))
 
         files = []
@@ -520,6 +521,84 @@ def test_config_fault_exits_one_when_the_config_loads(micro_run, tmp_path, capsy
     assert err.startswith(f"error: bad config file {cfg}: ") and text in err, err
     assert err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in (run_dir / "checkpoints").iterdir()} == before
+
+
+def drop_label(path, rid: str, lang: str) -> None:
+    """Remove the label in `lang` of record `rid` of entities.tsv or relations.tsv."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        rec, labels = line.split("\t")
+        if rec == rid:
+            labels = "|".join(p for p in labels.split("|") if not p.startswith(f"{lang}="))
+        lines.append(f"{rec}\t{labels}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def first_row(path, lang: str) -> tuple[int, list[str]]:
+    """(line number, fields) of the first record in `lang` of a task file."""
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        fields = line.split("\t")
+        if fields[0] == lang:
+            return n, fields
+    raise AssertionError(f"{path} has no record in {lang}")
+
+
+def relation_label_missing(data_dir) -> str:
+    """The relation of a supervised language's first completion training
+    record loses its label in that language."""
+    lang = load_split(data_dir / "split.tsv").sup[-1]
+    n, (_, _, rel, _) = first_row(data_dir / "comp_train.tsv", lang)
+    drop_label(data_dir / "relations.tsv", rel, lang)
+    return f"{data_dir / 'comp_train.tsv'}:{n}: relation {rel!r} has no label in {lang!r}"
+
+
+def head_label_missing(data_dir) -> str:
+    """The head entity of the zero-shot-unseen language's first completion
+    test query loses its label in that language."""
+    (lang,) = load_split(data_dir / "split.tsv").zs_un
+    n, (_, head, _, _) = first_row(data_dir / "comp_test.tsv", lang)
+    drop_label(data_dir / "entities.tsv", head, lang)
+    return f"{data_dir / 'comp_test.tsv'}:{n}: entity {head!r} has no label in {lang!r}"
+
+
+def split_without_sup(data_dir) -> str:
+    """Every supervised language of split.tsv becomes zero-shot-in."""
+    path = data_dir / "split.tsv"
+    path.write_text(path.read_text(encoding="utf-8").replace("sup\t", "zs_in\t"),
+                    encoding="utf-8")
+    return f"{path}: no supervised (sup) language"
+
+
+# case -> (edit of the data directory that returns the expected message, the
+# command that met the fault, the run's adapter kinds)
+DATA_FAULTS = {
+    "relation_label_missing_in_a_sup_language": (
+        relation_label_missing, ["train-fusion", "--task", "completion"], ["EP", "TP"]),
+    "head_label_missing_in_the_zs_un_language": (
+        head_label_missing, ["eval", "--task", "completion", "--checkpoint", "fused_alignment"],
+        ["EP", "TP"]),
+    "split_without_a_sup_language": (
+        split_without_sup, ["train-adapter", "--kind", "ts"], ["EP", "TP", "TS"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_FAULTS))
+def test_data_fault_exits_one_at_load(micro_run, tmp_path, capsys, case):
+    """A data directory that a stage would fail on part-way is rejected when
+    it loads; a test record's missing gold label stays a rank of inf."""
+    edit, command, kinds = DATA_FAULTS[case]
+    run_dir = tmp_path / "run"
+    shutil.copytree(micro_run.root, run_dir)
+    ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir),
+                                       adapter_kinds=kinds))
+    message = edit(ws.data_dir)
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    before = {p.name: p.read_bytes() for p in ws.ckpt_dir.iterdir()}
+    assert cli.main(["--config", str(cfg), *command]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in ws.ckpt_dir.iterdir()} == before
+    assert not list(ws.report_dir.glob("eval_*"))
 
 
 def test_paper_profile_loads():

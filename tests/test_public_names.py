@@ -1,8 +1,9 @@
 """Every public top-level function and class of kgadapters has a caller in the
 program (src/kgadapters) or in the benchmark (perfbench/), not only in tests,
 every public method, property and dataclass field of its classes is read
-there, and every defaulted parameter of its public top-level functions is
-passed there."""
+there, every defaulted parameter of its public top-level functions is
+passed there, and every parameter of every function and lambda of the
+program is read in its body."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,12 @@ DEFAULTS_ALLOWED = {
     ("main", "argv"): "the CLI entry point: the console script calls it bare, so "
                       "argparse reads sys.argv, and a caller in the same process "
                       "passes its own argument vector",
+}
+
+# (function, parameter) -> why it stays although the function never reads it
+UNREAD_ALLOWED = {
+    ("label_seq", "lang"): "the benchmark's oracle (perfbench/oracle.py) passes it; it "
+                           "goes with the next change to the benchmark",
 }
 
 
@@ -148,3 +155,35 @@ def test_default_allow_list_holds_only_unpassed_parameters():
     for key in DEFAULTS_ALLOWED:
         assert key in positions, key
         assert not any(passes(c, key[1], positions[key]) for c in calls.get(key[0], [])), key
+
+
+def unread_parameters() -> list[tuple[str, int, str, str]]:
+    """(file name, line, function, parameter) of every parameter of a function
+    or lambda of the program that its body never loads; a lambda's function
+    name is "<lambda>"."""
+    found = []
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            name = getattr(node, "name", "<lambda>")
+            found += [(path.name, node.lineno, name, x.arg) for x in params
+                      if x.arg not in loaded]
+    return found
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is an input that changes nothing."""
+    unread = [f"{file}:{line}: {fn}({name})" for file, line, fn, name in unread_parameters()
+              if (fn, name) not in UNREAD_ALLOWED]
+    assert not unread, f"parameters their function never reads: {', '.join(unread)}"
+
+
+def test_unread_allow_list_holds_only_unread_parameters():
+    unread = {(fn, name) for _, _, fn, name in unread_parameters()}
+    assert set(UNREAD_ALLOWED) <= unread
