@@ -31,7 +31,7 @@ def _configured_variants(ws: Workspace) -> tuple[str, ...]:
     return ("base", *ws.config.adapter_kinds, LARGE, "FUSION")
 
 
-def build_variant(ws: Workspace, variant: str) -> AdaptedEncoder:
+def build_variant(ws: Workspace, variant: str, vocab: Vocab) -> AdaptedEncoder:
     """Assemble one evaluation-ready model (before task training).
 
     LARGE, one adapter with the four-adapter + fusion parameter budget
@@ -40,13 +40,13 @@ def build_variant(ws: Workspace, variant: str) -> AdaptedEncoder:
     its checkpoint is missing.
     """
     if variant == "base":
-        return load_model(ws, "pretrain", "ablate")[0]
+        return load_model(ws, "pretrain", "ablate", vocab)[0]
     if variant == "FUSION":
-        return assemble_fused(ws)
+        return assemble_fused(ws, vocab)
     if variant == LARGE and not ws.ckpt(f"adapter_{LARGE}").exists():
         run_stage(ws, "integrate", kind=LARGE)
     if variant in (*ws.config.adapter_kinds, LARGE):
-        return load_model(ws, f"adapter_{variant}", "ablate")[0]
+        return load_model(ws, f"adapter_{variant}", "ablate", vocab)[0]
     raise ConfigError(f"unknown variant {variant!r} (have {_configured_variants(ws)})")
 
 
@@ -64,7 +64,7 @@ def run_ablation(ws: Workspace, tasks=("completion", "alignment")
     ds, vocab = ws.load_data()
     grid = {}
     for variant in _configured_variants(ws):
-        model = build_variant(ws, variant)
+        model = build_variant(ws, variant, vocab)
         grid[variant] = {
             task: task_train_and_eval(ws, ds, vocab, model, variant, task) for task in tasks}
     return grid

@@ -6,7 +6,8 @@ manifest length, the UTF-8 JSON manifest, then every tensor's raw bytes
 the ParamSet's lexicographic order. The manifest records each tensor's name
 and shape, free-form provenance, and the SHA-256 of the blob; load verifies
 the hash, so truncation or corruption is always detected. Load ignores any
-other key of a tensor entry.
+other key of the manifest or of a tensor entry; the magic alone carries the
+version.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import DataError
 from .params import ParamSet
 
 MAGIC = b"KGCKPT01"
-FORMAT_VERSION = 1
 _DTYPE = np.dtype("<f4")
 
 
@@ -40,7 +40,6 @@ def save_checkpoint(path, params: ParamSet, provenance: dict | None = None) -> s
         blob.extend(data)
     blob_hash = hashlib.sha256(bytes(blob)).hexdigest()
     manifest = {
-        "format_version": FORMAT_VERSION,
         "tensors": tensors,
         "blob_sha256": blob_hash,
         "provenance": provenance or {},
@@ -85,9 +84,6 @@ def read_manifest(path) -> dict:
 def load_checkpoint(path) -> tuple[ParamSet, dict]:
     """Read params and manifest back; hash mismatch or truncation errors out."""
     manifest, blob = _split_header(Path(path).read_bytes(), path)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported manifest version "
-                        f"{manifest.get('format_version')}")
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise DataError(f"{path}: blob hash mismatch (corrupted or truncated)")
     params = ParamSet()

@@ -270,12 +270,11 @@ def write_corpus(path, records: Iterable[tuple[str, Sequence[str]]]) -> None:
 
 def assign_language_splits(languages: Sequence[str], sup: int, zs_in: int,
                            zs_un: int) -> LanguageSplit:
-    """Deterministic category assignment in the given language order."""
+    """Deterministic category assignment in the given language order; the
+    sizes are non-negative, as `SyntheticConfig` checks."""
     if sup + zs_in + zs_un > len(languages):
         raise DataError(
             f"category sizes {sup}+{zs_in}+{zs_un} exceed {len(languages)} languages")
-    if min(sup, zs_in, zs_un) < 0:
-        raise DataError("category sizes must be non-negative")
     langs = list(languages)
     return LanguageSplit(sup=langs[:sup], zs_in=langs[sup:sup + zs_in],
                          zs_un=langs[sup + zs_in:sup + zs_in + zs_un])

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import check_number_fields
+from .errors import check_fields
 from .hyper import TrainHyper
 from .optim import train
 from .params import ParamSet
@@ -80,10 +80,8 @@ class EncoderConfig:
     vocab_size: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
-        for name in ("layers", "d_model", "n_heads", "ff_dim", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"EncoderConfig.{name} must be positive")
+        check_fields(self, {"layers": 1, "d_model": 1, "n_heads": 1, "ff_dim": 1,
+                            "max_seq_len": 1})
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"n_heads ({self.n_heads}) must divide d_model ({self.d_model})")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_number_fields
+from .errors import check_fields
 
 
 @dataclass
@@ -17,12 +17,6 @@ class TrainHyper:
     warmup_steps: int = 10_000
 
     def __post_init__(self):
-        check_number_fields(self)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self, {"batch_size": 1, "steps": 0, "epochs": 0, "warmup_steps": 1})
         if not 0 < self.base_lr < math.inf:
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if self.warmup_steps < 1:
-            raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        if min(self.steps, self.epochs) < 0:
-            raise ValueError("steps and epochs must be >= 0")

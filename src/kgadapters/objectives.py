@@ -94,8 +94,8 @@ def ep_pair_universe(mlkg: MLKG, langs: Sequence[str]) -> list[tuple[str, str, s
     return pairs
 
 
-def _distinct_draws(universe_size: int, batch_size: int, key_of, rng: np.random.Generator,
-                    on_skip=None) -> list[int]:
+def _distinct_draws(universe_size: int, batch_size: int, key_of,
+                    rng: np.random.Generator) -> list[int]:
     """Sample indexes whose keys are pairwise distinct within the batch."""
     picked: list[int] = []
     seen: set = set()
@@ -105,10 +105,6 @@ def _distinct_draws(universe_size: int, batch_size: int, key_of, rng: np.random.
         guard += 1
         i = int(rng.integers(universe_size))
         key = key_of(i)
-        if key is None:
-            if on_skip:
-                on_skip(i)
-            continue
         if key in seen:
             continue
         seen.add(key)
@@ -144,32 +140,24 @@ def _query_tokens(subject: str, relation: str) -> list[str]:
     return subject.split() + [SEP] + relation.split()
 
 
-def _slot_lang(labels: dict[str, str], langs: Sequence[str],
-               rng: np.random.Generator) -> str | None:
+def _slot_lang(labels: dict[str, str], langs: Sequence[str], rng: np.random.Generator) -> str:
     available = [l for l in langs if l in labels]
-    if not available:
-        return None
     return available[int(rng.integers(len(available)))]
 
 
 def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
                     batch_size: int, p_cs: float, rng: np.random.Generator) -> list[PairItem]:
-    """Anchor = subject <sep> relation, positive = object label, code-switched."""
+    """Anchor = subject <sep> relation, positive = object label, code-switched.
+
+    `triples` are a dataset's training triples and `langs` its Sup and ZS-In
+    languages. `load_dataset` guarantees that every comp_train record has its
+    head, relation and tail labelled in the record's own language, which is
+    Sup or ZS-In, so each triple has a language of `langs` common to all
+    three slots and every slot has one to switch to.
+    """
     if not triples:
         raise ConfigError("sample_tp_batch: no triples")
-
-    def tail_of(i: int):
-        t = triples[i]
-        labels = mlkg.entities[t.tail].labels
-        if not any(l in labels for l in langs):
-            return None
-        return t.tail
-
-    def warn_skip(i: int):
-        log.warning("sample_tp_batch: skipping %s (missing label in permitted languages)",
-                    triples[i])
-
-    picked = _distinct_draws(len(triples), batch_size, tail_of, rng, warn_skip)
+    picked = _distinct_draws(len(triples), batch_size, lambda i: triples[i].tail, rng)
     out = []
     for i in picked:
         t = triples[i]
@@ -177,20 +165,13 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
         rel = mlkg.relations[t.rel].labels
         tail = mlkg.entities[t.tail].labels
         if rng.random() < p_cs:
-            lh = _slot_lang(head, langs, rng)
-            lr = _slot_lang(rel, langs, rng)
-            lt = _slot_lang(tail, langs, rng)
+            lh, lr, lt = (_slot_lang(labels, langs, rng) for labels in (head, rel, tail))
         else:
             common = [l for l in langs if l in head and l in rel and l in tail]
-            lh = lr = lt = (common[int(rng.integers(len(common)))] if common else None)
-        if None in (lh, lr, lt):
-            log.warning("sample_tp_batch: skipping %s (no usable language)", t)
-            continue
+            lh = lr = lt = common[int(rng.integers(len(common)))]
         out.append(PairItem(
             anchor_tokens=_query_tokens(head[lh], rel[lr]),
             positive_tokens=tail[lt].split()))
-    if not out:
-        raise ConfigError("sample_tp_batch: could not fill a batch from permitted languages")
     return out
 
 

@@ -34,7 +34,7 @@ from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapter
                        large_bottleneck)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
-from .errors import ConfigError, DataError, check_number_fields
+from .errors import ConfigError, DataError, check_fields
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
 from .hyper import TrainHyper
 from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
@@ -94,16 +94,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Every fault a stage would hit in the config is a ConfigError here."""
-        check_number_fields(self)
+        check_fields(self, {"seed": 0, "bottleneck": 1, "eval_k": 1})
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (have {sorted(PROFILES)})")
         if not self.adapter_kinds or len(set(self.adapter_kinds)) != len(self.adapter_kinds) \
                 or not set(self.adapter_kinds) <= set(KINDS):
             raise ConfigError(f"adapter_kinds {self.adapter_kinds} must be distinct "
                               f"kinds of {list(KINDS)}, at least one")
-        for name, least in (("seed", 0), ("bottleneck", 1), ("eval_k", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         try:
             # as Workspace.encoder_config builds it; vocab_size comes from vocab.txt
             EncoderConfig(vocab_size=0, **self.encoder)
@@ -141,10 +138,12 @@ class PipelineConfig:
 
     def _stage_hyper(self, stage: str) -> TrainHyper:
         """Profile hyper for a stage with its overrides applied."""
-        values = dataclasses.asdict(PROFILES[self.profile][stage])
+        overrides = self.hyper_overrides.get(stage, {})
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"hyper_overrides.{stage} must be an object, got {overrides!r}")
         try:
-            values.update(self.hyper_overrides.get(stage, {}))
-            return TrainHyper(**values)
+            return TrainHyper(**{**dataclasses.asdict(PROFILES[self.profile][stage]),
+                                 **overrides})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"hyper_overrides.{stage}: {exc}") from None
 
@@ -254,12 +253,18 @@ def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
     return path
 
 
-def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncoder, dict]:
+def load_model(ws: Workspace, name: str, needed_for: str,
+               vocab: Vocab) -> tuple[AdaptedEncoder, dict]:
     """The model and manifest of checkpoint `name`, which stage `needed_for`
-    requires; a checkpoint that holds no model of the run config names itself."""
+    requires; a checkpoint that holds no model of the run config, or one
+    token embedding per token of another `vocab`, names itself."""
     path = ws.require_ckpt(name, needed_for)
     params, manifest = load_checkpoint(path)
     try:
+        rows = params.get("encoder.emb.tok").shape[0]
+        if rows != len(vocab):
+            raise DataError(f"{rows} token embeddings but {len(vocab)} tokens in "
+                            f"{ws.data_dir / 'vocab.txt'}: re-run pretrain")
         return model_from_checkpoint(ws, params, manifest), manifest
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
@@ -296,7 +301,7 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
         raise ConfigError(f"kind {kind!r} not in configured adapters "
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "integrate")
+    base, _ = load_model(ws, "pretrain", "integrate", vocab)
     # LARGE is sized to the parameter budget of every configured adapter plus fusion
     b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
          if kind == LARGE else ws.config.bottleneck)
@@ -313,7 +318,7 @@ def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
             "LARGE": len(ds.train_triples)}.get(kind, 0)
 
 
-def assemble_fused(ws: Workspace) -> AdaptedEncoder:
+def assemble_fused(ws: Workspace, vocab: Vocab) -> AdaptedEncoder:
     """The pretrain backbone + each configured kind's trained adapter group +
     fresh fusion parameters, with the adapters in KINDS order whatever the
     configured order.
@@ -321,7 +326,7 @@ def assemble_fused(ws: Workspace) -> AdaptedEncoder:
     Every kind needs its integrated adapter checkpoint; a missing one is an
     error rather than a randomly initialized adapter in the fusion.
     """
-    base, _ = load_model(ws, "pretrain", "fuse")
+    base, _ = load_model(ws, "pretrain", "fuse", vocab)
     backbone_hash = base.params.checksum("encoder.")
     for kind in sorted(ws.config.adapter_kinds, key=KINDS.index):
         path = ws.require_ckpt(f"adapter_{kind}", "fuse")
@@ -376,14 +381,14 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ds, vocab = ws.load_data()
-    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws), task, "fuse")
+    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws, vocab), task, "fuse")
     return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
 
 
 def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
     ds, vocab = ws.load_data()
-    model, _ = load_model(ws, f"fused_{task}", "finetune")
+    model, _ = load_model(ws, f"fused_{task}", "finetune", vocab)
     trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
     return _save_stage(ws, "finetune", f"finetuned_{task}", trained.params, curve, task=task)
 
@@ -424,7 +429,7 @@ def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport
     """Score `checkpoint`, by default `fused_<task>`, on the task's test split."""
     checkpoint = checkpoint or f"fused_{task}"
     ds, vocab = ws.load_data()
-    model, manifest = load_model(ws, checkpoint, "eval")
+    model, manifest = load_model(ws, checkpoint, "eval", vocab)
     return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 

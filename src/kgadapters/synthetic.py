@@ -40,7 +40,7 @@ from .data import (Labelled, LanguageSplit, MLKG, TaggedSentence,
                    load_c2, load_mlkg, load_split, read_corpus, read_rows,
                    save_c1, save_c2, save_mlkg, save_split, write_corpus,
                    write_rows)
-from .errors import ConfigError, DataError, check_number_fields
+from .errors import ConfigError, DataError, check_fields
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -68,30 +68,19 @@ class SyntheticConfig:
     label_max_words: int = 2
 
     def __post_init__(self):
-        check_number_fields(self)
-        if self.entities < 10:
-            raise ConfigError("need at least 10 entities")
-        if self.relations < 2:
-            raise ConfigError("need at least 2 relations")
-        if self.languages < 3:
-            raise ConfigError("need at least 3 languages")
-        for name in ("triples", "sentences_per_entity", "vocab_size", "relation_pool_size",
-                     "mlm_sentences_per_lang", "label_max_words"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, {
+            "languages": 3, "entities": 10, "relations": 2, "triples": 1,
+            "sentences_per_entity": 1, "vocab_size": 1, "seed": 0, "sup": 1, "zs_in": 0,
+            "zs_un": 0, "relation_pool_size": 1, "mlm_sentences_per_lang": 1,
+            "label_max_words": 1})
         for name in ("gloss_rate", "fact_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.sup + self.zs_in + self.zs_un != self.languages:
-            raise ConfigError(
-                f"split sizes {self.sup}+{self.zs_in}+{self.zs_un} must equal "
-                f"{self.languages} languages")
-        if self.sup < 1:
-            raise ConfigError("need at least one supervised language")
+            raise ConfigError(f"sup + zs_in + zs_un ({self.sup}+{self.zs_in}+{self.zs_un}) "
+                              f"must equal languages ({self.languages})")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0,1)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, one in (("triples", "triple"), ("entities", "entity")):
             n = getattr(self, name)
             if _test_count(n, self.test_fraction) >= n:

@@ -29,4 +29,4 @@ def test_default_variants_follow_configured_kinds(integrated):
 def test_unconfigured_variant_rejected(integrated):
     with pytest.raises(ConfigError, match=re.escape(
             "unknown variant 'ES' (have ('base', 'EP', 'TP', 'LARGE', 'FUSION'))")):
-        build_variant(integrated, "ES")
+        build_variant(integrated, "ES", integrated.load_data()[1])

@@ -267,8 +267,9 @@ class TestStages:
             "fused_alignment": ("fusion", ["EP", "TP"]),
             "finetuned_alignment": ("fusion", ["EP", "TP"]),
         }
+        vocab = large_run.load_data()[1]
         for name, want in expected.items():
-            model, _ = load_model(large_run, name, "test")
+            model, _ = load_model(large_run, name, "test", vocab)
             assert (model.mode, model.kinds) == want, name
             assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
                     for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
@@ -461,6 +462,16 @@ CONFIG_FAULTS = {
                             "bottleneck must be an integer, got 4.5"),
     "eval_k_bool": (lambda raw: raw.update(eval_k=True), ["eval", "--task", "alignment"],
                     "eval_k must be an integer, got True"),
+    "out_dir_number": (lambda raw: raw.update(out_dir=5), ["gen-synthetic"],
+                       "out_dir must be a string, got 5"),
+    "out_dir_null": (lambda raw: raw.update(out_dir=None), ["gen-synthetic"],
+                     "out_dir must be a string, got None"),
+    "overrides_list": (lambda raw: raw.update(hyper_overrides=["pretrain"]), ["pretrain"],
+                       "hyper_overrides must be an object, got ['pretrain']"),
+    "override_stage_list": (lambda raw: raw["hyper_overrides"].update(pretrain=[1]),
+                            ["pretrain"], "hyper_overrides.pretrain must be an object, got [1]"),
+    "synthetic_zs_in_negative": (lambda raw: raw["synthetic"].update(zs_in=-1),
+                                 ["gen-synthetic"], "zs_in must be >= 0, got -1"),
     "unknown_profile": (lambda raw: raw.update(profile="nope"), ["pretrain"],
                         "unknown profile 'nope'"),
     "duplicate_adapter_kinds": (lambda raw: raw.update(adapter_kinds=["EP", "EP"]),
@@ -504,6 +515,53 @@ CONFIG_FAULTS = {
 def test_config_int_fields_reject_fractions_and_bools(make, value):
     with pytest.raises(ConfigError, match=f"must be an integer, got {value}"):
         make(value)
+
+
+# the micro config's fields, as key paths into its JSON object, each with the
+# config class whose annotation types it
+SWEEP_FIELDS = [
+    *((("synthetic", f.name), SyntheticConfig) for f in dataclasses.fields(SyntheticConfig)),
+    *((("encoder", key), EncoderConfig) for key in micro_config("run").encoder),
+    *(((name,), PipelineConfig) for name in ("seed", "bottleneck", "eval_k", "out_dir",
+                                             "profile", "encoder", "hyper_overrides")),
+    *((("hyper_overrides", stage, f.name), TrainHyper)
+      for stage in micro_config("run").hyper_overrides for f in dataclasses.fields(TrainHyper))]
+SWEEP_VALUES = [0, 1, -1, 0.5, None, "a", True]
+# annotation -> (whether a JSON value has that type, what an error calls the type)
+JSON_TYPES = {"int": (lambda v: type(v) is int, "an integer"),
+              "float": (lambda v: type(v) in (int, float), "a number"),
+              "str": (lambda v: type(v) is str, "a string"),
+              "dict": (lambda v: type(v) is dict, "an object")}
+
+
+@pytest.mark.parametrize("path, cls", SWEEP_FIELDS, ids=[".".join(p) for p, _ in SWEEP_FIELDS])
+def test_config_sweep_rejects_at_load_in_one_line(tmp_path, capsys, path, cls):
+    """Each of SWEEP_VALUES in one field of the micro config: a value of
+    another JSON type than the field's annotation is rejected with the
+    message that names the field and its type, and a config that
+    `from_json` rejects makes `gen-synthetic` exit 1 with one line of stderr
+    naming the field. A config that loads is not run."""
+    cfg = tmp_path / "cfg.json"
+    fits, what = JSON_TYPES[{f.name: f.type for f in dataclasses.fields(cls)}[path[-1]]]
+    for value in SWEEP_VALUES:
+        raw = dataclasses.asdict(micro_config(tmp_path / "run"))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        try:
+            PipelineConfig.from_json(cfg)
+        except ConfigError as exc:
+            assert fits(value) or f"{path[-1]} must be {what}, got {value!r}" in str(exc)
+        else:
+            assert fits(value), f"{value!r} loaded"
+            continue
+        assert cli.main(["--config", str(cfg), "gen-synthetic"]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config file {cfg}: ") and err.count("\n") == 1, err
+        assert path[-1] in err, err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
@@ -552,6 +610,23 @@ def relation_label_missing(data_dir) -> str:
     return f"{data_dir / 'comp_train.tsv'}:{n}: relation {rel!r} has no label in {lang!r}"
 
 
+def tail_label_missing(data_dir) -> str:
+    """The tail of a completion training record in a supervised language other
+    than the base one loses its label in that language. The tail is a
+    test-split entity, so align_train.tsv reads none of its labels, and
+    align_test.tsv reads only the base one."""
+    others = load_split(data_dir / "split.tsv").sup[1:]
+    trained = {line.split("\t")[2]
+               for line in (data_dir / "align_train.tsv").read_text(encoding="utf-8").splitlines()}
+    rows = [line.split("\t")
+            for line in (data_dir / "comp_train.tsv").read_text(encoding="utf-8").splitlines()]
+    lang, tail = next((lang, tail) for lang, _, _, tail in rows
+                      if lang in others and tail not in trained)
+    drop_label(data_dir / "entities.tsv", tail, lang)
+    n = next(n for n, (l, head, _, t) in enumerate(rows, 1) if l == lang and tail in (head, t))
+    return f"{data_dir / 'comp_train.tsv'}:{n}: entity {tail!r} has no label in {lang!r}"
+
+
 def head_label_missing(data_dir) -> str:
     """The head entity of the zero-shot-unseen language's first completion
     test query loses its label in that language."""
@@ -574,6 +649,8 @@ def split_without_sup(data_dir) -> str:
 DATA_FAULTS = {
     "relation_label_missing_in_a_sup_language": (
         relation_label_missing, ["train-fusion", "--task", "completion"], ["EP", "TP"]),
+    "tail_label_missing_in_a_sup_language": (
+        tail_label_missing, ["train-adapter", "--kind", "tp"], ["EP", "TP"]),
     "head_label_missing_in_the_zs_un_language": (
         head_label_missing, ["eval", "--task", "completion", "--checkpoint", "fused_alignment"],
         ["EP", "TP"]),
@@ -599,6 +676,36 @@ def test_data_fault_exits_one_at_load(micro_run, tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert {p.name: p.read_bytes() for p in ws.ckpt_dir.iterdir()} == before
     assert not list(ws.report_dir.glob("eval_*"))
+
+
+@pytest.mark.parametrize("command, ckpt", [
+    (["train-adapter", "--kind", "ep"], "pretrain"),
+    (["train-fusion", "--task", "alignment"], "pretrain"),
+    (["finetune", "--task", "alignment"], "fused_alignment"),
+    (["eval", "--task", "alignment"], "fused_alignment"),
+    (["ablate", "--tasks", "alignment"], "pretrain")],
+    ids=["train-adapter", "train-fusion", "finetune", "eval", "ablate"])
+def test_vocab_that_does_not_fit_the_checkpoint_exits_one(micro_run, tmp_path, capsys,
+                                                         command, ckpt):
+    """200 tokens inserted after the specials of vocab.txt after pretrain: the
+    first checkpoint a command loads has a token embedding per token of the
+    old vocabulary."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(micro_run.root, run_dir)
+    ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+    path = ws.data_dir / "vocab.txt"
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(tokens[:4] + [f"new{i}" for i in range(200)] + tokens[4:]) + "\n",
+                    encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    before = {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir) for p in d.iterdir()}
+    assert cli.main(["--config", str(cfg), *command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ws.ckpt(ckpt)}: {len(tokens)} token embeddings but {len(tokens) + 200} "
+        f"tokens in {path}: re-run pretrain\n")
+    assert {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir)
+            for p in d.iterdir()} == before
 
 
 def test_paper_profile_loads():
