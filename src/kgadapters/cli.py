@@ -4,11 +4,13 @@ Subcommands: gen-synthetic, pretrain, train-adapter, train-fusion, finetune,
 eval, ablate, report. Exit codes: 0 success, 1 config, data-file or I/O error,
 2 numerical failure (non-finite loss), 3 frozen-group contract violation.
 
-`eval` writes its report to reports/eval_<task>_<checkpoint>.json and .tsv,
-`ablate` the reports of every variant on a task to reports/ablation_<task>.json
-and .tsv, each JSON an `emit_report` list. A stored report carries its
-language split, so `report` re-renders such a list into the TSV that `eval` or
-`ablate` wrote, byte for byte.
+Every command but `report` runs one pipeline stage through
+`pipeline.run_stage`. `eval` writes its report to
+reports/eval_<task>_<checkpoint>.json and .tsv, `ablate` the reports of every
+variant on a task to reports/ablation_<task>.json and .tsv, each JSON an
+`emit_report` list. A stored report carries its language split, so `report`
+re-renders such a list into the TSV that `eval` or `ablate` wrote, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ablation import run_ablation
 from .adapters import KINDS, LARGE
 from .autodiff import NumericError
 from .errors import ConfigError, ContractViolation
@@ -117,7 +118,7 @@ def run(args) -> int:
         report = run_stage(ws, "eval", task=args.task, checkpoint=args.checkpoint)
         _emit(ws, f"eval_{args.task}_{report.variant}", [report])
     elif args.command == "ablate":
-        grid = run_ablation(ws, tasks=tuple(args.tasks))
+        grid = run_stage(ws, "ablate", tasks=tuple(args.tasks))
         for task in args.tasks:
             _emit(ws, f"ablation_{task}", [grid[v][task] for v in sorted(grid)])
     return EXIT_OK

@@ -260,8 +260,17 @@ def save_split(path, split: LanguageSplit) -> None:
 
 
 def read_corpus(path) -> list[tuple[str, list[str]]]:
-    """Read a lang<TAB>tokens file into (lang, tokens) records."""
-    return [(lang, text.split()) for _, (lang, text) in read_rows(path, 2, "lang<TAB>tokens")]
+    """Read a lang<TAB>tokens file into (lang, tokens) records; a line without
+    tokens, or a file without records, is a DataError naming where."""
+    records = []
+    for where, (lang, text) in read_rows(path, 2, "lang<TAB>tokens"):
+        tokens = text.split()
+        if not tokens:
+            raise DataError(f"{where}: sentence without tokens")
+        records.append((lang, tokens))
+    if not records:
+        raise DataError(f"{path}: no sentence")
+    return records
 
 
 def write_corpus(path, records: Iterable[tuple[str, Sequence[str]]]) -> None:

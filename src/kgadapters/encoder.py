@@ -315,9 +315,8 @@ def mlm_loss(leaves: dict[str, Tensor], corrupted: np.ndarray, mask: np.ndarray,
 def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
                  hyper: TrainHyper, seed: int, vocab: Vocab
                  ) -> tuple[ParamSet, list[tuple[int, float, float]]]:
-    """Train the backbone with MLM on a tokenized corpus; deterministic per seed."""
-    if not corpus:
-        raise ValueError("empty pretraining corpus")
+    """Train the backbone with MLM on a corpus of sentences, none empty and at
+    least one, as `load_dataset` checks; deterministic per seed."""
     rng = np.random.default_rng(seed)
     params = init_encoder_params(config, rng)
     seqs = [tokenize(toks, vocab, config.max_seq_len) for _, toks in corpus]

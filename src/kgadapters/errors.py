@@ -3,6 +3,8 @@
 `check_fields` is the one place that checks a config field's type and lower
 bound: each config dataclass calls it first with its table of bounds, and
 keeps in its own `__post_init__` only the checks that are not lower bounds.
+`check_type` types one value; `PipelineConfig.from_json` calls it on the
+`synthetic` object before that becomes a `SyntheticConfig`.
 """
 
 import dataclasses
@@ -22,18 +24,26 @@ class ContractViolation(RuntimeError):
 
 # annotation -> (the types its JSON value may load as, what the message calls it)
 _TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-          "str": (str, "a string"), "dict": (dict, "an object")}
+          "str": (str, "a string"), "dict": (dict, "an object"),
+          "list[str]": (list, "a list")}
+
+
+def check_type(name: str, value, annotation: str):
+    """`value` of the field `name`, if it holds the JSON type of its
+    `annotation` (`int`, `float`, `str`, `dict` or `list[str]`; any other
+    holds anything), never a bool for a number (JSON's true and false load as
+    bools)."""
+    allowed, what = _TYPES.get(annotation, (object, None))
+    if what and (isinstance(value, bool) or not isinstance(value, allowed)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def check_fields(config, least: dict) -> None:
-    """Every field of the dataclass `config` annotated `int`, `float`, `str`
-    or `dict` holds that JSON type, never a bool for a number (JSON's true and
-    false load as bools), and every field named in `least` is at least its
-    bound there."""
+    """Every field of the dataclass `config` holds the JSON type of its
+    annotation (`check_type`), and every field named in `least` is at least
+    its bound there."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        allowed, what = _TYPES.get(getattr(f.type, "__name__", f.type), (object, None))
-        if what and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        value = check_type(f.name, getattr(config, f.name), getattr(f.type, "__name__", f.type))
         if f.name in least and value < least[f.name]:
             raise ConfigError(f"{f.name} must be >= {least[f.name]}, got {value}")

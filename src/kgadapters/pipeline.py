@@ -9,13 +9,16 @@ Stages and their freezing contracts (verified by checksums, not assumed):
   fuse(task)        the pretrain backbone plus every trained adapter group,
                     frozen; trains fresh fusion parameters on task pairs
   finetune(task)    full unfreeze of the fused model on task pairs
+  eval(task)        scores one checkpoint on the task's test split
+  ablate(tasks)     trains base, each adapter, LARGE and FUSION under one
+                    task budget and scores each on every task
 
-`run_stage` is the one entry point: the CLI, the ablation and the benchmark
-run every stage through it by name. Every stage reads its prerequisite
+`run_stage` is the one entry point: the CLI and the benchmark run every
+stage through it by name. Every training stage reads its prerequisite
 checkpoint from the run directory and writes a new one; nothing is mutated
-in place. `model_from_checkpoint` is the one way from a checkpoint to a
-model, for the stages, eval and the ablation alike, and reads the model from
-the checkpoint's parameters (and the head count from its manifest). Two runs
+in place. `load_model` is the one reader of model checkpoints, for every
+stage alike; through `model_from_checkpoint` it reads the model from the
+checkpoint's parameters (and the head count from its manifest). Two runs
 with the same config and seed produce byte-identical checkpoints and reports
 (run logs carry wall-clock timestamps and are excluded from that guarantee).
 """
@@ -34,7 +37,7 @@ from .adapters import (KINDS, LARGE, AdaptedEncoder, init_fusion, insert_adapter
                        large_bottleneck)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_fields, check_type
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
 from .hyper import TrainHyper
 from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
@@ -97,8 +100,8 @@ class PipelineConfig:
         check_fields(self, {"seed": 0, "bottleneck": 1, "eval_k": 1})
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r} (have {sorted(PROFILES)})")
-        if not self.adapter_kinds or len(set(self.adapter_kinds)) != len(self.adapter_kinds) \
-                or not set(self.adapter_kinds) <= set(KINDS):
+        if not self.adapter_kinds or any(k not in KINDS for k in self.adapter_kinds) \
+                or len(set(self.adapter_kinds)) != len(self.adapter_kinds):
             raise ConfigError(f"adapter_kinds {self.adapter_kinds} must be distinct "
                               f"kinds of {list(KINDS)}, at least one")
         try:
@@ -123,7 +126,8 @@ class PipelineConfig:
             raise ConfigError(f"config file {path} is not JSON: {exc}") from None
         try:
             if "synthetic" in raw:
-                raw["synthetic"] = SyntheticConfig(**raw["synthetic"])
+                raw["synthetic"] = SyntheticConfig(**check_type("synthetic", raw["synthetic"],
+                                                                "dict"))
             return cls(**raw)
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"bad config file {path}: {exc}") from None
@@ -323,18 +327,28 @@ def assemble_fused(ws: Workspace, vocab: Vocab) -> AdaptedEncoder:
     fresh fusion parameters, with the adapters in KINDS order whatever the
     configured order.
 
-    Every kind needs its integrated adapter checkpoint; a missing one is an
+    Every kind needs its integrated adapter checkpoint, holding that kind's
+    adapter alone on the pretrain backbone; a missing or other one is an
     error rather than a randomly initialized adapter in the fusion.
     """
     base, _ = load_model(ws, "pretrain", "fuse", vocab)
     backbone_hash = base.params.checksum("encoder.")
     for kind in sorted(ws.config.adapter_kinds, key=KINDS.index):
-        path = ws.require_ckpt(f"adapter_{kind}", "fuse")
-        trained, _ = load_checkpoint(path)
-        if trained.checksum("encoder.") != backbone_hash:
-            raise DataError(f"{path.name}: backbone differs from pretrain checkpoint")
-        base.params.merge(trained, f"adapter.{kind}.")
+        trained = _load_adapter(ws, kind, "fuse", vocab)
+        if trained.params.checksum("encoder.") != backbone_hash:
+            raise DataError(f"adapter_{kind}.ckpt: backbone differs from pretrain checkpoint")
+        base.params.merge(trained.params, f"adapter.{kind}.")
     return init_fusion(base, ws.config.seed + 2003)
+
+
+def _load_adapter(ws: Workspace, kind: str, needed_for: str, vocab: Vocab) -> AdaptedEncoder:
+    """The model of the integrate checkpoint of `kind`, which must hold that
+    kind's adapter alone."""
+    model, _ = load_model(ws, f"adapter_{kind}", needed_for, vocab)
+    if model.kinds != [kind]:
+        raise DataError(f"{ws.ckpt(f'adapter_{kind}')}: holds adapters {model.kinds}, "
+                        f"not [{kind!r}]: re-run integrate")
+    return model
 
 
 def _task_args(ds: SyntheticDataset, task: str):
@@ -403,17 +417,19 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     encoder differs from the parameters' shapes, which would train a
     truncated model or fail inside `encode`, or from the head count, which
     leaves no trace in the shapes, that every stage records in the
-    manifest's `provenance.encoder` (if that is absent, the head count is
-    not checked).
+    manifest's `provenance.encoder`. A checkpoint without that record,
+    written before the stages kept it, is an error too.
     """
+    recorded = manifest.get("provenance", {}).get("encoder")
+    if recorded is None:
+        raise DataError("the checkpoint records no encoder config, so its head count "
+                        "is unknown: re-run pretrain")
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
     in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
                "d_model": params.get("encoder.emb.tok").shape[1],
                "ff_dim": params.get("encoder.0.ff.w1").shape[1],
-               "max_seq_len": params.get("encoder.emb.pos").shape[0]}
-    recorded = manifest.get("provenance", {}).get("encoder")
-    if recorded is not None:
-        in_ckpt["n_heads"] = recorded.get("n_heads", EncoderConfig.n_heads)
+               "max_seq_len": params.get("encoder.emb.pos").shape[0],
+               "n_heads": recorded.get("n_heads", EncoderConfig.n_heads)}
     for name, found in in_ckpt.items():
         if getattr(config, name) != found:
             raise DataError(f"encoder.{name} is {getattr(config, name)} in the run config "
@@ -433,14 +449,42 @@ def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport
     return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 
+def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, MetricReport]]:
+    """variant -> task -> MetricReport of every variant on every task, on one
+    backbone, one split and one task budget (the fuse hyper and seed).
+
+    The variants are base (the pretrain checkpoint, whose whole encoder
+    trains), each configured adapter (its integrate checkpoint), LARGE (the
+    integrate(LARGE) checkpoint, integrated here on first use) and FUSION
+    (`assemble_fused`); `train_task` trains the group the model's mode adapts.
+    """
+    ds, vocab = ws.load_data()
+    grid = {}
+    for variant in ("base", *ws.config.adapter_kinds, LARGE, "FUSION"):
+        if variant == "base":
+            model, _ = load_model(ws, "pretrain", "ablate", vocab)
+        elif variant == "FUSION":
+            model = assemble_fused(ws, vocab)
+        else:
+            if variant == LARGE and not ws.ckpt(f"adapter_{LARGE}").exists():
+                run_stage(ws, "integrate", kind=LARGE)
+            model = _load_adapter(ws, variant, "ablate", vocab)
+        grid[variant] = {}
+        for task in tasks:
+            trained, _ = train_task(ws, ds, vocab, model, task, "fuse")
+            grid[variant][task] = evaluate(ws, ds, vocab, trained, task, variant,
+                                           trained.params.checksum())
+    return grid
+
+
 STAGES = {"gen-synthetic": stage_gen, "pretrain": stage_pretrain,
           "integrate": stage_integrate, "fuse": stage_fuse, "finetune": stage_finetune,
-          "eval": stage_eval}
+          "eval": stage_eval, "ablate": stage_ablate}
 
 
 def run_stage(ws: Workspace, stage: str, **kw):
     """Run the named stage with its keyword arguments (kind, task,
-    checkpoint); prerequisite checkpoints are checked inside."""
+    checkpoint, tasks); prerequisite checkpoints are checked inside."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r} (have {tuple(STAGES)})")
     ws.ensure_dirs()

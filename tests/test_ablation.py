@@ -1,12 +1,8 @@
 """Ablation grid smoke test on the micro config."""
 
-import re
-
 import pytest
 
-from kgadapters.ablation import build_variant, run_ablation
-from kgadapters.errors import ConfigError
-from kgadapters.pipeline import Workspace
+from kgadapters.pipeline import Workspace, run_stage
 
 from test_pipeline import integrate_only, micro_config
 
@@ -19,14 +15,13 @@ def integrated(tmp_path_factory):
 
 
 def test_default_variants_follow_configured_kinds(integrated):
-    grid = run_ablation(integrated, tasks=("alignment",))
+    """Only EP and TP are configured and integrated: the grid asks for no
+    other adapter checkpoint and integrates LARGE on first use."""
+    grid = run_stage(integrated, "ablate", tasks=("alignment",))
     assert list(grid) == ["base", "EP", "TP", "LARGE", "FUSION"]
     for variant, tasks in grid.items():
+        assert list(tasks) == ["alignment"], variant
         assert tasks["alignment"].overall().n > 0, variant
         assert tasks["alignment"].variant == variant
-
-
-def test_unconfigured_variant_rejected(integrated):
-    with pytest.raises(ConfigError, match=re.escape(
-            "unknown variant 'ES' (have ('base', 'EP', 'TP', 'LARGE', 'FUSION'))")):
-        build_variant(integrated, "ES", integrated.load_data()[1])
+    assert sorted(p.name for p in integrated.ckpt_dir.iterdir()) == [
+        "adapter_EP.ckpt", "adapter_LARGE.ckpt", "adapter_TP.ckpt", "pretrain.ckpt"]

@@ -230,6 +230,8 @@ def set_first_field(text, index, value):
 MALFORMED = {
     "c1_span_not_int": ("c1.tsv", lambda t: set_first_field(t, 2, "x"), ":1: "),
     "mlm_line_without_tab": ("mlm.tsv", lambda t: t.replace("\t", " ", 1), ":1: "),
+    "mlm_line_without_tokens": ("mlm.tsv", lambda t: set_first_field(t, 1, ""), ":1: "),
+    "mlm_empty": ("mlm.tsv", lambda t: "", ": "),
     "vocab_without_specials": ("vocab.txt", lambda t: t.split("\n", 4)[4], ": "),
     "config_unknown_key": ("config.json",
                            lambda t: json.dumps({**json.loads(t), "bogus": 1}), ": "),

@@ -55,7 +55,6 @@ from pathlib import Path
 
 import pytest
 
-from kgadapters.ablation import run_ablation
 from kgadapters.checkpoint import read_manifest
 from kgadapters.pipeline import TASKS, Workspace, run_stage
 
@@ -110,9 +109,9 @@ CURVE_CSV_SHA256 = {
 }
 
 # json.dumps(..., sort_keys=True) of {"ablation": {"seed", "config_hash",
-# "variants": run_ablation(ws) as dicts}}, each report dict without the
-# "split" and "categories" keys that reports gained after this value was
-# pinned
+# "variants": run_stage(ws, "ablate", tasks=TASKS) as dicts}}, each report
+# dict without the "split" and "categories" keys that reports gained after
+# this value was pinned
 ABLATION_SHA256 = "35d0568cef80043ed5d0394761ddea9d7a55ebf259cf9b5f0c1efc9ba4f3cf1e"
 
 # the 12 files save_dataset writes plus vocab.txt
@@ -190,7 +189,7 @@ def pinned_fields(report: dict) -> dict:
 
 
 def test_ablation_grid_matches_golden(golden_run):
-    ablation = run_ablation(golden_run)
+    ablation = run_stage(golden_run, "ablate", tasks=TASKS)
     split = golden_run.load_data()[0].split
     for report in (r for tasks in ablation.values() for r in tasks.values()):
         assert report.split == split, report.variant

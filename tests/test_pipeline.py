@@ -274,10 +274,10 @@ class TestStages:
             assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
                     for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
 
-    def test_model_reads_no_provenance(self, micro_run):
+    def test_model_without_recorded_encoder_rejected(self, micro_run):
         params, _ = load_checkpoint(micro_run.ckpt("adapter_TP"))
-        model = model_from_checkpoint(micro_run, params, {})
-        assert (model.mode, model.kinds) == ("single", ["TP"])
+        with pytest.raises(DataError, match="records no encoder config.*re-run pretrain"):
+            model_from_checkpoint(micro_run, params, {})
 
     def test_eval_emits_hashes(self, micro_run):
         report = run_stage(micro_run, "eval", task="alignment",
@@ -523,7 +523,8 @@ SWEEP_FIELDS = [
     *((("synthetic", f.name), SyntheticConfig) for f in dataclasses.fields(SyntheticConfig)),
     *((("encoder", key), EncoderConfig) for key in micro_config("run").encoder),
     *(((name,), PipelineConfig) for name in ("seed", "bottleneck", "eval_k", "out_dir",
-                                             "profile", "encoder", "hyper_overrides")),
+                                             "profile", "encoder", "hyper_overrides",
+                                             "adapter_kinds", "synthetic")),
     *((("hyper_overrides", stage, f.name), TrainHyper)
       for stage in micro_config("run").hyper_overrides for f in dataclasses.fields(TrainHyper))]
 SWEEP_VALUES = [0, 1, -1, 0.5, None, "a", True]
@@ -531,7 +532,9 @@ SWEEP_VALUES = [0, 1, -1, 0.5, None, "a", True]
 JSON_TYPES = {"int": (lambda v: type(v) is int, "an integer"),
               "float": (lambda v: type(v) in (int, float), "a number"),
               "str": (lambda v: type(v) is str, "a string"),
-              "dict": (lambda v: type(v) is dict, "an object")}
+              "dict": (lambda v: type(v) is dict, "an object"),
+              "list[str]": (lambda v: type(v) is list, "a list"),
+              "SyntheticConfig": (lambda v: type(v) is dict, "an object")}
 
 
 @pytest.mark.parametrize("path, cls", SWEEP_FIELDS, ids=[".".join(p) for p, _ in SWEEP_FIELDS])
@@ -851,6 +854,47 @@ class TestCliExitCodes:
         assert "re-run integrate" in err and err.count("\n") == 1
         assert not list(ws.report_dir.glob("*adapter_old*"))
 
+    def test_eval_of_a_checkpoint_without_its_encoder_config_exits_one(self, micro_run,
+                                                                        tmp_path, capsys):
+        """A checkpoint written before the stages recorded the encoder config:
+        its head count is unknown."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(micro_run.root, run_dir)
+        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
+        provenance = {k: v for k, v in manifest["provenance"].items() if k != "encoder"}
+        save_checkpoint(ws.ckpt("adapter_old"), params, provenance)
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                         "--checkpoint", "adapter_old"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws.ckpt('adapter_old')}: the checkpoint records no encoder config, so "
+            f"its head count is unknown: re-run pretrain\n")
+        assert not list(ws.report_dir.glob("*adapter_old*"))
+
+    @pytest.mark.parametrize("command", [["train-fusion", "--task", "alignment"],
+                                         ["ablate", "--tasks", "alignment"]],
+                             ids=["train-fusion", "ablate"])
+    def test_integrate_checkpoint_of_another_kind_exits_one(self, micro_run, tmp_path, capsys,
+                                                            command):
+        """adapter_EP.ckpt replaced by a copy of adapter_TP.ckpt: no command
+        fuses or scores the TP adapter in EP's place."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(micro_run.root, run_dir)
+        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        shutil.copyfile(ws.ckpt("adapter_TP"), ws.ckpt("adapter_EP"))
+        ws.ckpt("fused_alignment").unlink()
+        reports = sorted(ws.report_dir.iterdir())
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        assert cli.main(["--config", str(cfg), *command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws.ckpt('adapter_EP')}: holds adapters ['TP'], not ['EP']: "
+            f"re-run integrate\n")
+        assert not ws.ckpt("fused_alignment").exists()
+        assert sorted(ws.report_dir.iterdir()) == reports
+
     def test_eval_of_an_unknown_checkpoint_says_it_does_not_exist(self, micro_run, tmp_path,
                                                                   capsys):
         cfg = tmp_path / "cfg.json"
@@ -929,7 +973,7 @@ class TestCliExitCodes:
                          for name in blobs}
         with pytest.raises(ConfigError, match=re.escape(
                 "unknown stage 'nope' (have ('gen-synthetic', 'pretrain', 'integrate', "
-                "'fuse', 'finetune', 'eval'))")):
+                "'fuse', 'finetune', 'eval', 'ablate'))")):
             run_stage(ws, "nope")
 
 
