@@ -5,9 +5,10 @@ multi-head self-attention, GELU feed-forward, pre-norm residuals, final
 layer norm. An optional adapter hook transforms the post-feed-forward output
 of every layer.
 
-`pad_batch` pads a batch of token id lists to its length bucket: the
-smallest multiple of PAD_BUCKET that fits its longest sequence, capped at
-max_seq_len; `encode` takes the first `t` rows of the position table.
+`pad_batch` pads a batch of token id lists to its width: SHORT_WIDTH if no
+sequence is longer, else the smallest multiple of PAD_BUCKET that fits its
+longest sequence; capped at max_seq_len. Training and evaluation pad by the
+same rule. `encode` takes the first `t` rows of the position table.
 
 `encode_pooled` pads, encodes and pools a batch, each row over its poolable
 tokens or a given span: the one such sequence of contrastive training
@@ -35,13 +36,20 @@ adapters, and against the batched [B, T, d] product), and layer norm, GELU
 and softmax work row by row, so a real slot's state does not depend on the
 other rows of the batch. PAD keys get exactly zero attention
 weight and PAD positions exactly zero pooling weight, so the padded slots
-only add exact zeros to numpy's sums (see PAD_BUCKET): every state at a real
-position and every pooled output has the same bits at every bucket width,
-and so do the gradients, whose weight reductions run over the same N rows.
+only add exact zeros to numpy's sums: every state at a real position and
+every pooled output has the same bits at every width the rule can give, and
+so do the gradients, whose weight reductions run over the same N rows. At a
+width of 8 or more, the zeros come in blocks of 8 (see PAD_BUCKET). At width
+2, a row has at most 2 real keys and positions: numpy sums a row of fewer
+than 8 elements in one plain loop, and a row of 8 or more in 8 interleaved
+partial sums, and both give `a+b`, because adding an exact zero never
+changes a rounding and neither does swapping two addends. So a batch of at
+most 2 tokens has the same bits at width 2 as at 8, 16 or max_seq_len.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,8 +71,15 @@ AdapterHook = Callable[[Tensor, int], Tensor]
 # sums), and a strided axis term by term in order (pooling), so extending a
 # row of length >= 8 by exact zeros in blocks of 8 leaves every partial sum,
 # and the result, bitwise unchanged. Below 8 the sum is one plain loop, whose
-# bits can differ from those of a wider batch.
+# bits can differ from those of a wider batch once a row has 3 or more real
+# addends; with at most 2 (SHORT_WIDTH), every order and grouping of the sum
+# gives the same `a+b`.
 PAD_BUCKET = 8
+
+# The width of a batch whose sequences are all at most this long: the 1- and
+# 2-token labels of retrieval pad to 2 slots, not 8. Not 1: a lone 1-token
+# sequence still carries a PAD slot under the one-row rule.
+SHORT_WIDTH = 2
 
 # share of real positions an MLM batch corrupts, BERT's rate
 MASK_RATE = 0.15
@@ -134,21 +149,25 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> Para
 
 
 def pad_batch(seqs: Sequence[list[int]], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pad token id lists for `encode` to the smallest multiple of PAD_BUCKET
-    that fits the longest, capped at max_seq_len; oversize sequences error."""
-    longest = max(map(len, seqs), default=0)
+    """Pad token id lists for `encode`, capped at max_seq_len: to width
+    SHORT_WIDTH (2) if none is longer, else to the smallest multiple of
+    PAD_BUCKET that fits the longest. Oversize or empty sequences error.
+
+    Every width gives the same bits: a row of at most 2 real slots sums to
+    `a+b` in any order, and a longer row gains exact zeros in blocks of 8
+    (see "Why the bits hold" above)."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    longest = int(lengths.max(initial=0))
     if longest > config.max_seq_len:
         raise ValueError(f"sequence of length {longest} exceeds max_seq_len {config.max_seq_len}")
-    t = min(config.max_seq_len, max(PAD_BUCKET, -(-longest // PAD_BUCKET) * PAD_BUCKET))
-    ids = np.full((len(seqs), t), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(seqs), t), dtype=np.float32)
-    for i, s in enumerate(seqs):
-        n = len(s)
-        if n == 0:
-            raise ValueError("empty sequence in batch")
-        ids[i, :n] = s
-        mask[i, :n] = 1.0
-    return ids, mask
+    if lengths.min(initial=1) == 0:
+        raise ValueError("empty sequence in batch")
+    t = SHORT_WIDTH if longest <= SHORT_WIDTH else -(-longest // PAD_BUCKET) * PAD_BUCKET
+    real = np.arange(min(config.max_seq_len, t)) < lengths[:, None]     # row-major real slots
+    ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+    ids[real] = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                            count=int(lengths.sum()))
+    return ids, real.astype(np.float32)
 
 
 def encode(leaves: dict[str, Tensor], ids: np.ndarray, mask: np.ndarray,

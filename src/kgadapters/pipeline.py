@@ -334,20 +334,23 @@ def assemble_fused(ws: Workspace, vocab: Vocab) -> AdaptedEncoder:
     base, _ = load_model(ws, "pretrain", "fuse", vocab)
     backbone_hash = base.params.checksum("encoder.")
     for kind in sorted(ws.config.adapter_kinds, key=KINDS.index):
-        trained = _load_adapter(ws, kind, "fuse", vocab)
-        if trained.params.checksum("encoder.") != backbone_hash:
-            raise DataError(f"adapter_{kind}.ckpt: backbone differs from pretrain checkpoint")
+        trained = _load_adapter(ws, kind, "fuse", vocab, backbone_hash)
         base.params.merge(trained.params, f"adapter.{kind}.")
     return init_fusion(base, ws.config.seed + 2003)
 
 
-def _load_adapter(ws: Workspace, kind: str, needed_for: str, vocab: Vocab) -> AdaptedEncoder:
+def _load_adapter(ws: Workspace, kind: str, needed_for: str, vocab: Vocab,
+                  backbone_hash: str) -> AdaptedEncoder:
     """The model of the integrate checkpoint of `kind`, which must hold that
-    kind's adapter alone."""
+    kind's adapter alone, on the pretrain backbone of checksum `backbone_hash`."""
     model, _ = load_model(ws, f"adapter_{kind}", needed_for, vocab)
+    path = ws.ckpt(f"adapter_{kind}")
     if model.kinds != [kind]:
-        raise DataError(f"{ws.ckpt(f'adapter_{kind}')}: holds adapters {model.kinds}, "
-                        f"not [{kind!r}]: re-run integrate")
+        raise DataError(f"{path}: holds adapters {model.kinds}, not [{kind!r}]: "
+                        f"re-run integrate")
+    if model.params.checksum("encoder.") != backbone_hash:
+        raise DataError(f"{path}: backbone differs from pretrain checkpoint: "
+                        f"re-run integrate")
     return model
 
 
@@ -457,21 +460,25 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     trains), each configured adapter (its integrate checkpoint), LARGE (the
     integrate(LARGE) checkpoint, integrated here on first use) and FUSION
     (`assemble_fused`); `train_task` trains the group the model's mode adapts.
+    Every variant is loaded, and its backbone checked against the pretrain
+    checkpoint, before any trains.
     """
     ds, vocab = ws.load_data()
+    base, _ = load_model(ws, "pretrain", "ablate", vocab)
+    backbone_hash = base.params.checksum("encoder.")
+    models = {"base": base}
+    for kind in (*ws.config.adapter_kinds, LARGE):
+        if kind != LARGE or ws.ckpt(f"adapter_{LARGE}").exists():
+            models[kind] = _load_adapter(ws, kind, "ablate", vocab, backbone_hash)
+    models["FUSION"] = assemble_fused(ws, vocab)
+    if LARGE not in models:                     # integrated once every other variant checks
+        run_stage(ws, "integrate", kind=LARGE)
+        models[LARGE] = _load_adapter(ws, LARGE, "ablate", vocab, backbone_hash)
     grid = {}
     for variant in ("base", *ws.config.adapter_kinds, LARGE, "FUSION"):
-        if variant == "base":
-            model, _ = load_model(ws, "pretrain", "ablate", vocab)
-        elif variant == "FUSION":
-            model = assemble_fused(ws, vocab)
-        else:
-            if variant == LARGE and not ws.ckpt(f"adapter_{LARGE}").exists():
-                run_stage(ws, "integrate", kind=LARGE)
-            model = _load_adapter(ws, variant, "ablate", vocab)
         grid[variant] = {}
         for task in tasks:
-            trained, _ = train_task(ws, ds, vocab, model, task, "fuse")
+            trained, _ = train_task(ws, ds, vocab, models[variant], task, "fuse")
             grid[variant][task] = evaluate(ws, ds, vocab, trained, task, variant,
                                            trained.params.checksum())
     return grid

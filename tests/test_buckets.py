@@ -1,5 +1,6 @@
-"""Length buckets: every batch is padded only to the smallest multiple of 8
-that fits it, whether or not the backbone trains.
+"""Length buckets: every batch is padded only to width 2 if no sequence is
+longer, else to the smallest multiple of 8 that fits it, whether or not the
+backbone trains.
 
 The forward pass keeps its bits at every bucket width, and so do the MLM
 and InfoNCE losses and every gradient, with every group trainable, in the
@@ -70,6 +71,14 @@ def padded(seqs, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
+def pooled_at(model, seqs, width: int) -> np.ndarray:
+    """Pooled eval encodings of `seqs` padded by hand to `width`."""
+    leaves = ad.make_leaves(model.params)
+    ids, mask = padded(seqs, width)
+    states = encode(leaves, ids, mask, model.config, build_hook(model, leaves))
+    return pool(states.final, sentence_pool_weights(ids, mask)).data
+
+
 def infonce_grads(model, params, names, seqs, width: int):
     """(loss, grads of `names`) of InfoNCE over the first and second half of
     `seqs` as anchors and positives, padded to `width`."""
@@ -127,13 +136,34 @@ seeds = st.integers(0, 2 ** 32 - 1)
 
 
 class TestBucketWidth:
-    @pytest.mark.parametrize("longest,width", [(1, 8), (8, 8), (9, 16), (16, 16),
-                                               (17, 24), (24, 24)])
+    @pytest.mark.parametrize("longest,width", [(1, 2), (2, 2), (3, 8), (8, 8), (9, 16),
+                                               (16, 16), (17, 24), (24, 24)])
     def test_frozen_backbone_pads_to_bucket(self, model, longest, width):
         seqs = [[4], [5] * longest]
         ids, mask = pad_batch(seqs, model.config)
         assert ids.shape == mask.shape == (2, width)
         assert mask.sum() == 1 + longest
+
+    def test_lone_one_token_sequence_carries_its_pad_row_at_width_2(self, model):
+        """The one-row rule at the short width: the hook sees the real slot
+        and the PAD slot beside it, `final` keeps the PAD slot at exact zero,
+        and the pooled vector has the bits of width 8."""
+        ids, mask = pad_batch([[7]], model.config)
+        np.testing.assert_array_equal(ids, [[7, 0]])
+        np.testing.assert_array_equal(mask, [[1, 0]])
+        leaves = ad.make_leaves(model.params)
+        fused, shapes = build_hook(model, leaves), []
+
+        def hook(x, m):
+            shapes.append(x.shape)
+            return fused(x, m)
+
+        final = encode(leaves, ids, mask, model.config, hook).final.data
+        assert shapes == [(2, model.config.d_model)] * model.config.layers
+        assert final.shape == (1, 2, model.config.d_model)
+        assert not final[0, 1].any() and final[0, 0].any()
+        np.testing.assert_array_equal(_pooled_encodings(model, [[7]]),
+                                      pooled_at(model, [[7]], 8))
 
     def test_bucket_is_capped_at_max_seq_len(self):
         config = EncoderConfig(layers=1, d_model=8, n_heads=2, ff_dim=8,
@@ -168,6 +198,37 @@ class TestBucketInvariance:
         states = encode(leaves, ids, mask, model.config, build_hook(model, leaves))
         full = pool(states.final, sentence_pool_weights(ids, mask)).data
         np.testing.assert_array_equal(bucketed, full)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.lists(token_seqs(2), min_size=1, max_size=10))
+    def test_short_pooled_eval_encodings_match_at_every_width(self, model, seqs):
+        """A batch of at most 2 tokens pads to width 2, and its pooled eval
+        encodings have the bits of widths 8, 16 and max_seq_len."""
+        assert pad_batch(seqs, model.config)[0].shape[1] == 2
+        short = _pooled_encodings(model, seqs)
+        for width in (8, 16, MAX_LEN):
+            np.testing.assert_array_equal(short, pooled_at(model, seqs, width),
+                                          err_msg=f"width {width}")
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(pair_batches(2), seeds)
+    def test_short_desk_losses_and_gradients_match_at_every_width(self, model, seqs, seed):
+        """With every group trainable, the InfoNCE and MLM losses and every
+        gradient of the desk encoder with fused adapters have the same bits
+        at width 2 as at widths 8, 16 and max_seq_len."""
+        backbone = init_encoder_params(DESK, np.random.default_rng(0))
+        for grads in (lambda w: infonce_grads(model, model.params, model.params.names(),
+                                              seqs, w),
+                      lambda w: mlm_grads(backbone, DESK, *padded(seqs, w), seed)):
+            loss2, g2 = grads(2)
+            assert any(name.startswith("encoder.") for name in g2)
+            for width in (8, 16, MAX_LEN):
+                loss_w, g = grads(width)
+                assert loss_w == loss2, width
+                assert sorted(g) == sorted(g2)
+                for name in g2:
+                    np.testing.assert_array_equal(g[name], g2[name],
+                                                  err_msg=f"{name} @ {width}")
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(pair_batches())
@@ -258,14 +319,15 @@ class TestTrainingPaths:
         finetune_contrastive(adapted, self.sampler, vocab, hyper, 0,
                              ["encoder.", "adapter.", "fusion."])
         finetune_contrastive(adapted, self.sampler, vocab, hyper, 0, ["fusion."])
-        assert encode_widths == [8] * 2 * hyper.steps
+        # anchors of 2 tokens and positives of 1: the short width
+        assert encode_widths == [2] * 2 * hyper.steps
 
     def test_integrate_buckets(self, encode_widths):
         vocab, config, hyper = self.make()
         backbone = init_encoder_params(config, np.random.default_rng(0))
         train_adapter(insert_adapters(backbone, ["EP"], 8, 1, config),
                       self.sampler, vocab, hyper, 0)
-        assert encode_widths == [8] * hyper.steps
+        assert encode_widths == [2] * hyper.steps
 
 
 def test_whole_graph_gradcheck_at_a_bucketed_width():

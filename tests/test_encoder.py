@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgadapters.autodiff import Tensor
 from kgadapters.encoder import (EncoderConfig, encode_seqs,
@@ -170,7 +171,7 @@ class TestEncode:
         states, _, _ = encode_seqs(params, [[4, 5]], config,
                                    adapter_hook=lambda x, m: layers.append(m) or x)
         assert layers == list(range(config.layers))
-        assert states.final.shape == (1, config.max_seq_len, config.d_model)
+        assert states.final.shape == (1, 2, config.d_model)
 
     @pytest.mark.parametrize("lengths", [[1], [2], [5], [1, 1], [3, 2], [8, 1, 4]])
     def test_adapter_hook_sees_only_real_rows(self, lengths):
@@ -246,8 +247,45 @@ class TestMlmPretrain:
 
 class TestPadBatch:
     def test_pads_to_model_length(self):
+        """A 3-token batch pads to its bucket of 8, capped at max_seq_len 6; a
+        2-token batch pads to the short width 2."""
         config, _ = tiny_setup(max_len=6)
-        ids, mask = pad_batch([[4, 5]], config)
+        ids, mask = pad_batch([[4, 5, 6]], config)
         assert ids.shape == (1, 6)
-        np.testing.assert_array_equal(ids[0], [4, 5, 0, 0, 0, 0])
-        np.testing.assert_array_equal(mask[0], [1, 1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(ids[0], [4, 5, 6, 0, 0, 0])
+        np.testing.assert_array_equal(mask[0], [1, 1, 1, 0, 0, 0])
+        ids, mask = pad_batch([[4, 5]], config)
+        np.testing.assert_array_equal(ids, [[4, 5]])
+        np.testing.assert_array_equal(mask, [[1, 1]])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 24).flatmap(lambda max_len: st.tuples(
+        st.just(max_len),
+        st.lists(st.lists(st.integers(4, 99), min_size=1, max_size=max_len),
+                 min_size=1, max_size=12))))
+    @example((24, [[4], [5, 6]]))                   # width 2
+    @example((24, [[4], [5, 6, 7]]))                # width 8
+    @example((12, [[4] * 9, [5]]))                  # bucket 16 capped at 12
+    @example((1, [[4], [5]]))                       # width 2 capped at 1
+    def test_fill_matches_a_per_sequence_loop(self, case):
+        """The one-assignment fill gives the arrays of a per-sequence loop at
+        the rule's width: 2 for at most 2 tokens, else the bucket of 8,
+        capped at max_seq_len."""
+        max_len, seqs = case
+        config, _ = tiny_setup(max_len=max_len)
+        longest = max(map(len, seqs))
+        width = min(max_len, 2 if longest <= 2 else -(-longest // 8) * 8)
+        want_ids = np.zeros((len(seqs), width), dtype=np.int64)
+        want_mask = np.zeros((len(seqs), width), dtype=np.float32)
+        for i, seq in enumerate(seqs):
+            want_ids[i, :len(seq)] = seq
+            want_mask[i, :len(seq)] = 1.0
+        ids, mask = pad_batch(seqs, config)
+        assert (ids.dtype, mask.dtype) == (np.int64, np.float32)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(mask, want_mask)
+
+    def test_empty_sequence_rejected(self):
+        config, _ = tiny_setup()
+        with pytest.raises(ValueError, match="empty sequence"):
+            pad_batch([[4, 5], []], config)
