@@ -18,9 +18,13 @@ stage through it by name. Every training stage reads its prerequisite
 checkpoint from the run directory and writes a new one; nothing is mutated
 in place. `load_model` is the one reader of model checkpoints, for every
 stage alike; through `model_from_checkpoint` it reads the model from the
-checkpoint's parameters (and the head count from its manifest). Two runs
-with the same config and seed produce byte-identical checkpoints and reports
-(run logs carry wall-clock timestamps and are excluded from that guarantee).
+checkpoint's parameters (and the head count from its manifest). Every
+checkpoint records the SHA-256 of the data it was trained on, and
+`load_model` refuses one trained on other data. A `Workspace` parses its data
+directory once per fingerprint, so the stages run on one `Workspace` share
+one parse. Two runs with the same config and seed produce byte-identical
+checkpoints and reports (run logs carry wall-clock timestamps and are
+excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
                          ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
                          sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
 from .params import ParamSet
-from .synthetic import (SyntheticConfig, SyntheticDataset, gen_synthetic,
+from .synthetic import (DATASET_FILES, SyntheticConfig, SyntheticDataset, gen_synthetic,
                         load_dataset, save_dataset, vocab_corpus)
 from .vocab import Vocab, build_vocab
 
 TASKS = ("completion", "alignment")
+# the files of a data directory that its fingerprint covers
+DATA_FILES = (*DATASET_FILES, "vocab.txt")
 # checkpoint name prefix -> the stage that writes it
 _CKPT_STAGE = {"pretrain": "pretrain", "adapter": "integrate", "fused": "fuse",
                "finetuned": "finetune"}
@@ -176,7 +182,13 @@ class RunLog:
 
 
 class Workspace:
-    """Filesystem layout of one run directory."""
+    """Filesystem layout of one run directory, and the data last loaded from it.
+
+    A Workspace keeps the dataset and vocabulary that `load_data` parsed with
+    their fingerprint, the SHA-256 of the data directory's `DATA_FILES`, and
+    serves them again while the files hash the same. The stages that share a
+    Workspace share these objects and never change them.
+    """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -186,6 +198,7 @@ class Workspace:
         self.log_dir = self.root / "logs"
         self.report_dir = self.root / "reports"
         self.runlog = RunLog(self.log_dir / "runlog.jsonl")
+        self._data: tuple[str, SyntheticDataset, Vocab] | None = None
 
     def ensure_dirs(self) -> None:
         for d in (self.data_dir, self.ckpt_dir, self.log_dir, self.report_dir):
@@ -213,11 +226,32 @@ class Workspace:
             self.runlog.record(name, step, "loss", loss)
 
     def load_data(self) -> tuple[SyntheticDataset, Vocab]:
+        """The data directory's dataset and vocabulary, parsed once per fingerprint.
+
+        Every call hashes the files; they are parsed, and checked, only when
+        the hash differs from the one of the data held, so an edited file is
+        never served stale. A missing file is an OSError naming it, a
+        malformed one a DataError naming its file and line.
+        """
         if not (self.data_dir / "config.json").exists():
             raise ConfigError("run the 'gen-synthetic' stage first (no data directory)")
-        ds = load_dataset(self.data_dir)
-        vocab = Vocab.load(self.data_dir / "vocab.txt")
-        return ds, vocab
+        h = hashlib.sha256()
+        for name in DATA_FILES:
+            raw = (self.data_dir / name).read_bytes()
+            h.update(f"{name}\0{len(raw)}\0".encode())
+            h.update(raw)
+        sha = h.hexdigest()
+        if self._data is None or self._data[0] != sha:
+            self._data = (sha, load_dataset(self.data_dir),
+                          Vocab.load(self.data_dir / "vocab.txt"))
+        return self._data[1:]
+
+    @property
+    def data_sha256(self) -> str:
+        """The fingerprint of the data `load_data` last returned."""
+        if self._data is None:
+            self.load_data()
+        return self._data[0]
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(vocab_size=vocab_size, **self.config.encoder)
@@ -252,8 +286,9 @@ def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
     path = ws.ckpt(ckpt)
     save_checkpoint(path, params, {
         "stage": stage, "seed": ws.config.seed, "profile": ws.config.profile,
-        "config_hash": ws.config.config_hash(), "adapter_kinds": list(ws.config.adapter_kinds),
-        "bottleneck": ws.config.bottleneck, "encoder": dict(ws.config.encoder), **extra})
+        "config_hash": ws.config.config_hash(), "data_sha256": ws.data_sha256,
+        "adapter_kinds": list(ws.config.adapter_kinds), "bottleneck": ws.config.bottleneck,
+        "encoder": dict(ws.config.encoder), **extra})
     return path
 
 
@@ -261,7 +296,14 @@ def load_model(ws: Workspace, name: str, needed_for: str,
                vocab: Vocab) -> tuple[AdaptedEncoder, dict]:
     """The model and manifest of checkpoint `name`, which stage `needed_for`
     requires; a checkpoint that holds no model of the run config, or one
-    token embedding per token of another `vocab`, names itself."""
+    token embedding per token of another `vocab`, names itself.
+
+    Lineage: the checkpoint's recorded `data_sha256` must be the fingerprint
+    of the data the workspace loaded (`Workspace.data_sha256`). A checkpoint
+    trained on other data, or one that records none, names itself too; this
+    check runs after the others, so a vocabulary of another size is still
+    reported as such.
+    """
     path = ws.require_ckpt(name, needed_for)
     params, manifest = load_checkpoint(path)
     try:
@@ -269,7 +311,14 @@ def load_model(ws: Workspace, name: str, needed_for: str,
         if rows != len(vocab):
             raise DataError(f"{rows} token embeddings but {len(vocab)} tokens in "
                             f"{ws.data_dir / 'vocab.txt'}: re-run pretrain")
-        return model_from_checkpoint(ws, params, manifest), manifest
+        model = model_from_checkpoint(ws, params, manifest)
+        trained_on = manifest["provenance"].get("data_sha256")
+        if trained_on is None:
+            raise DataError("the checkpoint records no data fingerprint: re-run pretrain")
+        if trained_on != ws.data_sha256:
+            raise DataError(f"trained on data {trained_on[:12]}, but {ws.data_dir} holds "
+                            f"data {ws.data_sha256[:12]}: re-run pretrain")
+        return model, manifest
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -322,21 +371,20 @@ def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
             "LARGE": len(ds.train_triples)}.get(kind, 0)
 
 
-def assemble_fused(ws: Workspace, vocab: Vocab) -> AdaptedEncoder:
-    """The pretrain backbone + each configured kind's trained adapter group +
-    fresh fusion parameters, with the adapters in KINDS order whatever the
-    configured order.
+def assemble_fused(ws: Workspace, base: AdaptedEncoder,
+                   adapters: list[AdaptedEncoder]) -> AdaptedEncoder:
+    """A copy of the pretrain backbone `base` + the adapter group of each
+    single-adapter model of `adapters` + fresh fusion parameters.
 
-    Every kind needs its integrated adapter checkpoint, holding that kind's
-    adapter alone on the pretrain backbone; a missing or other one is an
-    error rather than a randomly initialized adapter in the fusion.
+    The caller loads the models and checks them (`_load_adapter`); a
+    missing or other adapter is an error there, rather than a randomly
+    initialized adapter in the fusion. No model passed in changes.
     """
-    base, _ = load_model(ws, "pretrain", "fuse", vocab)
-    backbone_hash = base.params.checksum("encoder.")
-    for kind in sorted(ws.config.adapter_kinds, key=KINDS.index):
-        trained = _load_adapter(ws, kind, "fuse", vocab, backbone_hash)
-        base.params.merge(trained.params, f"adapter.{kind}.")
-    return init_fusion(base, ws.config.seed + 2003)
+    params = ParamSet()
+    params.merge(base.params)
+    for model in adapters:
+        params.merge(model.params, f"adapter.{model.kinds[0]}.")
+    return init_fusion(AdaptedEncoder(base.config, params), ws.config.seed + 2003)
 
 
 def _load_adapter(ws: Workspace, kind: str, needed_for: str, vocab: Vocab,
@@ -398,7 +446,11 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ds, vocab = ws.load_data()
-    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws, vocab), task, "fuse")
+    base, _ = load_model(ws, "pretrain", "fuse", vocab)
+    backbone_hash = base.params.checksum("encoder.")
+    adapters = [_load_adapter(ws, kind, "fuse", vocab, backbone_hash)
+                for kind in sorted(ws.config.adapter_kinds, key=KINDS.index)]
+    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws, base, adapters), task, "fuse")
     return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
 
 
@@ -459,8 +511,9 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     The variants are base (the pretrain checkpoint, whose whole encoder
     trains), each configured adapter (its integrate checkpoint), LARGE (the
     integrate(LARGE) checkpoint, integrated here on first use) and FUSION
-    (`assemble_fused`); `train_task` trains the group the model's mode adapts.
-    Every variant is loaded, and its backbone checked against the pretrain
+    (`assemble_fused` of the loaded base and adapters); `train_task` trains the
+    group the model's mode adapts. Every checkpoint is read once, and every
+    variant is loaded, and its backbone checked against the pretrain
     checkpoint, before any trains.
     """
     ds, vocab = ws.load_data()
@@ -470,7 +523,7 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     for kind in (*ws.config.adapter_kinds, LARGE):
         if kind != LARGE or ws.ckpt(f"adapter_{LARGE}").exists():
             models[kind] = _load_adapter(ws, kind, "ablate", vocab, backbone_hash)
-    models["FUSION"] = assemble_fused(ws, vocab)
+    models["FUSION"] = assemble_fused(ws, base, [models[k] for k in ws.config.adapter_kinds])
     if LARGE not in models:                     # integrated once every other variant checks
         run_stage(ws, "integrate", kind=LARGE)
         models[LARGE] = _load_adapter(ws, LARGE, "ablate", vocab, backbone_hash)

@@ -293,21 +293,31 @@ _TASK_FILES = {"align_train.tsv": (_PAIR, ((0, 2), (1, 2))),
                "comp_test.tsv": (_TASK, ((0, 1), (0, 2)))}
 
 
+# every file save_dataset writes, each named here once: save_dataset writes
+# no other file
+DATASET_FILES = ("config.json", "entities.tsv", "relations.tsv", "triples.tsv", "c1.tsv",
+                 "c2.tsv", "split.tsv", "mlm.tsv", "align_train.tsv", "align_test.tsv",
+                 "comp_train.tsv", "comp_test.tsv")
+
+
 def save_dataset(ds: SyntheticDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
+    path = {name: out / name for name in DATASET_FILES}
+    path["config.json"].write_text(
         json.dumps(asdict(ds.config), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    save_mlkg(ds.mlkg, out / "entities.tsv", out / "relations.tsv", out / "triples.tsv")
-    save_c1(out / "c1.tsv", ds.c1)
-    save_c2(out / "c2.tsv", ds.c2)
-    save_split(out / "split.tsv", ds.split)
-    write_corpus(out / "mlm.tsv", ds.mlm_corpus)
-    write_rows(out / "align_train.tsv", ds.align_train)
-    write_rows(out / "align_test.tsv",
+    save_mlkg(ds.mlkg, path["entities.tsv"], path["relations.tsv"], path["triples.tsv"])
+    save_c1(path["c1.tsv"], ds.c1)
+    save_c2(path["c2.tsv"], ds.c2)
+    save_split(path["split.tsv"], ds.split)
+    write_corpus(path["mlm.tsv"], ds.mlm_corpus)
+    write_rows(path["align_train.tsv"], ds.align_train)
+    write_rows(path["align_test.tsv"],
                (p for tgt in sorted(ds.align_test) for p in ds.align_test[tgt]))
-    write_rows(out / "comp_train.tsv", ((lang, t.head, t.rel, t.tail) for lang, t in ds.comp_train))
-    write_rows(out / "comp_test.tsv", ((lang, t.head, t.rel, t.tail) for key in sorted(ds.comp_test)
+    write_rows(path["comp_train.tsv"],
+               ((lang, t.head, t.rel, t.tail) for lang, t in ds.comp_train))
+    write_rows(path["comp_test.tsv"], ((lang, t.head, t.rel, t.tail)
+                                       for key in sorted(ds.comp_test)
                                        for lang, t in ds.comp_test[key]))
 
 

@@ -15,8 +15,8 @@ from kgadapters.data import (Labelled, LanguageSplit, MLKG, Triple,
                              load_mlkg, load_split, save_mlkg, save_split)
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.pipeline import Workspace, run_stage
-from kgadapters.synthetic import (SyntheticConfig, gen_synthetic, load_dataset,
-                                  save_dataset, transform_word)
+from kgadapters.synthetic import (DATASET_FILES, SyntheticConfig, gen_synthetic,
+                                  load_dataset, save_dataset, transform_word)
 
 from test_pipeline import drop_label, micro_config, write_config
 
@@ -208,6 +208,10 @@ class TestDatasetRoundtrip:
         ds = gen_synthetic(micro_config(tmp_path).synthetic)
         save_dataset(ds, tmp_path / "data")
         assert_same_dataset(load_dataset(tmp_path / "data"), ds)
+
+    def test_writes_the_dataset_files_and_no_other(self, tmp_path):
+        save_dataset(gen_synthetic(micro_config(tmp_path).synthetic), tmp_path / "data")
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == sorted(DATASET_FILES)
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(small_configs())

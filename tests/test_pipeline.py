@@ -21,10 +21,11 @@ from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.hyper import TrainHyper
 from kgadapters.params import ParamSet
-from kgadapters.pipeline import (PipelineConfig, Workspace, load_model,
+from kgadapters.pipeline import (DATA_FILES, PipelineConfig, Workspace, load_model,
                                  model_from_checkpoint, run_stage)
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
-from kgadapters.synthetic import SyntheticConfig
+from kgadapters.synthetic import SyntheticConfig, load_dataset
+from kgadapters.vocab import Vocab
 
 
 def micro_config(out_dir, seed=7) -> PipelineConfig:
@@ -392,9 +393,9 @@ class TestCliReports:
     def test_eval_loads_dataset_once(self, cli_reports):
         assert cli_reports[1]["eval"] == 1
 
-    def test_ablate_loads_dataset_twice(self, cli_reports):
-        # once for the grid, once in the integrate stage of the missing LARGE adapter
-        assert cli_reports[1]["ablate"] == 2
+    def test_ablate_loads_dataset_once(self, cli_reports):
+        # the integrate stage of the missing LARGE adapter reuses the grid's parse
+        assert cli_reports[1]["ablate"] == 1
 
     def test_reports_are_json_and_tsv_of_each_command(self, cli_reports):
         assert sorted(p.name for p in cli_reports[0].report_dir.iterdir()) == [
@@ -407,6 +408,111 @@ class TestCliReports:
         assert cli.main(["report", "--input", str(reports / f"{name}.json"),
                          "--output", str(tmp_path / "got.tsv")]) == 0
         assert (tmp_path / "got.tsv").read_bytes() == (reports / f"{name}.tsv").read_bytes()
+
+
+def copy_run(ws: Workspace, tmp_path) -> Workspace:
+    """A fresh Workspace, nothing loaded yet, on a copy of the run directory of `ws`."""
+    shutil.copytree(ws.root, tmp_path / "run")
+    return Workspace(dataclasses.replace(ws.config, out_dir=str(tmp_path / "run")))
+
+
+def count_parses(monkeypatch) -> list:
+    """The data directories `pipeline.load_dataset` parses from now on."""
+    parses, real = [], pipeline.load_dataset
+    monkeypatch.setattr(pipeline, "load_dataset", lambda path: parses.append(path) or real(path))
+    return parses
+
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """Every stage, ablate included, on one micro Workspace, with LARGE
+    integrated before the grid; returns the workspace, the number of dataset
+    parses of the whole run and the checkpoints the ablate stage read."""
+    ws = Workspace(micro_config(tmp_path_factory.mktemp("staged")))
+    real_read, reads = pipeline.load_checkpoint, []
+    with pytest.MonkeyPatch.context() as mp:
+        parses = count_parses(mp)
+        mp.setattr(pipeline, "load_checkpoint",
+                   lambda path: reads.append(Path(path).name) or real_read(path))
+        run_micro_pipeline(ws)
+        run_stage(ws, "integrate", kind="LARGE")
+        run_stage(ws, "eval", task="alignment", checkpoint="finetuned_alignment")
+        reads.clear()
+        run_stage(ws, "ablate", tasks=("alignment",))
+    return ws, len(parses), reads
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A micro run directory holding its generated data only."""
+    ws = Workspace(micro_config(tmp_path_factory.mktemp("generated")))
+    run_stage(ws, "gen-synthetic")
+    return ws
+
+
+class TestDataCache:
+    def test_one_parse_for_every_stage_of_a_workspace(self, staged_run):
+        assert staged_run[1] == 1
+
+    def test_ablate_reads_each_checkpoint_once(self, staged_run):
+        assert sorted(staged_run[2]) == ["adapter_EP.ckpt", "adapter_LARGE.ckpt",
+                                         "adapter_TP.ckpt", "pretrain.ckpt"]
+
+    def test_stages_leave_the_shared_data_as_parsed(self, staged_run):
+        from test_data import assert_same_dataset     # test_data imports this module
+        ws = staged_run[0]
+        ds, vocab = ws.load_data()
+        assert ws.load_data()[0] is ds
+        assert_same_dataset(ds, load_dataset(ws.data_dir))
+        fresh = Vocab.load(ws.data_dir / "vocab.txt")
+        assert (vocab.id_to_token, vocab.token_to_id) == (fresh.id_to_token, fresh.token_to_id)
+
+    def test_edit_between_two_stages_parses_again(self, generated, tmp_path, monkeypatch):
+        ws = copy_run(generated, tmp_path)
+        parses = count_parses(monkeypatch)
+        run_stage(ws, "pretrain")
+        sentences, sha = len(ws.load_data()[0].mlm_corpus), ws.data_sha256
+        path = ws.data_dir / "mlm.tsv"
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[1:]),
+                        encoding="utf-8")
+        run_stage(ws, "pretrain")
+        assert len(parses) == 2
+        assert len(ws.load_data()[0].mlm_corpus) == sentences - 1
+        assert ws.data_sha256 != sha
+        assert read_manifest(ws.ckpt("pretrain"))["provenance"]["data_sha256"] == ws.data_sha256
+
+    def test_malformed_edit_raises_as_on_a_fresh_workspace(self, generated, tmp_path):
+        ws = copy_run(generated, tmp_path)
+        ws.load_data()
+        path = ws.data_dir / "c1.tsv"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        fields = first.split("\t")
+        fields[2] = "x"
+        path.write_text("\t".join(fields) + "\n" + rest, encoding="utf-8")
+        for _ in range(2):      # the cached data is not served after a failed parse
+            with pytest.raises(DataError) as cached:
+                run_stage(ws, "pretrain")
+            with pytest.raises(DataError) as fresh:
+                Workspace(ws.config).load_data()
+            assert str(cached.value) == str(fresh.value)
+            assert str(cached.value).startswith(f"{path}:1: span ")
+
+    @pytest.mark.parametrize("name", [n for n in DATA_FILES if n != "config.json"])
+    def test_deleted_data_file_exits_one_naming_it(self, generated, tmp_path, capsys, name):
+        """config.json is not among them: without it there is no data directory."""
+        ws = copy_run(generated, tmp_path)
+        ws.load_data()
+        path = ws.data_dir / name
+        path.unlink()
+        message = f"[Errno 2] No such file or directory: '{path}'"
+        with pytest.raises(FileNotFoundError) as cached:
+            run_stage(ws, "pretrain")
+        assert str(cached.value) == message
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        assert cli.main(["--config", str(cfg), "pretrain"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ws.ckpt("pretrain").exists()
 
 
 class TestRunLog:
@@ -709,6 +815,54 @@ def test_vocab_that_does_not_fit_the_checkpoint_exits_one(micro_run, tmp_path, c
         f"tokens in {path}: re-run pretrain\n")
     assert {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir)
             for p in d.iterdir()} == before
+
+
+def test_every_checkpoint_records_the_fingerprint_of_its_data(micro_run):
+    data_sha256 = Workspace(micro_run.config).data_sha256
+    recorded = {p.name: read_manifest(p)["provenance"]["data_sha256"]
+                for p in micro_run.ckpt_dir.glob("*.ckpt")}
+    assert len(recorded) >= 5 and set(recorded.values()) == {data_sha256}
+
+
+@pytest.mark.parametrize("command, ckpt", [
+    (["train-adapter", "--kind", "ep"], "pretrain"),
+    (["eval", "--task", "alignment"], "fused_alignment")], ids=["train-adapter", "eval"])
+def test_data_the_checkpoint_was_not_trained_on_exits_one(micro_run, tmp_path, capsys,
+                                                          command, ckpt):
+    """Two non-special tokens of vocab.txt swapped after the run: a vocabulary
+    of the same size, which the checkpoint's row count cannot tell apart."""
+    ws = copy_run(micro_run, tmp_path)
+    recorded = read_manifest(ws.ckpt(ckpt))["provenance"]["data_sha256"]
+    path = ws.data_dir / "vocab.txt"
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    tokens[4], tokens[5] = tokens[5], tokens[4]
+    path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    now = Workspace(ws.config).data_sha256
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    before = {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir) for p in d.iterdir()}
+    assert cli.main(["--config", str(cfg), *command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ws.ckpt(ckpt)}: trained on data {recorded[:12]}, but {ws.data_dir} holds "
+        f"data {now[:12]}: re-run pretrain\n")
+    assert {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir)
+            for p in d.iterdir()} == before
+
+
+def test_checkpoint_without_a_data_fingerprint_exits_one(micro_run, tmp_path, capsys):
+    """A checkpoint written before the stages recorded the data they trained on."""
+    ws = copy_run(micro_run, tmp_path)
+    params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
+    provenance = {k: v for k, v in manifest["provenance"].items() if k != "data_sha256"}
+    save_checkpoint(ws.ckpt("adapter_old"), params, provenance)
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                     "--checkpoint", "adapter_old"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ws.ckpt('adapter_old')}: the checkpoint records no data fingerprint: "
+        f"re-run pretrain\n")
+    assert not list(ws.report_dir.glob("*adapter_old*"))
 
 
 def test_paper_profile_loads():
