@@ -355,6 +355,13 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
     base, _ = load_model(ws, "pretrain", "integrate", vocab)
+    return _integrate(ws, ds, vocab, base, kind)[1]
+
+
+def _integrate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, base: AdaptedEncoder,
+               kind: str) -> tuple[AdaptedEncoder, Path]:
+    """Train the adapter of `kind` on the loaded pretrain model `base` and save
+    it as adapter_<kind>; returns the trained model and the checkpoint path."""
     # LARGE is sized to the parameter budget of every configured adapter plus fusion
     b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
          if kind == LARGE else ws.config.bottleneck)
@@ -362,7 +369,8 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
     hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
     trained, curve = train_adapter(adapted, make_sampler(ds, kind), vocab, hyper,
                                    ws.config.seed + sum(ord(c) for c in kind))
-    return _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve, kind=kind)
+    return trained, _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve,
+                                kind=kind)
 
 
 def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
@@ -510,11 +518,11 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
 
     The variants are base (the pretrain checkpoint, whose whole encoder
     trains), each configured adapter (its integrate checkpoint), LARGE (the
-    integrate(LARGE) checkpoint, integrated here on first use) and FUSION
-    (`assemble_fused` of the loaded base and adapters); `train_task` trains the
-    group the model's mode adapts. Every checkpoint is read once, and every
-    variant is loaded, and its backbone checked against the pretrain
-    checkpoint, before any trains.
+    integrate(LARGE) checkpoint; on first use integrated here from the loaded
+    base, saved, and used as trained) and FUSION (`assemble_fused` of the
+    loaded base and adapters); `train_task` trains the group the model's mode
+    adapts. Every checkpoint is read once, and every variant is loaded, and
+    its backbone checked against the pretrain checkpoint, before any trains.
     """
     ds, vocab = ws.load_data()
     base, _ = load_model(ws, "pretrain", "ablate", vocab)
@@ -525,8 +533,7 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
             models[kind] = _load_adapter(ws, kind, "ablate", vocab, backbone_hash)
     models["FUSION"] = assemble_fused(ws, base, [models[k] for k in ws.config.adapter_kinds])
     if LARGE not in models:                     # integrated once every other variant checks
-        run_stage(ws, "integrate", kind=LARGE)
-        models[LARGE] = _load_adapter(ws, LARGE, "ablate", vocab, backbone_hash)
+        models[LARGE] = _integrate(ws, ds, vocab, base, LARGE)[0]
     grid = {}
     for variant in ("base", *ws.config.adapter_kinds, LARGE, "FUSION"):
         grid[variant] = {}

@@ -21,6 +21,15 @@ anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
 never contain unseen-category languages, and `load_dataset` rejects a data
 directory whose files do.
 
+Every bounded integer the generator draws one at a time goes through
+`_Replay`, which replays numpy's own rule for `rng.integers(lo, hi)` on
+blocks of the Generator's 32-bit words instead of paying for one call per
+draw; `choice`, `permutation` and `random` run on the Generator, which
+`_Replay.generator()` first puts in the state the single calls would have
+left. So the files are the bytes one call per draw wrote, and the golden
+pins of the data files (`DATA_FILE_SHA256` in tests/test_golden.py, and
+the larger configs of tests/test_synthetic.py) guard them.
+
 `save_dataset` and `load_dataset` persist a benchmark as one directory whose
 files, and their formats, are listed in data.py; every file is read and
 written through data.py.
@@ -44,6 +53,8 @@ from .errors import ConfigError, DataError, check_fields
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+_SYLLABLES = len(_CONSONANTS) * len(_VOWELS)
+_DISTINCT_WORDS = _SYLLABLES ** 2 + _SYLLABLES ** 3
 _SUFFIX_SYLLABLES = ["eth", "osk", "ini", "ura", "ave", "ilo", "uns", "ora",
                      "ezi", "alt", "uvo", "ems", "yra", "oqa", "iby", "adz"]
 
@@ -88,6 +99,12 @@ class SyntheticConfig:
                                   f"beside the test split (test_fraction {self.test_fraction})")
         if len(_SUFFIX_SYLLABLES) < self.languages - 1:
             raise ConfigError(f"at most {len(_SUFFIX_SYLLABLES) + 1} languages supported")
+        # every label and context word is a distinct word of _make_word's
+        words = self.entities * self.label_max_words + self.relations + self.vocab_size
+        if words > _DISTINCT_WORDS:
+            raise ConfigError(f"entities * label_max_words + relations + vocab_size ({words}) "
+                              f"must be at most {_DISTINCT_WORDS}, the distinct words of "
+                              f"2 or 3 syllables")
 
 
 @dataclass
@@ -119,11 +136,78 @@ def _language_codes(n: int) -> list[str]:
     return ["".join(p) for p in itertools.islice(itertools.product(letters, repeat=2), n)]
 
 
-def _make_word(rng: np.random.Generator, taken: set[str]) -> str:
+_WORD = 2 ** 32
+_BLOCK = 4096               # words a block reads
+_SCALAR_DRAWS = 8           # draws after a hand-back made on the Generator itself
+
+
+class _Replay:
+    """`integers(lo, hi)` equal to `int(rng.integers(lo, hi))` for ranges of
+    at most 2**32 values, replayed from blocks of the Generator's 32-bit words.
+
+    numpy draws such an integer with Lemire's method (arXiv:1805.10941): for
+    n = hi - lo it takes the next word w, m = w * n, rejects the word and
+    takes another while m mod 2**32 < (2**32 - n) mod n, and returns
+    lo + (m >> 32); a range of one value takes no word. Since
+    `rng.integers(0, 2**32, size=k, dtype=np.uint32)` returns exactly the next
+    k words, this rule applied to a block gives the scalar calls' values
+    without their per-call cost.
+
+    A block reads ahead of the words used. `generator()` hands the Generator
+    back in the state the scalar calls would have left: it restores the state
+    saved before the current block and redraws the words used of it. Every
+    other draw, such as `choice`, `permutation` or `random`, goes through it.
+    A block and its hand-back cost about ten scalar calls, so the first
+    `_SCALAR_DRAWS` draws after a hand-back are scalar calls, and a short run
+    of draws between two hand-backs reads no block.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._calls = 0             # scalar calls since the hand-back
+        self._saved = None          # the state before the current block
+        self._words: list[int] = []
+        self._pos = 0               # words used of the current block
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        if hi is None:
+            lo, hi = 0, lo
+        if self._calls < _SCALAR_DRAWS:
+            self._calls += 1
+            return int(self._rng.integers(lo, hi))
+        n = hi - lo
+        if n == 1:
+            return lo
+        reject = (_WORD - n) % n
+        while True:
+            if self._pos == len(self._words):
+                self._read_block()
+            m = self._words[self._pos] * n
+            self._pos += 1
+            if m % _WORD >= reject:
+                return lo + (m >> 32)
+
+    def _read_block(self) -> None:
+        self._saved = self._rng.bit_generator.state
+        self._words = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32).tolist()
+        self._pos = 0
+
+    def generator(self) -> np.random.Generator:
+        if self._saved is not None:
+            self._rng.bit_generator.state = self._saved
+            self._rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
+            self._saved, self._words, self._pos = None, [], 0
+        self._calls = 0
+        return self._rng
+
+
+def _make_word(draw: _Replay, taken: set[str]) -> str:
+    """A word of 2 or 3 syllables not in `taken`, which it joins; there are
+    `_DISTINCT_WORDS` of them, and `SyntheticConfig` asks for no more."""
     while True:
-        syllables = int(rng.integers(2, 4))
-        w = "".join(_CONSONANTS[int(rng.integers(len(_CONSONANTS)))]
-                    + _VOWELS[int(rng.integers(len(_VOWELS)))]
+        syllables = draw.integers(2, 4)
+        w = "".join(_CONSONANTS[draw.integers(len(_CONSONANTS))]
+                    + _VOWELS[draw.integers(len(_VOWELS))]
                     for _ in range(syllables))
         if w not in taken:
             taken.add(w)
@@ -143,18 +227,18 @@ def _transform(words: list[str], lang_index: int) -> list[str]:
 
 def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     """Generate the full desk-scale benchmark; byte-stable for a fixed config."""
-    rng = np.random.default_rng(config.seed)
+    draw = _Replay(np.random.default_rng(config.seed))
     languages = _language_codes(config.languages)
     lang_index = {lang: i for i, lang in enumerate(languages)}
     base = languages[0]
     split = assign_language_splits(languages, config.sup, config.zs_in, config.zs_un)
 
     taken: set[str] = set()
-    entity_words = {f"e{i}": [_make_word(rng, taken)
-                              for _ in range(int(rng.integers(1, config.label_max_words + 1)))]
+    entity_words = {f"e{i}": [_make_word(draw, taken)
+                              for _ in range(draw.integers(1, config.label_max_words + 1))]
                     for i in range(config.entities)}
-    relation_words = {f"r{i}": [_make_word(rng, taken)] for i in range(config.relations)}
-    context_words = [_make_word(rng, taken) for _ in range(config.vocab_size)]
+    relation_words = {f"r{i}": [_make_word(draw, taken)] for i in range(config.relations)}
+    context_words = [_make_word(draw, taken) for _ in range(config.vocab_size)]
 
     def multilingual(words: list[str]) -> dict[str, str]:
         return {lang: " ".join(_transform(words, lang_index[lang])) for lang in languages}
@@ -166,7 +250,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     # triples with relation-specific tail pools (type constraint)
     entity_ids = sorted(entities)
-    pools = {rid: [entity_ids[j] for j in rng.choice(
+    pools = {rid: [entity_ids[j] for j in draw.generator().choice(
         len(entity_ids), size=min(config.relation_pool_size, len(entity_ids)),
         replace=False)] for rid in sorted(relations)}
     triples: list[Triple] = []
@@ -174,9 +258,9 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     attempts = 0
     while len(triples) < config.triples and attempts < config.triples * 50:
         attempts += 1
-        rid = f"r{int(rng.integers(config.relations))}"
-        tail = pools[rid][int(rng.integers(len(pools[rid])))]
-        head = entity_ids[int(rng.integers(len(entity_ids)))]
+        rid = f"r{draw.integers(config.relations)}"
+        tail = pools[rid][draw.integers(len(pools[rid]))]
+        head = entity_ids[draw.integers(len(entity_ids))]
         if head == tail:
             continue
         t = Triple(head, rid, tail)
@@ -190,12 +274,12 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     mlkg = MLKG(entities=entities, relations=relations, triples=triples)
 
     # held-out splits: triples for completion, entities for alignment
-    order = rng.permutation(len(triples))
+    order = draw.generator().permutation(len(triples))
     n_test_t = _test_count(len(triples), config.test_fraction)
     test_triples = [triples[i] for i in order[:n_test_t]]
     train_triples = [triples[i] for i in order[n_test_t:]]
 
-    ent_order = rng.permutation(len(entity_ids))
+    ent_order = draw.generator().permutation(len(entity_ids))
     n_test_e = _test_count(len(entity_ids), config.test_fraction)
     test_entities = [entity_ids[i] for i in ent_order[:n_test_e]]
     train_entities = [entity_ids[i] for i in ent_order[n_test_e:]]
@@ -212,13 +296,13 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     def ctx(k: int, li: int) -> list[str]:
         forms = context_forms[li]
-        return [forms[int(rng.integers(len(forms)))] for _ in range(k)]
+        return [forms[draw.integers(len(forms))] for _ in range(k)]
 
     def entity_sentence(eid: str, lang: str) -> TaggedSentence:
         li = lang_index[lang]
         label_tokens = entities[eid].labels[lang].split()
-        lead = ctx(int(rng.integers(1, 4)), li)
-        tail_ctx = ctx(int(rng.integers(1, 3)), li)
+        lead = ctx(draw.integers(1, 4), li)
+        tail_ctx = ctx(draw.integers(1, 3), li)
         tokens = lead + label_tokens + tail_ctx + ["."]
         span = (len(lead), len(lead) + len(label_tokens) - 1)
         return TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span)
@@ -252,23 +336,23 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     for lang in languages:
         li = lang_index[lang]
         for _ in range(config.mlm_sentences_per_lang):
-            draw = rng.random()
-            if draw < config.gloss_rate:
+            u = draw.generator().random()
+            if u < config.gloss_rate:
                 eid = entity_ids[gloss_cursor % len(entity_ids)]
                 gloss_cursor += 1
                 if lang == base:
                     others = [l for l in languages if l != base]
-                    other = others[int(rng.integers(len(others)))]
+                    other = others[draw.integers(len(others))]
                 else:
                     other = base
                 tokens = (entities[eid].labels[lang].split()
                           + entities[eid].labels[other].split()
-                          + ctx(int(rng.integers(1, 3)), li) + ["."])
-            elif lang == base and draw < config.gloss_rate + config.fact_rate:
-                t = train_triples[int(rng.integers(len(train_triples)))]
+                          + ctx(draw.integers(1, 3), li) + ["."])
+            elif lang == base and u < config.gloss_rate + config.fact_rate:
+                t = train_triples[draw.integers(len(train_triples))]
                 tokens = triple_tokens(t, lang)[0]
             else:
-                eid = entity_ids[int(rng.integers(len(entity_ids)))]
+                eid = entity_ids[draw.integers(len(entity_ids))]
                 tokens = entity_sentence(eid, lang).tokens
             mlm.append((lang, tokens))
 

@@ -7,8 +7,10 @@ the SHA-256 of every loss curve CSV are pinned below, and so are the SHA-256
 of the ablation grid run on that workspace and the SHA-256 of every file in
 its data directory.
 
-Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 Haswell
-kernels); the values are the same under 1 and 2 BLAS threads, which
+Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, x86-64 SkylakeX
+kernels, which its DYNAMIC_ARCH picks on an AVX-512 CPU; under
+OPENBLAS_CORETYPE=Haswell every checkpoint blob and curve differs); the
+values are the same under 1 and 2 BLAS threads, which
 test_pins_hold_under_another_blas_thread_count checks by running these pins
 again in a subprocess with the other of the two counts. A change
 that moves any of these hashes must name the change and say why in

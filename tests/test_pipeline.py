@@ -427,7 +427,7 @@ def count_parses(monkeypatch) -> list:
 def staged_run(tmp_path_factory):
     """Every stage, ablate included, on one micro Workspace, with LARGE
     integrated before the grid; returns the workspace, the number of dataset
-    parses of the whole run and the checkpoints the ablate stage read."""
+    parses of the whole run, the checkpoints the ablate stage read and its grid."""
     ws = Workspace(micro_config(tmp_path_factory.mktemp("staged")))
     real_read, reads = pipeline.load_checkpoint, []
     with pytest.MonkeyPatch.context() as mp:
@@ -438,8 +438,23 @@ def staged_run(tmp_path_factory):
         run_stage(ws, "integrate", kind="LARGE")
         run_stage(ws, "eval", task="alignment", checkpoint="finetuned_alignment")
         reads.clear()
-        run_stage(ws, "ablate", tasks=("alignment",))
-    return ws, len(parses), reads
+        grid = run_stage(ws, "ablate", tasks=("alignment",))
+    return ws, len(parses), reads, grid
+
+
+@pytest.fixture(scope="module")
+def ablate_integrating_large(staged_run, tmp_path_factory):
+    """The ablate stage of `staged_run` again, on a fresh Workspace over a copy
+    of its run directory without adapter_LARGE.ckpt; returns the workspace,
+    the checkpoints the stage read and its grid."""
+    ws = copy_run(staged_run[0], tmp_path_factory.mktemp("no_large"))
+    ws.ckpt("adapter_LARGE").unlink()
+    real_read, reads = pipeline.load_checkpoint, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "load_checkpoint",
+                   lambda path: reads.append(Path(path).name) or real_read(path))
+        grid = run_stage(ws, "ablate", tasks=("alignment",))
+    return ws, reads, grid
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +472,21 @@ class TestDataCache:
     def test_ablate_reads_each_checkpoint_once(self, staged_run):
         assert sorted(staged_run[2]) == ["adapter_EP.ckpt", "adapter_LARGE.ckpt",
                                          "adapter_TP.ckpt", "pretrain.ckpt"]
+
+    def test_ablate_integrating_large_reads_no_checkpoint_twice(self, ablate_integrating_large):
+        """LARGE is integrated from the base the grid loaded and used as
+        trained: adapter_LARGE.ckpt is written but never read back."""
+        assert sorted(ablate_integrating_large[1]) == ["adapter_EP.ckpt", "adapter_TP.ckpt",
+                                                       "pretrain.ckpt"]
+
+    def test_ablate_integrating_large_saves_and_scores_what_a_loaded_large_does(
+            self, staged_run, ablate_integrating_large):
+        ws, _, grid = ablate_integrating_large
+        assert (read_manifest(ws.ckpt("adapter_LARGE"))["blob_sha256"]
+                == read_manifest(staged_run[0].ckpt("adapter_LARGE"))["blob_sha256"])
+        assert ({v: {t: r.to_dict() for t, r in tasks.items()} for v, tasks in grid.items()}
+                == {v: {t: r.to_dict() for t, r in tasks.items()}
+                    for v, tasks in staged_run[3].items()})
 
     def test_stages_leave_the_shared_data_as_parsed(self, staged_run):
         from test_data import assert_same_dataset     # test_data imports this module
