@@ -102,6 +102,8 @@ def run(args) -> int:
             reports = [MetricReport.from_dict(r) for r in payload]
         except (AttributeError, KeyError, TypeError):
             reports = []
+        except ConfigError as exc:
+            raise ConfigError(f"{args.input}: {exc}") from None
         if not reports:
             raise ConfigError(f"{args.input} holds no list of metric reports")
         emit_report(reports, "tsv", args.output)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError
+from .errors import DataError, check_fields
 
 CATEGORIES = ("sup", "zs_in", "zs_un")
 
@@ -78,6 +78,7 @@ class LanguageSplit:
     zs_un: list[str]
 
     def __post_init__(self):
+        check_fields(self, {})
         cats = [set(self.sup), set(self.zs_in), set(self.zs_un)]
         for i in range(3):
             for j in range(i + 1, 3):

@@ -1,8 +1,9 @@
 """Exception taxonomy mapped to CLI exit codes (1/2/3); the config field check.
 
-`check_fields` is the one place that checks a config field's type and lower
-bound: each config dataclass calls it first with its table of bounds, and
-keeps in its own `__post_init__` only the checks that are not lower bounds.
+`check_fields` is the one place that checks a field's type and lower bound:
+each config dataclass, and each dataclass a stored report is read into,
+calls it first with its table of bounds, and keeps in its own
+`__post_init__` only the checks that are not lower bounds.
 `check_type` types one value; `PipelineConfig.from_json` calls it on the
 `synthetic` object before that becomes a `SyntheticConfig`.
 """

@@ -11,7 +11,7 @@ Queries and labels are pooled by `encoder.encode_pooled`, as in training.
 Category aggregates are unweighted means over the category's languages.
 
 This module owns the report format. A `MetricReport` carries its dataset's
-language split, which `to_dict` stores and `from_dict` reads back, so
+language split, which `to_dict` stores and `from_dict` requires, so
 `emit_report` re-renders a stored report into exactly the TSV first written.
 """
 
@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .adapters import AdaptedEncoder, build_hook
 from .data import CATEGORIES, LanguageSplit, MLKG, Triple
 from .encoder import encode_pooled
-from .errors import ConfigError
+from .errors import ConfigError, DataError, check_fields
 from .hyper import TrainHyper
 from .objectives import Sampler, _query_tokens, train_pairs
 from .vocab import Vocab, tokenize
@@ -78,6 +78,9 @@ class LanguageResult:
     hitk: float
     mrr: float
 
+    def __post_init__(self):
+        check_fields(self, {"n": 0})
+
 
 def _aggregate(rows: list[LanguageResult]) -> LanguageResult:
     """Unweighted mean over languages; no languages gives an all-zero result."""
@@ -100,7 +103,10 @@ class MetricReport:
     profile: str = ""
     checkpoint_hash: str = ""
     config_hash: str = ""
-    split: LanguageSplit | None = None   # None in reports stored before they kept it
+    split: LanguageSplit | None = None   # None until `pipeline.evaluate` sets it
+
+    def __post_init__(self):
+        check_fields(self, {"k": 1})
 
     def category_aggregate(self, category: str) -> LanguageResult:
         return _aggregate([self.per_language[l] for l in getattr(self.split, category)
@@ -124,11 +130,16 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
-        """Inverse of `to_dict`; categories and overall are derived, not read."""
+        """Inverse of `to_dict` of a report with a split, which lists its
+        languages; categories and overall are derived, not read."""
         stored = {k: v for k, v in d.items() if k not in ("categories", "overall")}
         stored["per_language"] = {l: LanguageResult(**r) for l, r in d["per_language"].items()}
-        if "split" in d:
-            stored["split"] = LanguageSplit(**d["split"])
+        if "split" not in d:
+            raise DataError(f"report {d['variant']!r} holds no language split: re-run eval")
+        stored["split"] = split = LanguageSplit(**d["split"])
+        unknown = sorted(set(stored["per_language"]) - set(split.all_langs))
+        if unknown:
+            raise DataError(f"report {d['variant']!r}: languages {unknown} not in its split")
         return cls(**stored)
 
 
@@ -141,13 +152,12 @@ def report_tsv_rows(report: MetricReport) -> list[str]:
     """Header, one row per language, one per non-empty category, then overall."""
     rows = ["variant\tlanguage\tcategory\tn\thit1\thitk\tmrr"]
     for lang in sorted(report.per_language):
-        cat = report.split.category(lang) if report.split is not None else "-"
-        rows.append(_tsv_row(report.variant, lang, cat, report.per_language[lang]))
-    if report.split is not None:
-        for cat in CATEGORIES:
-            agg = report.category_aggregate(cat)
-            if agg.n:
-                rows.append(_tsv_row(report.variant, "all", cat, agg))
+        rows.append(_tsv_row(report.variant, lang, report.split.category(lang),
+                             report.per_language[lang]))
+    for cat in CATEGORIES:
+        agg = report.category_aggregate(cat)
+        if agg.n:
+            rows.append(_tsv_row(report.variant, "all", cat, agg))
     rows.append(_tsv_row(report.variant, "all", "overall", report.overall()))
     return rows
 

@@ -17,14 +17,14 @@ Stages and their freezing contracts (verified by checksums, not assumed):
 stage through it by name. Every training stage reads its prerequisite
 checkpoint from the run directory and writes a new one; nothing is mutated
 in place. `load_model` is the one reader of model checkpoints, for every
-stage alike; through `model_from_checkpoint` it reads the model from the
-checkpoint's parameters (and the head count from its manifest). Every
-checkpoint records the SHA-256 of the data it was trained on, and
-`load_model` refuses one trained on other data. A `Workspace` parses its data
-directory once per fingerprint, so the stages run on one `Workspace` share
-one parse. Two runs with the same config and seed produce byte-identical
-checkpoints and reports (run logs carry wall-clock timestamps and are
-excluded from that guarantee).
+stage alike. Every checkpoint records the SHA-256 of the data it was trained
+on, `vocab.txt` included; `load_model` checks that lineage first, then
+`model_from_checkpoint` reads the model from the checkpoint's parameters (and
+the head count from its manifest). A `Workspace` parses its data directory
+once per fingerprint, so the stages run on one `Workspace` share one parse.
+Two runs with the same config and seed produce byte-identical checkpoints and
+reports (run logs carry wall-clock timestamps and are excluded from that
+guarantee).
 """
 
 from __future__ import annotations
@@ -292,33 +292,19 @@ def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
     return path
 
 
-def load_model(ws: Workspace, name: str, needed_for: str,
-               vocab: Vocab) -> tuple[AdaptedEncoder, dict]:
+def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncoder, dict]:
     """The model and manifest of checkpoint `name`, which stage `needed_for`
-    requires; a checkpoint that holds no model of the run config, or one
-    token embedding per token of another `vocab`, names itself.
-
-    Lineage: the checkpoint's recorded `data_sha256` must be the fingerprint
-    of the data the workspace loaded (`Workspace.data_sha256`). A checkpoint
-    trained on other data, or one that records none, names itself too; this
-    check runs after the others, so a vocabulary of another size is still
-    reported as such.
-    """
+    requires. Lineage first: a checkpoint whose recorded `data_sha256` (the
+    vocabulary included) is not `Workspace.data_sha256`, or is absent, names
+    itself; so does one that holds no model of the run config."""
     path = ws.require_ckpt(name, needed_for)
     params, manifest = load_checkpoint(path)
     try:
-        rows = params.get("encoder.emb.tok").shape[0]
-        if rows != len(vocab):
-            raise DataError(f"{rows} token embeddings but {len(vocab)} tokens in "
-                            f"{ws.data_dir / 'vocab.txt'}: re-run pretrain")
-        model = model_from_checkpoint(ws, params, manifest)
-        trained_on = manifest["provenance"].get("data_sha256")
-        if trained_on is None:
-            raise DataError("the checkpoint records no data fingerprint: re-run pretrain")
+        trained_on = manifest["provenance"].get("data_sha256") or "none"
         if trained_on != ws.data_sha256:
             raise DataError(f"trained on data {trained_on[:12]}, but {ws.data_dir} holds "
                             f"data {ws.data_sha256[:12]}: re-run pretrain")
-        return model, manifest
+        return model_from_checkpoint(ws, params, manifest), manifest
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -354,7 +340,7 @@ def stage_integrate(ws: Workspace, kind: str) -> Path:
         raise ConfigError(f"kind {kind!r} not in configured adapters "
                           f"{ws.config.adapter_kinds} or {LARGE}")
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "integrate", vocab)
+    base, _ = load_model(ws, "pretrain", "integrate")
     return _integrate(ws, ds, vocab, base, kind)[1]
 
 
@@ -395,11 +381,11 @@ def assemble_fused(ws: Workspace, base: AdaptedEncoder,
     return init_fusion(AdaptedEncoder(base.config, params), ws.config.seed + 2003)
 
 
-def _load_adapter(ws: Workspace, kind: str, needed_for: str, vocab: Vocab,
+def _load_adapter(ws: Workspace, kind: str, needed_for: str,
                   backbone_hash: str) -> AdaptedEncoder:
     """The model of the integrate checkpoint of `kind`, which must hold that
     kind's adapter alone, on the pretrain backbone of checksum `backbone_hash`."""
-    model, _ = load_model(ws, f"adapter_{kind}", needed_for, vocab)
+    model, _ = load_model(ws, f"adapter_{kind}", needed_for)
     path = ws.ckpt(f"adapter_{kind}")
     if model.kinds != [kind]:
         raise DataError(f"{path}: holds adapters {model.kinds}, not [{kind!r}]: "
@@ -454,9 +440,9 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "fuse", vocab)
+    base, _ = load_model(ws, "pretrain", "fuse")
     backbone_hash = base.params.checksum("encoder.")
-    adapters = [_load_adapter(ws, kind, "fuse", vocab, backbone_hash)
+    adapters = [_load_adapter(ws, kind, "fuse", backbone_hash)
                 for kind in sorted(ws.config.adapter_kinds, key=KINDS.index)]
     trained, curve = train_task(ws, ds, vocab, assemble_fused(ws, base, adapters), task, "fuse")
     return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
@@ -465,34 +451,33 @@ def stage_fuse(ws: Workspace, task: str) -> Path:
 def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
     ds, vocab = ws.load_data()
-    model, _ = load_model(ws, f"fused_{task}", "finetune", vocab)
+    model, _ = load_model(ws, f"fused_{task}", "finetune")
     trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
     return _save_stage(ws, "finetune", f"finetuned_{task}", trained.params, curve, task=task)
 
 
 def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> AdaptedEncoder:
-    """The one way from a checkpoint to a model, read from its parameters.
+    """The one way from a checkpoint to a model, read from its parameters;
+    `load_model` calls it once the checkpoint's lineage holds.
 
     The vocabulary size is the row count of the token embedding; the model's
     adapter kinds and mode come from its parameter names (`AdaptedEncoder`).
-    Several adapters without fusion (an integrate checkpoint written before
-    each held only its own adapter) are an error. So is a run config whose
-    encoder differs from the parameters' shapes, which would train a
-    truncated model or fail inside `encode`, or from the head count, which
-    leaves no trace in the shapes, that every stage records in the
-    manifest's `provenance.encoder`. A checkpoint without that record,
-    written before the stages kept it, is an error too.
+    A run config whose encoder differs from the parameters' shapes, which
+    would train a truncated model or fail inside `encode`, is an error. So is
+    one whose head count, which leaves no trace in the shapes, differs from
+    the manifest's `provenance.encoder`: the run config's encoder as written,
+    so a record without `n_heads` means the default, and no record at all
+    reads as None. So are several adapters without fusion, which no stage
+    writes.
     """
-    recorded = manifest.get("provenance", {}).get("encoder")
-    if recorded is None:
-        raise DataError("the checkpoint records no encoder config, so its head count "
-                        "is unknown: re-run pretrain")
+    recorded = manifest["provenance"].get("encoder")
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
     in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
                "d_model": params.get("encoder.emb.tok").shape[1],
                "ff_dim": params.get("encoder.0.ff.w1").shape[1],
                "max_seq_len": params.get("encoder.emb.pos").shape[0],
-               "n_heads": recorded.get("n_heads", EncoderConfig.n_heads)}
+               "n_heads": None if recorded is None
+               else recorded.get("n_heads", EncoderConfig.n_heads)}
     for name, found in in_ckpt.items():
         if getattr(config, name) != found:
             raise DataError(f"encoder.{name} is {getattr(config, name)} in the run config "
@@ -508,7 +493,7 @@ def stage_eval(ws: Workspace, task: str, checkpoint: str | None) -> MetricReport
     """Score `checkpoint`, by default `fused_<task>`, on the task's test split."""
     checkpoint = checkpoint or f"fused_{task}"
     ds, vocab = ws.load_data()
-    model, manifest = load_model(ws, checkpoint, "eval", vocab)
+    model, manifest = load_model(ws, checkpoint, "eval")
     return evaluate(ws, ds, vocab, model, task, checkpoint, manifest["blob_sha256"])
 
 
@@ -525,12 +510,12 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     its backbone checked against the pretrain checkpoint, before any trains.
     """
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "ablate", vocab)
+    base, _ = load_model(ws, "pretrain", "ablate")
     backbone_hash = base.params.checksum("encoder.")
     models = {"base": base}
     for kind in (*ws.config.adapter_kinds, LARGE):
         if kind != LARGE or ws.ckpt(f"adapter_{LARGE}").exists():
-            models[kind] = _load_adapter(ws, kind, "ablate", vocab, backbone_hash)
+            models[kind] = _load_adapter(ws, kind, "ablate", backbone_hash)
     models["FUSION"] = assemble_fused(ws, base, [models[k] for k in ws.config.adapter_kinds])
     if LARGE not in models:                     # integrated once every other variant checks
         models[LARGE] = _integrate(ws, ds, vocab, base, LARGE)[0]

@@ -315,7 +315,6 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
                 c1.append(entity_sentence(eid, lang))
 
     def triple_tokens(t: Triple, lang: str) -> tuple[list[str], tuple[int, int]]:
-        li = lang_index[lang]
         h = entities[t.head].labels[lang].split()
         r = relations[t.rel].labels[lang].split()
         o = entities[t.tail].labels[lang].split()

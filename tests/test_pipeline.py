@@ -16,13 +16,12 @@ import pytest
 from kgadapters import autodiff as ad
 from kgadapters import checkpoint, cli, optim, pipeline
 from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoint
-from kgadapters.data import load_split
+from kgadapters.data import LanguageSplit, load_split
 from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.hyper import TrainHyper
 from kgadapters.params import ParamSet
-from kgadapters.pipeline import (DATA_FILES, PipelineConfig, Workspace, load_model,
-                                 model_from_checkpoint, run_stage)
+from kgadapters.pipeline import DATA_FILES, PipelineConfig, Workspace, load_model, run_stage
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
 from kgadapters.synthetic import SyntheticConfig, load_dataset
 from kgadapters.vocab import Vocab
@@ -268,17 +267,11 @@ class TestStages:
             "fused_alignment": ("fusion", ["EP", "TP"]),
             "finetuned_alignment": ("fusion", ["EP", "TP"]),
         }
-        vocab = large_run.load_data()[1]
         for name, want in expected.items():
-            model, _ = load_model(large_run, name, "test", vocab)
+            model, _ = load_model(large_run, name, "test")
             assert (model.mode, model.kinds) == want, name
             assert {k: model.params.get(f"adapter.{k}.0.W_down").shape[1]
                     for k in model.kinds} == {k: widths[k] for k in model.kinds}, name
-
-    def test_model_without_recorded_encoder_rejected(self, micro_run):
-        params, _ = load_checkpoint(micro_run.ckpt("adapter_TP"))
-        with pytest.raises(DataError, match="records no encoder config.*re-run pretrain"):
-            model_from_checkpoint(micro_run, params, {})
 
     def test_eval_emits_hashes(self, micro_run):
         report = run_stage(micro_run, "eval", task="alignment",
@@ -321,7 +314,8 @@ class TestDeterminism:
 class TestReports:
     def make_report(self):
         report = MetricReport(task="alignment", variant="demo", k=10, seed=1,
-                              profile="desk", checkpoint_hash="ch", config_hash="cf")
+                              profile="desk", checkpoint_hash="ch", config_hash="cf",
+                              split=LanguageSplit(sup=["ab"], zs_in=[], zs_un=[]))
         report.per_language["ab"] = LanguageResult(n=8, hit1=0.131, hitk=0.5, mrr=0.262)
         return report
 
@@ -364,6 +358,27 @@ class TestReports:
             assert cli.main(["report", "--input", str(path),
                              "--output", str(tmp_path / "out.tsv")]) == 1
             assert capsys.readouterr().err == f"error: {path} holds no list of metric reports\n"
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("split"), "report 'demo' holds no language split: re-run eval"),
+        (lambda d: d["per_language"]["ab"].update(hit1="x"), "hit1 must be a number, got 'x'"),
+        (lambda d: d["per_language"].update(zz=d["per_language"]["ab"]),
+         "report 'demo': languages ['zz'] not in its split"),
+        (lambda d: d.update(variant=3), "variant must be a string, got 3"),
+        (lambda d: d["split"].update(sup="ab"), "sup must be a list, got 'ab'")],
+        ids=["no-split", "metric-not-a-number", "unknown-language", "variant-not-a-string",
+             "split-category-not-a-list"])
+    def test_cli_report_of_a_malformed_report_exits_one(self, tmp_path, capsys, edit, message):
+        """One line of stderr, and no TSV, for a stored report that does not
+        render."""
+        report = self.make_report().to_dict()
+        edit(report)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([report]), encoding="utf-8")
+        assert cli.main(["report", "--input", str(path),
+                         "--output", str(tmp_path / "out.tsv")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out.tsv").exists()
 
 
@@ -817,34 +832,27 @@ def test_data_fault_exits_one_at_load(micro_run, tmp_path, capsys, case):
     assert not list(ws.report_dir.glob("eval_*"))
 
 
-@pytest.mark.parametrize("command, ckpt", [
-    (["train-adapter", "--kind", "ep"], "pretrain"),
-    (["train-fusion", "--task", "alignment"], "pretrain"),
-    (["finetune", "--task", "alignment"], "fused_alignment"),
-    (["eval", "--task", "alignment"], "fused_alignment"),
-    (["ablate", "--tasks", "alignment"], "pretrain")],
-    ids=["train-adapter", "train-fusion", "finetune", "eval", "ablate"])
-def test_vocab_that_does_not_fit_the_checkpoint_exits_one(micro_run, tmp_path, capsys,
-                                                         command, ckpt):
-    """200 tokens inserted after the specials of vocab.txt after pretrain: the
-    first checkpoint a command loads has a token embedding per token of the
-    old vocabulary."""
-    run_dir = tmp_path / "run"
-    shutil.copytree(micro_run.root, run_dir)
-    ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+def vocab_resized(ws: Workspace) -> None:
+    """200 tokens inserted after the specials of vocab.txt."""
     path = ws.data_dir / "vocab.txt"
     tokens = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(tokens[:4] + [f"new{i}" for i in range(200)] + tokens[4:]) + "\n",
                     encoding="utf-8")
-    cfg = tmp_path / "cfg.json"
-    write_config(ws.config, cfg)
-    before = {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir) for p in d.iterdir()}
-    assert cli.main(["--config", str(cfg), *command]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {ws.ckpt(ckpt)}: {len(tokens)} token embeddings but {len(tokens) + 200} "
-        f"tokens in {path}: re-run pretrain\n")
-    assert {p.name: p.read_bytes() for d in (ws.ckpt_dir, ws.report_dir)
-            for p in d.iterdir()} == before
+
+
+def vocab_swapped(ws: Workspace) -> None:
+    """Two non-special tokens of vocab.txt swapped: a vocabulary of the same
+    size, which the checkpoint's row count cannot tell apart."""
+    path = ws.data_dir / "vocab.txt"
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    tokens[4], tokens[5] = tokens[5], tokens[4]
+    path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+
+
+def regenerated(ws: Workspace) -> None:
+    """gen-synthetic re-run with another synthetic seed."""
+    synthetic = dataclasses.replace(ws.config.synthetic, seed=ws.config.synthetic.seed + 1)
+    run_stage(Workspace(dataclasses.replace(ws.config, synthetic=synthetic)), "gen-synthetic")
 
 
 def test_every_checkpoint_records_the_fingerprint_of_its_data(micro_run):
@@ -854,19 +862,25 @@ def test_every_checkpoint_records_the_fingerprint_of_its_data(micro_run):
     assert len(recorded) >= 5 and set(recorded.values()) == {data_sha256}
 
 
-@pytest.mark.parametrize("command, ckpt", [
-    (["train-adapter", "--kind", "ep"], "pretrain"),
-    (["eval", "--task", "alignment"], "fused_alignment")], ids=["train-adapter", "eval"])
+@pytest.mark.parametrize("edit, command, ckpt", [
+    (vocab_resized, ["train-adapter", "--kind", "ep"], "pretrain"),
+    (vocab_resized, ["train-fusion", "--task", "alignment"], "pretrain"),
+    (vocab_resized, ["finetune", "--task", "alignment"], "fused_alignment"),
+    (vocab_resized, ["eval", "--task", "alignment"], "fused_alignment"),
+    (vocab_resized, ["ablate", "--tasks", "alignment"], "pretrain"),
+    (vocab_swapped, ["train-adapter", "--kind", "ep"], "pretrain"),
+    (vocab_swapped, ["eval", "--task", "alignment"], "fused_alignment"),
+    (regenerated, ["eval", "--task", "alignment"], "fused_alignment")],
+    ids=["vocab_resized-train-adapter", "vocab_resized-train-fusion", "vocab_resized-finetune",
+         "vocab_resized-eval", "vocab_resized-ablate", "vocab_swapped-train-adapter",
+         "vocab_swapped-eval", "regenerated-eval"])
 def test_data_the_checkpoint_was_not_trained_on_exits_one(micro_run, tmp_path, capsys,
-                                                          command, ckpt):
-    """Two non-special tokens of vocab.txt swapped after the run: a vocabulary
-    of the same size, which the checkpoint's row count cannot tell apart."""
+                                                          edit, command, ckpt):
+    """The data directory edited after the run: the first checkpoint a
+    command loads was trained on other data, whatever the edit."""
     ws = copy_run(micro_run, tmp_path)
     recorded = read_manifest(ws.ckpt(ckpt))["provenance"]["data_sha256"]
-    path = ws.data_dir / "vocab.txt"
-    tokens = path.read_text(encoding="utf-8").splitlines()
-    tokens[4], tokens[5] = tokens[5], tokens[4]
-    path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    edit(ws)
     now = Workspace(ws.config).data_sha256
     cfg = tmp_path / "cfg.json"
     write_config(ws.config, cfg)
@@ -879,19 +893,23 @@ def test_data_the_checkpoint_was_not_trained_on_exits_one(micro_run, tmp_path, c
             for p in d.iterdir()} == before
 
 
-def test_checkpoint_without_a_data_fingerprint_exits_one(micro_run, tmp_path, capsys):
-    """A checkpoint written before the stages recorded the data they trained on."""
+@pytest.mark.parametrize("recorded", [{}, {"data_sha256": None}], ids=["missing", "null"])
+def test_checkpoint_without_a_data_fingerprint_exits_one(micro_run, tmp_path, capsys,
+                                                         recorded):
+    """A checkpoint written before the stages recorded the data they trained
+    on, or whose manifest holds null for it."""
     ws = copy_run(micro_run, tmp_path)
     params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
-    provenance = {k: v for k, v in manifest["provenance"].items() if k != "data_sha256"}
+    provenance = {**{k: v for k, v in manifest["provenance"].items() if k != "data_sha256"},
+                  **recorded}
     save_checkpoint(ws.ckpt("adapter_old"), params, provenance)
     cfg = tmp_path / "cfg.json"
     write_config(ws.config, cfg)
     assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
                      "--checkpoint", "adapter_old"]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ws.ckpt('adapter_old')}: the checkpoint records no data fingerprint: "
-        f"re-run pretrain\n")
+        f"error: {ws.ckpt('adapter_old')}: trained on data none, but {ws.data_dir} holds "
+        f"data {ws.data_sha256[:12]}: re-run pretrain\n")
     assert not list(ws.report_dir.glob("*adapter_old*"))
 
 
@@ -949,6 +967,22 @@ def test_encoder_config_unlike_the_checkpoint_exits_one(two_layer_run, tmp_path,
         f"error: {ws.ckpt('pretrain')}: encoder.{field} is {value} in the run config "
         f"but {found} in the checkpoint: re-run pretrain\n")
     assert [p.name for p in ws.ckpt_dir.iterdir()] == ["pretrain.ckpt"]
+
+
+def test_run_config_without_n_heads_runs_every_stage(tmp_path, capsys):
+    """The encoder config may leave n_heads to its default; the checkpoints
+    record the config as written, and every later stage reads it so."""
+    micro = micro_config(tmp_path / "run")
+    encoder = {k: v for k, v in micro.encoder.items() if k != "n_heads"}
+    config = dataclasses.replace(micro, encoder=encoder, adapter_kinds=["EP"])
+    cfg = tmp_path / "cfg.json"
+    write_config(config, cfg)
+    for command in (["gen-synthetic"], ["pretrain"], ["train-adapter", "--kind", "ep"],
+                    ["eval", "--task", "alignment", "--checkpoint", "adapter_EP"]):
+        assert cli.main(["--config", str(cfg), *command]) == 0, capsys.readouterr().err
+    ws = Workspace(config)
+    assert "n_heads" not in read_manifest(ws.ckpt("adapter_EP"))["provenance"]["encoder"]
+    assert list(ws.report_dir.glob("*adapter_EP*"))
 
 
 @pytest.mark.parametrize("base_lr", [1e30, 1e300])
@@ -1022,9 +1056,7 @@ class TestCliExitCodes:
     def test_eval_of_two_adapters_without_fusion_exits_one(self, micro_run, tmp_path, capsys):
         """An integrate checkpoint written when each held every configured
         adapter: the model it holds cannot be told from its parameters."""
-        run_dir = tmp_path / "run"
-        shutil.copytree(micro_run.root, run_dir)
-        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        ws = copy_run(micro_run, tmp_path)
         params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
         params.merge(load_checkpoint(ws.ckpt("adapter_TP"))[0], "adapter.TP.")
         save_checkpoint(ws.ckpt("adapter_old"), params, manifest["provenance"])
@@ -1042,9 +1074,7 @@ class TestCliExitCodes:
                                                                         tmp_path, capsys):
         """A checkpoint written before the stages recorded the encoder config:
         its head count is unknown."""
-        run_dir = tmp_path / "run"
-        shutil.copytree(micro_run.root, run_dir)
-        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        ws = copy_run(micro_run, tmp_path)
         params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
         provenance = {k: v for k, v in manifest["provenance"].items() if k != "encoder"}
         save_checkpoint(ws.ckpt("adapter_old"), params, provenance)
@@ -1053,8 +1083,8 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
                          "--checkpoint", "adapter_old"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {ws.ckpt('adapter_old')}: the checkpoint records no encoder config, so "
-            f"its head count is unknown: re-run pretrain\n")
+            f"error: {ws.ckpt('adapter_old')}: encoder.n_heads is {ws.config.encoder['n_heads']} "
+            f"in the run config but None in the checkpoint: re-run pretrain\n")
         assert not list(ws.report_dir.glob("*adapter_old*"))
 
     @pytest.mark.parametrize("command", [["train-fusion", "--task", "alignment"],
@@ -1064,9 +1094,7 @@ class TestCliExitCodes:
                                                             command):
         """adapter_EP.ckpt replaced by a copy of adapter_TP.ckpt: no command
         fuses or scores the TP adapter in EP's place."""
-        run_dir = tmp_path / "run"
-        shutil.copytree(micro_run.root, run_dir)
-        ws = Workspace(dataclasses.replace(micro_run.config, out_dir=str(run_dir)))
+        ws = copy_run(micro_run, tmp_path)
         shutil.copyfile(ws.ckpt("adapter_TP"), ws.ckpt("adapter_EP"))
         ws.ckpt("fused_alignment").unlink()
         reports = sorted(ws.report_dir.iterdir())

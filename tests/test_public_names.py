@@ -3,7 +3,7 @@ program (src/kgadapters) or in the benchmark (perfbench/), not only in tests,
 every public method, property and dataclass field of its classes is read
 there, every defaulted parameter of its public top-level functions is
 passed there, and every parameter of every function and lambda of the
-program is read in its body."""
+program, and every local name its functions assign, is read in its body."""
 
 import ast
 from pathlib import Path
@@ -157,23 +157,27 @@ def test_default_allow_list_holds_only_unpassed_parameters():
         assert not any(passes(c, key[1], positions[key]) for c in calls.get(key[0], [])), key
 
 
-def unread_parameters() -> list[tuple[str, int, str, str]]:
-    """(file name, line, function, parameter) of every parameter of a function
-    or lambda of the program that its body never loads; a lambda's function
-    name is "<lambda>"."""
-    found = []
+def function_bodies():
+    """(file name, node, function name, the Names its body holds, nested
+    functions included) of every function and lambda of the program; a
+    lambda's function name is "<lambda>"."""
     for path in PROGRAM:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            body = [node.body] if isinstance(node, ast.Lambda) else node.body
-            loaded = {n.id for stmt in body for n in ast.walk(stmt)
-                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
-            name = getattr(node, "name", "<lambda>")
-            found += [(path.name, node.lineno, name, x.arg) for x in params
-                      if x.arg not in loaded]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                body = [node.body] if isinstance(node, ast.Lambda) else node.body
+                yield (path.name, node, getattr(node, "name", "<lambda>"),
+                       [n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)])
+
+
+def unread_parameters() -> list[tuple[str, int, str, str]]:
+    """(file name, line, function, parameter) of every parameter of a function
+    or lambda of the program that its body never loads."""
+    found = []
+    for file, node, fn, names in function_bodies():
+        loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        found += [(file, node.lineno, fn, x.arg) for x in params if x.arg not in loaded]
     return found
 
 
@@ -187,3 +191,20 @@ def test_every_parameter_is_read():
 def test_unread_allow_list_holds_only_unread_parameters():
     unread = {(fn, name) for _, _, fn, name in unread_parameters()}
     assert set(UNREAD_ALLOWED) <= unread
+
+
+def unread_locals() -> list[tuple[str, int, str, str]]:
+    """(file name, line, function, name) of every name a function or lambda
+    of the program assigns, `_` aside, that its body never loads."""
+    found = []
+    for file, _, fn, names in function_bodies():
+        loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        found += [(file, n.lineno, fn, n.id) for n in names
+                  if isinstance(n.ctx, ast.Store) and n.id not in loaded | {"_"}]
+    return found
+
+
+def test_every_assigned_local_is_read():
+    """A local no line reads is a computation whose result changes nothing."""
+    unread = [f"{file}:{line}: {fn}: {name}" for file, line, fn, name in unread_locals()]
+    assert not unread, f"locals their function never reads: {', '.join(unread)}"
