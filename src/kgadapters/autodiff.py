@@ -14,6 +14,13 @@ port of fdlibm's erf, rounded to float32 for float32 inputs.
 `grad_eval` and `gradcheck` differentiate with respect to the parameter
 names their caller passes and no others; which parameters train is decided
 by the training loop, `optim.train`.
+
+Gradients are handed on, not copied: once a gradient array has been handed
+to `_accumulate`, nothing writes into it in place, so one array may be the
+gradient of several tensors, or a read-only broadcast view. Backward
+releases each interior node (one with parents) right after it has run: its
+gradient, its closure and its parent links go, so a graph is differentiated
+once. Only leaves keep `.grad`.
 """
 
 from __future__ import annotations
@@ -63,7 +70,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the tape."""
+        """Backpropagate from this scalar through the tape.
+
+        Interior nodes are released as soon as their backward has run: their
+        `grad` and `_backward` become None and their `_parents` (), which
+        frees their gradients, closures and forward data while backward is
+        still running. Only leaves keep `.grad`.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward: root must be scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -82,9 +95,12 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad, node._backward, node._parents = None, None, ()
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -98,12 +114,18 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's gradient, if t needs one.
+
+    The first arrival is stored as it is (cast only if its dtype differs); a
+    later one is added out of place and rounded once into t's dtype, as `+=`
+    would. Neither array is written into, so g may be shared.
+    """
     if not (t.requires_grad or t._parents):
         return
     if t.grad is None:
-        t.grad = g.astype(t.dtype, copy=True)
+        t.grad = g.astype(t.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -363,7 +385,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape).astype(x.dtype))
+        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _node(out, (x,), backward)
 
@@ -520,7 +542,9 @@ def grad_eval(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
     """Evaluate loss_fn on fresh leaves and return (loss, grads of `trainable`).
 
     Only the named leaves require gradients, and exactly they get a gradient
-    entry (zeros if unused by the graph).
+    entry (zeros if unused by the graph). The arrays are handed on as the
+    tape made them: two entries may share memory, so the caller does not write
+    into them.
     """
     leaves = make_leaves(params)
     trainable = list(trainable)
