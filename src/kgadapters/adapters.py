@@ -4,11 +4,12 @@ of the LARGE adapter sized to their parameter budget.
 An adapter at layer m computes h + W_up . gelu(W_down . h + b_down) + b_up
 (residual added so a zero up-projection is the exact identity). The fusion
 layer scores the identity path and every adapter output against the input
-with a bilinear form <hQ, A_n(h)K>, softmaxes the scores and mixes the
-V-projected outputs. Parameters are shared across token positions within a
-layer. Checkpoint tensor names follow adapter.<kind>.<layer>.<matrix> and
-fusion.<layer>.<Q|K|V>, and a model's adapter kinds and mode are read from
-them: fused with fusion parameters, single with one adapter, none otherwise.
+with a bilinear form <hQ, A_n(h)K>, softmaxes the scores, mixes the paths
+first and then projects the mix with V once. Parameters are shared across
+token positions within a layer. Checkpoint tensor names follow
+adapter.<kind>.<layer>.<matrix> and fusion.<layer>.<Q|K|V>, and a model's
+adapter kinds and mode are read from them: fused with fusion parameters,
+single with one adapter, none otherwise.
 """
 
 from __future__ import annotations
@@ -119,24 +120,18 @@ def fusion_apply(x: Tensor, outputs: list[Tensor], leaves: dict[str, Tensor],
                  layer: int) -> tuple[Tensor, Tensor]:
     """Attention over [identity] + adapter outputs; returns (mixed, weights).
 
-    Scores are <xQ, A_n(x)K> per position; weights softmax over the N+1
-    paths; the mix is sum_n a_n * (A_n(x) V) with A_0(x) = x.
+    The N+1 paths A_0(x) = x, A_n(x) stack to [..., N+1, d]. Scores are
+    <xQ, A_n(x)K> = <xQK^T, A_n(x)>, so K folds into the query; weights
+    softmax over the paths; the mix is sum_n a_n (A_n(x) V) = (sum_n a_n
+    A_n(x)) V, so V projects it once.
     """
     pre = f"fusion.{layer}"
-    q = ad.matmul(x, leaves[f"{pre}.Q"])
-    paths = [x] + list(outputs)
-    scores = []
-    for out in paths:
-        k = ad.matmul(out, leaves[f"{pre}.K"])
-        s = ad.tsum(ad.mul(q, k), axis=-1, keepdims=True)   # [..., 1]
-        scores.append(s)
-    a = ad.softmax(ad.concat(scores, axis=-1), axis=-1)     # [..., N+1]
-    parts = ad.split(a, [1] * len(paths), axis=-1)
-    mixed = None
-    for w, out in zip(parts, paths):
-        term = ad.mul(w, ad.matmul(out, leaves[f"{pre}.V"]))
-        mixed = term if mixed is None else ad.add(mixed, term)
-    return mixed, a
+    lead, d = x.shape[:-1], x.shape[-1]
+    paths = ad.reshape(ad.concat([x, *outputs], axis=-1), lead + (len(outputs) + 1, d))
+    u = ad.matmul(ad.matmul(x, leaves[f"{pre}.Q"]), ad.swapaxes(leaves[f"{pre}.K"], 0, 1))
+    a = ad.softmax(ad.tsum(ad.mul(paths, ad.reshape(u, lead + (1, d))), axis=-1), axis=-1)
+    mixed = ad.tsum(ad.mul(ad.reshape(a, a.shape + (1,)), paths), axis=-2)
+    return ad.matmul(mixed, leaves[f"{pre}.V"]), a
 
 
 def build_hook(adapted: AdaptedEncoder, leaves: dict[str, Tensor],

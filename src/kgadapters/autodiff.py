@@ -3,7 +3,7 @@
 Dense math is numpy in the parameters' dtype (float32, or float64 in
 `gradcheck`); every op records a backward closure on a tape. The vocabulary
 is deliberately small: matmul, add, mul (Hadamard), gelu, layer_norm,
-softmax/log_softmax, mean, sum, concat/split, gather, take_rows/put_rows,
+softmax/log_softmax, sum, concat/split, gather, take_rows/put_rows,
 reshape/swapaxes, sqrt, div. That is enough for the encoder, adapters,
 fusion and every training objective in this package. There is no graph
 compiler and no user-extensible op registry.
@@ -365,16 +365,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         _accumulate(x, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
-
-    return _node(out, (x,), backward)
-
-
-def mean(x: Tensor) -> Tensor:
-    """The mean of every element, as a scalar."""
-    out = x.data.mean()
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.shape) / x.dtype.type(x.data.size))
 
     return _node(out, (x,), backward)
 

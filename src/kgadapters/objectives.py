@@ -59,9 +59,9 @@ def infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
         raise ad.NumericError("infonce: non-finite representations")
     cos = ad.cosine_rows(anchors, positives)                    # [B,B]
     logp = ad.log_softmax(ad.mul(cos, 1.0 / tau), axis=-1)
-    eye = np.eye(anchors.shape[0], dtype=logp.dtype)
-    diag = ad.tsum(ad.mul(logp, Tensor(eye)), axis=-1)          # [B]
-    return ad.mul(ad.mean(diag), -1.0)
+    b = anchors.shape[0]
+    diag = ad.tsum(ad.mul(logp, Tensor(np.eye(b, dtype=logp.dtype))), axis=-1)    # [B]
+    return ad.div(ad.tsum(diag), Tensor(np.asarray(-b, dtype=diag.dtype)))
 
 
 @dataclass

@@ -57,9 +57,7 @@ class ParamSet:
         return out
 
     def merge(self, other: "ParamSet", prefix: str = "") -> None:
-        """Copy entries with the given prefix from another set into this one."""
+        """Copy entries with the given prefix from another set into this one;
+        a name already here raises ValueError, as `add` does."""
         for n in other.names(prefix):
-            if n in self._data:
-                self.set_data(n, other.get(n).copy())
-            else:
-                self.add(n, other.get(n).copy())
+            self.add(n, other.get(n).copy())

@@ -91,6 +91,27 @@ class TestFusionForward:
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-6
 
+    def test_matches_per_path_form_in_float64(self):
+        """Random non-symmetric Q, K and V, four adapter outputs and several
+        rows: the weights are softmax_n(<xQ, A_n K>) and the mix is
+        sum_n a_n (A_n V), computed path by path, to 1e-12. Identity Q/K/V
+        cannot tell K from its transpose; these can."""
+        rng = np.random.default_rng(5)
+        d, rows = 6, 7
+        qkv = {k: rng.standard_normal((d, d)) for k in "QKV"}
+        x = rng.standard_normal((rows, d))
+        outs = [rng.standard_normal((rows, d)) for _ in range(4)]
+        leaves = {f"fusion.0.{k}": Tensor(v) for k, v in qkv.items()}
+        mixed, a = fusion_apply(Tensor(x), [Tensor(o) for o in outs], leaves, 0)
+        paths = [x] + outs
+        scores = np.stack([((x @ qkv["Q"]) * (p @ qkv["K"])).sum(axis=-1) for p in paths], axis=-1)
+        want_a = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        want_a /= want_a.sum(axis=-1, keepdims=True)
+        want_mixed = sum(want_a[:, [n]] * (p @ qkv["V"]) for n, p in enumerate(paths))
+        assert a.shape == (rows, 5) and mixed.shape == (rows, d)
+        np.testing.assert_allclose(a.data, want_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed.data, want_mixed, rtol=0, atol=1e-12)
+
     def test_score_shift_invariance(self):
         # fusion weights come from a softmax, so a constant added to every
         # score cannot change them
@@ -160,8 +181,9 @@ class TestFusionInModel:
         seqs = [[4, 5, 6, 7], [8, 9]]
         encode_seqs(adapted.params, seqs, adapted.config, adapter_hook=hook)
         assert set(record) == {0, 1}
+        real_tokens = sum(map(len, seqs))
         for a in record.values():
-            assert a.shape[-1] == 5      # identity + four adapters
+            assert a.shape == (real_tokens, 5)      # identity + four adapters
             assert np.all(a >= 0)
             np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-6)
 

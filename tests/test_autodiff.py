@@ -118,7 +118,7 @@ class TestGradcheck:
             y = ad.layer_norm(lv["x"], lv["g"], lv["b"])
             s = ad.softmax(y, axis=-1)
             both = ad.concat([y, s], axis=1)
-            return ad.mean(ad.mul(both, both))
+            return ad.tsum(ad.mul(both, both))
 
         assert gradcheck(loss, params, params.names()) < 1e-4
 
@@ -159,7 +159,7 @@ class TestGradcheck:
         params = make_params(a=rng.standard_normal((3, 5)), b=rng.standard_normal((4, 5)))
 
         def loss(lv):
-            return ad.mean(ad.cosine_rows(lv["a"], lv["b"]))
+            return ad.tsum(ad.cosine_rows(lv["a"], lv["b"]))
 
         assert gradcheck(loss, params, params.names()) < 1e-4
 

@@ -85,6 +85,17 @@ def tensor_groups(path) -> set[str]:
             for n in names}
 
 
+class TestMerge:
+    def test_merge_onto_an_existing_name_raises(self):
+        """A wrong assembly fails loudly rather than replacing a group."""
+        a, b = ParamSet(), ParamSet()
+        a.add("adapter.EP.0.W_down", np.zeros((4, 2), dtype=np.float32))
+        b.add("adapter.EP.0.W_down", np.ones((4, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="duplicate parameter name 'adapter.EP.0.W_down'"):
+            a.merge(b, "adapter.EP.")
+        np.testing.assert_array_equal(a.get("adapter.EP.0.W_down"), 0.0)
+
+
 class TestCheckpointFormat:
     def make_params(self):
         rng = np.random.default_rng(0)
