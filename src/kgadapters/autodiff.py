@@ -21,6 +21,14 @@ gradient of several tensors, or a read-only broadcast view. Backward
 releases each interior node (one with parents) right after it has run: its
 gradient, its closure and its parent links go, so a graph is differentiated
 once. Only leaves keep `.grad`.
+
+A weight gradient is computed in the layout of the weight it flows into.
+When `matmul`'s right operand is a 2-D transposed view (the tied head's
+`swapaxes(emb.tok)`, `cosine_rows`), its gradient is (g.T @ a).T instead of
+a.T @ g, so it reaches the C-ordered table C-ordered. At float32 the two
+products have the same bits on OpenBLAS, which tests/test_autodiff.py checks
+at the shapes this package uses; at float64 they may differ in the last
+bits, which `gradcheck` is tolerant of.
 """
 
 from __future__ import annotations
@@ -207,7 +215,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if _needs_grad(a):
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if _needs_grad(b):
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            bt = b.data
+            if a.data.ndim == bt.ndim == 2 and bt.flags.f_contiguous and not bt.flags.c_contiguous:
+                _accumulate(b, (g.T @ a.data).T)        # b is a transposed view: its layout
+            else:
+                _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(out, (a, b), backward)
 
@@ -361,10 +373,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
+    out = np.subtract(z, lse, out=z)
 
     def backward(g):
-        _accumulate(x, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+        # g - exp(out) * sum(g), built in one buffer that is then handed on
+        dx = np.exp(out)
+        np.multiply(dx, g.sum(axis=axis, keepdims=True), out=dx)
+        _accumulate(x, np.subtract(g, dx, out=dx))
 
     return _node(out, (x,), backward)
 

@@ -24,6 +24,15 @@ LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
+# adam_step walks a parameter of more elements than this in blocks of whole
+# rows of about this many, so that a block's parameter, gradient, moments,
+# scratch and output (6 x 256 KB at float32) stay in L2 across its 15 array
+# passes. On a 2-CPU Xeon with 2 MiB of L2 a core, the 50 steps of
+# pretrain_large_vocab (an 18263 x 64 token table) spent 285-330 ms in
+# adam_step at 1 << 16, about as much at 1 << 15 and 1 << 17, and 347-426 ms
+# in one pass; at 1 << 12 the per-block calls make a step slower than one pass.
+_BLOCK = 1 << 16
+
 
 @dataclass
 class AdamState:
@@ -35,11 +44,40 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _adam_update(p, g, m, v, out, tmp, bc1, bc2, lr, eps) -> bool:
+    """Write Adam's new parameter into `out` and move `m` and `v` in place,
+    with `tmp` as scratch; True when every new value is finite.
+
+    p - lr (m/bc1) / (sqrt(v/bc2) + eps), m = b1 m + (1-b1) g and
+    v = b2 v + (1-b2) g^2: the operation order below is the one these
+    expressions are written in, which fixes the rounding.
+    """
+    np.multiply(g, 1.0 - _BETA1, out=tmp)
+    m *= _BETA1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - _BETA2
+    v *= _BETA2
+    v += tmp
+    np.divide(m, bc1, out=out)
+    out *= lr
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    out /= tmp
+    np.subtract(p, out, out=out)
+    return np.isfinite(out).all()
+
+
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> tuple[ParamSet, AdamState]:
-    """One Adam update, in place, of exactly the parameters `grads` names.
+    """One Adam update of exactly the parameters `grads` names.
 
-    Every other parameter is left alone; the step counter increments by one.
+    Each named parameter is rebound to a new C-ordered array, and its moment
+    buffers in `state` move in place. A non-finite new value raises
+    `NumericError` naming the parameter, which keeps its old array; the
+    moments of the blocks walked until then have moved. Every other parameter
+    is left alone; the step counter increments by one.
     """
     state.step += 1
     t = state.step
@@ -54,26 +92,20 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        # p - lr (m/bc1) / (sqrt(v/bc2) + eps), m = b1 m + (1-b1) g and
-        # v = b2 v + (1-b2) g^2, in two buffers; the operation order below is
-        # the one these expressions are written in, which fixes the rounding
-        tmp = np.multiply(g, 1.0 - _BETA1)
-        m *= _BETA1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - _BETA2
-        v *= _BETA2
-        v += tmp
-        upd = np.divide(m, p.dtype.type(bc1))
-        upd *= p.dtype.type(lr)
-        np.divide(v, p.dtype.type(bc2), out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += p.dtype.type(_ADAM_EPS)
-        upd /= tmp
-        np.subtract(p, upd, out=upd)
-        if not np.isfinite(upd).all():
+        cast = p.dtype.type
+        scalars = cast(bc1), cast(bc2), cast(lr), cast(_ADAM_EPS)
+        out = np.empty(p.shape, p.dtype)
+        if p.size <= _BLOCK:
+            finite = _adam_update(p, g, m, v, out, np.empty(p.shape, g.dtype), *scalars)
+        else:
+            rows = max(1, _BLOCK // (p.size // len(p)))
+            tmp = np.empty((rows,) + p.shape[1:], g.dtype)
+            spans = (slice(i, i + rows) for i in range(0, len(p), rows))
+            finite = all(_adam_update(p[s], g[s], m[s], v[s], out[s], tmp[:len(out[s])], *scalars)
+                         for s in spans)
+        if not finite:
             raise ad.NumericError(f"adam_step: non-finite update for {name!r}")
-        params.set_data(name, upd)
+        params.set_data(name, out)
     return params, state
 
 

@@ -197,6 +197,19 @@ def weighted(node: Tensor, w: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(node, Tensor(w)))
 
 
+def mlm_case():
+    """The parameters and `mlm_loss` closure of one MLM step: one layer,
+    V=4096, d=32, 16 rows of 4 tokens, 10 of them masked."""
+    config = EncoderConfig(layers=1, d_model=32, n_heads=4, ff_dim=64, max_seq_len=24,
+                           vocab_size=4096)
+    rng = np.random.default_rng(0)
+    params = init_encoder_params(config, rng)
+    ids, mask = pad_batch([list(rng.integers(5, 4096, size=4)) for _ in range(16)], config)
+    corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng)
+    assert len(targets) == 10
+    return params, lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config)
+
+
 # graphs in which one node receives several gradients, or one gradient array
 # reaches several nodes; each maps leaves x, y of shape (3, 4) to (3, 4)
 SHARED = {
@@ -259,24 +272,75 @@ class TestHandedOnGradients:
         """The tracemalloc peak of one `grad_eval` of `mlm_loss`, above its
         entry, counted in token tables ([V, d] float32) with every parameter
         trainable: 7.24 tables when backward kept every interior gradient and
-        copied each first arrival, 3.19 now. One layer, V=4096, d=32, 16 rows
-        of 4 tokens, 10 of them masked."""
-        config = EncoderConfig(layers=1, d_model=32, n_heads=4, ff_dim=64, max_seq_len=24,
-                               vocab_size=4096)
-        rng = np.random.default_rng(0)
-        params = init_encoder_params(config, rng)
-        ids, mask = pad_batch([list(rng.integers(5, 4096, size=4)) for _ in range(16)], config)
-        corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng)
+        copied each first arrival, 3.19 when it stopped, 3.14 since
+        `log_softmax` reuses its buffers. The case is `mlm_case`'s."""
+        params, loss = mlm_case()
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            grad_eval(lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config),
-                      params, params.names())
+            grad_eval(loss, params, params.names())
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert len(targets) == 10
         assert peak / params.get("encoder.emb.tok").nbytes < 5.0
+
+
+class TestWeightGradientLayout:
+    """`matmul` computes the gradient of a 2-D weight that is a transposed
+    view (the tied head's `swapaxes(emb.tok)`, `cosine_rows`'s second
+    operand) as (g.T @ a).T, in the weight's own layout, instead of a.T @ g."""
+
+    @pytest.mark.parametrize("m, n", [(64, 18263), (64, 2100), (64, 32), (32, 32), (64, 128)])
+    def test_transposed_product_has_the_same_float32_bits(self, m, n):
+        """The BLAS property the rule rests on, for a [k, m] and g [k, n]:
+        the tied head at d 64 over an 18k and a 2.1k vocabulary, InfoNCE's
+        32 x 32 cosines, and two other widths. Only float32 bits are
+        promised: at float64, 126 of these 335 cases differ in the last bits
+        (OpenBLAS 0.3.31, SkylakeX kernels), so a float64 weight gradient may
+        move, and `gradcheck`, which runs at float64, stays tolerance-based."""
+        rng = np.random.default_rng(m * n)
+        a_rows = rng.standard_normal((512, m)).astype(np.float32)
+        g_rows = rng.standard_normal((512, n)).astype(np.float32)
+        for k in [*range(1, 65), 128, 256, 512]:
+            a, g = a_rows[:k], g_rows[:k]
+            assert (g.T @ a).T.tobytes() == (a.T @ g).tobytes(), k
+
+    def test_tied_table_gradient_is_c_contiguous(self):
+        params, loss = mlm_case()
+        _, grads = grad_eval(loss, params, params.names())
+        assert grads["encoder.emb.tok"].flags.c_contiguous
+
+    def test_weight_read_through_swapaxes_gets_a_gradient_in_its_layout(self):
+        """Its one arrival is stored as it comes, so it shows the layout that
+        the matmul backward computed: C-ordered, as the weight is."""
+        rng = np.random.default_rng(3)
+        params = make_params(a=rng.standard_normal((5, 8)), w=rng.standard_normal((6, 8)))
+        r = rng.standard_normal((5, 6)).astype(np.float32)
+        _, grads = grad_eval(lambda lv: weighted(ad.matmul(lv["a"], ad.swapaxes(lv["w"], 0, 1)), r),
+                             params, ["a", "w"])
+        assert grads["w"].flags.c_contiguous
+        assert grads["w"].tobytes() == (params.get("a").T @ r).T.tobytes()
+
+
+class TestLogSoftmaxBuffers:
+    def test_same_bits_as_the_expression_form(self):
+        """`log_softmax` reuses its buffers; its output and gradient keep the
+        bits of z - log(sum(exp(z))) and g - exp(out) * sum(g)."""
+        rng = np.random.default_rng(4)
+        x = (4 * rng.standard_normal((7, 300))).astype(np.float32)
+        w = rng.standard_normal((7, 300)).astype(np.float32)
+        kept = {}
+
+        def loss(lv):
+            node = ad.log_softmax(lv["x"], axis=-1)
+            kept["out"] = node.data
+            return weighted(node, w)
+
+        _, grads = grad_eval(loss, make_params(x=x), ["x"])
+        z = x - x.max(axis=-1, keepdims=True)
+        out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        assert kept["out"].tobytes() == out.tobytes()
+        assert grads["x"].tobytes() == (w - np.exp(out) * w.sum(axis=-1, keepdims=True)).tobytes()
 
 
 # a random graph's ops on (3, 4) nodes; each binary op reads both operands

@@ -56,6 +56,13 @@ fuse_* and finetune_* curves and the ablation grid's two FUSION checkpoint
 hashes move; its metrics do not. The pretrain and adapter_* blobs, the
 pretrain and integrate curves and every data file are unchanged. Every step
 of every curve stays within 9.6e-7 of its value before the change.
+
+MULTI_BLOCK_* pin a few MLM pretraining steps of an encoder whose token
+table, 3300 x 64, spans three of Adam's 1 << 16-element blocks and a
+ragged tail, which the micro vocabulary never does. Batches of two short
+sentences mask one or two tokens, so the tied head's data gradient stays
+below the size at which OpenBLAS splits its 3300-long reduction between two
+threads; a larger batch gives other bits under 2 BLAS threads than under 1.
 """
 
 import hashlib
@@ -65,10 +72,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgadapters.checkpoint import read_manifest
+from kgadapters.encoder import EncoderConfig, mlm_pretrain
+from kgadapters.hyper import TrainHyper
 from kgadapters.pipeline import TASKS, Workspace, run_stage
+from kgadapters.vocab import SPECIALS, Vocab
 
 from test_pipeline import micro_config
 
@@ -156,6 +167,11 @@ DATA_FILE_SHA256 = {
         "55b4aacbd416aaf971466878ac9c24129afc9bc8249337c1522b43f6208bf1d4",
 }
 
+# ParamSet.checksum() and the losses of multi_block_pretrain()
+MULTI_BLOCK_CHECKSUM = "46c8ece1b9320100252e2c974f9969e3aae80de5c49720dcad90c8a68c95ef9a"
+MULTI_BLOCK_LOSSES = [8.38115119934082, 7.999415874481201, 8.233360290527344,
+                      8.172337532043457, 7.981156349182129, 7.991677761077881]
+
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
@@ -212,6 +228,26 @@ def test_ablation_grid_matches_golden(golden_run):
     assert digest == ABLATION_SHA256
 
 
+def multi_block_pretrain():
+    rng = np.random.default_rng(30)
+    words = [f"w{i}" for i in range(3300 - len(SPECIALS))]
+    corpus = [("xx", [words[j] for j in rng.integers(0, len(words), size=rng.integers(3, 7))])
+              for _ in range(100)]
+    vocab = Vocab(list(SPECIALS) + words)
+    config = EncoderConfig(layers=1, d_model=64, n_heads=4, ff_dim=128, max_seq_len=8,
+                           vocab_size=len(vocab))
+    hyper = TrainHyper(batch_size=2, steps=6, base_lr=2e-3, warmup_steps=2)
+    return mlm_pretrain(corpus, config, hyper, 30, vocab)
+
+
+def test_multi_block_pretrain_matches_golden():
+    params, curve = multi_block_pretrain()
+    n = params.get("encoder.emb.tok").size
+    assert n > 3 << 16 and n % (1 << 16), n         # three blocks and a ragged tail
+    assert params.checksum() == MULTI_BLOCK_CHECKSUM
+    assert [loss for _, _, loss in curve] == MULTI_BLOCK_LOSSES
+
+
 def test_pins_hold_under_another_blas_thread_count(tmp_path):
     """The pins above, run in a fresh interpreter under 1 BLAS thread, or
     under 2 when this process is pinned to 1; the subprocess skips this test."""
@@ -224,4 +260,4 @@ def test_pins_hold_under_another_blas_thread_count(tmp_path):
         cwd=here.parents[1], capture_output=True, text=True,
         env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "4 passed, 1 deselected" in out.stdout, out.stdout
+    assert "5 passed, 1 deselected" in out.stdout, out.stdout

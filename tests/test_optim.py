@@ -77,6 +77,91 @@ class TestAdam:
         np.testing.assert_array_equal(p.get("w"), [0.5])
 
 
+def straight_adam(p, g, m, v, t, lr):
+    """Adam over whole arrays, one pass per operation, in adam_step's
+    operation order; returns the new parameter and moves m and v in place."""
+    cast = p.dtype.type
+    tmp = np.multiply(g, 1.0 - 0.9)
+    m *= 0.9
+    m += tmp
+    tmp = np.multiply(g, g)
+    tmp *= 1.0 - 0.999
+    v *= 0.999
+    v += tmp
+    upd = np.divide(m, cast(1.0 - 0.9 ** t))
+    upd *= cast(lr)
+    tmp = np.divide(v, cast(1.0 - 0.999 ** t))
+    np.sqrt(tmp, out=tmp)
+    tmp += cast(1e-8)
+    upd /= tmp
+    return p - upd
+
+
+# 2.5 of adam_step's blocks, as rows of 64, of 48 (which do not divide a
+# block, so a block holds 1365 rows) and of 1
+BLOCKED_SHAPES = [(optim._BLOCK * 5 // 2 // 64, 64), (optim._BLOCK * 5 // 2 // 48, 48),
+                  (optim._BLOCK * 5 // 2,)]
+
+
+def gradient(kind: str, shape: tuple, rng) -> np.ndarray:
+    if kind == "transposed":
+        return rng.standard_normal(shape[::-1]).astype(np.float32).T
+    if kind == "broadcast":     # read-only, as tsum's backward hands it on
+        return np.broadcast_to(rng.standard_normal(shape[-1]).astype(np.float32), shape)
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+class TestBlockedAdam:
+    """Bits are compared through `tobytes()`, which reads any layout in C order."""
+
+    @pytest.mark.parametrize("shape", BLOCKED_SHAPES)
+    @pytest.mark.parametrize("kind", ["contiguous", "transposed", "broadcast"])
+    def test_blocks_match_the_straight_formula_bit_for_bit(self, shape, kind):
+        rng = np.random.default_rng(len(shape) * 7 + shape[-1])
+        p0 = rng.standard_normal(shape).astype(np.float32)
+        params = ParamSet()
+        params.add("w", p0.copy())
+        state = AdamState()
+        want, m, v = p0, np.zeros_like(p0), np.zeros_like(p0)
+        for t, lr in enumerate([1e-3, 3e-2, 2e-3], start=1):
+            g = gradient(kind, shape, rng)
+            adam_step(params, {"w": g}, state, lr)
+            want = straight_adam(want, g, m, v, t, lr)
+            assert params.get("w").tobytes() == want.tobytes(), t
+            assert state.m["w"].tobytes() == m.tobytes(), t
+            assert state.v["w"].tobytes() == v.tobytes(), t
+        assert params.get("w").flags.c_contiguous
+
+    def test_fortran_ordered_parameter_updates_like_its_c_ordered_copy(self):
+        """Blocks write into views of the moments; a flattened copy of a
+        Fortran-ordered array would take the writes and lose them."""
+        rng = np.random.default_rng(5)
+        shape = BLOCKED_SHAPES[0]
+        c_ordered, f_ordered = ParamSet(), ParamSet()
+        c_ordered.add("w", rng.standard_normal(shape).astype(np.float32))
+        f_ordered.add("w", np.asfortranarray(c_ordered.get("w")))
+        c_state, f_state = AdamState(), AdamState()
+        for _ in range(3):
+            g = gradient("contiguous", shape, rng)
+            adam_step(c_ordered, {"w": g}, c_state, 1e-2)
+            adam_step(f_ordered, {"w": g}, f_state, 1e-2)
+            assert f_ordered.get("w").tobytes() == c_ordered.get("w").tobytes()
+        assert f_state.m["w"].tobytes() == c_state.m["w"].tobytes()
+        assert f_state.v["w"].tobytes() == c_state.v["w"].tobytes()
+
+    def test_nan_in_the_last_block_is_a_numeric_error(self):
+        rng = np.random.default_rng(6)
+        shape = BLOCKED_SHAPES[0]
+        params = ParamSet()
+        params.add("w", rng.standard_normal(shape).astype(np.float32))
+        before = params.get("w").tobytes()
+        g = gradient("contiguous", shape, rng)
+        g[-1, -1] = np.nan
+        with pytest.raises(ad.NumericError, match="non-finite update for 'w'"):
+            adam_step(params, {"w": g}, AdamState(), 1e-3)
+        assert params.get("w").tobytes() == before
+
+
 class TestWarmup:
     def test_ramp_endpoint(self):
         assert warmup_lr(10_000, 1e-4, 10_000) == pytest.approx(1e-4)
