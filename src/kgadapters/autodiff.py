@@ -15,6 +15,11 @@ port of fdlibm's erf, rounded to float32 for float32 inputs.
 names their caller passes and no others; which parameters train is decided
 by the training loop, `optim.train`.
 
+ParamSet arrays are read-only (see `params`), so `gradcheck`, the one
+place that writes parameters in place, keeps writable float64 buffers of
+its own: it nudges their scalars one at a time, and its work ParamSet
+holds read-only views of them, which see every nudge.
+
 Gradients are handed on, not copied: once a gradient array has been handed
 to `_accumulate`, nothing writes into it in place, so one array may be the
 gradient of several tensors, or a read-only broadcast view. Backward
@@ -37,6 +42,8 @@ import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+
+from .params import ParamSet
 
 
 _INV_SQRT2 = math.sqrt(0.5)
@@ -580,7 +587,10 @@ def gradcheck(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
     |analytic - fd| / max(1e-8, |fd|), maximized over every scalar of the
     named parameters.
     """
-    work = params.astype(np.float64)
+    buffers = {n: params.get(n).astype(np.float64) for n in params}
+    work = ParamSet()
+    for n, buf in buffers.items():
+        work.add(n, buf.view())
     names = list(names)
     _, grads = grad_eval(loss_fn, work, names)
 
@@ -593,8 +603,7 @@ def gradcheck(loss_fn: Callable[[Mapping[str, Tensor]], Tensor], params,
 
     worst = 0.0
     for name in names:
-        arr = work.get(name)
-        flat = arr.reshape(-1)
+        flat = buffers[name].reshape(-1)
         gflat = grads[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

@@ -35,10 +35,9 @@ def save_checkpoint(path, params: ParamSet, provenance: dict | None = None) -> s
         arr = params.get(name)
         if arr.dtype != np.float32:
             raise DataError(f"checkpoint tensors must be float32, {name!r} is {arr.dtype}")
-        data = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
         tensors.append({"name": name, "shape": list(arr.shape)})
-        blob.extend(data)
-    blob_hash = hashlib.sha256(bytes(blob)).hexdigest()
+        blob.extend(np.ascontiguousarray(arr, dtype=_DTYPE).data)    # its buffer, not a bytes copy
+    blob_hash = hashlib.sha256(blob).hexdigest()
     manifest = {
         "tensors": tensors,
         "blob_sha256": blob_hash,

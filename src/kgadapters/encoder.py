@@ -84,6 +84,12 @@ SHORT_WIDTH = 2
 # share of real positions an MLM batch corrupts, BERT's rate
 MASK_RATE = 0.15
 
+# init_encoder_params draws each normal table in row blocks of about this
+# many float64 values, each scaled and rounded into the float32 table: the
+# Generator stream and the bits of one whole draw, with no float64 twin of
+# the [V, d] token table
+INIT_BLOCK = 8192
+
 
 @dataclass
 class EncoderConfig:
@@ -120,7 +126,12 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> Para
     p = ParamSet()
 
     def normal(shape):
-        return (rng.standard_normal(shape) * 0.02).astype(np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        rows = max(1, INIT_BLOCK // (out.size // len(out)))
+        for i in range(0, len(out), rows):
+            block = out[i:i + rows]
+            block[...] = rng.standard_normal(block.shape) * 0.02
+        return out
 
     d, ff, v = config.d_model, config.ff_dim, config.vocab_size
     p.add("encoder.emb.tok", normal((v, d)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kgadapters.autodiff import Tensor
-from kgadapters.encoder import (EncoderConfig, encode_seqs,
+from kgadapters.encoder import (INIT_BLOCK, EncoderConfig, encode_seqs,
                                 init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
                                 span_pool_weights, sentence_pool_weights)
@@ -127,6 +127,29 @@ def tiny_setup(seed=0, vocab_size=20, max_len=8):
                            max_seq_len=max_len, vocab_size=vocab_size)
     params = init_encoder_params(config, np.random.default_rng(seed))
     return config, params
+
+
+class TestInit:
+    def test_blocked_draws_match_one_draw_per_table(self):
+        """Each normal table, drawn in row blocks, has the bits of one float64
+        draw scaled and cast, and leaves the Generator in the same state."""
+        d = 16
+        rows = INIT_BLOCK // d
+        config = EncoderConfig(layers=1, d_model=d, n_heads=2, ff_dim=32,
+                               max_seq_len=8, vocab_size=3 * rows + 5)
+        assert config.vocab_size * d > 3 * INIT_BLOCK           # several blocks + a remainder
+        assert config.max_seq_len * d < INIT_BLOCK               # smaller than a block
+        rng = np.random.default_rng(11)
+        params = init_encoder_params(config, rng)
+
+        ref = np.random.default_rng(11)
+        shapes = {"encoder.emb.tok": (config.vocab_size, d), "encoder.emb.pos": (8, d),
+                  **{f"encoder.0.attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")},
+                  "encoder.0.ff.w1": (d, 32), "encoder.0.ff.w2": (32, d)}
+        for name, shape in shapes.items():
+            want = (ref.standard_normal(shape) * 0.02).astype(np.float32)
+            np.testing.assert_array_equal(params.get(name), want, strict=True)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestEncode:
