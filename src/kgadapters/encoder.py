@@ -58,8 +58,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import check_fields
-from .hyper import TrainHyper
-from .optim import train
+from .optim import TrainHyper, train
 from .params import ParamSet
 from .vocab import MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, tokenize
 
@@ -357,4 +356,4 @@ def mlm_pretrain(corpus: list[tuple[str, list[str]]], config: EncoderConfig,
         corrupted, rows, cols, targets = make_mlm_batch(ids, mask, config, rng)
         return lambda lv: mlm_loss(lv, corrupted, mask, rows, cols, targets, config)
 
-    return params, train(params, [""], loss_at, hyper)
+    return params, train(params, "", loss_at, hyper)

@@ -1,7 +1,9 @@
 """Cosine-retrieval evaluation (KG completion, entity alignment) and the
 contrastive finetuning used in the last workflow stages (fusion training and
 full finetuning) on the task-pair samplers of `objectives`. Finetuning is
-`objectives.train_pairs`, which runs the one training loop `optim.train`.
+`objectives.train_pairs` of one group prefix, which runs the one training
+loop `optim.train`; every parameter outside the prefix is held by its one
+frozen check, `optim.frozen`.
 
 Ranking is raw: a query is scored against every entity label of the target
 language by cosine similarity, descending, ties broken by ascending entity
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +33,7 @@ from .adapters import AdaptedEncoder, build_hook
 from .data import CATEGORIES, LanguageSplit, MLKG, Triple
 from .encoder import encode_pooled
 from .errors import ConfigError, DataError, check_fields
-from .hyper import TrainHyper
+from .optim import TrainHyper
 from .objectives import Sampler, _query_tokens, train_pairs
 from .vocab import Vocab, tokenize
 
@@ -317,11 +319,8 @@ def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k:
 # ---------------------------------------------------------------------------
 
 def finetune_contrastive(adapted: AdaptedEncoder, sampler: Sampler, vocab: Vocab,
-                         hyper: TrainHyper, seed: int, train_groups: Sequence[str]
+                         hyper: TrainHyper, seed: int, prefix: str
                          ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
-    """Train only the given parameter groups of a copy on task pairs with InfoNCE.
-
-    Groups not listed are frozen and checksum-verified by `optim.train`.
-    """
-    model = replace(adapted, params=adapted.params.copy())
-    return model, train_pairs(model, train_groups, sampler, vocab, hyper, seed)
+    """Train the parameters named `prefix...` of a copy on task pairs with
+    InfoNCE; every other parameter is `frozen` by `optim.train`."""
+    return train_pairs(adapted, prefix, sampler, vocab, hyper, seed)

@@ -22,11 +22,11 @@ entity would put a copy of an anchor's own positive among its negatives,
 which at a few hundred entities happens constantly and poisons the loss
 (at millions of entities random batches are distinct anyway).
 
-`train_pairs` is the one contrastive trainer: it feeds InfoNCE over
-`encode_pair_batch` into `optim.train`, which freezes every parameter
-outside the trained groups and checksum-verifies them. Adapter integration
-(`train_adapter`) and task finetuning (`evaluation.finetune_contrastive`)
-both call it.
+`train_pairs` is the one contrastive trainer: it trains one group prefix of
+a copy of the model by feeding InfoNCE over `encode_pair_batch` into
+`optim.train`, which holds every parameter outside that prefix `frozen`.
+Adapter integration (`train_adapter`) and task finetuning
+(`evaluation.finetune_contrastive`) both call it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .autodiff import Tensor
 from .data import MLKG, TaggedSentence, Triple, TripleSentence
 from .encoder import encode_pooled, mask_span
 from .errors import ConfigError
-from .hyper import TrainHyper
-from .optim import train
+from .optim import TrainHyper, train
 from .vocab import SEP, Vocab, tokenize
 
 log = logging.getLogger(__name__)
@@ -299,27 +298,30 @@ def encode_pair_batch(leaves: dict[str, Tensor], adapted: AdaptedEncoder,
     return anchors, positives
 
 
-def train_pairs(model: AdaptedEncoder, groups: Sequence[str], sampler: Sampler,
-                vocab: Vocab, hyper: TrainHyper, seed: int) -> list[tuple[int, float, float]]:
-    """InfoNCE over sampled pairs, training only `groups` of model.params in place."""
+def train_pairs(adapted: AdaptedEncoder, prefix: str, sampler: Sampler, vocab: Vocab,
+                hyper: TrainHyper, seed: int
+                ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
+    """InfoNCE over sampled pairs, training the parameters named `prefix...`
+    of a copy of `adapted`; returns (trained copy, loss curve). `adapted`
+    itself is left as it was."""
+    model = replace(adapted, params=adapted.params.copy())
     rng = np.random.default_rng(seed)
 
     def loss_at():
         items = sampler(hyper.batch_size, rng)
         return lambda leaves: infonce(*encode_pair_batch(leaves, model, items, vocab), TAU)
 
-    return train(model.params, groups, loss_at, hyper)
+    return model, train(model.params, prefix, loss_at, hyper)
 
 
 def train_adapter(adapted: AdaptedEncoder, sampler: Sampler,
                   vocab: Vocab, hyper: TrainHyper, seed: int
                   ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
     """Stage-2 integration: train a copy of a single-adapter model's one
-    adapter; the backbone is checksum-verified by `optim.train`. A model with
-    no adapter, several, or fusion parameters is rejected.
+    adapter, the backbone `frozen` by `optim.train`. A model with no adapter,
+    several, or fusion parameters is rejected.
     """
     if adapted.mode != "single":
         raise ConfigError(f"train_adapter needs exactly one adapter and no fusion, "
                           f"got adapters {adapted.kinds} in {adapted.mode!r} mode")
-    model = replace(adapted, params=adapted.params.copy())
-    return model, train_pairs(model, ["adapter."], sampler, vocab, hyper, seed)
+    return train_pairs(adapted, "adapter.", sampler, vocab, hyper, seed)

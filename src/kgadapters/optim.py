@@ -1,23 +1,27 @@
-"""Adam, the linear warmup schedule, and the one training loop.
+"""The training hyperparameters, Adam, the linear warmup schedule, the one
+training loop and the one frozen check.
 
 Every training stage (MLM pretraining, adapter integration, fusion and
-full finetuning) runs through `train`: the stages differ only in which
-parameter groups they name and which batches the loss sees. `train` is the
-only code that turns group prefixes into the parameters that train; it
-hands those names to `autodiff.grad_eval`, and `adam_step` updates exactly
-the parameters its gradients name.
+full finetuning) runs through `train`: the stages differ only in the one
+group prefix they train and the batches the loss sees. `train` is the only
+code that turns a prefix into the parameters that train; it hands those
+names to `autodiff.grad_eval`, and `adam_step` updates exactly the
+parameters its gradients name. `frozen` is the one check that parameters
+stay fixed, for every parameter outside the prefix in `train` and for the
+whole model in `pipeline.evaluate`.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractViolation
-from .hyper import TrainHyper
+from .errors import ConfigError, ContractViolation, check_fields
 from .params import ParamSet
 
 LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
@@ -32,6 +36,22 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 # adam_step at 1 << 16, about as much at 1 << 15 and 1 << 17, and 347-426 ms
 # in one pass; at 1 << 12 the per-block calls make a step slower than one pass.
 _BLOCK = 1 << 16
+
+
+@dataclass
+class TrainHyper:
+    """The training hyperparameters a profile sets per stage; seeds are trainer arguments."""
+
+    batch_size: int = 128
+    steps: int = 0
+    epochs: int = 0
+    base_lr: float = 1e-4
+    warmup_steps: int = 10_000
+
+    def __post_init__(self):
+        check_fields(self, {"batch_size": 1, "steps": 0, "epochs": 0, "warmup_steps": 1})
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
 
 
 @dataclass
@@ -118,31 +138,35 @@ def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
     return base_lr * min(1.0, step / warmup_steps)
 
 
-def train(params: ParamSet, train_groups: Sequence[str],
-          loss_at: Callable[[], LossFn], hyper: TrainHyper
-          ) -> list[tuple[int, float, float]]:
-    """Adam with linear warmup over only `train_groups`, in place.
+@contextmanager
+def frozen(params: ParamSet, names: Iterable[str], during: str) -> Iterator[None]:
+    """Hold the parameters `names` of `params` fixed across the block: one
+    whose checksum differs at the block's end raises `ContractViolation`
+    naming it."""
+    before = {n: params.checksum(n) for n in names}
+    yield
+    for n, digest in before.items():
+        if params.checksum(n) != digest:
+            raise ContractViolation(f"frozen parameter {n!r} changed during {during}")
 
-    Parameters whose names start with a listed prefix train; every other
-    parameter is frozen and checksum-verified after the last step.
-    `loss_at()`, called once per step, draws the step's batch and returns
-    its loss closure.
+
+def train(params: ParamSet, prefix: str, loss_at: Callable[[], LossFn],
+          hyper: TrainHyper) -> list[tuple[int, float, float]]:
+    """Adam with linear warmup over the parameters named `prefix...`, in place.
+
+    Every other parameter is `frozen` across the loop. `loss_at()`, called
+    once per step, draws the step's batch and returns its loss closure.
     Returns the curve as (step, lr, loss) rows.
     """
-    trainable = [n for n in params if n.startswith(tuple(train_groups))]
+    trainable = params.names(prefix)
     if not trainable:
-        raise ConfigError(f"no parameters match train groups {list(train_groups)}")
-    frozen = {n: params.checksum(n) for n in params if n not in trainable}
-
+        raise ConfigError(f"no parameters match train group {prefix!r}")
     state = AdamState()
     curve = []
-    for step in range(1, hyper.steps + 1):
-        loss, grads = ad.grad_eval(loss_at(), params, trainable)
-        lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
-        adam_step(params, grads, state, lr)
-        curve.append((step, lr, loss))
-
-    for n, before in frozen.items():
-        if params.checksum(n) != before:
-            raise ContractViolation(f"frozen parameter {n!r} changed during training")
+    with frozen(params, [n for n in params if not n.startswith(prefix)], "training"):
+        for step in range(1, hyper.steps + 1):
+            loss, grads = ad.grad_eval(loss_at(), params, trainable)
+            lr = warmup_lr(step, hyper.base_lr, hyper.warmup_steps)
+            adam_step(params, grads, state, lr)
+            curve.append((step, lr, loss))
     return curve

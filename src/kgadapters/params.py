@@ -57,7 +57,7 @@ class ParamSet:
             arr = self._data[n]
             h.update(n.encode())
             h.update(str(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))      # its buffer, not a bytes copy
         return h.hexdigest()
 
     def copy(self) -> "ParamSet":
@@ -65,12 +65,6 @@ class ParamSet:
         one leaves the other as it is."""
         out = ParamSet()
         out._data = dict(self._data)
-        return out
-
-    def astype(self, dtype) -> "ParamSet":
-        out = ParamSet()
-        for n in self:
-            out.add(n, self._data[n].astype(dtype))
         return out
 
     def merge(self, other: "ParamSet", prefix: str = "") -> None:

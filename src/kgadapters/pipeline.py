@@ -1,6 +1,8 @@
 """Stage orchestration for the four-step enhancement workflow.
 
-Stages and their freezing contracts (verified by checksums, not assumed):
+Stages and their freezing contracts, all held by `optim.frozen`, the one frozen
+check: a training stage trains one group prefix through `optim.train`, which
+holds every other parameter, and `evaluate` holds the whole model:
   pretrain          trains the backbone (MLM)
   integrate(kind)   backbone frozen, inserts and trains the one adapter `kind`;
                     the checkpoint holds encoder.* and adapter.<kind>.* only
@@ -43,10 +45,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError, check_fields, check_type
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
-from .hyper import TrainHyper
-from .objectives import (P_CS, alignment_item_sampler, completion_item_sampler,
+from .objectives import (P_CS, Sampler, alignment_item_sampler, completion_item_sampler,
                          ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
                          sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
+from .optim import TrainHyper, frozen
 from .params import ParamSet
 from .synthetic import (DATASET_FILES, SyntheticConfig, SyntheticDataset, gen_synthetic,
                         load_dataset, save_dataset, vocab_corpus)
@@ -286,7 +288,7 @@ def _save_stage(ws: Workspace, stage: str, ckpt: str, params: ParamSet,
     path = ws.ckpt(ckpt)
     save_checkpoint(path, params, {
         "stage": stage, "seed": ws.config.seed, "profile": ws.config.profile,
-        "config_hash": ws.config.config_hash(), "data_sha256": ws.data_sha256,
+        "data_sha256": ws.data_sha256,
         "adapter_kinds": list(ws.config.adapter_kinds), "bottleneck": ws.config.bottleneck,
         "encoder": dict(ws.config.encoder), **extra})
     return path
@@ -309,28 +311,31 @@ def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncode
         raise DataError(f"{path}: {exc}") from None
 
 
-def make_sampler(ds: SyntheticDataset, kind: str):
-    """Bind one adapter kind's objective to the benchmark data.
+def make_sampler(ds: SyntheticDataset, kind: str) -> tuple[Sampler, int]:
+    """Bind one adapter kind's objective to the benchmark data; returns the
+    sampler and the kind's epoch size, which resolves epochs to steps.
 
     What a sampler draws from is built here, once per stage, not per batch.
     """
     langs = ds.split.adapter_langs
     if kind == "EP":
         universe = ep_pair_universe(ds.mlkg, langs)
-        return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng)
+        return (lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng),
+                len(ds.mlkg.entities) * len(langs))
     if kind == "TP":
         triples = ds.train_triples
-        return lambda b, rng: sample_tp_batch(ds.mlkg, triples, langs, b, P_CS, rng)
+        return (lambda b, rng: sample_tp_batch(ds.mlkg, triples, langs, b, P_CS, rng),
+                len(triples))
     if kind == "ES":
         eligible = es_eligible(ds.c1, ds.mlkg, langs)
-        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng)
+        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng), len(ds.c1)
     if kind == "TS":
         records = ts_ingest(ds.c2)
-        return lambda b, rng: sample_ts_batch(records, b, rng)
+        return lambda b, rng: sample_ts_batch(records, b, rng), len(ds.c2)
     if kind == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
-        samplers = itertools.cycle([make_sampler(ds, k) for k in KINDS])
-        return lambda b, rng: next(samplers)(b, rng)
+        samplers = itertools.cycle([make_sampler(ds, k)[0] for k in KINDS])
+        return lambda b, rng: next(samplers)(b, rng), len(ds.train_triples)
     raise ConfigError(f"unknown adapter kind {kind!r}")
 
 
@@ -352,17 +357,11 @@ def _integrate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, base: AdaptedE
     b = (large_bottleneck(base.config, len(ws.config.adapter_kinds), ws.config.bottleneck)
          if kind == LARGE else ws.config.bottleneck)
     adapted = insert_adapters(base.params, [kind], b, ws.config.seed + 1009, base.config)
-    hyper = ws.config.hyper("adapter", _adapter_data_size(ds, kind))
-    trained, curve = train_adapter(adapted, make_sampler(ds, kind), vocab, hyper,
+    sampler, data_size = make_sampler(ds, kind)
+    trained, curve = train_adapter(adapted, sampler, vocab, ws.config.hyper("adapter", data_size),
                                    ws.config.seed + sum(ord(c) for c in kind))
     return trained, _save_stage(ws, "integrate", f"adapter_{kind}", trained.params, curve,
                                 kind=kind)
-
-
-def _adapter_data_size(ds: SyntheticDataset, kind: str) -> int:
-    return {"EP": len(ds.mlkg.entities) * len(ds.split.adapter_langs),
-            "TP": len(ds.train_triples), "ES": len(ds.c1), "TS": len(ds.c2),
-            "LARGE": len(ds.train_triples)}.get(kind, 0)
 
 
 def assemble_fused(ws: Workspace, base: AdaptedEncoder,
@@ -370,7 +369,7 @@ def assemble_fused(ws: Workspace, base: AdaptedEncoder,
     """A copy of the pretrain backbone `base` + the adapter group of each
     single-adapter model of `adapters` + fresh fusion parameters.
 
-    The caller loads the models and checks them (`_load_adapter`); a
+    The caller loads the models and checks them (`_load_adapters`); a
     missing or other adapter is an error there, rather than a randomly
     initialized adapter in the fusion. No model passed in changes.
     """
@@ -381,19 +380,26 @@ def assemble_fused(ws: Workspace, base: AdaptedEncoder,
     return init_fusion(AdaptedEncoder(base.config, params), ws.config.seed + 2003)
 
 
-def _load_adapter(ws: Workspace, kind: str, needed_for: str,
-                  backbone_hash: str) -> AdaptedEncoder:
-    """The model of the integrate checkpoint of `kind`, which must hold that
-    kind's adapter alone, on the pretrain backbone of checksum `backbone_hash`."""
-    model, _ = load_model(ws, f"adapter_{kind}", needed_for)
-    path = ws.ckpt(f"adapter_{kind}")
-    if model.kinds != [kind]:
-        raise DataError(f"{path}: holds adapters {model.kinds}, not [{kind!r}]: "
-                        f"re-run integrate")
-    if model.params.checksum("encoder.") != backbone_hash:
-        raise DataError(f"{path}: backbone differs from pretrain checkpoint: "
-                        f"re-run integrate")
-    return model
+def _load_adapters(ws: Workspace, kinds: list[str], needed_for: str
+                   ) -> tuple[AdaptedEncoder, dict[str, AdaptedEncoder]]:
+    """The pretrain model and, by kind, the model of the integrate checkpoint
+    of each of `kinds`, in that order. Each must hold its kind's adapter
+    alone, on the pretrain backbone; the first that does not is a DataError
+    naming it."""
+    base, _ = load_model(ws, "pretrain", needed_for)
+    backbone_hash = base.params.checksum("encoder.")
+    adapters = {}
+    for kind in kinds:
+        model, _ = load_model(ws, f"adapter_{kind}", needed_for)
+        path = ws.ckpt(f"adapter_{kind}")
+        if model.kinds != [kind]:
+            raise DataError(f"{path}: holds adapters {model.kinds}, not [{kind!r}]: "
+                            f"re-run integrate")
+        if model.params.checksum("encoder.") != backbone_hash:
+            raise DataError(f"{path}: backbone differs from pretrain checkpoint: "
+                            f"re-run integrate")
+        adapters[kind] = model
+    return base, adapters
 
 
 def _task_args(ds: SyntheticDataset, task: str):
@@ -417,21 +423,20 @@ def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: Adapted
     """
     sampler_fn, train_data, _, _ = _task_args(ds, task)
     hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
-    groups = [""] if stage == "finetune" else [
-        {"none": "encoder.", "single": "adapter.", "fusion": "fusion."}[model.mode]]
+    prefix = "" if stage == "finetune" else {
+        "none": "encoder.", "single": "adapter.", "fusion": "fusion."}[model.mode]
     return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
-                                ws.config.seed + {"fuse": 101, "finetune": 211}[stage], groups)
+                                ws.config.seed + {"fuse": 101, "finetune": 211}[stage], prefix)
 
 
 def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
              task: str, variant: str, checkpoint_hash: str) -> MetricReport:
-    """Score the model on the task's test split; the report names the variant,
-    the seed, the profile, the weight and config hashes and the language split."""
+    """Score the model, every parameter `frozen`, on the task's test split; the
+    report names the variant, the seed, the profile, the weight and config
+    hashes and the language split."""
     _, _, eval_fn, test_data = _task_args(ds, task)
-    before = model.params.checksum()
-    report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
-    if model.params.checksum() != before:
-        raise RuntimeError("evaluation mutated model parameters")
+    with frozen(model.params, model.params.names(), "evaluation"):
+        report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
     return dataclasses.replace(report, variant=variant, seed=ws.config.seed,
                                profile=ws.config.profile, checkpoint_hash=checkpoint_hash,
                                config_hash=ws.config.config_hash(), split=ds.split)
@@ -440,11 +445,9 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
 def stage_fuse(ws: Workspace, task: str) -> Path:
     """Stage 3: train fusion parameters only, on the task's Sup training pairs."""
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "fuse")
-    backbone_hash = base.params.checksum("encoder.")
-    adapters = [_load_adapter(ws, kind, "fuse", backbone_hash)
-                for kind in sorted(ws.config.adapter_kinds, key=KINDS.index)]
-    trained, curve = train_task(ws, ds, vocab, assemble_fused(ws, base, adapters), task, "fuse")
+    base, adapters = _load_adapters(ws, ws.config.adapter_kinds, "fuse")
+    fused = assemble_fused(ws, base, list(adapters.values()))
+    trained, curve = train_task(ws, ds, vocab, fused, task, "fuse")
     return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
 
 
@@ -510,12 +513,9 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     its backbone checked against the pretrain checkpoint, before any trains.
     """
     ds, vocab = ws.load_data()
-    base, _ = load_model(ws, "pretrain", "ablate")
-    backbone_hash = base.params.checksum("encoder.")
-    models = {"base": base}
-    for kind in (*ws.config.adapter_kinds, LARGE):
-        if kind != LARGE or ws.ckpt(f"adapter_{LARGE}").exists():
-            models[kind] = _load_adapter(ws, kind, "ablate", backbone_hash)
+    large = [LARGE] if ws.ckpt(f"adapter_{LARGE}").exists() else []
+    base, models = _load_adapters(ws, [*ws.config.adapter_kinds, *large], "ablate")
+    models["base"] = base
     models["FUSION"] = assemble_fused(ws, base, [models[k] for k in ws.config.adapter_kinds])
     if LARGE not in models:                     # integrated once every other variant checks
         models[LARGE] = _integrate(ws, ds, vocab, base, LARGE)[0]

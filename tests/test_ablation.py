@@ -47,19 +47,19 @@ def repretrained(integrated, tmp_path_factory):
     return ws
 
 
-@pytest.mark.parametrize("stale", ["EP", "LARGE"])
+@pytest.mark.parametrize("stale", ["EP", "TP", "LARGE"])
 def test_stale_adapter_exits_one_before_any_variant_trains(repretrained, tmp_path, monkeypatch,
                                                            capsys, stale):
-    """A stale adapter_EP, with adapter_LARGE still to integrate, or a stale
-    adapter_LARGE beside re-integrated EP and TP: `ablate` names it and
-    trains nothing, neither a variant nor the LARGE adapter."""
+    """One stale adapter checkpoint beside re-integrated others, with
+    adapter_LARGE still to integrate unless it is the stale one: `ablate`
+    names it and trains nothing, neither a variant nor the LARGE adapter."""
     shutil.copytree(repretrained.root, tmp_path / "run")
     ws = Workspace(dataclasses.replace(repretrained.config, out_dir=str(tmp_path / "run")))
-    if stale == "EP":
-        ws.ckpt("adapter_LARGE").unlink()
-    else:
-        for kind in ws.config.adapter_kinds:
+    for kind in ws.config.adapter_kinds:
+        if kind != stale:
             run_stage(ws, "integrate", kind=kind)
+    if stale != "LARGE":
+        ws.ckpt("adapter_LARGE").unlink()
     checkpoints = sorted(ws.ckpt_dir.iterdir())
     trained = []
     monkeypatch.setattr(pipeline, "train_task", lambda *a: trained.append(a[4]))

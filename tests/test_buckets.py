@@ -24,8 +24,9 @@ from kgadapters.adapters import KINDS, build_hook, init_fusion, insert_adapters
 from kgadapters.encoder import (EncoderConfig, encode, init_encoder_params, make_mlm_batch,
                                 mlm_loss, mlm_pretrain, pad_batch, pool, sentence_pool_weights)
 from kgadapters.evaluation import _pooled_encodings, finetune_contrastive
-from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import PairItem, encode_pair_batch, infonce, train_adapter
+from kgadapters.optim import TrainHyper
+from kgadapters.params import ParamSet
 from kgadapters.vocab import build_vocab
 
 VOCAB_SIZE = 40
@@ -316,9 +317,8 @@ class TestTrainingPaths:
     def test_finetune_and_fuse_pad_to_bucket(self, encode_widths):
         vocab, config, hyper = self.make()
         adapted = fused_model(config)
-        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0,
-                             ["encoder.", "adapter.", "fusion."])
-        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0, ["fusion."])
+        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0, "")
+        finetune_contrastive(adapted, self.sampler, vocab, hyper, 0, "fusion.")
         # anchors of 2 tokens and positives of 1: the short width
         assert encode_widths == [2] * 2 * hyper.steps
 
@@ -352,6 +352,9 @@ def test_whole_graph_gradcheck_at_a_bucketed_width():
         anchors, positives = ad.split(pooled, [2, 2], axis=0)
         return infonce(anchors, positives, tau=0.5)
 
-    _, grads = ad.grad_eval(loss, params.astype(np.float64), params.names())
+    params64 = ParamSet()
+    for name in params:
+        params64.add(name, params.get(name).astype(np.float64))
+    _, grads = ad.grad_eval(loss, params64, params.names())
     assert not grads["encoder.emb.pos"][8:].any() and grads["encoder.emb.pos"][:8].any()
     assert ad.gradcheck(loss, params, params.names(), eps=1e-5) < 1e-5

@@ -11,7 +11,7 @@ from kgadapters.encoder import (INIT_BLOCK, EncoderConfig, encode_seqs,
                                 init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
                                 span_pool_weights, sentence_pool_weights)
-from kgadapters.hyper import TrainHyper
+from kgadapters.optim import TrainHyper
 from kgadapters.vocab import MASK_ID, SPECIALS, UNK_ID, Vocab, build_vocab, tokenize
 
 

@@ -14,8 +14,8 @@ from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
                                    embed_labels, eval_alignment, finetune_contrastive,
                                    gold_rank, hits_at_k, label_seq, mrr, rank)
-from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import alignment_item_sampler
+from kgadapters.optim import TrainHyper
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
 
@@ -264,7 +264,7 @@ class TestEmbedAndEval:
         ad_before = model.params.checksum("adapter.")
         sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
         trained, curve = finetune_contrastive(model, sampler, vocab, hyper, 5,
-                                              train_groups=["adapter.EP."])
+                                              prefix="adapter.EP.")
         assert trained.params.checksum("encoder.") == enc_before
         assert trained.params.checksum("adapter.") != ad_before
         assert len(curve) == 4

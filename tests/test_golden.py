@@ -77,7 +77,7 @@ import pytest
 
 from kgadapters.checkpoint import read_manifest
 from kgadapters.encoder import EncoderConfig, mlm_pretrain
-from kgadapters.hyper import TrainHyper
+from kgadapters.optim import TrainHyper
 from kgadapters.pipeline import TASKS, Workspace, run_stage
 from kgadapters.vocab import SPECIALS, Vocab
 

@@ -11,12 +11,12 @@ from kgadapters.autodiff import Tensor
 from kgadapters.data import Labelled, MLKG, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.errors import ConfigError
-from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import (encode_pair_batch,
                                    ep_pair_universe, es_eligible, infonce,
                                    sample_ep_batch, sample_es_batch,
                                    sample_tp_batch, sample_ts_batch,
                                    train_adapter, ts_ingest)
+from kgadapters.optim import TrainHyper
 from kgadapters.data import TripleSentence
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab

@@ -6,8 +6,7 @@ import pytest
 from kgadapters import autodiff as ad
 from kgadapters import optim
 from kgadapters.errors import ConfigError, ContractViolation
-from kgadapters.hyper import TrainHyper
-from kgadapters.optim import AdamState, adam_step, train, warmup_lr
+from kgadapters.optim import AdamState, TrainHyper, adam_step, train, warmup_lr
 from kgadapters.params import ParamSet
 
 
@@ -212,7 +211,7 @@ class TestTrain:
         monkeypatch.setattr(optim, "adam_step", recording_step)
         p = two_group_params()
         frozen = p.get("encoder.w").copy()
-        curve = train(p, ["fusion."], square_loss_at, HYPER)
+        curve = train(p, "fusion.", square_loss_at, HYPER)
         np.testing.assert_array_equal(p.get("encoder.w"), frozen)
         assert np.all(np.abs(p.get("fusion.w")) < [0.5, 0.25])
         assert stepped == [["fusion.w"]] * HYPER.steps
@@ -233,12 +232,12 @@ class TestTrain:
             return real_step(params, grads, state, lr)
 
         monkeypatch.setattr(optim, "adam_step", recording_step)
-        train(two_group_params(), [""], loss_at, HYPER)
+        train(two_group_params(), "", loss_at, HYPER)
         assert events == ["loss_at", "adam_step"] * HYPER.steps
 
     def test_unmatched_groups_rejected(self):
-        with pytest.raises(ConfigError, match="no parameters match"):
-            train(two_group_params(), ["adapter."], square_loss_at, HYPER)
+        with pytest.raises(ConfigError, match="no parameters match train group 'adapter.'"):
+            train(two_group_params(), "adapter.", square_loss_at, HYPER)
 
     def test_changed_frozen_parameter_raises(self, monkeypatch):
         real_step = optim.adam_step
@@ -250,4 +249,17 @@ class TestTrain:
 
         monkeypatch.setattr(optim, "adam_step", faulty_step)
         with pytest.raises(ContractViolation, match="'encoder.w'"):
-            train(two_group_params(), ["fusion."], square_loss_at, HYPER)
+            train(two_group_params(), "fusion.", square_loss_at, HYPER)
+
+
+def test_frozen_checks_the_bytes_of_the_names_it_holds():
+    """Rebinding a held name to equal bytes passes, a name not held may
+    change, and a held name that changes raises naming it and the block."""
+    p = two_group_params()
+    with optim.frozen(p, ["encoder.w"], "a test"):
+        p.set_data("encoder.w", p.get("encoder.w").copy())
+        p.set_data("fusion.w", p.get("fusion.w") * 2.0)
+    with pytest.raises(ContractViolation,
+                       match="frozen parameter 'encoder.w' changed during a test"):
+        with optim.frozen(p, ["encoder.w"], "a test"):
+            p.set_data("encoder.w", p.get("encoder.w") * 2.0)

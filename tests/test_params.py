@@ -1,6 +1,8 @@
 """The ParamSet sharing contract: arrays are read-only, `copy` and `merge`
 share them, and training a derived model leaves its source as it was."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from kgadapters import optim
 from kgadapters.adapters import init_fusion, insert_adapters
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import finetune_contrastive
-from kgadapters.hyper import TrainHyper
 from kgadapters.objectives import (alignment_item_sampler, ep_pair_universe,
                                    sample_ep_batch, train_adapter)
+from kgadapters.optim import TrainHyper
 from kgadapters.params import ParamSet
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
@@ -72,6 +74,30 @@ class TestReadOnly:
         np.testing.assert_array_equal(old, 1.0)
 
 
+class TestChecksum:
+    GRID = np.arange(24, dtype=np.float32).reshape(4, 6)
+
+    @pytest.mark.parametrize("arr", [GRID, np.asfortranarray(GRID), GRID.T, GRID[:, ::2],
+                                     np.zeros((0, 3), dtype=np.float32),
+                                     np.float32(2.5).reshape(())],
+                             ids=["c_ordered", "f_ordered", "transposed_view", "strided_view",
+                                  "empty", "scalar"])
+    def test_digest_is_the_one_of_c_ordered_bytes(self, arr):
+        """The checksum hashes each array's C-ordered buffer; the digest is
+        the one of its `tobytes()` copy, whatever the array's layout."""
+        p = ParamSet()
+        p.add("a.w", arr)
+        p.add("b.w", self.GRID)
+        want = hashlib.sha256()
+        for name, a in (("a.w", arr), ("b.w", self.GRID)):
+            want.update(name.encode())
+            want.update(str(a.shape).encode())
+            want.update(np.ascontiguousarray(a).tobytes())
+        assert p.checksum() == want.hexdigest()
+        assert p.checksum("a.") == hashlib.sha256(
+            b"a.w" + str(arr.shape).encode() + np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
 class TestSharing:
     def test_copy_shares_every_array(self, setup):
         backbone = setup[3]
@@ -125,8 +151,7 @@ class TestDerivedTraining:
         before, checksum = snapshot(fused.params), fused.params.checksum()
         hyper = TrainHyper(batch_size=6, steps=3, base_lr=1e-2, warmup_steps=1)
         sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
-        trained, _ = finetune_contrastive(fused, sampler, vocab, hyper, 5,
-                                          train_groups=["encoder.", "adapter.", "fusion."])
+        trained, _ = finetune_contrastive(fused, sampler, vocab, hyper, 5, prefix="")
         for group in ("encoder.", "adapter.", "fusion."):
             assert trained.params.checksum(group) != fused.params.checksum(group), group
         assert_unchanged(fused.params, before, checksum)

@@ -19,7 +19,7 @@ from kgadapters.checkpoint import load_checkpoint, read_manifest, save_checkpoin
 from kgadapters.data import LanguageSplit, load_split
 from kgadapters.encoder import EncoderConfig
 from kgadapters.errors import ConfigError, DataError
-from kgadapters.hyper import TrainHyper
+from kgadapters.optim import TrainHyper
 from kgadapters.params import ParamSet
 from kgadapters.pipeline import DATA_FILES, PipelineConfig, Workspace, load_model, run_stage
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
@@ -123,9 +123,9 @@ class TestCheckpointFormat:
             return lambda lv: ad.tsum(ad.mul(lv["encoder.emb.tok"], 0.0))
 
         files = []
-        for i, groups in enumerate((["encoder."], ["adapter."], [""])):
+        for i, prefix in enumerate(("encoder.", "adapter.", "")):
             p = self.make_params()
-            optim.train(p, groups, zero_loss_at, hyper)
+            optim.train(p, prefix, zero_loss_at, hyper)
             assert p.checksum() == self.make_params().checksum()
             path = tmp_path / f"{i}.ckpt"
             save_checkpoint(path, p, {"stage": "test"})
@@ -290,6 +290,7 @@ class TestStages:
         manifest = read_manifest(micro_run.ckpt("fused_alignment"))
         assert report.checkpoint_hash == manifest["blob_sha256"]
         assert report.config_hash == micro_run.config.config_hash()
+        assert "config_hash" not in manifest["provenance"]
 
 
 class TestDeterminism:
@@ -1164,6 +1165,25 @@ class TestCliExitCodes:
         assert cli.main(["--config", str(cfg), "train-fusion", "--task", "alignment"]) == 3
         assert "adapter.EP.0.W_up" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoints" / "fused_alignment.ckpt").exists()
+
+    def test_parameter_changed_during_eval_exits_three(self, micro_run, tmp_path, monkeypatch,
+                                                       capsys):
+        """An evaluation that rebinds a parameter of the model it scores: the
+        frozen check `train` uses holds every parameter during evaluation."""
+        ws = copy_run(micro_run, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        real_eval = pipeline.eval_alignment
+
+        def rebinding_eval(model, *args, **kw):
+            model.params.set_data("encoder.emb.tok", model.params.get("encoder.emb.tok") * 2.0)
+            return real_eval(model, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "eval_alignment", rebinding_eval)
+        assert cli.main(["--config", str(cfg), "eval", "--task", "alignment"]) == 3
+        assert capsys.readouterr().err == ("contract violation: frozen parameter "
+                                           "'encoder.emb.tok' changed during evaluation\n")
+        assert not list(ws.report_dir.glob("eval_*"))
 
     def test_train_large_adapter_via_cli(self, micro_run, tmp_path):
         cfg = tmp_path / "cfg.json"
