@@ -313,15 +313,15 @@ def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncode
 
 def make_sampler(ds: SyntheticDataset, kind: str) -> tuple[Sampler, int]:
     """Bind one adapter kind's objective to the benchmark data; returns the
-    sampler and the kind's epoch size, which resolves epochs to steps.
+    sampler and the kind's epoch size, which resolves epochs to steps: the
+    size of what the sampler draws from, and for LARGE the sum of its kinds'.
 
     What a sampler draws from is built here, once per stage, not per batch.
     """
     langs = ds.split.adapter_langs
     if kind == "EP":
         universe = ep_pair_universe(ds.mlkg, langs)
-        return (lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng),
-                len(ds.mlkg.entities) * len(langs))
+        return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng), len(universe)
     if kind == "TP":
         triples = ds.train_triples
         return (lambda b, rng: sample_tp_batch(ds.mlkg, triples, langs, b, P_CS, rng),
@@ -334,8 +334,9 @@ def make_sampler(ds: SyntheticDataset, kind: str) -> tuple[Sampler, int]:
         return lambda b, rng: sample_ts_batch(records, b, rng), len(ds.c2)
     if kind == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
-        samplers = itertools.cycle([make_sampler(ds, k)[0] for k in KINDS])
-        return lambda b, rng: next(samplers)(b, rng), len(ds.train_triples)
+        kinds = [make_sampler(ds, k) for k in KINDS]
+        samplers = itertools.cycle([sampler for sampler, _ in kinds])
+        return lambda b, rng: next(samplers)(b, rng), sum(size for _, size in kinds)
     raise ConfigError(f"unknown adapter kind {kind!r}")
 
 

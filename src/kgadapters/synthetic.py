@@ -21,14 +21,21 @@ anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
 never contain unseen-category languages, and `load_dataset` rejects a data
 directory whose files do.
 
-Every bounded integer the generator draws one at a time goes through
-`_Replay`, which replays numpy's own rule for `rng.integers(lo, hi)` on
-blocks of the Generator's 32-bit words instead of paying for one call per
-draw; `choice`, `permutation` and `random` run on the Generator, which
+Every bounded integer the generator draws goes through `_Replay`, which
+replays numpy's own rule for `rng.integers(lo, hi)` (Lemire's) on blocks of
+the Generator's 32-bit words instead of paying for one call per draw;
+`choice`, `permutation` and `random` run on the Generator, which
 `_Replay.generator()` first puts in the state the single calls would have
-left. So the files are the bytes one call per draw wrote, and the golden
-pins of the data files (`DATA_FILE_SHA256` in tests/test_golden.py, and
-the larger configs of tests/test_synthetic.py) guard them.
+left. C1, most of the draws at 5000 entities, goes further:
+`_mention_sentences` peeks a chunk of the next words and applies the rule
+with numpy to every word at once, for its three ranges (lead length,
+context word, tail length), then walks from sentence to sentence. It reads
+the same words in the same order under the same rule, skips a rejected word
+as the rule does, and takes no word for a range of one value (a single
+context word), as `integers` takes none. So the files are the bytes one
+call per draw wrote, and the golden pins of the data files
+(`DATA_FILE_SHA256` in tests/test_golden.py, and the larger configs of
+tests/test_synthetic.py) guard them.
 
 `save_dataset` and `load_dataset` persist a benchmark as one directory whose
 files, and their formats, are listed in data.py; every file is read and
@@ -41,6 +48,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -139,6 +147,8 @@ def _language_codes(n: int) -> list[str]:
 _WORD = 2 ** 32
 _BLOCK = 4096               # words a block reads
 _SCALAR_DRAWS = 8           # draws after a hand-back made on the Generator itself
+_CHUNK_WORDS = 3 * _BLOCK  # words a C1 chunk peeks: about 2k sentences of 5.5 words
+_NO_WORDS = np.empty(0, dtype=np.uint32)
 
 
 class _Replay:
@@ -160,13 +170,23 @@ class _Replay:
     A block and its hand-back cost about ten scalar calls, so the first
     `_SCALAR_DRAWS` draws after a hand-back are scalar calls, and a short run
     of draws between two hand-backs reads no block.
+
+    `peek(count)` hands out the next `count` words of the same stream as an
+    array without using them, and `advance(k)` then uses the first k of them,
+    so a caller can apply the rule to many draws at once (`_bulk_draws`) and
+    the draws after it, scalar or bulk, go on from the right word: the values
+    are the scalar calls' because the words, their order and the rule are
+    the same, and a range of one value takes no word there either. A peek
+    that needs more words than the current block holds hands the Generator
+    back by the rule above and reads a fresh block of at least `count` words.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._calls = 0             # scalar calls since the hand-back
         self._saved = None          # the state before the current block
-        self._words: list[int] = []
+        self._block = _NO_WORDS
+        self._words: list[int] = []     # the current block as a list, once a scalar draw reads it
         self._pos = 0               # words used of the current block
 
     def integers(self, lo: int, hi: int | None = None) -> int:
@@ -180,25 +200,125 @@ class _Replay:
             return lo
         reject = (_WORD - n) % n
         while True:
-            if self._pos == len(self._words):
-                self._read_block()
+            if self._pos >= len(self._words):
+                if self._pos == len(self._block):
+                    self._read_block(_BLOCK)
+                self._words = self._block.tolist()
             m = self._words[self._pos] * n
             self._pos += 1
             if m % _WORD >= reject:
                 return lo + (m >> 32)
 
-    def _read_block(self) -> None:
+    def peek(self, count: int) -> np.ndarray:
+        if self._pos + count > len(self._block):
+            self.generator()
+            self._read_block(max(count, _BLOCK))
+        return self._block[self._pos:self._pos + count]
+
+    def advance(self, used: int) -> None:
+        self._pos += used
+
+    def _read_block(self, size: int) -> None:
         self._saved = self._rng.bit_generator.state
-        self._words = self._rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32).tolist()
-        self._pos = 0
+        self._block = self._rng.integers(0, _WORD, size=size, dtype=np.uint32)
+        self._words, self._pos = [], 0
+        self._calls = _SCALAR_DRAWS     # the draws after it go on from the block
 
     def generator(self) -> np.random.Generator:
         if self._saved is not None:
             self._rng.bit_generator.state = self._saved
             self._rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
-            self._saved, self._words, self._pos = None, [], 0
+            self._saved, self._block, self._words, self._pos = None, _NO_WORDS, [], 0
         self._calls = 0
         return self._rng
+
+
+def _bulk_draws(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a draw of range n (`integers(n)`) starting at each word of `words`:
+    its value by Lemire's rule, rejected words skipped, and where the next
+    draw starts. Both arrays are indexed by start 0..len(words)+1, and a draw
+    that finds no accepted word ends past len(words), as does every draw
+    after it, so a caller tells a run of draws that ran out of words by where
+    it ends. A range of one value takes no word, as in `integers`."""
+    end = len(words)
+    if n == 1:
+        return np.zeros(end + 2, dtype=np.int64), np.arange(end + 2)
+    m = words.astype(np.uint64) * np.uint64(n)
+    accepted = (m & np.uint64(_WORD - 1)) >= (_WORD - n) % n
+    # the first accepted word at or after each start, end where there is none
+    first = np.minimum.accumulate(np.where(accepted, np.arange(end), end)[::-1])[::-1]
+    first = np.append(first, [end, end])
+    values = np.append(m >> np.uint64(32), np.uint64(0)).astype(np.int64)
+    return values[first], first + 1
+
+
+def _mention_sentences(draw: _Replay, mentions: Iterator[tuple[str, str, int, list[str]]],
+                       count: int, context_forms: list[list[str]]) -> list[TaggedSentence]:
+    """A C1 sentence for each of the `count` (entity, language, language
+    index, label tokens) of `mentions`, in order: lead length 1..3, that many
+    context words, the label, tail length 1..2, that many context words and
+    ".". The mentions are read a chunk at a time, so only a chunk's are held.
+
+    The sentences of a chunk take their draws from one `peek` of
+    `_CHUNK_WORDS` words, with the words and the rule of one `integers` call
+    per draw. For every word a sentence could start at, numpy finds where
+    each of its draws starts and where the sentence ends; the walk from
+    sentence to sentence is one list lookup each. A sentence that runs past
+    the chunk's words starts the next chunk. The values are then read at the
+    starts the walk reached, and each sentence's tokens are laid out in a row
+    of slots, so one list holds the chunk's tokens in order."""
+    forms = np.array(context_forms, dtype=object)          # [language, context word]
+    sentences: list[TaggedSentence] = []
+    size = _CHUNK_WORDS
+    while len(sentences) < count:
+        words = draw.peek(size)
+        lead_n, lead_at = _bulk_draws(words, 3)
+        tail_n, tail_at = _bulk_draws(words, 2)
+        ctx, ctx_at = _bulk_draws(words, forms.shape[1])
+        # by the sentence's first word: where each context draw starts, used
+        # or not, and where the sentence ends
+        lead = [lead_at]
+        for _ in range(3):
+            lead.append(ctx_at[lead[-1]])
+        after_lead = np.choose(lead_n, lead[1:])
+        tail_n = tail_n[after_lead]
+        tail = [tail_at[after_lead]]
+        for _ in range(2):
+            tail.append(ctx_at[tail[-1]])
+        end = np.choose(tail_n, tail[1:]).tolist()
+        last = len(words)
+        starts, p = [], 0
+        for _ in range(count - len(sentences)):
+            if end[p] > last:
+                break
+            starts.append(p)
+            p = end[p]
+        draw.advance(p)
+        if not starts:      # one sentence outruns the words (rejections): peek more
+            size *= 2
+            continue
+        size = _CHUNK_WORDS
+        at = np.array(starts, dtype=np.intp)
+        chunk = list(itertools.islice(mentions, len(at)))
+        lead_len, tail_len = lead_n[at] + 1, tail_n[at] + 1
+        label_len = np.array([len(m[3]) for m in chunk], dtype=np.intp)
+        # one row of slots per sentence: 3 lead words, the longest label's, 2
+        # tail words and "."; the slots it uses, row by row, are the chunk's tokens
+        slots = np.empty((len(at), 6 + label_len.max()), dtype=object)
+        used = np.ones(slots.shape, dtype=bool)
+        lang_at = np.array([m[2] for m in chunk], dtype=np.intp)[:, None]
+        slots[:, :3] = forms[lang_at, ctx[np.stack([a[at] for a in lead[:3]], axis=1)]]
+        slots[:, -3:-1] = forms[lang_at, ctx[np.stack([a[at] for a in tail[:2]], axis=1)]]
+        slots[:, -1] = "."
+        used[:, :3] = np.arange(3) < lead_len[:, None]
+        used[:, 3:-3] = np.arange(slots.shape[1] - 6) < label_len[:, None]
+        used[:, -3:-1] = np.arange(2) < tail_len[:, None]
+        slots[:, 3:-3][used[:, 3:-3]] = np.array([t for m in chunk for t in m[3]], dtype=object)
+        tokens = slots[used].tolist()
+        ends = np.cumsum(used.sum(axis=1)).tolist()
+        for (eid, lang, _, label), b, e, k in zip(chunk, [0] + ends, ends, lead_len.tolist()):
+            sentences.append(TaggedSentence(lang, tokens[b:e], eid, (k, k + len(label) - 1)))
+    return sentences
 
 
 def _make_word(draw: _Replay, taken: set[str]) -> str:
@@ -307,12 +427,13 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         span = (len(lead), len(lead) + len(label_tokens) - 1)
         return TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span)
 
-    # C1: entity mentions in context, adapter-training languages only
-    c1: list[TaggedSentence] = []
-    for eid in entity_ids:
-        for lang in split.adapter_langs:
-            for _ in range(config.sentences_per_entity):
-                c1.append(entity_sentence(eid, lang))
+    # C1: entity mentions in context, adapter-training languages only; each
+    # label is split once for all of its sentences
+    c1 = _mention_sentences(draw, (
+        mention for eid in entity_ids for lang in split.adapter_langs
+        for mention in [(eid, lang, lang_index[lang], entities[eid].labels[lang].split())]
+        * config.sentences_per_entity),
+        len(entity_ids) * len(split.adapter_langs) * config.sentences_per_entity, context_forms)
 
     def triple_tokens(t: Triple, lang: str) -> tuple[list[str], tuple[int, int]]:
         h = entities[t.head].labels[lang].split()

@@ -23,6 +23,7 @@ from kgadapters.optim import TrainHyper
 from kgadapters.params import ParamSet
 from kgadapters.pipeline import DATA_FILES, PipelineConfig, Workspace, load_model, run_stage
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
+from kgadapters.objectives import ep_pair_universe
 from kgadapters.synthetic import SyntheticConfig, load_dataset
 from kgadapters.vocab import Vocab
 
@@ -932,7 +933,8 @@ def test_paper_profile_loads():
 
 def test_epochs_resolve_to_steps_of_the_data_size(micro_run, tmp_path):
     """With steps 0, a stage runs epochs x (data size // batch) steps, one
-    curve row each."""
+    curve row each; a kind's data size is what its sampler draws from (EP's
+    ordered label pairs), and LARGE's the sum of the four kinds'."""
     run_dir = tmp_path / "run"
     shutil.copytree(micro_run.root, run_dir)
     by_epoch = {"steps": 0, "epochs": 1, "batch_size": 8}
@@ -944,11 +946,15 @@ def test_epochs_resolve_to_steps_of_the_data_size(micro_run, tmp_path):
         run_stage(ws, "integrate", kind=kind)
     run_stage(ws, "fuse", task="alignment")
     ds, _ = ws.load_data()
-    sizes = {"integrate_EP": len(ds.mlkg.entities) * len(ds.split.adapter_langs),
+    sizes = {"integrate_EP": len(ep_pair_universe(ds.mlkg, ds.split.adapter_langs)),
              "integrate_TP": len(ds.train_triples), "fuse_alignment": len(ds.align_train)}
     for curve, size in sizes.items():
         rows = (ws.log_dir / f"{curve}.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 1 * (size // 8) >= 1, curve
+    kinds = {"EP": sizes["integrate_EP"], "TP": sizes["integrate_TP"], "ES": len(ds.c1),
+             "TS": len(ds.c2)}
+    assert {kind: pipeline.make_sampler(ds, kind)[1] for kind in (*kinds, "LARGE")} == {
+        **kinds, "LARGE": sum(kinds.values())}
 
 
 @pytest.fixture(scope="module")

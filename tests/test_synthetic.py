@@ -1,6 +1,7 @@
-"""The generator's draws: the integer replay equals the Generator it replays,
-the data files of two larger configs keep their bytes, and a config that asks
-for more distinct words than exist is rejected at load."""
+"""The generator's draws: the integer replay, scalar and in bulk, equals the
+Generator it replays, the data files of four more configs keep their bytes,
+whatever words a C1 chunk peeks, and a config that asks for more distinct
+words than exist is rejected at load."""
 
 import hashlib
 import json
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgadapters import cli, pipeline
 from kgadapters.errors import ConfigError
+from kgadapters import synthetic
 from kgadapters.synthetic import (_BLOCK, _DISTINCT_WORDS, _SCALAR_DRAWS, DATASET_FILES,
-                                  SyntheticConfig, _Replay, gen_synthetic, save_dataset)
+                                  SyntheticConfig, _bulk_draws, _Replay, gen_synthetic,
+                                  save_dataset)
 
 from test_pipeline import micro_config, write_config
 
@@ -20,8 +23,26 @@ from test_pipeline import micro_config, write_config
 # its words, 2**32 takes each word as it is
 SIZES = [1, 2, 3, 14, 50, 2**31 + 1, 2**32]
 
-# each a run of `count` draws of one range: (n, lo, count)
-runs = st.tuples(st.sampled_from(SIZES), st.integers(-3, 3), st.integers(1, 700))
+# each a run of `count` draws of one range, one `integers` call each or
+# through one bulk read: (n, lo, count, bulk)
+runs = st.tuples(st.sampled_from(SIZES), st.integers(-3, 3), st.integers(1, 700),
+                 st.booleans())
+
+
+def bulk_draws(replay: _Replay, lo: int, n: int, count: int) -> list[int]:
+    """`count` draws of range n from one `peek`, the rule applied by
+    `_bulk_draws`; a peek whose words run out is made again, twice as long."""
+    size = count
+    while True:
+        values, after = (a.tolist() for a in _bulk_draws(replay.peek(size), n))
+        got, p = [], 0
+        for _ in range(count):
+            got.append(lo + values[p])
+            p = after[p]
+        if p <= size:
+            replay.advance(p)
+            return got
+        size *= 2
 
 
 def after_hand_back(rng: np.random.Generator) -> list:
@@ -34,20 +55,29 @@ def after_hand_back(rng: np.random.Generator) -> list:
 @settings(max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), segments=st.lists(st.lists(runs, max_size=4),
                                                         min_size=1, max_size=4))
-@example(seed=1, segments=[[(2**31 + 1, 0, 3 * _BLOCK)], [(1, 5, 20), (3, -1, 2)], []])
-@example(seed=2, segments=[[(n, 0, _SCALAR_DRAWS + _BLOCK // 3) for n in SIZES]] * 2)
+@example(seed=1, segments=[[(2**31 + 1, 0, 3 * _BLOCK, False)],
+                           [(1, 5, 20, False), (3, -1, 2, False)], []])
+@example(seed=2, segments=[[(n, 0, _SCALAR_DRAWS + _BLOCK // 3, False) for n in SIZES]] * 2)
+@example(seed=3, segments=[[(2**31 + 1, 1, 3 * _BLOCK, True), (1, 0, 5, True)],
+                           [(n, 0, 600, bulk) for n in SIZES for bulk in (True, False)]])
+@example(seed=4, segments=[[(14, 0, 3, True), (50, 2, 4, False), (2**32, 0, 2 * _BLOCK, True),
+                            (2, 0, _BLOCK, False), (1, -1, 3, True), (3, 0, 9, True)]])
 def test_replay_equals_the_generator(seed, segments):
-    """Each segment's draws equal one `int(rng.integers(lo, hi))` call per draw
-    on a Generator of the same seed; after each segment the handed-back
-    Generator draws what that Generator draws, with every kind of call."""
+    """Each segment's draws, scalar or from a bulk read, equal one
+    `int(rng.integers(lo, hi))` call per draw on a Generator of the same
+    seed; after each segment the handed-back Generator draws what that
+    Generator draws, with every kind of call."""
     ref = np.random.default_rng(seed)
     replay = _Replay(np.random.default_rng(seed))
     for segment in segments:
-        for n, lo, count in segment:
-            for _ in range(count):
-                want = int(ref.integers(lo, lo + n))
-                got = replay.integers(n) if lo == 0 else replay.integers(lo, lo + n)
-                assert got == want, (n, lo)
+        for n, lo, count, bulk in segment:
+            want = [int(ref.integers(lo, lo + n)) for _ in range(count)]
+            if bulk:
+                got = bulk_draws(replay, lo, n, count)
+            else:
+                got = [replay.integers(n) if lo == 0 else replay.integers(lo, lo + n)
+                       for _ in range(count)]
+            assert got == want, (n, lo, bulk)
         assert after_hand_back(replay.generator()) == after_hand_back(ref)
 
 
@@ -57,16 +87,18 @@ def test_a_long_run_reads_several_blocks():
     replay, ref = _Replay(np.random.default_rng(9)), np.random.default_rng(9)
     reads = []
     real_read = replay._read_block
-    replay._read_block = lambda: reads.append(1) or real_read()
+    replay._read_block = lambda size: reads.append(1) or real_read(size)
     draws = [replay.integers(2**31 + 1) for _ in range(_SCALAR_DRAWS + 3 * _BLOCK)]
     assert draws == [int(ref.integers(2**31 + 1)) for _ in draws]
     assert len(reads) > 3
     assert replay.generator().bit_generator.state == ref.bit_generator.state
 
 
-# SHA-256 of the 12 files save_dataset writes for two configs beyond the micro
-# one, computed with synthetic.py as of 6ea480b, which made one rng.integers
-# call per draw, before any draw was replayed
+# SHA-256 of the 12 files save_dataset writes for four configs beyond the
+# micro one. The first two were computed with synthetic.py as of 6ea480b,
+# which made one rng.integers call per draw, before any draw was replayed;
+# the last two as of cfccb86, before C1 read its draws in bulk, and they are
+# the bytes one rng.integers call per draw writes too
 LARGER_CONFIGS = {
     # 2000 entities: the word, triple and C1 draws cross many blocks
     "entities_2000": dict(entities=2000, seed=1),
@@ -74,6 +106,13 @@ LARGER_CONFIGS = {
     "four_languages_one_word_labels": dict(
         languages=4, sup=2, zs_in=1, zs_un=1, entities=60, relations=4, triples=120,
         vocab_size=20, mlm_sentences_per_lang=60, label_max_words=1, seed=5),
+    # one context word: every context draw is a range of one value, which
+    # takes no word
+    "one_context_word": dict(vocab_size=1),
+    # two context words, three-word labels and three sentences an entity
+    "four_languages_two_context_words": dict(
+        languages=4, sup=2, zs_in=1, zs_un=1, sentences_per_entity=3, label_max_words=3,
+        vocab_size=2),
 }
 LARGER_DATA_SHA256 = {
     "entities_2000": {
@@ -128,6 +167,58 @@ LARGER_DATA_SHA256 = {
         "triples.tsv":
             "44b39bf711837d2bdc5c1c6c4880f5f146aae9cb544af1e6894bbebfb6383156",
     },
+    "one_context_word": {
+        "align_test.tsv":
+            "f367679d0e867c84a4516145c95c4a3b0fa9ddb4196026eff7a57fa48de8a95c",
+        "align_train.tsv":
+            "201a93a7e050366fc143572d598ee68b03fad6db1da141fbce60b96c26641a33",
+        "c1.tsv":
+            "97d3adc8ff7e6c3543f0c3e53ece0d81f1aef65b50cf0e1c4f68d36207c86edc",
+        "c2.tsv":
+            "cb4574f86d4a2033325c42dac2954611fd3202fa459ab1d21baa5dfb0673ae45",
+        "comp_test.tsv":
+            "a8b9a5e60ecc14aa93bf80e64db9e7ca590ba82add1632a2f1375dc0a0d98b62",
+        "comp_train.tsv":
+            "aecb17e823834dcc2b04a1b9b3449322dea8c9c0a62cefad0fc9713ad4e62801",
+        "config.json":
+            "0cf6f0bce07f0c16c6bf5358595fda6e740f94663f5720570b2cf31787edee7c",
+        "entities.tsv":
+            "f690e806a793f9189c57c3b7abcc92a5aca2e347a2098e4df65e37e480a1379d",
+        "mlm.tsv":
+            "b624309e56a16ede9e298367b5c4d019a2572cdf9f135927cbe0b1be7aa7b20b",
+        "relations.tsv":
+            "fce90d84d46eb611fac90d005d5f341e7119ca9a6bfd3d74d8aecbbc183112a6",
+        "split.tsv":
+            "18a9ba45a78589badd736b411464b22bdad022761f896f938efe67accbeba86b",
+        "triples.tsv":
+            "2ff69f57f58ac602d8c163fa847daae68d337b3e1f07476cd772cb8cfc3c4d93",
+    },
+    "four_languages_two_context_words": {
+        "align_test.tsv":
+            "202eabd958c7e35c8eb2ff134fca937a4df8463203f626f9120699605d3d7c6f",
+        "align_train.tsv":
+            "f56d06b56be7c079cfb82ad02f9f673d213cf9b1969bab62b944b004b9ac0f41",
+        "c1.tsv":
+            "e01af1b0f084aef48cb1d863bc59c1f48e5b866590e767f2977aa27a2bfec5d1",
+        "c2.tsv":
+            "24274fd12ec08362e8c323c06bcd154019eb6ef34af94fa7cc286f3eb6e51566",
+        "comp_test.tsv":
+            "dc912b52cbb02992cf1375e4ef89ab76a09042b7064904fe17ed6eb952ccf815",
+        "comp_train.tsv":
+            "c936f95064536637f57b2dbffa3f3dc950a5e3884dc9042c0c9afe620b212190",
+        "config.json":
+            "8d4c4b0c281594c61fd8372db42cf0a59d0d06528746f1190d843f955c8346a6",
+        "entities.tsv":
+            "6b0a9b34ea932cc22744c9111993e00fc656f0c9ec037cda2513c03830d162bd",
+        "mlm.tsv":
+            "9d37e8131ccb809eea30e1e6628dd8d99f38a4b6444c0f145682a9ccf84bbed6",
+        "relations.tsv":
+            "4739f2b3d7b962311a1f9cf62625bf468c265b3fe450a00a9df77765eec9f2e4",
+        "split.tsv":
+            "c10e0c0d583eabf189d835cac2f5bebf617d0c3e19df17d34225a95d850f04a2",
+        "triples.tsv":
+            "0f07f356f09d549ef020669713d955161910c906ad8879658dad27dd25d97116",
+    },
 }
 
 
@@ -137,6 +228,20 @@ def test_larger_config_data_files_match_golden(tmp_path, name):
     wrote before the replay (pinned above)."""
     save_dataset(gen_synthetic(SyntheticConfig(**LARGER_CONFIGS[name])), tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATASET_FILES)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())} == LARGER_DATA_SHA256[name]
+
+
+@pytest.mark.parametrize("chunk_words", [1, 6, 7, 50])
+@pytest.mark.parametrize("name", ["one_context_word", "four_languages_two_context_words"])
+def test_data_files_keep_their_bytes_whatever_a_c1_chunk_peeks(tmp_path, monkeypatch,
+                                                               name, chunk_words):
+    """A sentence takes 4 to 7 words, or 2 when every context draw is a
+    range of one value: chunks of 1 and 6 words leave a sentence that
+    outruns its chunk, alone or after others, and 7 and 50 end chunks
+    mid-stream; the files are the pinned bytes all the same."""
+    monkeypatch.setattr(synthetic, "_CHUNK_WORDS", chunk_words)
+    save_dataset(gen_synthetic(SyntheticConfig(**LARGER_CONFIGS[name])), tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(tmp_path.iterdir())} == LARGER_DATA_SHA256[name]
 
