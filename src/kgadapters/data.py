@@ -41,8 +41,8 @@ class Labelled:
     def __post_init__(self):
         if not self.labels:
             raise DataError(f"{self.id!r} has no labels")
-        if any(not v for v in self.labels.values()):
-            raise DataError(f"{self.id!r} has an empty label")
+        if any(not v or v.isspace() for v in self.labels.values()):
+            raise DataError(f"{self.id!r} has a label with no tokens")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""InfoNCE with in-batch negatives, the four knowledge batch builders, the
-two task-pair samplers, and contrastive training of parameter groups on
-sampled pairs.
+"""InfoNCE with in-batch negatives, the batch builders of the four knowledge
+objectives and of the completion task, and contrastive training of parameter
+groups on sampled pairs. The alignment task's batches are EP's, drawn over
+the task's training pairs.
 
 Each sampler yields text pairs, whose languages only decide which labels
 it picks; `encode_pair_batch` tokenizes them and pools anchors and positives
@@ -13,9 +14,9 @@ an anchor are the other positives in the batch.
 Samplers are pure in (data, seed): the same seed reproduces the same pair
 sequence. The data a sampler draws from (the EP pair universe, the ES
 eligible sentences, the ingested TS records) is built once per stage by the
-caller and passed in. Code-switching draws each slot's language
-independently with probability p_cs (P_CS, 0.5, in adapter training),
-otherwise the whole item shares one language.
+caller, `pipeline.make_sampler`, and passed in. Code-switching draws each
+slot's language independently with probability p_cs (P_CS, 0.5, in adapter
+training), otherwise the whole item shares one language.
 
 Within one batch the positive-side entities are distinct: a duplicated
 entity would put a copy of an anchor's own positive among its negatives,
@@ -174,6 +175,26 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
     return out
 
 
+def sample_completion_batch(mlkg: MLKG, items: Sequence[tuple[str, Triple]],
+                            batch_size: int, rng: np.random.Generator) -> list[PairItem]:
+    """Anchor = subject <sep> relation, positive = object label, all in the
+    item's language: the completion task's pairs.
+
+    `items` are a dataset's (language, triple) completion training items.
+    """
+    if not items:
+        raise ConfigError("sample_completion_batch: no completion training items")
+    picked = _distinct_draws(len(items), batch_size, lambda i: items[i][1].tail, rng)
+    out = []
+    for i in picked:
+        lang, t = items[i]
+        out.append(PairItem(
+            anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
+                                        mlkg.relations[t.rel].labels[lang]),
+            positive_tokens=mlkg.entities[t.tail].labels[lang].split()))
+    return out
+
+
 def es_eligible(c1: Sequence[TaggedSentence], mlkg: MLKG,
                 langs: Sequence[str]) -> list[tuple[int, list[str]]]:
     """(sentence index, other permitted languages labelling its entity) per usable sentence."""
@@ -238,37 +259,6 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], batch_size: int,
         out.append(PairItem(anchor_tokens=list(r.tokens), anchor_mask_span=(i, j),
                             positive_tokens=list(r.tokens[i:j + 1])))
     return out
-
-
-# ---------------------------------------------------------------------------
-# task-pair samplers (workflow stages 3 and 4)
-# ---------------------------------------------------------------------------
-
-def completion_item_sampler(mlkg: MLKG, train_items: list[tuple[str, Triple]]) -> Sampler:
-    if not train_items:
-        raise ConfigError("no completion training items in supervised languages")
-
-    def sampler(batch_size: int, rng: np.random.Generator) -> list[PairItem]:
-        picked = _distinct_draws(len(train_items), batch_size,
-                                 lambda i: train_items[i][1].tail, rng)
-        out = []
-        for j in picked:
-            lang, t = train_items[j]
-            out.append(PairItem(
-                anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
-                                            mlkg.relations[t.rel].labels[lang]),
-                positive_tokens=mlkg.entities[t.tail].labels[lang].split()))
-        return out
-
-    return sampler
-
-
-def alignment_item_sampler(mlkg: MLKG, train_pairs: list[tuple[str, str, str]]) -> Sampler:
-    """EP's batches over the task's (src, tgt, entity) training pairs."""
-    if not train_pairs:
-        raise ConfigError("no alignment training pairs in supervised languages")
-    universe = [(eid, src, tgt) for src, tgt, eid in train_pairs]
-    return lambda batch_size, rng: sample_ep_batch(mlkg, universe, batch_size, rng)
 
 
 # ---------------------------------------------------------------------------

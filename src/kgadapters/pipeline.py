@@ -45,9 +45,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig, mlm_pretrain
 from .errors import ConfigError, DataError, check_fields, check_type
 from .evaluation import MetricReport, eval_alignment, eval_completion, finetune_contrastive
-from .objectives import (P_CS, Sampler, alignment_item_sampler, completion_item_sampler,
-                         ep_pair_universe, es_eligible, sample_ep_batch, sample_es_batch,
-                         sample_tp_batch, sample_ts_batch, train_adapter, ts_ingest)
+from .objectives import (P_CS, Sampler, ep_pair_universe, es_eligible, sample_completion_batch,
+                         sample_ep_batch, sample_es_batch, sample_tp_batch, sample_ts_batch,
+                         train_adapter, ts_ingest)
 from .optim import TrainHyper, frozen
 from .params import ParamSet
 from .synthetic import (DATASET_FILES, SyntheticConfig, SyntheticDataset, gen_synthetic,
@@ -140,13 +140,10 @@ class PipelineConfig:
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"bad config file {path}: {exc}") from None
 
-    def canonical_json(self) -> str:
+    def config_hash(self) -> str:
         d = dataclasses.asdict(self)
         d.pop("out_dir")        # a location, not an experiment parameter
-        return json.dumps(d, sort_keys=True)
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
     def _stage_hyper(self, stage: str) -> TrainHyper:
         """Profile hyper for a stage with its overrides applied."""
@@ -311,33 +308,42 @@ def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncode
         raise DataError(f"{path}: {exc}") from None
 
 
-def make_sampler(ds: SyntheticDataset, kind: str) -> tuple[Sampler, int]:
-    """Bind one adapter kind's objective to the benchmark data; returns the
-    sampler and the kind's epoch size, which resolves epochs to steps: the
-    size of what the sampler draws from, and for LARGE the sum of its kinds'.
+def make_sampler(ds: SyntheticDataset, objective: str) -> tuple[Sampler, int]:
+    """Bind one objective, an adapter kind or a task of `TASKS`, to the
+    benchmark data; returns the sampler and its epoch size, which resolves
+    epochs to steps: the size of what the sampler draws from, and for LARGE
+    the sum of its kinds'.
 
-    What a sampler draws from is built here, once per stage, not per batch.
+    What a sampler draws from is built here, once per stage, not per batch;
+    only LARGE's sampler holds state, so a stage reuses a task's sampler for
+    every model it trains.
     """
     langs = ds.split.adapter_langs
-    if kind == "EP":
+    if objective == "EP":
         universe = ep_pair_universe(ds.mlkg, langs)
         return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng), len(universe)
-    if kind == "TP":
+    if objective == "TP":
         triples = ds.train_triples
         return (lambda b, rng: sample_tp_batch(ds.mlkg, triples, langs, b, P_CS, rng),
                 len(triples))
-    if kind == "ES":
+    if objective == "ES":
         eligible = es_eligible(ds.c1, ds.mlkg, langs)
         return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng), len(ds.c1)
-    if kind == "TS":
+    if objective == "TS":
         records = ts_ingest(ds.c2)
         return lambda b, rng: sample_ts_batch(records, b, rng), len(ds.c2)
-    if kind == LARGE:
+    if objective == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
         kinds = [make_sampler(ds, k) for k in KINDS]
         samplers = itertools.cycle([sampler for sampler, _ in kinds])
         return lambda b, rng: next(samplers)(b, rng), sum(size for _, size in kinds)
-    raise ConfigError(f"unknown adapter kind {kind!r}")
+    if objective == "completion":
+        items = ds.comp_train
+        return lambda b, rng: sample_completion_batch(ds.mlkg, items, b, rng), len(items)
+    if objective == "alignment":
+        universe = [(eid, src, tgt) for src, tgt, eid in ds.align_train]
+        return lambda b, rng: sample_ep_batch(ds.mlkg, universe, b, rng), len(universe)
+    raise ConfigError(f"unknown objective {objective!r} (have {(*KINDS, LARGE, *TASKS)})")
 
 
 def stage_integrate(ws: Workspace, kind: str) -> Path:
@@ -403,30 +409,22 @@ def _load_adapters(ws: Workspace, kinds: list[str], needed_for: str
     return base, adapters
 
 
-def _task_args(ds: SyntheticDataset, task: str):
-    """(item-sampler factory, train data, eval function, test data) of a task."""
-    if task == "completion":
-        return completion_item_sampler, ds.comp_train, eval_completion, ds.comp_test
-    if task == "alignment":
-        return alignment_item_sampler, ds.align_train, eval_alignment, ds.align_test
-    raise ConfigError(f"unknown task {task!r} (have {TASKS})")
-
-
-def train_task(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEncoder,
-               task: str, stage: str
+def train_task(ws: Workspace, vocab: Vocab, model: AdaptedEncoder,
+               bound: tuple[Sampler, int], task: str, stage: str
                ) -> tuple[AdaptedEncoder, list[tuple[int, float, float]]]:
-    """Train a copy of the model on the task's training pairs with the
+    """Train a copy of the model on the task's training pairs, drawn by its
+    sampler and epoch size `bound` (`make_sampler(ds, task)`), with the
     `<stage>_<task>` hyper; returns (trained model, loss curve).
 
     finetune trains every parameter. fuse trains the group the model's mode
     adapts: the fusion layer of a fused model, the adapter of a
     single-adapter model and the whole encoder of the bare backbone.
     """
-    sampler_fn, train_data, _, _ = _task_args(ds, task)
-    hyper = ws.config.hyper(f"{stage}_{task}", len(train_data))
+    sampler, data_size = bound
+    hyper = ws.config.hyper(f"{stage}_{task}", data_size)
     prefix = "" if stage == "finetune" else {
         "none": "encoder.", "single": "adapter.", "fusion": "fusion."}[model.mode]
-    return finetune_contrastive(model, sampler_fn(ds.mlkg, train_data), vocab, hyper,
+    return finetune_contrastive(model, sampler, vocab, hyper,
                                 ws.config.seed + {"fuse": 101, "finetune": 211}[stage], prefix)
 
 
@@ -435,7 +433,8 @@ def evaluate(ws: Workspace, ds: SyntheticDataset, vocab: Vocab, model: AdaptedEn
     """Score the model, every parameter `frozen`, on the task's test split; the
     report names the variant, the seed, the profile, the weight and config
     hashes and the language split."""
-    _, _, eval_fn, test_data = _task_args(ds, task)
+    eval_fn, test_data = {"completion": (eval_completion, ds.comp_test),
+                          "alignment": (eval_alignment, ds.align_test)}[task]
     with frozen(model.params, model.params.names(), "evaluation"):
         report = eval_fn(model, ds.mlkg, test_data, vocab, k=ws.config.eval_k)
     return dataclasses.replace(report, variant=variant, seed=ws.config.seed,
@@ -448,7 +447,7 @@ def stage_fuse(ws: Workspace, task: str) -> Path:
     ds, vocab = ws.load_data()
     base, adapters = _load_adapters(ws, ws.config.adapter_kinds, "fuse")
     fused = assemble_fused(ws, base, list(adapters.values()))
-    trained, curve = train_task(ws, ds, vocab, fused, task, "fuse")
+    trained, curve = train_task(ws, vocab, fused, make_sampler(ds, task), task, "fuse")
     return _save_stage(ws, "fuse", f"fused_{task}", trained.params, curve, task=task)
 
 
@@ -456,7 +455,7 @@ def stage_finetune(ws: Workspace, task: str) -> Path:
     """Stage 4: unfreeze everything on top of the fused checkpoint."""
     ds, vocab = ws.load_data()
     model, _ = load_model(ws, f"fused_{task}", "finetune")
-    trained, curve = train_task(ws, ds, vocab, model, task, "finetune")
+    trained, curve = train_task(ws, vocab, model, make_sampler(ds, task), task, "finetune")
     return _save_stage(ws, "finetune", f"finetuned_{task}", trained.params, curve, task=task)
 
 
@@ -520,11 +519,12 @@ def stage_ablate(ws: Workspace, tasks: tuple[str, ...]) -> dict[str, dict[str, M
     models["FUSION"] = assemble_fused(ws, base, [models[k] for k in ws.config.adapter_kinds])
     if LARGE not in models:                     # integrated once every other variant checks
         models[LARGE] = _integrate(ws, ds, vocab, base, LARGE)[0]
+    samplers = {task: make_sampler(ds, task) for task in tasks}
     grid = {}
     for variant in ("base", *ws.config.adapter_kinds, LARGE, "FUSION"):
         grid[variant] = {}
         for task in tasks:
-            trained, _ = train_task(ws, ds, vocab, models[variant], task, "fuse")
+            trained, _ = train_task(ws, vocab, models[variant], samplers[task], task, "fuse")
             grid[variant][task] = evaluate(ws, ds, vocab, trained, task, variant,
                                            trained.params.checksum())
     return grid
@@ -540,5 +540,8 @@ def run_stage(ws: Workspace, stage: str, **kw):
     checkpoint, tasks); prerequisite checkpoints are checked inside."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r} (have {tuple(STAGES)})")
+    for task in kw.get("tasks", [kw["task"]] if "task" in kw else []):
+        if task not in TASKS:
+            raise ConfigError(f"unknown task {task!r} (have {TASKS})")
     ws.ensure_dirs()
     return STAGES[stage](ws, **kw)

@@ -22,20 +22,19 @@ never contain unseen-category languages, and `load_dataset` rejects a data
 directory whose files do.
 
 Every bounded integer the generator draws goes through `_Replay`, which
-replays numpy's own rule for `rng.integers(lo, hi)` (Lemire's) on blocks of
-the Generator's 32-bit words instead of paying for one call per draw;
-`choice`, `permutation` and `random` run on the Generator, which
+replays numpy's own rule for `rng.integers(lo, hi)` on blocks of the
+Generator's 32-bit words instead of paying for one call per draw; `choice`,
+`permutation` and `random` run on the Generator, which
 `_Replay.generator()` first puts in the state the single calls would have
-left. C1, most of the draws at 5000 entities, goes further:
-`_mention_sentences` peeks a chunk of the next words and applies the rule
-with numpy to every word at once, for its three ranges (lead length,
-context word, tail length), then walks from sentence to sentence. It reads
-the same words in the same order under the same rule, skips a rejected word
-as the rule does, and takes no word for a range of one value (a single
-context word), as `integers` takes none. So the files are the bytes one
-call per draw wrote, and the golden pins of the data files
-(`DATA_FILE_SHA256` in tests/test_golden.py, and the larger configs of
-tests/test_synthetic.py) guard them.
+left. The rule is written once, in `_bulk_draws`, which decodes a draw of
+one range at every word of a block. `_Replay.integers` reads its draws from
+that, and C1, most of the draws at 5000 entities, goes further:
+`_mention_sentences` peeks a chunk of the next words, decodes it for its
+three ranges (lead length, context word, tail length), then walks from
+sentence to sentence. Both read the same words in the same order under the
+same rule, so the files are the bytes one call per draw wrote, and the
+golden pins of the data files (`DATA_FILE_SHA256` in tests/test_golden.py,
+and the larger configs of tests/test_synthetic.py) guard them.
 
 `save_dataset` and `load_dataset` persist a benchmark as one directory whose
 files, and their formats, are listed in data.py; every file is read and
@@ -155,13 +154,12 @@ class _Replay:
     """`integers(lo, hi)` equal to `int(rng.integers(lo, hi))` for ranges of
     at most 2**32 values, replayed from blocks of the Generator's 32-bit words.
 
-    numpy draws such an integer with Lemire's method (arXiv:1805.10941): for
-    n = hi - lo it takes the next word w, m = w * n, rejects the word and
-    takes another while m mod 2**32 < (2**32 - n) mod n, and returns
-    lo + (m >> 32); a range of one value takes no word. Since
     `rng.integers(0, 2**32, size=k, dtype=np.uint32)` returns exactly the next
-    k words, this rule applied to a block gives the scalar calls' values
-    without their per-call cost.
+    k words of the stream the scalar calls draw from, and `_bulk_draws`
+    applies numpy's rule for one scalar call to every word of such a block.
+    So `integers` reads its value, and where the next draw starts, at the
+    words used so far: each range is decoded once per block, and a draw costs
+    two list lookups instead of a call.
 
     A block reads ahead of the words used. `generator()` hands the Generator
     back in the state the scalar calls would have left: it restores the state
@@ -173,12 +171,13 @@ class _Replay:
 
     `peek(count)` hands out the next `count` words of the same stream as an
     array without using them, and `advance(k)` then uses the first k of them,
-    so a caller can apply the rule to many draws at once (`_bulk_draws`) and
-    the draws after it, scalar or bulk, go on from the right word: the values
-    are the scalar calls' because the words, their order and the rule are
-    the same, and a range of one value takes no word there either. A peek
-    that needs more words than the current block holds hands the Generator
-    back by the rule above and reads a fresh block of at least `count` words.
+    so a caller can decode many draws at once with `_bulk_draws` and the draws
+    after it, scalar or bulk, go on from the right word. A peek that needs
+    more words than the current block holds hands the Generator back and
+    reads a fresh block of at least `count` words. A draw of `integers` that
+    finds no accepted word in the rest of the block needs no hand-back: those
+    words are rejected whoever draws them, so it goes on in a fresh block read
+    where the block ends.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -186,7 +185,7 @@ class _Replay:
         self._calls = 0             # scalar calls since the hand-back
         self._saved = None          # the state before the current block
         self._block = _NO_WORDS
-        self._words: list[int] = []     # the current block as a list, once a scalar draw reads it
+        self._draws: dict[int, list[list[int]]] = {}    # range -> the block's `_bulk_draws`
         self._pos = 0               # words used of the current block
 
     def integers(self, lo: int, hi: int | None = None) -> int:
@@ -196,18 +195,16 @@ class _Replay:
             self._calls += 1
             return int(self._rng.integers(lo, hi))
         n = hi - lo
-        if n == 1:
-            return lo
-        reject = (_WORD - n) % n
         while True:
-            if self._pos >= len(self._words):
-                if self._pos == len(self._block):
-                    self._read_block(_BLOCK)
-                self._words = self._block.tolist()
-            m = self._words[self._pos] * n
-            self._pos += 1
-            if m % _WORD >= reject:
-                return lo + (m >> 32)
+            if n not in self._draws:
+                self._draws[n] = [a.tolist() for a in _bulk_draws(self._block, n)]
+            values, after = self._draws[n]
+            if after[self._pos] <= len(self._block):
+                break
+            # every word left rejects the draw, which goes on after the block
+            self._read_block(_BLOCK)
+        value, self._pos = values[self._pos], after[self._pos]
+        return lo + value
 
     def peek(self, count: int) -> np.ndarray:
         if self._pos + count > len(self._block):
@@ -221,25 +218,29 @@ class _Replay:
     def _read_block(self, size: int) -> None:
         self._saved = self._rng.bit_generator.state
         self._block = self._rng.integers(0, _WORD, size=size, dtype=np.uint32)
-        self._words, self._pos = [], 0
+        self._draws, self._pos = {}, 0
         self._calls = _SCALAR_DRAWS     # the draws after it go on from the block
 
     def generator(self) -> np.random.Generator:
         if self._saved is not None:
             self._rng.bit_generator.state = self._saved
             self._rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
-            self._saved, self._block, self._words, self._pos = None, _NO_WORDS, [], 0
+            self._saved, self._block, self._draws, self._pos = None, _NO_WORDS, {}, 0
         self._calls = 0
         return self._rng
 
 
 def _bulk_draws(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a draw of range n (`integers(n)`) starting at each word of `words`:
-    its value by Lemire's rule, rejected words skipped, and where the next
-    draw starts. Both arrays are indexed by start 0..len(words)+1, and a draw
-    that finds no accepted word ends past len(words), as does every draw
-    after it, so a caller tells a run of draws that ran out of words by where
-    it ends. A range of one value takes no word, as in `integers`."""
+    """For a draw of range n (`rng.integers(n)`) starting at each word of
+    `words`: its value and where the next draw starts.
+
+    numpy draws such an integer with Lemire's method (arXiv:1805.10941): it
+    takes the next word w, m = w * n, rejects the word and takes another
+    while m mod 2**32 < (2**32 - n) mod n, and returns m >> 32; a range of
+    one value takes no word. Both arrays are indexed by start
+    0..len(words)+1, and a draw that finds no accepted word ends past
+    len(words), as does every draw after it, so a caller tells a draw or a
+    run of draws that ran out of words by where it ends."""
     end = len(words)
     if n == 1:
         return np.zeros(end + 2, dtype=np.int64), np.arange(end + 2)

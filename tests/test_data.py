@@ -243,6 +243,7 @@ MALFORMED = {
                             lambda t: json.dumps({**json.loads(t), "triples": 0}), ": "),
     "entity_empty_label": ("entities.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
     "relation_empty_label": ("relations.tsv", lambda t: set_first_field(t, 1, "aa="), ":1: "),
+    "entity_blank_label": ("entities.tsv", lambda t: set_first_field(t, 1, "aa= "), ":1: "),
     "align_test_two_fields": ("align_test.tsv", lambda t: "aa\tab\n" + t, ":1: "),
     "comp_test_unknown_lang": ("comp_test.tsv", lambda t: set_first_field(t, 0, "zz"), ":1: "),
     "c2_not_utf8": ("c2.tsv", lambda t: "\udcff" + t, ": "),

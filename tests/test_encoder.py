@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kgadapters.autodiff import Tensor
+from kgadapters.autodiff import ShapeError, Tensor
 from kgadapters.encoder import (INIT_BLOCK, EncoderConfig, encode_seqs,
                                 init_encoder_params, mask_span,
                                 mlm_pretrain, pad_batch, pool,
@@ -223,6 +223,12 @@ class TestEncode:
         config, params = tiny_setup(max_len=4)
         with pytest.raises(ValueError, match="max_seq_len"):
             encode_seqs(params, [[4, 5, 6, 7, 8]], config)
+
+    def test_token_id_past_the_table_rejected(self):
+        """The token embedding's gather is the one check of an encode's ids."""
+        config, params = tiny_setup(vocab_size=20)
+        with pytest.raises(ShapeError, match="gather: index out of range"):
+            encode_seqs(params, [[4, 20]], config)
 
     def test_sentence_pool_excludes_specials(self):
         ids = np.array([[4, 3, 5, 0]])          # token, SEP, token, PAD

@@ -14,8 +14,8 @@ from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
                                    embed_labels, eval_alignment, finetune_contrastive,
                                    gold_rank, hits_at_k, label_seq, mrr, rank)
-from kgadapters.objectives import alignment_item_sampler
 from kgadapters.optim import TrainHyper
+from kgadapters.pipeline import make_sampler
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
 
@@ -262,7 +262,7 @@ class TestEmbedAndEval:
         hyper = TrainHyper(batch_size=6, steps=4, base_lr=1e-3, warmup_steps=2)
         enc_before = model.params.checksum("encoder.")
         ad_before = model.params.checksum("adapter.")
-        sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
+        sampler = make_sampler(ds, "alignment")[0]
         trained, curve = finetune_contrastive(model, sampler, vocab, hyper, 5,
                                               prefix="adapter.EP.")
         assert trained.params.checksum("encoder.") == enc_before

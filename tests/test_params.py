@@ -10,10 +10,10 @@ from kgadapters import optim
 from kgadapters.adapters import init_fusion, insert_adapters
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.evaluation import finetune_contrastive
-from kgadapters.objectives import (alignment_item_sampler, ep_pair_universe,
-                                   sample_ep_batch, train_adapter)
+from kgadapters.objectives import ep_pair_universe, sample_ep_batch, train_adapter
 from kgadapters.optim import TrainHyper
 from kgadapters.params import ParamSet
+from kgadapters.pipeline import make_sampler
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
 
@@ -150,7 +150,7 @@ class TestDerivedTraining:
         fused = init_fusion(insert_adapters(backbone, ["EP", "TP"], 4, 1, config), 2)
         before, checksum = snapshot(fused.params), fused.params.checksum()
         hyper = TrainHyper(batch_size=6, steps=3, base_lr=1e-2, warmup_steps=1)
-        sampler = alignment_item_sampler(ds.mlkg, ds.align_train)
+        sampler = make_sampler(ds, "alignment")[0]
         trained, _ = finetune_contrastive(fused, sampler, vocab, hyper, 5, prefix="")
         for group in ("encoder.", "adapter.", "fusion."):
             assert trained.params.checksum(group) != fused.params.checksum(group), group

@@ -1,7 +1,7 @@
 """The generator's draws: the integer replay, scalar and in bulk, equals the
 Generator it replays, the data files of four more configs keep their bytes,
-whatever words a C1 chunk peeks, and a config that asks for more distinct
-words than exist is rejected at load."""
+whatever words a C1 chunk peeks or a block holds, and a config that asks for
+more distinct words than exist is rejected at load."""
 
 import hashlib
 import json
@@ -91,6 +91,30 @@ def test_a_long_run_reads_several_blocks():
     draws = [replay.integers(2**31 + 1) for _ in range(_SCALAR_DRAWS + 3 * _BLOCK)]
     assert draws == [int(ref.integers(2**31 + 1)) for _ in draws]
     assert len(reads) > 3
+    assert replay.generator().bit_generator.state == ref.bit_generator.state
+
+
+def test_a_draw_that_runs_past_its_block_goes_on_in_a_fresh_one(monkeypatch):
+    """The first block ends on a word that a draw of range 2**31 + 1 rejects:
+    the draw goes on in a block read where the first ends, and every value
+    is still the Generator's."""
+    n = 2**31 + 1
+    words = np.random.default_rng(9).integers(0, 2**32, size=64, dtype=np.uint32)
+    after = _bulk_draws(words, n)[1]
+    last = next(j for j in range(_SCALAR_DRAWS + 1, len(words)) if after[j] > j + 1)
+    monkeypatch.setattr(synthetic, "_BLOCK", last + 1 - _SCALAR_DRAWS)
+    replay, ref = _Replay(np.random.default_rng(9)), np.random.default_rng(9)
+    starts = []
+    real_read = replay._read_block
+    replay._read_block = lambda size: (starts.append(replay._rng.bit_generator.state)
+                                       or real_read(size))
+    # one word a draw of range 2**32, so the draw of range n starts at word `last`
+    sizes = [2**32] * last + [n] * 3
+    assert [replay.integers(size) for size in sizes] == [int(ref.integers(size))
+                                                         for size in sizes]
+    past_last = np.random.default_rng(9)
+    past_last.integers(0, 2**32, size=last + 1, dtype=np.uint32)
+    assert starts[1] == past_last.bit_generator.state
     assert replay.generator().bit_generator.state == ref.bit_generator.state
 
 
@@ -241,6 +265,19 @@ def test_data_files_keep_their_bytes_whatever_a_c1_chunk_peeks(tmp_path, monkeyp
     outruns its chunk, alone or after others, and 7 and 50 end chunks
     mid-stream; the files are the pinned bytes all the same."""
     monkeypatch.setattr(synthetic, "_CHUNK_WORDS", chunk_words)
+    save_dataset(gen_synthetic(SyntheticConfig(**LARGER_CONFIGS[name])), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())} == LARGER_DATA_SHA256[name]
+
+
+@pytest.mark.parametrize("block_words", [1, 7, 50])
+@pytest.mark.parametrize("name", ["one_context_word", "four_languages_two_context_words"])
+def test_data_files_keep_their_bytes_whatever_a_block_holds(tmp_path, monkeypatch,
+                                                            name, block_words):
+    """Blocks of 1, 7 and 50 words end under the scalar draws all the time,
+    so many a draw runs past its block or starts past it; the files are the
+    pinned bytes all the same."""
+    monkeypatch.setattr(synthetic, "_BLOCK", block_words)
     save_dataset(gen_synthetic(SyntheticConfig(**LARGER_CONFIGS[name])), tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(tmp_path.iterdir())} == LARGER_DATA_SHA256[name]
