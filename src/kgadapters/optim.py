@@ -28,13 +28,14 @@ LossFn = Callable[[Mapping[str, ad.Tensor]], ad.Tensor]
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-# adam_step walks a parameter of more elements than this in blocks of whole
-# rows of about this many, so that a block's parameter, gradient, moments,
-# scratch and output (6 x 256 KB at float32) stay in L2 across its 15 array
-# passes. On a 2-CPU Xeon with 2 MiB of L2 a core, the 50 steps of
-# pretrain_large_vocab (an 18263 x 64 token table) spent 285-330 ms in
-# adam_step at 1 << 16, about as much at 1 << 15 and 1 << 17, and 347-426 ms
-# in one pass; at 1 << 12 the per-block calls make a step slower than one pass.
+# adam_step walks a parameter in blocks of whole rows of about this many
+# elements, one block when it has fewer, so that a block's parameter,
+# gradient, moments, scratch and output (6 x 256 KB at float32) stay in L2
+# across its 15 array passes. On a 2-CPU Xeon with 2 MiB of L2 a core, the 50
+# steps of pretrain_large_vocab (an 18263 x 64 token table) spent 285-330 ms
+# in adam_step at 1 << 16, about as much at 1 << 15 and 1 << 17, and 347-426
+# ms in one pass; at 1 << 12 the per-block calls make a step slower than one
+# pass.
 _BLOCK = 1 << 16
 
 
@@ -115,14 +116,11 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: AdamState,
         cast = p.dtype.type
         scalars = cast(bc1), cast(bc2), cast(lr), cast(_ADAM_EPS)
         out = np.empty(p.shape, p.dtype)
-        if p.size <= _BLOCK:
-            finite = _adam_update(p, g, m, v, out, np.empty(p.shape, g.dtype), *scalars)
-        else:
-            rows = max(1, _BLOCK // (p.size // len(p)))
-            tmp = np.empty((rows,) + p.shape[1:], g.dtype)
-            spans = (slice(i, i + rows) for i in range(0, len(p), rows))
-            finite = all(_adam_update(p[s], g[s], m[s], v[s], out[s], tmp[:len(out[s])], *scalars)
-                         for s in spans)
+        rows = min(len(p), max(1, _BLOCK // (p.size // len(p))))
+        tmp = np.empty((rows,) + p.shape[1:], g.dtype)
+        spans = (slice(i, i + rows) for i in range(0, len(p), rows))
+        finite = all(_adam_update(p[s], g[s], m[s], v[s], out[s], tmp[:len(out[s])], *scalars)
+                     for s in spans)
         if not finite:
             raise ad.NumericError(f"adam_step: non-finite update for {name!r}")
         params.set_data(name, out)

@@ -21,20 +21,25 @@ anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
 never contain unseen-category languages, and `load_dataset` rejects a data
 directory whose files do.
 
-Every bounded integer the generator draws goes through `_Replay`, which
-replays numpy's own rule for `rng.integers(lo, hi)` on blocks of the
-Generator's 32-bit words instead of paying for one call per draw; `choice`,
-`permutation` and `random` run on the Generator, which
-`_Replay.generator()` first puts in the state the single calls would have
-left. The rule is written once, in `_bulk_draws`, which decodes a draw of
-one range at every word of a block. `_Replay.integers` reads its draws from
-that, and C1, most of the draws at 5000 entities, goes further:
-`_mention_sentences` peeks a chunk of the next words, decodes it for its
-three ranges (lead length, context word, tail length), then walks from
-sentence to sentence. Both read the same words in the same order under the
-same rule, so the files are the bytes one call per draw wrote, and the
-golden pins of the data files (`DATA_FILE_SHA256` in tests/test_golden.py,
-and the larger configs of tests/test_synthetic.py) guard them.
+Every draw comes from one `numpy.random.Generator` seeded with
+`config.seed`, one call per quantity and in this order, which fixes the
+files byte for byte (`DATA_FILE_SHA256` in tests/test_golden.py and the
+larger configs of tests/test_synthetic.py pin them):
+1. the entities' label lengths, one `integers` array;
+2. every label and context word, one `choice` without replacement
+   (`_words`): the entities' label words in entity order, one word a
+   relation, then the context words;
+3. each relation's tail pool, one `choice` a relation;
+4. the triples, three scalar `integers` calls an attempt (relation, tail,
+   head);
+5. the triple split, then the entity split, one `permutation` each;
+6. C1, `_CHUNK` mentions at a time, each chunk drawn by
+   `_tagged_sentences`;
+7. per language, the MLM corpus: one `random` array picks each sentence's
+   shape, then the glosses' other languages (base language only), tail
+   lengths and context words, the facts' triples, and the entity
+   sentences' entities, whose sentences `_tagged_sentences` draws as it
+   draws C1's.
 
 `save_dataset` and `load_dataset` persist a benchmark as one directory whose
 files, and their formats, are listed in data.py; every file is read and
@@ -47,7 +52,6 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -106,7 +110,8 @@ class SyntheticConfig:
                                   f"beside the test split (test_fraction {self.test_fraction})")
         if len(_SUFFIX_SYLLABLES) < self.languages - 1:
             raise ConfigError(f"at most {len(_SUFFIX_SYLLABLES) + 1} languages supported")
-        # every label and context word is a distinct word of _make_word's
+        # every label and context word is a distinct word of `_words`,
+        # counted here for labels of the longest length
         words = self.entities * self.label_max_words + self.relations + self.vocab_size
         if words > _DISTINCT_WORDS:
             raise ConfigError(f"entities * label_max_words + relations + vocab_size ({words}) "
@@ -143,196 +148,39 @@ def _language_codes(n: int) -> list[str]:
     return ["".join(p) for p in itertools.islice(itertools.product(letters, repeat=2), n)]
 
 
-_WORD = 2 ** 32
-_BLOCK = 4096               # words a block reads
-_SCALAR_DRAWS = 8           # draws after a hand-back made on the Generator itself
-_CHUNK_WORDS = 3 * _BLOCK  # words a C1 chunk peeks: about 2k sentences of 5.5 words
-_NO_WORDS = np.empty(0, dtype=np.uint32)
+# C1 mentions one `_tagged_sentences` call draws for: part of the draw
+# order, so a change of it changes c1.tsv and every file drawn after it
+_CHUNK = 4096
 
 
-class _Replay:
-    """`integers(lo, hi)` equal to `int(rng.integers(lo, hi))` for ranges of
-    at most 2**32 values, replayed from blocks of the Generator's 32-bit words.
-
-    `rng.integers(0, 2**32, size=k, dtype=np.uint32)` returns exactly the next
-    k words of the stream the scalar calls draw from, and `_bulk_draws`
-    applies numpy's rule for one scalar call to every word of such a block.
-    So `integers` reads its value, and where the next draw starts, at the
-    words used so far: each range is decoded once per block, and a draw costs
-    two list lookups instead of a call.
-
-    A block reads ahead of the words used. `generator()` hands the Generator
-    back in the state the scalar calls would have left: it restores the state
-    saved before the current block and redraws the words used of it. Every
-    other draw, such as `choice`, `permutation` or `random`, goes through it.
-    A block and its hand-back cost about ten scalar calls, so the first
-    `_SCALAR_DRAWS` draws after a hand-back are scalar calls, and a short run
-    of draws between two hand-backs reads no block.
-
-    `peek(count)` hands out the next `count` words of the same stream as an
-    array without using them, and `advance(k)` then uses the first k of them,
-    so a caller can decode many draws at once with `_bulk_draws` and the draws
-    after it, scalar or bulk, go on from the right word. A peek that needs
-    more words than the current block holds hands the Generator back and
-    reads a fresh block of at least `count` words. A draw of `integers` that
-    finds no accepted word in the rest of the block needs no hand-back: those
-    words are rejected whoever draws them, so it goes on in a fresh block read
-    where the block ends.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._calls = 0             # scalar calls since the hand-back
-        self._saved = None          # the state before the current block
-        self._block = _NO_WORDS
-        self._draws: dict[int, list[list[int]]] = {}    # range -> the block's `_bulk_draws`
-        self._pos = 0               # words used of the current block
-
-    def integers(self, lo: int, hi: int | None = None) -> int:
-        if hi is None:
-            lo, hi = 0, lo
-        if self._calls < _SCALAR_DRAWS:
-            self._calls += 1
-            return int(self._rng.integers(lo, hi))
-        n = hi - lo
-        while True:
-            if n not in self._draws:
-                self._draws[n] = [a.tolist() for a in _bulk_draws(self._block, n)]
-            values, after = self._draws[n]
-            if after[self._pos] <= len(self._block):
-                break
-            # every word left rejects the draw, which goes on after the block
-            self._read_block(_BLOCK)
-        value, self._pos = values[self._pos], after[self._pos]
-        return lo + value
-
-    def peek(self, count: int) -> np.ndarray:
-        if self._pos + count > len(self._block):
-            self.generator()
-            self._read_block(max(count, _BLOCK))
-        return self._block[self._pos:self._pos + count]
-
-    def advance(self, used: int) -> None:
-        self._pos += used
-
-    def _read_block(self, size: int) -> None:
-        self._saved = self._rng.bit_generator.state
-        self._block = self._rng.integers(0, _WORD, size=size, dtype=np.uint32)
-        self._draws, self._pos = {}, 0
-        self._calls = _SCALAR_DRAWS     # the draws after it go on from the block
-
-    def generator(self) -> np.random.Generator:
-        if self._saved is not None:
-            self._rng.bit_generator.state = self._saved
-            self._rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
-            self._saved, self._block, self._draws, self._pos = None, _NO_WORDS, {}, 0
-        self._calls = 0
-        return self._rng
+def _words(rng: np.random.Generator, n: int) -> list[str]:
+    """n distinct words of 2 or 3 syllables, from one draw without
+    replacement among the `_DISTINCT_WORDS` of them: index i below
+    `_SYLLABLES ** 2` spells its two base-`_SYLLABLES` digits as syllables,
+    and `_SYLLABLES ** 2 + j` spells j's three."""
+    syllables = [c + v for c in _CONSONANTS for v in _VOWELS]
+    words = []
+    for i in rng.choice(_DISTINCT_WORDS, size=n, replace=False).tolist():
+        k, j = (2, i) if i < _SYLLABLES ** 2 else (3, i - _SYLLABLES ** 2)
+        words.append("".join(syllables[j // _SYLLABLES ** p % _SYLLABLES]
+                             for p in reversed(range(k))))
+    return words
 
 
-def _bulk_draws(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a draw of range n (`rng.integers(n)`) starting at each word of
-    `words`: its value and where the next draw starts.
-
-    numpy draws such an integer with Lemire's method (arXiv:1805.10941): it
-    takes the next word w, m = w * n, rejects the word and takes another
-    while m mod 2**32 < (2**32 - n) mod n, and returns m >> 32; a range of
-    one value takes no word. Both arrays are indexed by start
-    0..len(words)+1, and a draw that finds no accepted word ends past
-    len(words), as does every draw after it, so a caller tells a draw or a
-    run of draws that ran out of words by where it ends."""
-    end = len(words)
-    if n == 1:
-        return np.zeros(end + 2, dtype=np.int64), np.arange(end + 2)
-    m = words.astype(np.uint64) * np.uint64(n)
-    accepted = (m & np.uint64(_WORD - 1)) >= (_WORD - n) % n
-    # the first accepted word at or after each start, end where there is none
-    first = np.minimum.accumulate(np.where(accepted, np.arange(end), end)[::-1])[::-1]
-    first = np.append(first, [end, end])
-    values = np.append(m >> np.uint64(32), np.uint64(0)).astype(np.int64)
-    return values[first], first + 1
-
-
-def _mention_sentences(draw: _Replay, mentions: Iterator[tuple[str, str, int, list[str]]],
-                       count: int, context_forms: list[list[str]]) -> list[TaggedSentence]:
-    """A C1 sentence for each of the `count` (entity, language, language
-    index, label tokens) of `mentions`, in order: lead length 1..3, that many
-    context words, the label, tail length 1..2, that many context words and
-    ".". The mentions are read a chunk at a time, so only a chunk's are held.
-
-    The sentences of a chunk take their draws from one `peek` of
-    `_CHUNK_WORDS` words, with the words and the rule of one `integers` call
-    per draw. For every word a sentence could start at, numpy finds where
-    each of its draws starts and where the sentence ends; the walk from
-    sentence to sentence is one list lookup each. A sentence that runs past
-    the chunk's words starts the next chunk. The values are then read at the
-    starts the walk reached, and each sentence's tokens are laid out in a row
-    of slots, so one list holds the chunk's tokens in order."""
+def _tagged_sentences(rng: np.random.Generator, mentions: list[tuple[str, str, int, list[str]]],
+                      context_forms: list[list[str]]) -> list[TaggedSentence]:
+    """A sentence for each (entity, language, language index, label tokens)
+    of `mentions`: lead length 1..3, that many context words, the label,
+    tail length 1..2, that many context words and ".". The draws are three
+    arrays: the lead lengths, the tail lengths, and five context words a
+    sentence, whose first ones lead and whose last two are the tail's."""
+    lead = rng.integers(1, 4, size=len(mentions)).tolist()
+    tail = rng.integers(1, 3, size=len(mentions)).tolist()
     forms = np.array(context_forms, dtype=object)          # [language, context word]
-    sentences: list[TaggedSentence] = []
-    size = _CHUNK_WORDS
-    while len(sentences) < count:
-        words = draw.peek(size)
-        lead_n, lead_at = _bulk_draws(words, 3)
-        tail_n, tail_at = _bulk_draws(words, 2)
-        ctx, ctx_at = _bulk_draws(words, forms.shape[1])
-        # by the sentence's first word: where each context draw starts, used
-        # or not, and where the sentence ends
-        lead = [lead_at]
-        for _ in range(3):
-            lead.append(ctx_at[lead[-1]])
-        after_lead = np.choose(lead_n, lead[1:])
-        tail_n = tail_n[after_lead]
-        tail = [tail_at[after_lead]]
-        for _ in range(2):
-            tail.append(ctx_at[tail[-1]])
-        end = np.choose(tail_n, tail[1:]).tolist()
-        last = len(words)
-        starts, p = [], 0
-        for _ in range(count - len(sentences)):
-            if end[p] > last:
-                break
-            starts.append(p)
-            p = end[p]
-        draw.advance(p)
-        if not starts:      # one sentence outruns the words (rejections): peek more
-            size *= 2
-            continue
-        size = _CHUNK_WORDS
-        at = np.array(starts, dtype=np.intp)
-        chunk = list(itertools.islice(mentions, len(at)))
-        lead_len, tail_len = lead_n[at] + 1, tail_n[at] + 1
-        label_len = np.array([len(m[3]) for m in chunk], dtype=np.intp)
-        # one row of slots per sentence: 3 lead words, the longest label's, 2
-        # tail words and "."; the slots it uses, row by row, are the chunk's tokens
-        slots = np.empty((len(at), 6 + label_len.max()), dtype=object)
-        used = np.ones(slots.shape, dtype=bool)
-        lang_at = np.array([m[2] for m in chunk], dtype=np.intp)[:, None]
-        slots[:, :3] = forms[lang_at, ctx[np.stack([a[at] for a in lead[:3]], axis=1)]]
-        slots[:, -3:-1] = forms[lang_at, ctx[np.stack([a[at] for a in tail[:2]], axis=1)]]
-        slots[:, -1] = "."
-        used[:, :3] = np.arange(3) < lead_len[:, None]
-        used[:, 3:-3] = np.arange(slots.shape[1] - 6) < label_len[:, None]
-        used[:, -3:-1] = np.arange(2) < tail_len[:, None]
-        slots[:, 3:-3][used[:, 3:-3]] = np.array([t for m in chunk for t in m[3]], dtype=object)
-        tokens = slots[used].tolist()
-        ends = np.cumsum(used.sum(axis=1)).tolist()
-        for (eid, lang, _, label), b, e, k in zip(chunk, [0] + ends, ends, lead_len.tolist()):
-            sentences.append(TaggedSentence(lang, tokens[b:e], eid, (k, k + len(label) - 1)))
-    return sentences
-
-
-def _make_word(draw: _Replay, taken: set[str]) -> str:
-    """A word of 2 or 3 syllables not in `taken`, which it joins; there are
-    `_DISTINCT_WORDS` of them, and `SyntheticConfig` asks for no more."""
-    while True:
-        syllables = draw.integers(2, 4)
-        w = "".join(_CONSONANTS[draw.integers(len(_CONSONANTS))]
-                    + _VOWELS[draw.integers(len(_VOWELS))]
-                    for _ in range(syllables))
-        if w not in taken:
-            taken.add(w)
-            return w
+    words = forms[np.array([m[2] for m in mentions], dtype=np.intp)[:, None],
+                  rng.integers(forms.shape[1], size=(len(mentions), 5))].tolist()
+    return [TaggedSentence(lang, w[:k] + label + w[3:3 + j] + ["."], eid, (k, k + len(label) - 1))
+            for (eid, lang, _, label), k, j, w in zip(mentions, lead, tail, words)]
 
 
 def transform_word(word: str, lang_index: int) -> str:
@@ -348,18 +196,17 @@ def _transform(words: list[str], lang_index: int) -> list[str]:
 
 def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     """Generate the full desk-scale benchmark; byte-stable for a fixed config."""
-    draw = _Replay(np.random.default_rng(config.seed))
+    rng = np.random.default_rng(config.seed)
     languages = _language_codes(config.languages)
     lang_index = {lang: i for i, lang in enumerate(languages)}
     base = languages[0]
     split = assign_language_splits(languages, config.sup, config.zs_in, config.zs_un)
 
-    taken: set[str] = set()
-    entity_words = {f"e{i}": [_make_word(draw, taken)
-                              for _ in range(draw.integers(1, config.label_max_words + 1))]
-                    for i in range(config.entities)}
-    relation_words = {f"r{i}": [_make_word(draw, taken)] for i in range(config.relations)}
-    context_words = [_make_word(draw, taken) for _ in range(config.vocab_size)]
+    lengths = rng.integers(1, config.label_max_words + 1, size=config.entities).tolist()
+    drawn = iter(_words(rng, sum(lengths) + config.relations + config.vocab_size))
+    entity_words = {f"e{i}": list(itertools.islice(drawn, k)) for i, k in enumerate(lengths)}
+    relation_words = {f"r{i}": [next(drawn)] for i in range(config.relations)}
+    context_words = list(drawn)
 
     def multilingual(words: list[str]) -> dict[str, str]:
         return {lang: " ".join(_transform(words, lang_index[lang])) for lang in languages}
@@ -371,7 +218,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     # triples with relation-specific tail pools (type constraint)
     entity_ids = sorted(entities)
-    pools = {rid: [entity_ids[j] for j in draw.generator().choice(
+    pools = {rid: [entity_ids[j] for j in rng.choice(
         len(entity_ids), size=min(config.relation_pool_size, len(entity_ids)),
         replace=False)] for rid in sorted(relations)}
     triples: list[Triple] = []
@@ -379,9 +226,9 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     attempts = 0
     while len(triples) < config.triples and attempts < config.triples * 50:
         attempts += 1
-        rid = f"r{draw.integers(config.relations)}"
-        tail = pools[rid][draw.integers(len(pools[rid]))]
-        head = entity_ids[draw.integers(len(entity_ids))]
+        rid = f"r{rng.integers(config.relations)}"
+        tail = pools[rid][rng.integers(len(pools[rid]))]
+        head = entity_ids[rng.integers(len(entity_ids))]
         if head == tail:
             continue
         t = Triple(head, rid, tail)
@@ -395,12 +242,12 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     mlkg = MLKG(entities=entities, relations=relations, triples=triples)
 
     # held-out splits: triples for completion, entities for alignment
-    order = draw.generator().permutation(len(triples))
+    order = rng.permutation(len(triples))
     n_test_t = _test_count(len(triples), config.test_fraction)
     test_triples = [triples[i] for i in order[:n_test_t]]
     train_triples = [triples[i] for i in order[n_test_t:]]
 
-    ent_order = draw.generator().permutation(len(entity_ids))
+    ent_order = rng.permutation(len(entity_ids))
     n_test_e = _test_count(len(entity_ids), config.test_fraction)
     test_entities = [entity_ids[i] for i in ent_order[:n_test_e]]
     train_entities = [entity_ids[i] for i in ent_order[n_test_e:]]
@@ -415,26 +262,17 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     context_forms = [_transform(context_words, li) for li in range(len(languages))]
 
-    def ctx(k: int, li: int) -> list[str]:
-        forms = context_forms[li]
-        return [forms[draw.integers(len(forms))] for _ in range(k)]
-
-    def entity_sentence(eid: str, lang: str) -> TaggedSentence:
-        li = lang_index[lang]
-        label_tokens = entities[eid].labels[lang].split()
-        lead = ctx(draw.integers(1, 4), li)
-        tail_ctx = ctx(draw.integers(1, 3), li)
-        tokens = lead + label_tokens + tail_ctx + ["."]
-        span = (len(lead), len(lead) + len(label_tokens) - 1)
-        return TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span)
+    def label(eid: str, lang: str) -> list[str]:
+        return entities[eid].labels[lang].split()
 
     # C1: entity mentions in context, adapter-training languages only; each
     # label is split once for all of its sentences
-    c1 = _mention_sentences(draw, (
-        mention for eid in entity_ids for lang in split.adapter_langs
-        for mention in [(eid, lang, lang_index[lang], entities[eid].labels[lang].split())]
-        * config.sentences_per_entity),
-        len(entity_ids) * len(split.adapter_langs) * config.sentences_per_entity, context_forms)
+    mentions = (mention for eid in entity_ids for lang in split.adapter_langs
+                for mention in [(eid, lang, lang_index[lang], label(eid, lang))]
+                * config.sentences_per_entity)
+    c1: list[TaggedSentence] = []
+    while chunk := list(itertools.islice(mentions, _CHUNK)):
+        c1.extend(_tagged_sentences(rng, chunk, context_forms))
 
     def triple_tokens(t: Triple, lang: str) -> tuple[list[str], tuple[int, int]]:
         h = entities[t.head].labels[lang].split()
@@ -453,29 +291,32 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     # MLM corpus: all languages; glosses pin every entity to the base
     # language, fact sentences exist only in the base language
     mlm: list[tuple[str, list[str]]] = []
-    gloss_cursor = 0
-    for lang in languages:
-        li = lang_index[lang]
-        for _ in range(config.mlm_sentences_per_lang):
-            u = draw.generator().random()
-            if u < config.gloss_rate:
-                eid = entity_ids[gloss_cursor % len(entity_ids)]
-                gloss_cursor += 1
-                if lang == base:
-                    others = [l for l in languages if l != base]
-                    other = others[draw.integers(len(others))]
-                else:
-                    other = base
-                tokens = (entities[eid].labels[lang].split()
-                          + entities[eid].labels[other].split()
-                          + ctx(draw.integers(1, 3), li) + ["."])
-            elif lang == base and u < config.gloss_rate + config.fact_rate:
-                t = train_triples[draw.integers(len(train_triples))]
-                tokens = triple_tokens(t, lang)[0]
-            else:
-                eid = entity_ids[draw.integers(len(entity_ids))]
-                tokens = entity_sentence(eid, lang).tokens
-            mlm.append((lang, tokens))
+    glossed = 0
+    for li, lang in enumerate(languages):
+        u = rng.random(config.mlm_sentences_per_lang)
+        gloss = u < config.gloss_rate
+        fact = ~gloss & (u < config.gloss_rate + config.fact_rate) & (lang == base)
+        sentences: list = [None] * len(u)
+        at = np.flatnonzero(gloss).tolist()
+        others = (rng.integers(1, len(languages), size=len(at)).tolist() if lang == base
+                  else [0] * len(at))
+        tail = rng.integers(1, 3, size=len(at)).tolist()
+        ctx = rng.integers(config.vocab_size, size=(len(at), 2)).tolist()
+        for i, other, k, c in zip(at, others, tail, ctx):
+            eid = entity_ids[glossed % len(entity_ids)]
+            glossed += 1
+            sentences[i] = (label(eid, lang) + label(eid, languages[other])
+                            + [context_forms[li][x] for x in c[:k]] + ["."])
+        at = np.flatnonzero(fact).tolist()
+        for i, t in zip(at, rng.integers(len(train_triples), size=len(at)).tolist()):
+            sentences[i] = triple_tokens(train_triples[t], lang)[0]
+        at = np.flatnonzero(~gloss & ~fact).tolist()
+        eids = [entity_ids[e] for e in rng.integers(len(entity_ids), size=len(at)).tolist()]
+        tagged = _tagged_sentences(rng, [(eid, lang, li, label(eid, lang)) for eid in eids],
+                                   context_forms)
+        for i, sentence in zip(at, tagged):
+            sentences[i] = sentence.tokens
+        mlm.extend((lang, tokens) for tokens in sentences)
 
     return SyntheticDataset(
         config=config, split=split, mlkg=mlkg, c1=c1, c2=c2, mlm_corpus=mlm,

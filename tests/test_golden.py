@@ -57,6 +57,17 @@ hashes move; its metrics do not. The pretrain and adapter_* blobs, the
 pretrain and integrate curves and every data file are unchanged. Every step
 of every curve stays within 9.6e-7 of its value before the change.
 
+Moved again by "Data drawn by the array": gen_synthetic draws each quantity
+with one Generator call over an array (the label lengths, the words without
+replacement, C1's lead lengths, tail lengths and context words a chunk at a
+time, the MLM corpus's shapes and branches a language at a time), where it
+made one rng.integers call per draw. So every data file but config.json
+and split.tsv differs, vocab.txt with them, and every checkpoint blob, every
+curve and the ablation grid move. The curves cannot be matched step by step
+with those before the change: pretraining reads another corpus and every
+later stage trains on other triples, labels and sentences. The values are the same
+under 1 and 2 BLAS threads, and MULTI_BLOCK_* do not move.
+
 MULTI_BLOCK_* pin a few MLM pretraining steps of an encoder whose token
 table, 3300 x 64, spans three of Adam's 1 << 16-element blocks and a
 ragged tail, which the micro vocabulary never does. Batches of two short
@@ -87,84 +98,84 @@ KINDS = ["EP", "TP", "ES", "TS"]
 
 CHECKPOINT_BLOB_SHA256 = {
     "adapter_EP":
-        "1e5d13a1a30b2368957ed94b6a1309415ac20f4d2e46da7a2c7823dcd7b5fe72",
+        "9823d1e86f8a9a70e32942927d7aebb011e84931ad43844901044dadea2b08e4",
     "adapter_ES":
-        "e27a35288f856debc632091185fa961414d462c182be316aa2c2799a10f1bc56",
+        "2ea285f2df69a3df7f313749eef696cd4c5bc0f5272007c2ab7d29736db678c4",
     "adapter_LARGE":
-        "e053e9714f2f542aa97c49b515fabbf9ba75c6ad9ced9056864875b145a251cd",
+        "be1c01f8ac78dc4c3cf78f4086f6fdecfaa354308d243f005b48dcf4302fe2e0",
     "adapter_TP":
-        "2df77af856d2b1fd41cc49666e6a1e14e7597ef4aa391b355a320515d154b9a9",
+        "9559eaaa1a8fe89f31eaa06776151a85a1caecef3d38633d6cea3a1bc421d1de",
     "adapter_TS":
-        "c6d6396f61a274345f6b10e3c8552b01fef2713ee1e9444c5d72c9df6a107e74",
+        "d6b53ccd11387c4d92eb0e5eab2d664dde76f2842601f4f21b39e355d8fa0ffa",
     "finetuned_alignment":
-        "65722a03b6aab52880985dad43370891399a08d58abdfdcddac2e5466f6e5644",
+        "f6fab3eeaef21b3ba11cf8d3a224a0fbd87c7e649250baf19d6c00a7fd0820f3",
     "finetuned_completion":
-        "0d24a8aefb80c7f6b1bccc9f07a35693c24b3d9155ec3bda9cbec4417fd3597b",
+        "e7e75935559888cfe068d6992c76e0f020bc431f301939aa53d910388e841258",
     "fused_alignment":
-        "764fcd34a2e2a81d7536a9cdaeb1c1ce54b1687bb42344c4bcacbdcd1031bbe4",
+        "4741eb9f9ee91ad64893ff810c583e7ea938898a709bdbbc287dd91ac605b737",
     "fused_completion":
-        "5fad8f3b8fd5c71fd74d626d917413bb0efa0a6a668b151a2b62cf27cc1868d9",
+        "ec6cac7b4f8a84c137dde71664ebce81c00baaae639c62936b66b1416d5f95e3",
     "pretrain":
-        "7000312ceea38c9c98cb72bdd87183219a75c15f2d14253a684b69bc5c71d8ed",
+        "9268edb877b193be85e356974cb97e7c1e82b790ae85641e9f78cf8e1d5c4ead",
 }
 
 CURVE_CSV_SHA256 = {
     "finetune_alignment":
-        "b43c1eb50079664e823405deed0844d09228637b26a2c2affb147e72d5bfbe35",
+        "7f2a8b5d88a854a545a60854b5b2277a35f229f53e0e6d0faf2876722b597e8c",
     "finetune_completion":
-        "92c5cbf7d65d6273647a07fef9d9fc5b8bb22c7463a931e2eb977efd37c99680",
+        "858f5053956483298bab2fe83cb5799395e2beb806495451acde373a9d9a51a4",
     "fuse_alignment":
-        "b5755c2855b65b709165caa654691e77d6e39117bf83413e78d4d92a8ccefcf8",
+        "28d680a90406adc8fb912547838832b5ef7d07ba1348d93be97f28f38d131bf4",
     "fuse_completion":
-        "cf667aabadf9c5974ee9183b05b86c0de7d34345c04e5576bf231f2af4826ad7",
+        "eee5468831dedd76b4eaaae880d2bd15719320e8e9c948956ad1c822e01f428c",
     "integrate_EP":
-        "811aca4e48f8fd3877c219299c8846119d95d57a2367278027fa49b8f9dcd747",
+        "ec3e5a9c731f3e570c6b6c63ec8e4d043736895bcd7cc8c7e628381ec82f9a66",
     "integrate_ES":
-        "1e85b601a4861d91102d516ba900e802cfb803b03165de2c1260855ad6577b73",
+        "52ac3aa9e234b97e4888a25e24c3c2006fc5a6265f45386f85275f52be255d48",
     "integrate_LARGE":
-        "05e413c4fc0b44e649ff986d8b305595a23003cb8f401124d2bb621a50b99769",
+        "619a858ec1f5e943d5e70774a31b56e58a25f99d416303d244a53c030805fa06",
     "integrate_TP":
-        "1499a73b7901d96e37c5cb179f6b0d9d40ba2ce4bc06df9dd7af2f2cf5e9d4ef",
+        "351a3278abdd02dc45ebb129c07ecb1466ae94427c157685bdbc9edf3d8d9ad3",
     "integrate_TS":
-        "13f56ca79e51ca87a310bf47bfd7ee8225b72553a383cea9488cb242268c3465",
+        "a7ac6a2c391f23e9725a0842de68429c15c43dc64e65d275970ecf2140ded839",
     "pretrain":
-        "f88b9ec245e40a49e4566eaa878a1dd176e70ff5baffd8d67eae915f06044a05",
+        "81190f37691cedba8e23497f4d76b821fcbf7782e90ad56d68e533bd89c6e5b4",
 }
 
 # json.dumps(..., sort_keys=True) of {"ablation": {"seed", "config_hash",
 # "variants": run_stage(ws, "ablate", tasks=TASKS) as dicts}}, each report
 # dict without the "split" and "categories" keys that reports gained after
 # this value was pinned
-ABLATION_SHA256 = "71a24968c4f59279d2d354a87ec8e53a5e16d8d59a3e9070ccbe99e36c3594f8"
+ABLATION_SHA256 = "393b568720caf59d99e6658a8c29b9753bc22f9af85e4c68d8abaa876446edd5"
 
 # the 12 files save_dataset writes plus vocab.txt
 DATA_FILE_SHA256 = {
     "align_test.tsv":
-        "9722da169e28f488c8bd173e5728321c8d146b59ef2d8e61ea1e5ede1c315135",
+        "38c8243912be3c96ff9f2aae3795794457a0363a1c2b495092010b6fae71b07e",
     "align_train.tsv":
-        "b823b5a9fdf2492f35156cf812665ab14fcb94b87c08930e7843d87be57db2b6",
+        "080f2f1f3325fd2d353d1d77c895df64158dbade113a6ed3d03959c1671875f3",
     "c1.tsv":
-        "3317b53fa5956619a1386d72372c99f77e338dfd81db4380b4c0e55561077d3a",
+        "6bb31f322619e085d460dbbca3a74cec0f24c2ae273eecdf0e72046ad4ab7eb0",
     "c2.tsv":
-        "fe5e1375141a72f1bfee95f9c5a9424a3b321846407e59dea0dc6d566c24565b",
+        "6f65994d5cadf8e2e999cc07282b8e02baa0381b06e6c8c184d6687ddf8ee010",
     "comp_test.tsv":
-        "17771fa7a97dd2b1b6153a050492966909107627ec98bb525556ce7b87f1e5dd",
+        "bbbd67bcf9919a4beae28072265a5c7481a22e2a94957764e787165ef8168065",
     "comp_train.tsv":
-        "7543d957219ec1fc1dab00ca1ef4aef3056f6c027d03e89c2c7e3fd7d6e2f74c",
+        "458d9b4950e4121e65da2bcaaabfa2cf2baf1147c3a5d49d884847a18d583915",
     "config.json":
         "e377f60602397e82d05b3dd6cb9abb2aebd23163b313c42eff63ff9b81fffc84",
     "entities.tsv":
-        "43d8ec2c9073c840c84de2f800a87422de8d5fa4a7172eb9ba950036d825313f",
+        "d51d93aa74b1c4afd7a383a86af35d3d36c15b712fd60ab6ff6fa5a0de59b907",
     "mlm.tsv":
-        "2364adf036934fc6f189c70cd55b88a56cf9a8d690ade8b73b3a7181febfb93f",
+        "f5f4ad6f6ca6db721d9e67d10a701f5e65f7028bea11e71cf0b206a9ae7f6224",
     "relations.tsv":
-        "95bd2c5a6272b93c464219e7221b9eca11e5d176f29faafe8295490325321e24",
+        "53cd956cfa0adcdffbb8ca726a934df53205aa61aec5ed412bcc63adbd84b11c",
     "split.tsv":
         "c10e0c0d583eabf189d835cac2f5bebf617d0c3e19df17d34225a95d850f04a2",
     "triples.tsv":
-        "29dd2aafaa6887b586cc1c700481c70c72b7cb7f068f46d19e7056af477efede",
+        "48660c13cabd09b62404f0b61fa579020795f9b40682e564ba920167755e1f44",
     "vocab.txt":
-        "55b4aacbd416aaf971466878ac9c24129afc9bc8249337c1522b43f6208bf1d4",
+        "ae676781509e67237ab43fc474369227f18cbbd44059a376f8cf9858053a9a09",
 }
 
 # ParamSet.checksum() and the losses of multi_block_pretrain()

@@ -144,7 +144,7 @@ class TestSamplers:
 
     def test_tp_no_code_switch_shares_language(self, dataset):
         langs = dataset.split.adapter_langs
-        items = sample_tp_batch(dataset.mlkg, dataset.train_triples, langs, 12,
+        items = sample_tp_batch(dataset.mlkg, dataset.train_triples, langs, 8,
                                 p_cs=0.0, rng=np.random.default_rng(1))
         for it in items:
             lh, lr, lt = tp_languages(dataset.mlkg, it)
