@@ -1,18 +1,22 @@
 """The generator's draws: its words are distinct by construction, the data
-files of four more configs keep their bytes, and a config that asks for
-more distinct words than exist is rejected at load."""
+files of four more configs keep their bytes, C1 and the MLM corpus hold the
+sentences their shapes promise whatever the chunk or the rates, and a config
+that asks for more distinct words than exist is rejected at load."""
 
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from kgadapters import cli, pipeline
+from kgadapters import synthetic
 from kgadapters.errors import ConfigError
-from kgadapters.synthetic import (_CONSONANTS, _DISTINCT_WORDS, _VOWELS, DATASET_FILES,
-                                  SyntheticConfig, _words, gen_synthetic, save_dataset)
+from kgadapters.synthetic import (_CONSONANTS, _DISTINCT_WORDS, _SYLLABLES, _VOWELS,
+                                  DATASET_FILES, SyntheticConfig, _words, gen_synthetic,
+                                  save_dataset, transform_word)
 
 from test_pipeline import micro_config, write_config
 
@@ -160,6 +164,134 @@ def test_larger_config_data_files_match_golden(tmp_path, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATASET_FILES)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(tmp_path.iterdir())} == LARGER_DATA_SHA256[name]
+
+
+@pytest.mark.parametrize("n", [0, 1, _SYLLABLES ** 2, 10000])
+def test_words_are_n_distinct_words_of_two_or_three_syllables(n):
+    """Below and across the 2-to-3-syllable boundary, `_words` gives n
+    distinct words, each spelled by 2 or 3 consonant-vowel syllables, and
+    one seed gives one list."""
+    words = _words(np.random.default_rng(11), n)
+    assert len(words) == len(set(words)) == n
+    spelled = re.compile(f"([{_CONSONANTS}][{_VOWELS}]){{2,3}}")
+    assert all(spelled.fullmatch(w) for w in words)
+    assert _words(np.random.default_rng(11), n) == words
+
+
+def label_words(ds) -> set[str]:
+    """Every token of every entity and relation label, in every language."""
+    return {w for coll in (ds.mlkg.entities, ds.mlkg.relations)
+            for rec in coll.values() for label in rec.labels.values() for w in label.split()}
+
+
+def check_context(tokens: list[str], lang_index: int, labels: set[str]) -> None:
+    """Context tokens are no label's and carry their language's rewrite."""
+    for w in tokens:
+        assert w not in labels
+        assert transform_word(w.split("-")[0], lang_index) == w
+
+
+# files every draw of which comes before C1's
+BEFORE_C1 = ("entities.tsv", "relations.tsv", "triples.tsv", "split.tsv", "align_train.tsv",
+             "align_test.tsv", "comp_train.tsv", "comp_test.tsv", "c2.tsv")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, synthetic._CHUNK])
+@pytest.mark.parametrize("name", ["one_context_word", "four_languages_two_context_words"])
+def test_c1_mentions_every_entity_once_a_sentence_whatever_the_chunk(tmp_path, monkeypatch,
+                                                                     name, chunk):
+    """Chunks of 1, 7 and 50 mentions end mid-entity and mid-language: C1
+    still holds `sentences_per_entity` sentences for each entity and
+    adapter language, in entity order, each a lead of 1 to 3 context words,
+    the label its span points at, a tail of 1 or 2 and "."; the files drawn
+    before C1 keep their pinned bytes."""
+    monkeypatch.setattr(synthetic, "_CHUNK", chunk)
+    ds = gen_synthetic(SyntheticConfig(**LARGER_CONFIGS[name]))
+    langs = ds.split.adapter_langs
+    assert [(r.entity_id, r.lang) for r in ds.c1] == [
+        (eid, lang) for eid in sorted(ds.mlkg.entities) for lang in langs
+        for _ in range(ds.config.sentences_per_entity)]
+    labels = label_words(ds)
+    contexts = set()
+    for r in ds.c1:
+        s, e = r.span
+        assert r.tokens[s:e + 1] == ds.mlkg.entities[r.entity_id].labels[r.lang].split()
+        assert 1 <= s <= 3 and 1 <= len(r.tokens) - e - 2 <= 2 and r.tokens[-1] == "."
+        context = r.tokens[:s] + r.tokens[e + 1:-1]
+        check_context(context, ds.split.all_langs.index(r.lang), labels)
+        contexts.update(w.split("-")[0] for w in context)
+    assert len(contexts) <= ds.config.vocab_size
+    save_dataset(ds, tmp_path)
+    assert {name_: hashlib.sha256((tmp_path / name_).read_bytes()).hexdigest()
+            for name_ in BEFORE_C1} == {name_: LARGER_DATA_SHA256[name][name_]
+                                        for name_ in BEFORE_C1}
+
+
+def mlm_shape(ds, lang: str, tokens: list[str], labels: set[str]) -> tuple[str, str | None]:
+    """The shape of an MLM sentence and, for a gloss, its entity: a gloss is
+    the entity's label, its label in another language, 1 or 2 context words
+    and "."; a fact is a training triple's sentence in the base language;
+    an entity sentence is 1 to 3 context words, a label, 1 or 2 and "."."""
+    langs = ds.split.all_langs
+    li = langs.index(lang)
+    base = langs[0]
+    if lang == base and tokens in [ds.mlkg.entities[t.head].labels[base].split()
+                                   + ds.mlkg.relations[t.rel].labels[base].split()
+                                   + ds.mlkg.entities[t.tail].labels[base].split() + ["."]
+                                   for t in ds.train_triples]:
+        return "fact", None
+    assert tokens[-1] == "."
+    for eid, rec in ds.mlkg.entities.items():
+        own = rec.labels[lang].split()
+        if tokens[:len(own)] == own:
+            rest = tokens[len(own):-1]
+            others = langs[1:] if lang == base else [base]
+            other = next((rec.labels[o].split() for o in others
+                          if rest[:len(rec.labels[o].split())] == rec.labels[o].split()), None)
+            assert other is not None, f"{lang}: a gloss of {eid} without its other label"
+            check_context(rest[len(other):], li, labels)
+            assert 1 <= len(rest) - len(other) <= 2
+            return "gloss", eid
+    for eid, rec in ds.mlkg.entities.items():
+        own = rec.labels[lang].split()
+        for k in (1, 2, 3):
+            if tokens[k:k + len(own)] == own and 1 <= len(tokens) - k - len(own) - 1 <= 2:
+                check_context(tokens[:k] + tokens[k + len(own):-1], li, labels)
+                return "entity", eid
+    raise AssertionError(f"{lang}: no MLM sentence shape fits {tokens}")
+
+
+@pytest.mark.parametrize("gloss_rate, fact_rate",
+                         [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.35), (0.2, 0.8)])
+def test_mlm_corpus_sentences_take_their_shapes_at_any_rates(gloss_rate, fact_rate):
+    """Rates of 0 and 1 leave a branch with no draws, or the others with
+    none: each language still has `mlm_sentences_per_lang` sentences, in
+    language order, each a gloss, a fact (base language only) or an entity
+    sentence; glosses cycle through the entities in order across
+    languages, and the rates' extremes are kept."""
+    ds = gen_synthetic(SyntheticConfig(
+        languages=4, sup=2, zs_in=1, zs_un=1, entities=20, relations=3, triples=40,
+        vocab_size=10, mlm_sentences_per_lang=40, gloss_rate=gloss_rate,
+        fact_rate=fact_rate, seed=2))
+    langs = ds.split.all_langs
+    per_lang = ds.config.mlm_sentences_per_lang
+    assert [lang for lang, _ in ds.mlm_corpus] == [lang for lang in langs
+                                                   for _ in range(per_lang)]
+    labels = label_words(ds)
+    shapes = [(lang, *mlm_shape(ds, lang, tokens, labels)) for lang, tokens in ds.mlm_corpus]
+    entity_ids = sorted(ds.mlkg.entities)
+    glossed = [eid for _, shape, eid in shapes if shape == "gloss"]
+    assert glossed == [entity_ids[g % len(entity_ids)] for g in range(len(glossed))]
+    assert all(lang == langs[0] for lang, shape, _ in shapes if shape == "fact")
+    kinds = {shape for _, shape, _ in shapes}
+    if gloss_rate == 1.0:
+        assert kinds == {"gloss"}
+    if gloss_rate == 0.0:
+        assert "gloss" not in kinds
+    if fact_rate == 0.0:
+        assert "fact" not in kinds
+    if gloss_rate + fact_rate >= 1.0:
+        assert all(shape != "entity" for lang, shape, _ in shapes if lang == langs[0])
 
 
 def word_config(vocab_size: int) -> SyntheticConfig:
