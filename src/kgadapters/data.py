@@ -18,6 +18,10 @@ are joined by single spaces; token spans are 0-based and inclusive.
   config.json                      the SyntheticConfig fields as one JSON object
   vocab.txt                        one token per line in id order, the four
                                    special tokens first (see vocab.Vocab)
+
+A label is a tuple of tokens everywhere in the program: this module alone
+turns label text into tokens (`_parse_labels`) and back (`save_mlkg`), and a
+file joins a label's tokens with single spaces, as it joins any tokens.
 """
 
 from __future__ import annotations
@@ -33,16 +37,20 @@ CATEGORIES = ("sup", "zs_in", "zs_un")
 
 @dataclass
 class Labelled:
-    """An entity or a relation: an id and its label in each language."""
+    """An entity or a relation: an id and its label (token tuple) in each language."""
 
     id: str
-    labels: dict[str, str]
+    labels: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
         if not self.labels:
             raise DataError(f"{self.id!r} has no labels")
-        if any(not v or v.isspace() for v in self.labels.values()):
-            raise DataError(f"{self.id!r} has a label with no tokens")
+        for lang, label in self.labels.items():
+            if type(label) is not tuple:
+                raise DataError(f"{self.id!r} has a label in {lang!r} that is not "
+                                f"a token tuple: {label!r}")
+            if not label:
+                raise DataError(f"{self.id!r} has a label with no tokens in {lang!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,8 @@ def write_rows(path, rows: Iterable[Sequence[str]]) -> None:
         fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
-def _parse_labels(payload: str) -> dict[str, str]:
+def _parse_labels(payload: str) -> dict[str, tuple[str, ...]]:
+    """lang=label pairs joined by "|", each label's tokens by spaces."""
     labels = {}
     for part in payload.split("|"):
         if "=" not in part:
@@ -150,7 +159,7 @@ def _parse_labels(payload: str) -> dict[str, str]:
         lang, label = part.split("=", 1)
         if lang in labels:
             raise DataError(f"duplicate language {lang!r}")
-        labels[lang] = label
+        labels[lang] = tuple(label.split())
     return labels
 
 
@@ -195,7 +204,7 @@ def load_mlkg(entities_path, relations_path, triples_path) -> MLKG:
 
 def save_mlkg(mlkg: MLKG, entities_path, relations_path, triples_path) -> None:
     for records, path in ((mlkg.entities, entities_path), (mlkg.relations, relations_path)):
-        write_rows(path, ((rid, "|".join(f"{lang}={label}" for lang, label
+        write_rows(path, ((rid, "|".join(f"{lang}={' '.join(label)}" for lang, label
                                          in sorted(records[rid].labels.items())))
                           for rid in sorted(records)))
     write_rows(triples_path, ((t.head, t.rel, t.tail) for t in mlkg.triples))
@@ -210,7 +219,7 @@ def load_c1(path, mlkg: MLKG) -> list[TaggedSentence]:
             raise DataError(f"{where}: unknown entity {eid!r}")
         span = _span(where, start, end, tokens)
         label = mlkg.entities[eid].labels.get(lang)
-        if label is None or tokens[span[0]:span[1] + 1] != label.split():
+        if label is None or tuple(tokens[span[0]:span[1] + 1]) != label:
             raise DataError(f"{where}: span does not match label of {eid!r} in {lang!r}")
         out.append(TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span))
     return out
@@ -229,7 +238,7 @@ def load_c2(path, mlkg: MLKG) -> list[TripleSentence]:
         if h not in mlkg.entities or t not in mlkg.entities or r not in mlkg.relations:
             raise DataError(f"{where}: triple does not resolve")
         span = _span(where, start, end, tokens)
-        if " ".join(tokens[span[0]:span[1] + 1]) not in mlkg.entities[t].labels.values():
+        if tuple(tokens[span[0]:span[1] + 1]) not in mlkg.entities[t].labels.values():
             raise DataError(f"{where}: object span does not match any label of {t!r}")
         if span[1] - span[0] + 1 >= len(tokens):
             raise DataError(f"{where}: sentence is only the object label (empty context)")

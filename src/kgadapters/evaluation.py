@@ -39,13 +39,15 @@ from .vocab import Vocab, tokenize
 
 log = logging.getLogger(__name__)
 
-# Labels are a few tokens long, so 512 of them make products of several
-# hundred packed rows (about 770 on a 5000-entity KG) at an eighth of the
-# per-op calls of 64-label batches. The vectors keep the bits of smaller
-# batches while every product stays within OpenBLAS's small-matrix limit of
-# M*N*K = 1e6: a d_model 64 to bottleneck 8 down-projection rounds
-# differently from 1954 rows on.
-LABEL_BATCH = 512
+# The real tokens (the packed rows of `encoder.encode`) of one no-tape encode
+# of labels or queries: a batch is cut by rows, not by sequences. A row of a
+# product of 2 or more rows keeps its bits whatever the row count while the
+# product stays within OpenBLAS's small-matrix limit of M*N*K = 1e6, which the
+# d_model 64 to bottleneck 8 adapter down-projection leaves from 1954 rows on;
+# so every batch of at most that many rows has the bits of 64-label batches.
+# 800 timed best among 256 to 1900 for `embed_labels` at 5000 entities, with
+# labels of up to 2 and of up to 8 words.
+_ENCODE_ROWS = 800
 
 
 @dataclass
@@ -187,26 +189,31 @@ def emit_report(reports: list[MetricReport], fmt: str, path) -> None:
 # embedding, ranking, metrics
 # ---------------------------------------------------------------------------
 
-def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[list[int]],
-                      batch_size: int = 64) -> np.ndarray:
-    """Sentence-pooled encodings (PAD/SEP/MASK excluded), batched, no tape."""
+def _pooled_encodings(adapted: AdaptedEncoder, seqs: Sequence[list[int]]) -> np.ndarray:
+    """Sentence-pooled encodings (PAD/SEP/MASK excluded), no tape, in order,
+    in batches of at most _ENCODE_ROWS real tokens."""
     leaves = ad.make_leaves(adapted.params)
     hook = build_hook(adapted, leaves)
-    return np.concatenate([encode_pooled(leaves, seqs[lo:lo + batch_size], adapted.config,
-                                         hook).data
-                           for lo in range(0, len(seqs), batch_size)], axis=0)
+    cuts, rows = [0], 0
+    for i, seq in enumerate(seqs):
+        if rows + len(seq) > _ENCODE_ROWS and i > cuts[-1]:
+            cuts.append(i)
+            rows = 0
+        rows += len(seq)
+    cuts.append(len(seqs))
+    return np.concatenate([encode_pooled(leaves, seqs[lo:hi], adapted.config, hook).data
+                           for lo, hi in zip(cuts, cuts[1:])], axis=0)
 
 
-def label_seq(text: str, lang: str, vocab: Vocab, max_len: int) -> list[int]:
+def label_seq(label: Sequence[str], lang: str, vocab: Vocab, max_len: int) -> list[int]:
     """A label's token ids; `lang` goes unread, and stays because the
     benchmark's oracle (perfbench/oracle.py) passes it."""
-    return tokenize(text.split(), vocab, max_len)
+    return tokenize(label, vocab, max_len)
 
 
 def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
                  vocab: Vocab) -> CandidateIndex:
-    """Embed every entity's label in one language, ordered by entity id, in
-    batches of LABEL_BATCH labels."""
+    """Embed every entity's label in one language, ordered by entity id."""
     ids, seqs = [], []
     for eid in sorted(mlkg.entities):
         label = mlkg.entities[eid].labels.get(lang)
@@ -217,7 +224,7 @@ def embed_labels(adapted: AdaptedEncoder, mlkg: MLKG, lang: str,
         seqs.append(label_seq(label, lang, vocab, adapted.config.max_seq_len))
     if not ids:
         raise ConfigError(f"no entity has a label in language {lang!r}")
-    return CandidateIndex(entity_ids=ids, matrix=_pooled_encodings(adapted, seqs, LABEL_BATCH))
+    return CandidateIndex(entity_ids=ids, matrix=_pooled_encodings(adapted, seqs))
 
 
 def rank(query: np.ndarray, index: CandidateIndex) -> list[str]:
@@ -301,15 +308,16 @@ def eval_alignment(adapted: AdaptedEncoder, mlkg: MLKG,
 def _rank_golds(adapted: AdaptedEncoder, mlkg: MLKG, vocab: Vocab, task: str, k: int,
                 queries: dict[str, list[tuple[list[int], str]]]) -> MetricReport:
     """`queries` maps a language to (query, gold entity id) pairs; each gold is
-    ranked among the entity labels of that language, embedded once."""
+    ranked among the entity labels of that language, embedded once. The
+    queries of every language are encoded in one pass."""
     report = MetricReport(task=task, variant="", k=k)
-    for lang in sorted(queries):
-        if not queries[lang]:
-            continue
+    langs = [lang for lang in sorted(queries) if queries[lang]]
+    if not langs:
+        return report
+    vectors = iter(_pooled_encodings(adapted, [seq for lang in langs for seq, _ in queries[lang]]))
+    for lang in langs:
         index = embed_labels(adapted, mlkg, lang, vocab)
-        seqs, golds = zip(*queries[lang])
-        qmat = _pooled_encodings(adapted, seqs)
-        ranks = [gold_rank(rank(q, index), gold) for q, gold in zip(qmat, golds)]
+        ranks = [gold_rank(rank(next(vectors), index), gold) for _, gold in queries[lang]]
         report.per_language[lang] = _language_result(ranks, k)
     return report
 

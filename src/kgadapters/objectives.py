@@ -68,8 +68,8 @@ def infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
 class PairItem:
     """One sampled anchor/positive text pair before tokenization."""
 
-    anchor_tokens: list[str]
-    positive_tokens: list[str]
+    anchor_tokens: Sequence[str]
+    positive_tokens: Sequence[str]
     anchor_span: tuple[int, int] | None = None      # span pooling if set
     anchor_mask_span: tuple[int, int] | None = None  # masked before encoding
 
@@ -129,18 +129,18 @@ def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
     out = []
     for k in picked:
         eid, l1, l2 = universe[k]
-        out.append(PairItem(
-            anchor_tokens=mlkg.entities[eid].labels[l1].split(),
-            positive_tokens=mlkg.entities[eid].labels[l2].split()))
+        labels = mlkg.entities[eid].labels
+        out.append(PairItem(anchor_tokens=labels[l1], positive_tokens=labels[l2]))
     return out
 
 
-def _query_tokens(subject: str, relation: str) -> list[str]:
+def _query_tokens(subject: tuple[str, ...], relation: tuple[str, ...]) -> list[str]:
     """The completion query "subject label <sep> relation label" as tokens."""
-    return subject.split() + [SEP] + relation.split()
+    return [*subject, SEP, *relation]
 
 
-def _slot_lang(labels: dict[str, str], langs: Sequence[str], rng: np.random.Generator) -> str:
+def _slot_lang(labels: dict[str, tuple[str, ...]], langs: Sequence[str],
+               rng: np.random.Generator) -> str:
     available = [l for l in langs if l in labels]
     return available[int(rng.integers(len(available)))]
 
@@ -171,7 +171,7 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
             lh = lr = lt = common[int(rng.integers(len(common)))]
         out.append(PairItem(
             anchor_tokens=_query_tokens(head[lh], rel[lr]),
-            positive_tokens=tail[lt].split()))
+            positive_tokens=tail[lt]))
     return out
 
 
@@ -191,7 +191,7 @@ def sample_completion_batch(mlkg: MLKG, items: Sequence[tuple[str, Triple]],
         out.append(PairItem(
             anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
                                         mlkg.relations[t.rel].labels[lang]),
-            positive_tokens=mlkg.entities[t.tail].labels[lang].split()))
+            positive_tokens=mlkg.entities[t.tail].labels[lang]))
     return out
 
 
@@ -226,7 +226,7 @@ def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG,
         other = others[int(rng.integers(len(others)))]
         out.append(PairItem(
             anchor_tokens=list(r.tokens), anchor_span=r.span,
-            positive_tokens=mlkg.entities[r.entity_id].labels[other].split()))
+            positive_tokens=mlkg.entities[r.entity_id].labels[other]))
     return out
 
 
@@ -265,7 +265,7 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], batch_size: int,
 # pair encoding and adapter training
 # ---------------------------------------------------------------------------
 
-def _item_to_seq(tokens: list[str], vocab: Vocab, max_len: int,
+def _item_to_seq(tokens: Sequence[str], vocab: Vocab, max_len: int,
                  mask_at: tuple[int, int] | None, pool_span: tuple[int, int] | None
                  ) -> list[int]:
     seq = tokenize(tokens, vocab, max_len)

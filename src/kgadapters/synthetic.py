@@ -52,6 +52,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -167,7 +168,8 @@ def _words(rng: np.random.Generator, n: int) -> list[str]:
     return words
 
 
-def _tagged_sentences(rng: np.random.Generator, mentions: list[tuple[str, str, int, list[str]]],
+def _tagged_sentences(rng: np.random.Generator,
+                      mentions: list[tuple[str, str, int, tuple[str, ...]]],
                       context_forms: list[list[str]]) -> list[TaggedSentence]:
     """A sentence for each (entity, language, language index, label tokens)
     of `mentions`: lead length 1..3, that many context words, the label,
@@ -179,7 +181,7 @@ def _tagged_sentences(rng: np.random.Generator, mentions: list[tuple[str, str, i
     forms = np.array(context_forms, dtype=object)          # [language, context word]
     words = forms[np.array([m[2] for m in mentions], dtype=np.intp)[:, None],
                   rng.integers(forms.shape[1], size=(len(mentions), 5))].tolist()
-    return [TaggedSentence(lang, w[:k] + label + w[3:3 + j] + ["."], eid, (k, k + len(label) - 1))
+    return [TaggedSentence(lang, [*w[:k], *label, *w[3:3 + j], "."], eid, (k, k + len(label) - 1))
             for (eid, lang, _, label), k, j, w in zip(mentions, lead, tail, words)]
 
 
@@ -208,8 +210,8 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     relation_words = {f"r{i}": [next(drawn)] for i in range(config.relations)}
     context_words = list(drawn)
 
-    def multilingual(words: list[str]) -> dict[str, str]:
-        return {lang: " ".join(_transform(words, lang_index[lang])) for lang in languages}
+    def multilingual(words: list[str]) -> dict[str, tuple[str, ...]]:
+        return {lang: tuple(_transform(words, lang_index[lang])) for lang in languages}
 
     entities = {eid: Labelled(id=eid, labels=multilingual(ws))
                 for eid, ws in entity_words.items()}
@@ -262,23 +264,19 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
     context_forms = [_transform(context_words, li) for li in range(len(languages))]
 
-    def label(eid: str, lang: str) -> list[str]:
-        return entities[eid].labels[lang].split()
-
-    # C1: entity mentions in context, adapter-training languages only; each
-    # label is split once for all of its sentences
+    # C1: entity mentions in context, adapter-training languages only
     mentions = (mention for eid in entity_ids for lang in split.adapter_langs
-                for mention in [(eid, lang, lang_index[lang], label(eid, lang))]
+                for mention in [(eid, lang, lang_index[lang], entities[eid].labels[lang])]
                 * config.sentences_per_entity)
     c1: list[TaggedSentence] = []
     while chunk := list(itertools.islice(mentions, _CHUNK)):
         c1.extend(_tagged_sentences(rng, chunk, context_forms))
 
     def triple_tokens(t: Triple, lang: str) -> tuple[list[str], tuple[int, int]]:
-        h = entities[t.head].labels[lang].split()
-        r = relations[t.rel].labels[lang].split()
-        o = entities[t.tail].labels[lang].split()
-        tokens = h + r + o + ["."]
+        h = entities[t.head].labels[lang]
+        r = relations[t.rel].labels[lang]
+        o = entities[t.tail].labels[lang]
+        tokens = [*h, *r, *o, "."]
         span = (len(h) + len(r), len(h) + len(r) + len(o) - 1)
         return tokens, span
 
@@ -303,18 +301,17 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
         tail = rng.integers(1, 3, size=len(at)).tolist()
         ctx = rng.integers(config.vocab_size, size=(len(at), 2)).tolist()
         for i, other, k, c in zip(at, others, tail, ctx):
-            eid = entity_ids[glossed % len(entity_ids)]
+            labels = entities[entity_ids[glossed % len(entity_ids)]].labels
             glossed += 1
-            sentences[i] = (label(eid, lang) + label(eid, languages[other])
-                            + [context_forms[li][x] for x in c[:k]] + ["."])
+            sentences[i] = [*labels[lang], *labels[languages[other]],
+                            *[context_forms[li][x] for x in c[:k]], "."]
         at = np.flatnonzero(fact).tolist()
         for i, t in zip(at, rng.integers(len(train_triples), size=len(at)).tolist()):
             sentences[i] = triple_tokens(train_triples[t], lang)[0]
         at = np.flatnonzero(~gloss & ~fact).tolist()
         eids = [entity_ids[e] for e in rng.integers(len(entity_ids), size=len(at)).tolist()]
-        tagged = _tagged_sentences(rng, [(eid, lang, li, label(eid, lang)) for eid in eids],
-                                   context_forms)
-        for i, sentence in zip(at, tagged):
+        entity_mentions = [(eid, lang, li, entities[eid].labels[lang]) for eid in eids]
+        for i, sentence in zip(at, _tagged_sentences(rng, entity_mentions, context_forms)):
             sentences[i] = sentence.tokens
         mlm.extend((lang, tokens) for tokens in sentences)
 
@@ -451,14 +448,13 @@ def _check_zs_un_absence(ds: SyntheticDataset, d: Path) -> None:
                         f"(ZS-Un is {', '.join(sorted(unseen))})")
 
 
-def vocab_corpus(ds: SyntheticDataset) -> list[list[str]]:
+def vocab_corpus(ds: SyntheticDataset) -> list[Sequence[str]]:
     """Token lists covering the MLM corpus plus every label in every language,
     so no entity or relation label ever tokenizes to UNK."""
     out = [tokens for _, tokens in ds.mlm_corpus]
     for coll in (ds.mlkg.entities, ds.mlkg.relations):
         for rec in coll.values():
-            for label in rec.labels.values():
-                out.append(label.split())
+            out.extend(rec.labels.values())
     out.extend(r.tokens for r in ds.c1)
     out.extend(r.tokens for r in ds.c2)
     return out

@@ -26,10 +26,24 @@ def toy_mlkg(label_counts=(3, 2, 1)):
     entities = {}
     for i, n in enumerate(label_counts):
         eid = f"e{i}"
-        entities[eid] = Labelled(id=eid, labels={langs[j]: f"word{i}x{j}" for j in range(n)})
-    relations = {"r0": Labelled(id="r0", labels={"aa": "rel zero"})}
+        entities[eid] = Labelled(id=eid, labels={langs[j]: (f"word{i}x{j}",) for j in range(n)})
+    relations = {"r0": Labelled(id="r0", labels={"aa": ("rel", "zero")})}
     triples = [Triple("e0", "r0", "e1"), Triple("e1", "r0", "e2")]
     return MLKG(entities=entities, relations=relations, triples=triples)
+
+
+class TestLabelled:
+    @pytest.mark.parametrize("label, text", [
+        ("solo", "'e0' has a label in 'bb' that is not a token tuple: 'solo'"),
+        (["solo"], "'e0' has a label in 'bb' that is not a token tuple: ['solo']"),
+        ((), "'e0' has a label with no tokens in 'bb'"),
+    ])
+    def test_label_that_is_not_a_token_tuple_rejected(self, label, text):
+        """A str label would be tokenized character by character, so only a
+        non-empty tuple is a label."""
+        with pytest.raises(DataError) as err:
+            Labelled(id="e0", labels={"aa": ("one", "word"), "bb": label})
+        assert str(err.value) == text
 
 
 class TestLoadSave:
@@ -140,10 +154,10 @@ class TestSyntheticGenerator:
         ds = gen_synthetic(small_config())
         for r in ds.c1:
             label = ds.mlkg.entities[r.entity_id].labels[r.lang]
-            assert " ".join(r.tokens[r.span[0]:r.span[1] + 1]) == label
+            assert tuple(r.tokens[r.span[0]:r.span[1] + 1]) == label
         for r in ds.c2:
             label = ds.mlkg.entities[r.triple.tail].labels[ds.split.sup[0]]
-            assert " ".join(r.tokens[r.obj_span[0]:r.obj_span[1] + 1]) == label
+            assert tuple(r.tokens[r.obj_span[0]:r.obj_span[1] + 1]) == label
 
     def test_zs_un_absent_from_training_corpora(self, tmp_path):
         save_dataset(gen_synthetic(small_config()), tmp_path)
@@ -276,9 +290,9 @@ def test_malformed_data_file_exits_one(micro_data, tmp_path, capsys, case):
 # (training file, edit of its text given the ZS-Un language and e0's label in it)
 ZS_UN_LEAKS = {
     "c1_record": ("c1.tsv", lambda t, zu, label:
-                  t + f"{zu}\te0\t0\t{len(label.split()) - 1}\t{label} .\n"),
+                  t + f"{zu}\te0\t0\t{len(label) - 1}\t{' '.join(label)} .\n"),
     "c2_sentence": ("c2.tsv", lambda t, zu, label:
-                    t + f"e0\tr0\te0\t0\t{len(label.split()) - 1}\t{label} .\n"),
+                    t + f"e0\tr0\te0\t0\t{len(label) - 1}\t{' '.join(label)} .\n"),
     "align_train_pair": ("align_train.tsv", lambda t, zu, label: set_first_field(t, 1, zu)),
     "comp_train_item": ("comp_train.tsv", lambda t, zu, label: set_first_field(t, 0, zu)),
 }

@@ -2,22 +2,26 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgadapters import evaluation
-from kgadapters.adapters import init_fusion, insert_adapters
+from kgadapters import autodiff as ad, evaluation
+from kgadapters.adapters import KINDS, build_hook, init_fusion, insert_adapters
 from kgadapters.data import LanguageSplit
-from kgadapters.encoder import EncoderConfig, init_encoder_params
+from kgadapters.encoder import EncoderConfig, encode_pooled, init_encoder_params
 from kgadapters.evaluation import (CandidateIndex, MetricReport, LanguageResult,
-                                   embed_labels, eval_alignment, finetune_contrastive,
+                                   embed_labels, eval_alignment, eval_completion,
+                                   finetune_contrastive,
                                    gold_rank, hits_at_k, label_seq, mrr, rank)
 from kgadapters.optim import TrainHyper
 from kgadapters.pipeline import make_sampler
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
+
+from test_pipeline import micro_config
 
 
 class TestHitsAndMrr:
@@ -175,10 +179,37 @@ def bench():
     return ds, vocab, adapted
 
 
-def embed_in_batches(monkeypatch, size, adapted, ds, vocab):
-    """`embed_labels` of the base language in batches of `size` labels."""
-    monkeypatch.setattr(evaluation, "LABEL_BATCH", size)
+def embed_one_at_a_time(monkeypatch, adapted, ds, vocab):
+    """`embed_labels` of the base language with a row budget of 1, which
+    encodes each label in a batch of its own."""
+    monkeypatch.setattr(evaluation, "_ENCODE_ROWS", 1)
     return embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
+
+
+def assert_default_batches_keep_the_bits_of_64_label_batches(label_max_words):
+    """`embed_labels` at desk dims, fused, over 600 labels equals their
+    pooled encodings in batches of 64 labels."""
+    ds = gen_synthetic(SyntheticConfig(
+        languages=3, entities=600, relations=3, triples=40, sentences_per_entity=1,
+        vocab_size=12, seed=3, sup=1, zs_in=1, zs_un=1, mlm_sentences_per_lang=15,
+        label_max_words=label_max_words))
+    vocab = build_vocab(vocab_corpus(ds))
+    config = EncoderConfig(layers=2, d_model=64, n_heads=4, ff_dim=128,
+                           max_seq_len=12, vocab_size=len(vocab))
+    backbone = init_encoder_params(config, np.random.default_rng(0))
+    adapted = insert_adapters(backbone, ["EP", "TP"], 8, seed=1, config=config)
+    fused = init_fusion(adapted, 2).with_mode("fusion")
+    lang = ds.split.sup[0]
+    default = embed_labels(fused, ds.mlkg, lang, vocab)
+    assert default.entity_ids == sorted(ds.mlkg.entities)
+    seqs = [label_seq(ds.mlkg.entities[eid].labels[lang], lang, vocab, config.max_seq_len)
+            for eid in default.entity_ids]
+    leaves = ad.make_leaves(fused.params, grad=False)
+    hook = build_hook(fused, leaves)
+    batches = [encode_pooled(leaves, seqs[lo:lo + 64], config, hook).data
+               for lo in range(0, len(seqs), 64)]
+    np.testing.assert_array_equal(default.matrix, np.concatenate(batches))
+    return [len(seq) for seq in seqs]
 
 
 class TestEmbedAndEval:
@@ -191,8 +222,8 @@ class TestEmbedAndEval:
 
     def test_batched_matches_one_at_a_time_exactly(self, bench, monkeypatch):
         ds, vocab, adapted = bench
-        full = embed_in_batches(monkeypatch, 64, adapted, ds, vocab)
-        single = embed_in_batches(monkeypatch, 1, adapted, ds, vocab)
+        full = embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
+        single = embed_one_at_a_time(monkeypatch, adapted, ds, vocab)
         np.testing.assert_array_equal(full.matrix, single.matrix)
 
     def test_batched_matches_one_at_a_time_at_desk_dims(self, bench, monkeypatch):
@@ -208,39 +239,35 @@ class TestEmbedAndEval:
         lengths = {len(label_seq(e.labels[lang], lang, vocab, 12))
                    for e in ds.mlkg.entities.values()}
         assert lengths == {1, 2}
-        full = embed_in_batches(monkeypatch, 64, adapted, ds, vocab)
-        single = embed_in_batches(monkeypatch, 1, adapted, ds, vocab)
+        full = embed_labels(adapted, ds.mlkg, lang, vocab)
+        single = embed_one_at_a_time(monkeypatch, adapted, ds, vocab)
         np.testing.assert_array_equal(full.matrix, single.matrix)
 
-    def test_default_batches_keep_the_bits_of_64_label_batches(self, monkeypatch):
-        """The default batch of 512 labels at desk dims, fused: 600 labels
-        give a full and a partial batch of products of several hundred rows."""
-        ds = gen_synthetic(SyntheticConfig(
-            languages=3, entities=600, relations=3, triples=40, sentences_per_entity=1,
-            vocab_size=12, seed=3, sup=1, zs_in=1, zs_un=1, mlm_sentences_per_lang=15))
-        vocab = build_vocab(vocab_corpus(ds))
-        config = EncoderConfig(layers=2, d_model=64, n_heads=4, ff_dim=128,
-                               max_seq_len=12, vocab_size=len(vocab))
-        backbone = init_encoder_params(config, np.random.default_rng(0))
-        adapted = insert_adapters(backbone, ["EP", "TP"], 8, seed=1, config=config)
-        fused = init_fusion(adapted, 2).with_mode("fusion")
-        default = embed_labels(fused, ds.mlkg, ds.split.sup[0], vocab)
-        small = embed_in_batches(monkeypatch, 64, fused, ds, vocab)
-        assert len(default.entity_ids) == 600
-        np.testing.assert_array_equal(default.matrix, small.matrix)
+    def test_default_batches_keep_the_bits_of_64_label_batches(self):
+        """Labels of 1 or 2 words: the 600 make two batches of products of
+        several hundred rows."""
+        rows = sum(assert_default_batches_keep_the_bits_of_64_label_batches(2))
+        assert evaluation._ENCODE_ROWS < rows < 2 * evaluation._ENCODE_ROWS
+
+    def test_long_labels_keep_the_bits_of_64_label_batches(self):
+        """Labels of 1 to 8 words: 512 of them hold over 2000 real tokens, and
+        a bottleneck-8 down-projection of that many rows rounds differently
+        from one of fewer, so batches are cut by rows, not by labels."""
+        lengths = assert_default_batches_keep_the_bits_of_64_label_batches(8)
+        assert sum(lengths[:512]) > 2000
 
     def test_missing_label_excluded_with_warning(self, bench, caplog):
         ds, vocab, adapted = bench
         eid = sorted(ds.mlkg.entities)[0]
-        del ds.mlkg.entities[eid].labels[ds.split.sup[0]]
+        labels = ds.mlkg.entities[eid].labels
+        label = labels.pop(ds.split.sup[0])
         try:
             with caplog.at_level("WARNING"):
                 idx = embed_labels(adapted, ds.mlkg, ds.split.sup[0], vocab)
             assert eid not in idx.entity_ids
             assert any("excluded" in rec.message for rec in caplog.records)
         finally:
-            label = ds.mlkg.entities[eid].labels[ds.split.all_langs[1]]
-            ds.mlkg.entities[eid].labels[ds.split.sup[0]] = label.rsplit("-", 1)[0]
+            labels[ds.split.sup[0]] = label
 
     def test_evaluation_is_side_effect_free(self, bench):
         ds, vocab, adapted = bench
@@ -285,3 +312,30 @@ class TestEmbedAndEval:
         loaded = MetricReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert loaded.split == split
         assert loaded == report
+
+
+def test_benchmark_oracle_agrees_on_every_language_of_both_tasks(tmp_path, monkeypatch):
+    """perfbench/oracle.py re-ranks every query by brute force from the
+    public functions: on a micro dataset and an untrained fused model it
+    finds no failure in any language of either task."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracle
+
+    config = micro_config(tmp_path)
+    ds = gen_synthetic(config.synthetic)
+    vocab = build_vocab(vocab_corpus(ds))
+    enc = EncoderConfig(vocab_size=len(vocab), **config.encoder)
+    backbone = init_encoder_params(enc, np.random.default_rng(1))
+    model = init_fusion(insert_adapters(backbone, list(KINDS), 8, 2, enc), 3).with_mode("fusion")
+    tests = {"completion": ds.comp_test, "alignment": ds.align_test}
+    reports = {"completion": eval_completion(model, ds.mlkg, ds.comp_test, vocab, k=10),
+               "alignment": eval_alignment(model, ds.mlkg, ds.align_test, vocab, k=10)}
+    failed, problems, checked = 0, [], []
+    for task, report in reports.items():
+        assert sorted(report.per_language) == sorted(tests[task])
+        for lang, items in tests[task].items():
+            f, p = oracle.check_language(model, ds.mlkg, vocab, report, task, lang, items)
+            failed, problems = failed + f, problems + p
+            checked.append((task, lang))
+    assert (failed, problems) == (0, [])
+    assert len(checked) == 2 * len(ds.split.all_langs) - 1     # alignment skips the base

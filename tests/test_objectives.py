@@ -86,7 +86,7 @@ def dataset():
 
 
 def label_owners(records) -> dict[str, tuple[str, str]]:
-    """label -> (id, language) of entities or relations whose labels are all
+    """label tokens -> (id, language) of entities or relations whose labels are all
     distinct, which recovers what a sampled item was drawn from."""
     owners = {label: (rid, lang) for rid, r in records.items()
               for lang, label in r.labels.items()}
@@ -98,9 +98,9 @@ def tp_languages(mlkg, item) -> tuple[str, str, str]:
     """(head, relation, tail) label languages of a TP item."""
     entities, relations = label_owners(mlkg.entities), label_owners(mlkg.relations)
     sep = item.anchor_tokens.index("<sep>")
-    return (entities[" ".join(item.anchor_tokens[:sep])][1],
-            relations[" ".join(item.anchor_tokens[sep + 1:])][1],
-            entities[" ".join(item.positive_tokens)][1])
+    return (entities[tuple(item.anchor_tokens[:sep])][1],
+            relations[tuple(item.anchor_tokens[sep + 1:])][1],
+            entities[tuple(item.positive_tokens)][1])
 
 
 class TestSamplers:
@@ -110,27 +110,27 @@ class TestSamplers:
         items = sample_ep_batch(dataset.mlkg, ep_pair_universe(dataset.mlkg, langs), 10, rng)
         owners = label_owners(dataset.mlkg.entities)
         for it in items:
-            eid, l1 = owners[" ".join(it.anchor_tokens)]
-            pid, l2 = owners[" ".join(it.positive_tokens)]
+            eid, l1 = owners[tuple(it.anchor_tokens)]
+            pid, l2 = owners[tuple(it.positive_tokens)]
             assert pid == eid
             assert l1 != l2
             assert l1 in langs and l2 in langs
 
     def test_ep_single_label_entities_never_sampled(self):
         mlkg = MLKG(
-            entities={"e0": Labelled("e0", {"aa": "one"}),
-                      "e1": Labelled("e1", {"aa": "two", "bb": "two-b"})},
-            relations={"r0": Labelled("r0", {"aa": "rel"})})
+            entities={"e0": Labelled("e0", {"aa": ("one",)}),
+                      "e1": Labelled("e1", {"aa": ("two",), "bb": ("two-b",)})},
+            relations={"r0": Labelled("r0", {"aa": ("rel",)})})
         rng = np.random.default_rng(0)
         universe = ep_pair_universe(mlkg, ["aa", "bb"])
         owners = label_owners(mlkg.entities)
         for _ in range(20):
             items = sample_ep_batch(mlkg, universe, 1, rng)
-            assert all(owners[" ".join(it.anchor_tokens)][0] == "e1" for it in items)
+            assert all(owners[tuple(it.anchor_tokens)][0] == "e1" for it in items)
 
     def test_ep_requires_a_multilingual_entity(self):
-        mlkg = MLKG(entities={"e0": Labelled("e0", {"aa": "solo"})},
-                    relations={"r0": Labelled("r0", {"aa": "rel"})})
+        mlkg = MLKG(entities={"e0": Labelled("e0", {"aa": ("solo",)})},
+                    relations={"r0": Labelled("r0", {"aa": ("rel",)})})
         with pytest.raises(ConfigError):
             sample_ep_batch(mlkg, ep_pair_universe(mlkg, ["aa", "bb"]), 4,
                             np.random.default_rng(0))
@@ -177,16 +177,16 @@ class TestSamplers:
         owners = label_owners(dataset.mlkg.entities)
         for it in items:
             i, j = it.anchor_span
-            eid, sentence_lang = owners[" ".join(it.anchor_tokens[i:j + 1])]
-            pid, label_lang = owners[" ".join(it.positive_tokens)]
+            eid, sentence_lang = owners[tuple(it.anchor_tokens[i:j + 1])]
+            pid, label_lang = owners[tuple(it.positive_tokens)]
             assert pid == eid
             assert label_lang != sentence_lang
 
     def test_es_excludes_entities_without_cross_lingual_labels(self):
         mlkg = MLKG(
-            entities={"e0": Labelled("e0", {"aa": "only"}),
-                      "e1": Labelled("e1", {"aa": "both", "bb": "both-b"})},
-            relations={"r0": Labelled("r0", {"aa": "rel"})})
+            entities={"e0": Labelled("e0", {"aa": ("only",)}),
+                      "e1": Labelled("e1", {"aa": ("both",), "bb": ("both-b",)})},
+            relations={"r0": Labelled("r0", {"aa": ("rel",)})})
         c1 = [TaggedSentence("aa", ["ctx", "only"], "e0", (1, 1)),
               TaggedSentence("aa", ["ctx", "both"], "e1", (1, 1))]
         eligible = es_eligible(c1, mlkg, ["aa", "bb"])
@@ -195,7 +195,7 @@ class TestSamplers:
         owners = label_owners(mlkg.entities)
         for _ in range(10):
             items = sample_es_batch(c1, mlkg, eligible, 1, rng)
-            assert all(owners[" ".join(it.positive_tokens)][0] == "e1" for it in items)
+            assert all(owners[tuple(it.positive_tokens)][0] == "e1" for it in items)
 
     def test_ts_masks_object_and_pairs_its_label(self, dataset):
         items = sample_ts_batch(ts_ingest(dataset.c2), 8, np.random.default_rng(5))
@@ -205,7 +205,7 @@ class TestSamplers:
 
     def test_ts_ingest_rejects_label_only_sentence(self, dataset):
         t = dataset.mlkg.triples[0]
-        label_tokens = dataset.mlkg.entities[t.tail].labels[dataset.split.sup[0]].split()
+        label_tokens = list(dataset.mlkg.entities[t.tail].labels[dataset.split.sup[0]])
         degenerate = TripleSentence(tokens=label_tokens, triple=t,
                                     obj_span=(0, len(label_tokens) - 1))
         assert ts_ingest([degenerate]) == []

@@ -181,7 +181,7 @@ def test_words_are_n_distinct_words_of_two_or_three_syllables(n):
 def label_words(ds) -> set[str]:
     """Every token of every entity and relation label, in every language."""
     return {w for coll in (ds.mlkg.entities, ds.mlkg.relations)
-            for rec in coll.values() for label in rec.labels.values() for w in label.split()}
+            for rec in coll.values() for label in rec.labels.values() for w in label}
 
 
 def check_context(tokens: list[str], lang_index: int, labels: set[str]) -> None:
@@ -215,7 +215,7 @@ def test_c1_mentions_every_entity_once_a_sentence_whatever_the_chunk(tmp_path, m
     contexts = set()
     for r in ds.c1:
         s, e = r.span
-        assert r.tokens[s:e + 1] == ds.mlkg.entities[r.entity_id].labels[r.lang].split()
+        assert r.tokens[s:e + 1] == list(ds.mlkg.entities[r.entity_id].labels[r.lang])
         assert 1 <= s <= 3 and 1 <= len(r.tokens) - e - 2 <= 2 and r.tokens[-1] == "."
         context = r.tokens[:s] + r.tokens[e + 1:-1]
         check_context(context, ds.split.all_langs.index(r.lang), labels)
@@ -235,25 +235,25 @@ def mlm_shape(ds, lang: str, tokens: list[str], labels: set[str]) -> tuple[str, 
     langs = ds.split.all_langs
     li = langs.index(lang)
     base = langs[0]
-    if lang == base and tokens in [ds.mlkg.entities[t.head].labels[base].split()
-                                   + ds.mlkg.relations[t.rel].labels[base].split()
-                                   + ds.mlkg.entities[t.tail].labels[base].split() + ["."]
+    if lang == base and tokens in [[*ds.mlkg.entities[t.head].labels[base],
+                                    *ds.mlkg.relations[t.rel].labels[base],
+                                    *ds.mlkg.entities[t.tail].labels[base], "."]
                                    for t in ds.train_triples]:
         return "fact", None
     assert tokens[-1] == "."
     for eid, rec in ds.mlkg.entities.items():
-        own = rec.labels[lang].split()
+        own = list(rec.labels[lang])
         if tokens[:len(own)] == own:
             rest = tokens[len(own):-1]
             others = langs[1:] if lang == base else [base]
-            other = next((rec.labels[o].split() for o in others
-                          if rest[:len(rec.labels[o].split())] == rec.labels[o].split()), None)
+            other = next((list(rec.labels[o]) for o in others
+                          if rest[:len(rec.labels[o])] == list(rec.labels[o])), None)
             assert other is not None, f"{lang}: a gloss of {eid} without its other label"
             check_context(rest[len(other):], li, labels)
             assert 1 <= len(rest) - len(other) <= 2
             return "gloss", eid
     for eid, rec in ds.mlkg.entities.items():
-        own = rec.labels[lang].split()
+        own = list(rec.labels[lang])
         for k in (1, 2, 3):
             if tokens[k:k + len(own)] == own and 1 <= len(tokens) - k - len(own) - 1 <= 2:
                 check_context(tokens[:k] + tokens[k + len(own):-1], li, labels)
