@@ -122,12 +122,6 @@ def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents for t in tensors)
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add g to t's gradient, if t needs one.
 
@@ -163,53 +157,42 @@ def _node(data: np.ndarray, parents: tuple, backward: Callable | None) -> Tensor
 # op vocabulary
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
+def _broadcast(op: str, symbol: str, a, b, forward: Callable,
+               da: Callable | None, db: Callable | None) -> Tensor:
+    """`forward(a, b)` under numpy broadcasting; a constant b takes a's dtype.
+
+    Backward hands each operand that needs a gradient its partial, summed
+    over the axes it was broadcast along: `da(g, b)` for a and `db(g, a)` for
+    b, of the upstream gradient and the other operand's array, or g itself
+    where the partial is None.
+    """
     a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = _as_tensor(b, a)
+    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
     try:
-        out = a.data + b.data
+        out = forward(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"add: cannot broadcast shapes {a.shape} + {b.shape}") from None
+        raise ShapeError(f"{op}: cannot broadcast shapes {a.shape} {symbol} {b.shape}") from None
 
     def backward(g):
         if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(a, _unbroadcast(g if da is None else da(g, b.data), a.shape))
         if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g, b.shape))
+            _accumulate(b, _unbroadcast(g if db is None else db(g, a.data), b.shape))
 
     return _node(out, (a, b), backward)
+
+
+def add(a: Tensor, b) -> Tensor:
+    return _broadcast("add", "+", a, b, np.add, None, None)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = _as_tensor(b, a)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast shapes {a.shape} * {b.shape}") from None
-
-    def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(out, (a, b), backward)
+    return _broadcast("mul", "*", a, b, np.multiply, np.multiply, np.multiply)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: cannot broadcast shapes {a.shape} / {b.shape}") from None
-
-    def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(out, (a, b), backward)
+    return _broadcast("div", "/", a, b, np.divide, np.divide,
+                      lambda g, x: -g * x / (b.data * b.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

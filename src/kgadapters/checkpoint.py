@@ -5,9 +5,10 @@ manifest length, the UTF-8 JSON manifest, then every tensor's raw bytes
 (little-endian float32, row-major) concatenated in manifest order, which is
 the ParamSet's lexicographic order. The manifest records each tensor's name
 and shape, free-form provenance, and the SHA-256 of the blob; load verifies
-the hash, so truncation or corruption is always detected. Load ignores any
-other key of the manifest or of a tensor entry; the magic alone carries the
-version.
+the hash, so truncation or corruption is always detected. A manifest
+without these keys, or with a value of another shape, is a DataError naming
+the file; load ignores any other key of the manifest or of a tensor entry.
+The magic alone carries the version.
 """
 
 from __future__ import annotations
@@ -73,7 +74,26 @@ def _split_header(raw: bytes, path) -> tuple[dict, memoryview]:
         manifest = json.loads(raw[12:12 + mlen].decode("utf-8"))
     except ValueError:
         raise DataError(f"{path}: manifest is not JSON") from None
+    if not _well_formed(manifest):
+        raise DataError(f"{path}: manifest is not an object of tensors (distinct names, "
+                        f"each with a shape of non-negative integers), blob_sha256 and provenance")
     return manifest, memoryview(raw)[12 + mlen:]
+
+
+def _well_formed(manifest) -> bool:
+    """Whether a parsed manifest holds what `load_checkpoint` and the
+    pipeline read: a list of tensor entries, each a str name and a list of
+    non-negative int dimensions, the names distinct; a str blob hash; and a
+    provenance object."""
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("tensors"), list)
+            and isinstance(manifest.get("blob_sha256"), str)
+            and isinstance(manifest.get("provenance"), dict)):
+        return False
+    specs = manifest["tensors"]
+    return (all(isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and isinstance(spec.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in spec["shape"]) for spec in specs)
+            and len({spec["name"] for spec in specs}) == len(specs))
 
 
 def read_manifest(path) -> dict:

@@ -21,7 +21,9 @@ training), otherwise the whole item shares one language.
 Within one batch the positive-side entities are distinct: a duplicated
 entity would put a copy of an anchor's own positive among its negatives,
 which at a few hundred entities happens constantly and poisons the loss
-(at millions of entities random batches are distinct anyway).
+(at millions of entities random batches are distinct anyway). Every sampler
+draws its batch by the one rule of `_distinct_draws` and states only the key
+of a record and the item built from it.
 
 `train_pairs` is the one contrastive trainer: it trains one group prefix of
 a copy of the model by feeding InfoNCE over `encode_pair_batch` into
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -94,26 +96,32 @@ def ep_pair_universe(mlkg: MLKG, langs: Sequence[str]) -> list[tuple[str, str, s
     return pairs
 
 
-def _distinct_draws(universe_size: int, batch_size: int, key_of,
-                    rng: np.random.Generator) -> list[int]:
-    """Sample indexes whose keys are pairwise distinct within the batch."""
-    picked: list[int] = []
+def _distinct_draws(universe: Sequence, batch_size: int, key_of: Callable[[Any], Hashable],
+                    item_of: Callable[[Any], PairItem], rng: np.random.Generator,
+                    empty: str) -> list[PairItem]:
+    """The batch drawn uniformly from `universe`, `item_of` each drawn record,
+    whose records have pairwise distinct keys. Every draw is made before the
+    first item is built, so an `item_of` that draws from `rng` draws after
+    them. An empty universe is the error `empty`."""
+    if not universe:
+        raise ConfigError(empty)
+    picked: list = []
     seen: set = set()
     guard = 0
     limit = max(batch_size * 50, 1000)
     while len(picked) < batch_size and guard < limit:
         guard += 1
-        i = int(rng.integers(universe_size))
-        key = key_of(i)
+        record = universe[int(rng.integers(len(universe)))]
+        key = key_of(record)
         if key in seen:
             continue
         seen.add(key)
-        picked.append(i)
+        picked.append(record)
     if len(picked) < batch_size:
         raise ConfigError(
             f"could not fill a batch of {batch_size} with distinct entities "
             f"(universe yields only {len(picked)}); lower the batch size")
-    return picked
+    return [item_of(record) for record in picked]
 
 
 def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
@@ -122,16 +130,13 @@ def sample_ep_batch(mlkg: MLKG, universe: Sequence[tuple[str, str, str]],
 
     `universe` is `ep_pair_universe(mlkg, langs)`.
     """
-    if not universe:
-        raise ConfigError("sample_ep_batch: no entity with labels in two permitted languages")
-    picked = _distinct_draws(len(universe), batch_size,
-                             lambda i: universe[i][0], rng)
-    out = []
-    for k in picked:
-        eid, l1, l2 = universe[k]
+    def item(pair):
+        eid, l1, l2 = pair
         labels = mlkg.entities[eid].labels
-        out.append(PairItem(anchor_tokens=labels[l1], positive_tokens=labels[l2]))
-    return out
+        return PairItem(anchor_tokens=labels[l1], positive_tokens=labels[l2])
+
+    return _distinct_draws(universe, batch_size, lambda pair: pair[0], item, rng,
+                           "sample_ep_batch: no entity with labels in two permitted languages")
 
 
 def _query_tokens(subject: tuple[str, ...], relation: tuple[str, ...]) -> list[str]:
@@ -155,12 +160,7 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
     Sup or ZS-In, so each triple has a language of `langs` common to all
     three slots and every slot has one to switch to.
     """
-    if not triples:
-        raise ConfigError("sample_tp_batch: no triples")
-    picked = _distinct_draws(len(triples), batch_size, lambda i: triples[i].tail, rng)
-    out = []
-    for i in picked:
-        t = triples[i]
+    def item(t):
         head = mlkg.entities[t.head].labels
         rel = mlkg.relations[t.rel].labels
         tail = mlkg.entities[t.tail].labels
@@ -169,10 +169,10 @@ def sample_tp_batch(mlkg: MLKG, triples: Sequence[Triple], langs: Sequence[str],
         else:
             common = [l for l in langs if l in head and l in rel and l in tail]
             lh = lr = lt = common[int(rng.integers(len(common)))]
-        out.append(PairItem(
-            anchor_tokens=_query_tokens(head[lh], rel[lr]),
-            positive_tokens=tail[lt]))
-    return out
+        return PairItem(anchor_tokens=_query_tokens(head[lh], rel[lr]), positive_tokens=tail[lt])
+
+    return _distinct_draws(triples, batch_size, lambda t: t.tail, item, rng,
+                           "sample_tp_batch: no triples")
 
 
 def sample_completion_batch(mlkg: MLKG, items: Sequence[tuple[str, Triple]],
@@ -182,17 +182,14 @@ def sample_completion_batch(mlkg: MLKG, items: Sequence[tuple[str, Triple]],
 
     `items` are a dataset's (language, triple) completion training items.
     """
-    if not items:
-        raise ConfigError("sample_completion_batch: no completion training items")
-    picked = _distinct_draws(len(items), batch_size, lambda i: items[i][1].tail, rng)
-    out = []
-    for i in picked:
-        lang, t = items[i]
-        out.append(PairItem(
-            anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
-                                        mlkg.relations[t.rel].labels[lang]),
-            positive_tokens=mlkg.entities[t.tail].labels[lang]))
-    return out
+    def item(lang_triple):
+        lang, t = lang_triple
+        return PairItem(anchor_tokens=_query_tokens(mlkg.entities[t.head].labels[lang],
+                                                    mlkg.relations[t.rel].labels[lang]),
+                        positive_tokens=mlkg.entities[t.tail].labels[lang])
+
+    return _distinct_draws(items, batch_size, lambda lang_triple: lang_triple[1].tail, item,
+                           rng, "sample_completion_batch: no completion training items")
 
 
 def es_eligible(c1: Sequence[TaggedSentence], mlkg: MLKG,
@@ -215,19 +212,15 @@ def sample_es_batch(c1: Sequence[TaggedSentence], mlkg: MLKG,
 
     `eligible` is `es_eligible(c1, mlkg, langs)`.
     """
-    if not eligible:
-        raise ConfigError("sample_es_batch: no tagged sentence with a cross-lingual label")
-    picked = _distinct_draws(len(eligible), batch_size,
-                             lambda i: c1[eligible[i][0]].entity_id, rng)
-    out = []
-    for k in picked:
-        idx, others = eligible[k]
+    def item(usable):
+        idx, others = usable
         r = c1[idx]
         other = others[int(rng.integers(len(others)))]
-        out.append(PairItem(
-            anchor_tokens=list(r.tokens), anchor_span=r.span,
-            positive_tokens=mlkg.entities[r.entity_id].labels[other]))
-    return out
+        return PairItem(anchor_tokens=list(r.tokens), anchor_span=r.span,
+                        positive_tokens=mlkg.entities[r.entity_id].labels[other])
+
+    return _distinct_draws(eligible, batch_size, lambda usable: c1[usable[0]].entity_id, item,
+                           rng, "sample_es_batch: no tagged sentence with a cross-lingual label")
 
 
 def ts_ingest(c2: Sequence[TripleSentence]) -> list[TripleSentence]:
@@ -248,17 +241,13 @@ def sample_ts_batch(pool_records: Sequence[TripleSentence], batch_size: int,
 
     `pool_records` is `ts_ingest(c2)`.
     """
-    if not pool_records:
-        raise ConfigError("sample_ts_batch: no usable triple sentences")
-    picked = _distinct_draws(len(pool_records), batch_size,
-                             lambda i: pool_records[i].triple.tail, rng)
-    out = []
-    for k in picked:
-        r = pool_records[k]
+    def item(r):
         i, j = r.obj_span
-        out.append(PairItem(anchor_tokens=list(r.tokens), anchor_mask_span=(i, j),
-                            positive_tokens=list(r.tokens[i:j + 1])))
-    return out
+        return PairItem(anchor_tokens=list(r.tokens), anchor_mask_span=(i, j),
+                        positive_tokens=list(r.tokens[i:j + 1]))
+
+    return _distinct_draws(pool_records, batch_size, lambda r: r.triple.tail, item, rng,
+                           "sample_ts_batch: no usable triple sentences")
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def load_model(ws: Workspace, name: str, needed_for: str) -> tuple[AdaptedEncode
     try:
         trained_on = manifest["provenance"].get("data_sha256") or "none"
         if trained_on != ws.data_sha256:
-            raise DataError(f"trained on data {trained_on[:12]}, but {ws.data_dir} holds "
+            raise DataError(f"trained on data {str(trained_on)[:12]}, but {ws.data_dir} holds "
                             f"data {ws.data_sha256[:12]}: re-run pretrain")
         return model_from_checkpoint(ws, params, manifest), manifest
     except DataError as exc:
@@ -328,10 +328,10 @@ def make_sampler(ds: SyntheticDataset, objective: str) -> tuple[Sampler, int]:
                 len(triples))
     if objective == "ES":
         eligible = es_eligible(ds.c1, ds.mlkg, langs)
-        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng), len(ds.c1)
+        return lambda b, rng: sample_es_batch(ds.c1, ds.mlkg, eligible, b, rng), len(eligible)
     if objective == "TS":
         records = ts_ingest(ds.c2)
-        return lambda b, rng: sample_ts_batch(records, b, rng), len(ds.c2)
+        return lambda b, rng: sample_ts_batch(records, b, rng), len(records)
     if objective == LARGE:
         # one adapter integrating every knowledge type: rotate objectives per batch
         kinds = [make_sampler(ds, k) for k in KINDS]
@@ -474,6 +474,8 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     writes.
     """
     recorded = manifest["provenance"].get("encoder")
+    if not isinstance(recorded, dict | None):
+        raise DataError(f"provenance.encoder is {recorded!r}, not an object")
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
     in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
                "d_model": params.get("encoder.emb.tok").shape[1],

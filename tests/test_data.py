@@ -243,6 +243,14 @@ def set_first_field(text, index, value):
     return "\t".join(fields) + "\n" + rest
 
 
+def only_object_label(text):
+    """c2 text whose first sentence is cut to its object span."""
+    first, rest = text.split("\n", 1)
+    head, rel, tail, start, end, tokens = first.split("\t")
+    label = tokens.split()[int(start):int(end) + 1]
+    return f"{head}\t{rel}\t{tail}\t0\t{len(label) - 1}\t{' '.join(label)}\n{rest}"
+
+
 # (data file, edit of its text, location that starts the message after the path);
 # the text is written back with surrogateescape, so "\udcff" becomes the byte 0xff
 MALFORMED = {
@@ -262,6 +270,21 @@ MALFORMED = {
     "comp_test_unknown_lang": ("comp_test.tsv", lambda t: set_first_field(t, 0, "zz"), ":1: "),
     "c2_not_utf8": ("c2.tsv", lambda t: "\udcff" + t, ": "),
     "split_overlap": ("split.tsv", lambda t: t + "zs_un\taa\n", ": "),
+    "split_unknown_category": ("split.tsv", lambda t: "bogus\taa\n" + t, ":1: "),
+    "entity_label_without_lang": ("entities.tsv", lambda t: set_first_field(t, 1, "solo"),
+                                  ":1: "),
+    "entity_duplicate_lang": ("entities.tsv", lambda t: set_first_field(t, 1, "aa=x|aa=y"),
+                              ":1: "),
+    "triple_unknown_head": ("triples.tsv", lambda t: set_first_field(t, 0, "ghost"), ":1: "),
+    "triple_unknown_relation": ("triples.tsv", lambda t: set_first_field(t, 1, "ghost"), ":1: "),
+    "c1_unknown_entity": ("c1.tsv", lambda t: set_first_field(t, 1, "ghost"), ":1: "),
+    "c1_span_unlike_label": ("c1.tsv", lambda t: set_first_field(t, 4, " ".join(["x"] * 9)),
+                             ":1: "),
+    "c1_span_out_of_bounds": ("c1.tsv", lambda t: set_first_field(t, 3, "99"), ":1: "),
+    "c2_triple_unresolved": ("c2.tsv", lambda t: set_first_field(t, 2, "ghost"), ":1: "),
+    "c2_span_unlike_label": ("c2.tsv", lambda t: set_first_field(t, 5, " ".join(["x"] * 9)),
+                             ":1: "),
+    "c2_only_object_label": ("c2.tsv", only_object_label, ":1: "),
 }
 
 

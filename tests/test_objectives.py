@@ -1,5 +1,6 @@
 """InfoNCE closed forms and the four contrastive batch builders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from kgadapters import autodiff as ad
 from kgadapters.adapters import AdaptedEncoder, init_fusion, insert_adapters
 from kgadapters.autodiff import Tensor
-from kgadapters.data import Labelled, MLKG, TaggedSentence, Triple
+from kgadapters.data import Labelled, LanguageSplit, MLKG, TaggedSentence, Triple
 from kgadapters.encoder import EncoderConfig, init_encoder_params
 from kgadapters.errors import ConfigError
 from kgadapters.objectives import (encode_pair_batch,
@@ -17,6 +18,7 @@ from kgadapters.objectives import (encode_pair_batch,
                                    sample_tp_batch, sample_ts_batch,
                                    train_adapter, ts_ingest)
 from kgadapters.optim import TrainHyper
+from kgadapters.pipeline import make_sampler
 from kgadapters.data import TripleSentence
 from kgadapters.synthetic import SyntheticConfig, gen_synthetic, vocab_corpus
 from kgadapters.vocab import build_vocab
@@ -103,6 +105,10 @@ def tp_languages(mlkg, item) -> tuple[str, str, str]:
             entities[tuple(item.positive_tokens)][1])
 
 
+# the objectives whose batches are drawn by one rule, as `make_sampler` binds them
+SAMPLED = ("EP", "TP", "completion", "ES", "TS")
+
+
 class TestSamplers:
     def test_ep_pairs_are_true_alignments(self, dataset):
         rng = np.random.default_rng(0)
@@ -128,12 +134,25 @@ class TestSamplers:
             items = sample_ep_batch(mlkg, universe, 1, rng)
             assert all(owners[tuple(it.anchor_tokens)][0] == "e1" for it in items)
 
-    def test_ep_requires_a_multilingual_entity(self):
-        mlkg = MLKG(entities={"e0": Labelled("e0", {"aa": ("solo",)})},
-                    relations={"r0": Labelled("r0", {"aa": ("rel",)})})
-        with pytest.raises(ConfigError):
-            sample_ep_batch(mlkg, ep_pair_universe(mlkg, ["aa", "bb"]), 4,
-                            np.random.default_rng(0))
+    @pytest.mark.parametrize("objective", SAMPLED)
+    def test_sampler_of_an_empty_universe_rejected(self, dataset, objective):
+        """Each universe emptied: no entity labelled in two adapter languages
+        (EP), no tagged sentence in an adapter language (ES), no training
+        triple (TP, completion), no triple sentence (TS)."""
+        empty = dataclasses.replace(dataset, split=LanguageSplit(sup=["zz"], zs_in=[], zs_un=[]),
+                                    comp_train=[], c2=[])
+        sampler, size = make_sampler(empty, objective)
+        assert size == 0
+        with pytest.raises(ConfigError, match=r"^sample_\w+_batch: no "):
+            sampler(4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("objective", SAMPLED)
+    def test_sampler_of_fewer_entities_than_the_batch_rejected(self, dataset, objective):
+        sampler, _ = make_sampler(dataset, objective)
+        batch_size = len(dataset.mlkg.entities) + 1
+        with pytest.raises(ConfigError, match=f"could not fill a batch of {batch_size} "
+                                              f"with distinct entities"):
+            sampler(batch_size, np.random.default_rng(0))
 
     def test_ep_fixed_seed_reproducible(self, dataset):
         langs = dataset.split.adapter_langs

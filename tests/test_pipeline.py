@@ -23,7 +23,7 @@ from kgadapters.optim import TrainHyper
 from kgadapters.params import ParamSet
 from kgadapters.pipeline import DATA_FILES, PipelineConfig, Workspace, load_model, run_stage
 from kgadapters.evaluation import LanguageResult, MetricReport, emit_report
-from kgadapters.objectives import ep_pair_universe
+from kgadapters.objectives import ep_pair_universe, es_eligible, ts_ingest
 from kgadapters.synthetic import SyntheticConfig, load_dataset
 from kgadapters.vocab import Vocab
 
@@ -97,6 +97,40 @@ class TestMerge:
         np.testing.assert_array_equal(a.get("adapter.EP.0.W_down"), 0.0)
 
 
+def rewrite_manifest(path, edit) -> None:
+    """Replace a checkpoint file's manifest by `edit` of it; the blob stays."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[8:12])
+    header = json.dumps(edit(json.loads(raw[12:12 + mlen])), sort_keys=True).encode("utf-8")
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(header)) + header
+                     + raw[12 + mlen:])
+
+
+def edit_first_tensor(**entry):
+    """A manifest edit that replaces the first tensor entry by `entry`."""
+    def edit(manifest):
+        manifest["tensors"][0] = entry
+        return manifest
+    return edit
+
+
+# an edit of a checkpoint's manifest that leaves valid JSON of another shape
+MALFORMED_MANIFESTS = {
+    "empty_object": lambda m: {},
+    "list": lambda m: [],
+    "no_provenance": lambda m: {k: v for k, v in m.items() if k != "provenance"},
+    "provenance_not_object": lambda m: {**m, "provenance": []},
+    "hash_not_string": lambda m: {**m, "blob_sha256": None},
+    "tensors_not_list": lambda m: {**m, "tensors": {}},
+    "tensor_without_shape": edit_first_tensor(name="adapter.EP.0.W_down"),
+    "tensor_without_name": edit_first_tensor(shape=[4, 2]),
+    "shape_not_integers": edit_first_tensor(name="adapter.EP.0.W_down", shape=[4.0, 2]),
+    "shape_negative": edit_first_tensor(name="adapter.EP.0.W_down", shape=[-4, -2]),
+    "shape_bool": edit_first_tensor(name="adapter.EP.0.W_down", shape=[True, 8]),
+    "duplicate_name": edit_first_tensor(name="encoder.emb.tok", shape=[4, 2]),
+}
+
+
 class TestCheckpointFormat:
     def make_params(self):
         rng = np.random.default_rng(0)
@@ -142,14 +176,13 @@ class TestCheckpointFormat:
         p = self.make_params()
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, p, {"stage": "test"})
-        raw = path.read_bytes()
-        (mlen,) = struct.unpack("<I", raw[8:12])
-        manifest = json.loads(raw[12:12 + mlen])
-        for spec in manifest["tensors"]:
-            spec["trainable"] = spec["name"].startswith("adapter.")
-        header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(header)) + header
-                         + raw[12 + mlen:])
+
+        def edit(manifest):
+            for spec in manifest["tensors"]:
+                spec["trainable"] = spec["name"].startswith("adapter.")
+            return manifest
+
+        rewrite_manifest(path, edit)
         loaded, loaded_manifest = load_checkpoint(path)
         assert [spec["trainable"] for spec in loaded_manifest["tensors"]] == [True, False]
         assert loaded.names() == p.names()
@@ -181,6 +214,49 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+    def test_truncated_manifest_detected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, self.make_params())
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", len(raw))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"{path}: truncated manifest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape, error", [
+        ([40, 2], "blob too short for tensor 'adapter.EP.0.W_down'"),
+        ([4, 1], "16 trailing bytes in blob")], ids=["too_short", "trailing"])
+    def test_manifest_shape_unlike_the_blob_detected(self, tmp_path, shape, error):
+        """The manifest is not hashed: a shape edited in it leaves the blob's
+        hash as it was, and the blob's length unlike the shapes'."""
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, self.make_params())
+
+        def edit(manifest):
+            manifest["tensors"][0]["shape"] = shape
+            return manifest
+
+        rewrite_manifest(path, edit)
+        with pytest.raises(DataError, match=f"{path}: {error}"):
+            load_checkpoint(path)
+
+    def test_saving_a_tensor_that_is_not_float32_rejected(self, tmp_path):
+        p = self.make_params()
+        p.add("encoder.emb.pos", np.zeros((2, 4)))
+        with pytest.raises(DataError, match="'encoder.emb.pos' is float64"):
+            save_checkpoint(tmp_path / "t.ckpt", p)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_manifest_of_another_shape_names_the_file(self, tmp_path, case):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, self.make_params())
+        rewrite_manifest(path, MALFORMED_MANIFESTS[case])
+        for read in (load_checkpoint, read_manifest):
+            with pytest.raises(DataError, match=f"{re.escape(str(path))}: manifest is not an "
+                                                f"object of tensors"):
+                read(path)
 
     def test_non_json_manifest_names_the_file(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -926,6 +1002,37 @@ def test_checkpoint_without_a_data_fingerprint_exits_one(micro_run, tmp_path, ca
     assert not list(ws.report_dir.glob("*adapter_old*"))
 
 
+@pytest.mark.parametrize("recorded, error", [
+    ({"data_sha256": 5}, "trained on data 5, but "),
+    ({"encoder": []}, "provenance.encoder is [], not an object")], ids=["fingerprint", "encoder"])
+def test_checkpoint_provenance_of_another_type_exits_one(micro_run, tmp_path, capsys,
+                                                         recorded, error):
+    ws = copy_run(micro_run, tmp_path)
+    params, manifest = load_checkpoint(ws.ckpt("adapter_EP"))
+    save_checkpoint(ws.ckpt("adapter_odd"), params, {**manifest["provenance"], **recorded})
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                     "--checkpoint", "adapter_odd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ws.ckpt('adapter_odd')}: {error}"), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["empty_object", "list", "tensor_without_shape",
+                                  "no_provenance"])
+def test_checkpoint_manifest_of_another_shape_exits_one(micro_run, tmp_path, capsys, case):
+    ws = copy_run(micro_run, tmp_path)
+    rewrite_manifest(ws.ckpt("adapter_EP"), MALFORMED_MANIFESTS[case])
+    cfg = tmp_path / "cfg.json"
+    write_config(ws.config, cfg)
+    assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                     "--checkpoint", "adapter_EP"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ws.ckpt('adapter_EP')}: manifest is not an object"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_paper_profile_loads():
     config = PipelineConfig(out_dir="run", profile="paper")
     assert config.hyper("adapter", 1280).steps == 10 * 1280 // 128
@@ -951,8 +1058,9 @@ def test_epochs_resolve_to_steps_of_the_data_size(micro_run, tmp_path):
     for curve, size in sizes.items():
         rows = (ws.log_dir / f"{curve}.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 1 * (size // 8) >= 1, curve
-    kinds = {"EP": sizes["integrate_EP"], "TP": sizes["integrate_TP"], "ES": len(ds.c1),
-             "TS": len(ds.c2)}
+    kinds = {"EP": sizes["integrate_EP"], "TP": sizes["integrate_TP"],
+             "ES": len(es_eligible(ds.c1, ds.mlkg, ds.split.adapter_langs)),
+             "TS": len(ts_ingest(ds.c2))}
     assert {kind: pipeline.make_sampler(ds, kind)[1] for kind in (*kinds, "LARGE")} == {
         **kinds, "LARGE": sum(kinds.values())}
 
@@ -1064,6 +1172,11 @@ class TestCliExitCodes:
 
     def test_missing_config_and_out_exits_one(self):
         assert cli.main(["pretrain"]) == 1
+
+    def test_pretrain_before_gen_synthetic_exits_one(self, tmp_path, capsys):
+        assert cli.main(["--out", str(tmp_path), "pretrain"]) == 1
+        assert capsys.readouterr().err == (
+            "error: run the 'gen-synthetic' stage first (no data directory)\n")
 
     def test_report_of_a_directory_exits_one(self, tmp_path, capsys):
         assert cli.main(["report", "--input", str(tmp_path),
