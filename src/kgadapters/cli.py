@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-synthetic", help="generate the synthetic benchmark")
     sub.add_parser("pretrain", help="MLM-pretrain the backbone")
     p = sub.add_parser("train-adapter", help="integrate one knowledge adapter")
-    p.add_argument("--kind", required=True, choices=[k.lower() for k in (*KINDS, LARGE)])
+    p.add_argument("--kind", required=True, type=str.upper, choices=(*KINDS, LARGE))
     p = sub.add_parser("train-fusion", help="train the fusion layer on a task")
     p.add_argument("--task", required=True, choices=TASKS)
     p = sub.add_parser("finetune", help="full-model finetuning on a task")

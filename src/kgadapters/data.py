@@ -3,21 +3,31 @@ data directory.
 
 Every file is UTF-8. The .tsv files hold one TAB-separated record per line
 (blank lines are skipped); `read_rows` reads and `write_rows` writes every one
-of them, and a malformed line is a DataError naming its file and line. Tokens
-are joined by single spaces; token spans are 0-based and inclusive.
+of them, by the field names below. Tokens are joined by single spaces and are
+the last field of their line; token spans are 0-based and inclusive.
 
-  entities.tsv / relations.tsv     id TAB lang=label|lang=label|...
-  triples.tsv                      head TAB rel TAB tail
-  c1.tsv                           lang TAB entity_id TAB start TAB end TAB tokens
-  c2.tsv                           head TAB rel TAB tail TAB start TAB end TAB tokens
+  entities.tsv / relations.tsv     id TAB labels   (lang=label|lang=label|...)
+  triples.tsv                      entity TAB relation TAB entity
+  c1.tsv                           lang TAB entity TAB start TAB end TAB tokens
+  c2.tsv                           entity TAB relation TAB entity TAB start TAB end TAB tokens
   split.tsv                        category TAB language   (sup, zs_in or zs_un;
                                    at least one sup)
   mlm.tsv                          lang TAB tokens
-  align_train.tsv / align_test.tsv src_lang TAB tgt_lang TAB entity_id
-  comp_train.tsv / comp_test.tsv   lang TAB head TAB rel TAB tail
+  align_train.tsv / align_test.tsv lang TAB lang TAB entity   (source, target)
+  comp_train.tsv / comp_test.tsv   lang TAB entity TAB relation TAB entity
   config.json                      the SyntheticConfig fields as one JSON object
   vocab.txt                        one token per line in id order, the four
                                    special tokens first (see vocab.Vocab)
+
+`read_rows` checks three rules on each line as it reads it, so the first
+fault in read order is a DataError naming its file and line:
+1. shape: one value per field;
+2. references: the value of a field named entity, relation, lang or category
+   is in the collection the caller passes for that name;
+3. zero-shot-unseen: in a training file (c1.tsv, c2.tsv, align_train.tsv,
+   comp_train.tsv), no lang value is a zero-shot-unseen (ZS-Un) language and
+   no token ends as that language's words end (the caller passes the ending).
+Each loader then checks what only its file holds, such as labels and spans.
 
 A label is a tuple of tokens everywhere in the program: this module alone
 turns label text into tokens (`_parse_labels`) and back (`save_mlkg`), and a
@@ -26,9 +36,10 @@ file joins a label's tokens with single spaces, as it joins any tokens.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, check_fields
 
@@ -124,24 +135,50 @@ class MLKG:
 # file format
 # ---------------------------------------------------------------------------
 
-def read_rows(path, n_fields: int, what: str) -> Iterator[tuple[str, list[str]]]:
-    """Yield (f"{path}:{lineno}", fields) for every non-blank line of a TSV file.
-
-    A line without exactly n_fields TAB-separated fields is a DataError that
-    names its location and the expected fields, `what`.
-    """
+def read_rows(path, fields: Sequence[str], known: Mapping[str, Container[str]],
+              zs_un: Mapping[str, str]) -> Iterator[tuple[str, list[str]]]:
+    """Yield (f"{path}:{lineno}", values) for every non-blank line of a TSV
+    file that holds to the rules of this module's docstring. `fields` names
+    the values, `known` maps a field name to its collection, and `zs_un`,
+    empty but for a training file, maps each ZS-Un language to the ending of
+    its words' tokens ("" if they have none)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     prefix = f"{path}:"         # formatted once: a location is built for every line
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    refs = [(i, name, known[name]) for i, name in enumerate(fields) if name in known]
+    langs = [i for i, name in enumerate(fields) if name == "lang"] if zs_un else []
+    leak = _token_leak("\n".join(lines), zs_un) if zs_un and "tokens" in fields else 0
+    width = len(fields)
+    unseen = (f"training record in a zero-shot-unseen language "
+              f"(ZS-Un is {', '.join(sorted(zs_un))})")
+    for lineno, line in enumerate(lines, 1):
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise DataError(f"{prefix}{lineno}: expected {what}, got {len(fields)} fields")
-        yield prefix + str(lineno), fields
+        values = line.split("\t")
+        if len(values) != width:
+            raise DataError(f"{prefix}{lineno}: expected {'<TAB>'.join(fields)}, "
+                            f"got {len(values)} fields")
+        for i, name, members in refs:
+            if values[i] not in members:
+                raise DataError(f"{prefix}{lineno}: unknown {name} {values[i]!r}")
+        for i in langs:
+            if values[i] in zs_un:
+                raise DataError(f"{prefix}{lineno}: {unseen}")
+        if lineno == leak:
+            raise DataError(f"{prefix}{lineno}: {unseen}")
+        yield prefix + str(lineno), values
+
+
+def _token_leak(text: str, zs_un: Mapping[str, str]) -> int:
+    """The number of the first of the "\\n"-joined lines whose last field (no
+    TAB after it) holds a token (whitespace or the line's end after it) that
+    ends in a ZS-Un ending; 0 if none. One search of the text finds it."""
+    ends = "|".join(re.escape(end) for end in zs_un.values() if end)
+    match = ends and re.search(rf"(?:{ends})(?=\s|$)(?=[^\t\n]*$)", text, re.MULTILINE)
+    return text.count("\n", 0, match.start()) + 1 if match else 0
 
 
 def write_rows(path, rows: Iterable[Sequence[str]]) -> None:
@@ -165,7 +202,7 @@ def _parse_labels(payload: str) -> dict[str, tuple[str, ...]]:
 
 def _read_labelled(path) -> dict[str, Labelled]:
     out = {}
-    for where, (rid, payload) in read_rows(path, 2, "id<TAB>labels"):
+    for where, (rid, payload) in read_rows(path, ("id", "labels"), {}, {}):
         if rid in out:
             raise DataError(f"{where}: duplicate id {rid!r}")
         try:
@@ -190,15 +227,9 @@ def load_mlkg(entities_path, relations_path, triples_path) -> MLKG:
     """Load and referentially validate a multilingual KG from three files."""
     entities = _read_labelled(entities_path)
     relations = _read_labelled(relations_path)
-    triples = []
-    for where, (h, r, t) in read_rows(triples_path, 3, "head<TAB>rel<TAB>tail"):
-        if h not in entities:
-            raise DataError(f"{where}: unknown head entity {h!r}")
-        if t not in entities:
-            raise DataError(f"{where}: unknown tail entity {t!r}")
-        if r not in relations:
-            raise DataError(f"{where}: unknown relation {r!r}")
-        triples.append(Triple(h, r, t))
+    known = {"entity": entities, "relation": relations}
+    triples = [Triple(*row) for _, row in
+               read_rows(triples_path, ("entity", "relation", "entity"), known, {})]
     return MLKG(entities=entities, relations=relations, triples=triples)
 
 
@@ -210,15 +241,13 @@ def save_mlkg(mlkg: MLKG, entities_path, relations_path, triples_path) -> None:
     write_rows(triples_path, ((t.head, t.rel, t.tail) for t in mlkg.triples))
 
 
-def load_c1(path, mlkg: MLKG) -> list[TaggedSentence]:
+def load_c1(path, known: Mapping, zs_un: Mapping) -> list[TaggedSentence]:
     out = []
     for where, (lang, eid, start, end, text) in read_rows(
-            path, 5, "lang<TAB>entity<TAB>start<TAB>end<TAB>tokens"):
+            path, ("lang", "entity", "start", "end", "tokens"), known, zs_un):
         tokens = text.split()
-        if eid not in mlkg.entities:
-            raise DataError(f"{where}: unknown entity {eid!r}")
         span = _span(where, start, end, tokens)
-        label = mlkg.entities[eid].labels.get(lang)
+        label = known["entity"][eid].labels.get(lang)
         if label is None or tuple(tokens[span[0]:span[1] + 1]) != label:
             raise DataError(f"{where}: span does not match label of {eid!r} in {lang!r}")
         out.append(TaggedSentence(lang=lang, tokens=tokens, entity_id=eid, span=span))
@@ -230,15 +259,13 @@ def save_c1(path, records: Iterable[TaggedSentence]) -> None:
                       for r in records))
 
 
-def load_c2(path, mlkg: MLKG) -> list[TripleSentence]:
+def load_c2(path, known: Mapping, zs_un: Mapping) -> list[TripleSentence]:
     out = []
     for where, (h, r, t, start, end, text) in read_rows(
-            path, 6, "head<TAB>rel<TAB>tail<TAB>start<TAB>end<TAB>tokens"):
+            path, ("entity", "relation", "entity", "start", "end", "tokens"), known, zs_un):
         tokens = text.split()
-        if h not in mlkg.entities or t not in mlkg.entities or r not in mlkg.relations:
-            raise DataError(f"{where}: triple does not resolve")
         span = _span(where, start, end, tokens)
-        if tuple(tokens[span[0]:span[1] + 1]) not in mlkg.entities[t].labels.values():
+        if tuple(tokens[span[0]:span[1] + 1]) not in known["entity"][t].labels.values():
             raise DataError(f"{where}: object span does not match any label of {t!r}")
         if span[1] - span[0] + 1 >= len(tokens):
             raise DataError(f"{where}: sentence is only the object label (empty context)")
@@ -253,9 +280,8 @@ def save_c2(path, records: Iterable[TripleSentence]) -> None:
 
 def load_split(path) -> LanguageSplit:
     cats: dict[str, list[str]] = {cat: [] for cat in CATEGORIES}
-    for where, (cat, lang) in read_rows(path, 2, "category<TAB>language"):
-        if cat not in cats:
-            raise DataError(f"{where}: unknown category {cat!r} (have {CATEGORIES})")
+    for _, (cat, lang) in read_rows(path, ("category", "language"),
+                                    {"category": CATEGORIES}, {}):
         cats[cat].append(lang)
     if not cats["sup"]:
         raise DataError(f"{path}: no supervised (sup) language")
@@ -273,7 +299,7 @@ def read_corpus(path) -> list[tuple[str, list[str]]]:
     """Read a lang<TAB>tokens file into (lang, tokens) records; a line without
     tokens, or a file without records, is a DataError naming where."""
     records = []
-    for where, (lang, text) in read_rows(path, 2, "lang<TAB>tokens"):
+    for where, (lang, text) in read_rows(path, ("lang", "tokens"), {}, {}):
         tokens = text.split()
         if not tokens:
             raise DataError(f"{where}: sentence without tokens")

@@ -347,7 +347,6 @@ def make_sampler(ds: SyntheticDataset, objective: str) -> tuple[Sampler, int]:
 
 
 def stage_integrate(ws: Workspace, kind: str) -> Path:
-    kind = kind.upper()
     if kind not in (*ws.config.adapter_kinds, LARGE):
         raise ConfigError(f"kind {kind!r} not in configured adapters "
                           f"{ws.config.adapter_kinds} or {LARGE}")
@@ -471,13 +470,17 @@ def model_from_checkpoint(ws: Workspace, params: ParamSet, manifest: dict) -> Ad
     the manifest's `provenance.encoder`: the run config's encoder as written,
     so a record without `n_heads` means the default, and no record at all
     reads as None. So are several adapters without fusion, which no stage
-    writes.
+    writes, and a checkpoint without a tensor the shapes are read from.
     """
     recorded = manifest["provenance"].get("encoder")
     if not isinstance(recorded, dict | None):
         raise DataError(f"provenance.encoder is {recorded!r}, not an object")
+    held = params.names("encoder.")
+    for name in ("encoder.emb.tok", "encoder.emb.pos", "encoder.0.ff.w1"):
+        if name not in held:
+            raise DataError(f"holds no tensor {name!r}: not a checkpoint of an encoder")
     config = ws.encoder_config(params.get("encoder.emb.tok").shape[0])
-    in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in params.names("encoder.")),
+    in_ckpt = {"layers": sum(n.endswith(".ln1.g") for n in held),
                "d_model": params.get("encoder.emb.tok").shape[1],
                "ff_dim": params.get("encoder.0.ff.w1").shape[1],
                "max_seq_len": params.get("encoder.emb.pos").shape[0],

@@ -18,8 +18,8 @@ monolingual fact corpus), and parenthetical glosses pairing an entity
 label with its base-language label, the way real multilingual text glosses
 names. Glosses cycle through entities so every entity gets cross-lingual
 anchoring. Adapter-training corpora (C1, C2) and task-finetuning files
-never contain unseen-category languages, and `load_dataset` rejects a data
-directory whose files do.
+never contain unseen-category languages: `load_dataset` reads every file
+under the rules of data.py's docstring, the zero-shot-unseen one among them.
 
 Every draw comes from one `numpy.random.Generator` seeded with
 `config.seed`, one call per quantity and in this order, which fixes the
@@ -322,7 +322,7 @@ def gen_synthetic(config: SyntheticConfig) -> SyntheticDataset:
 
 
 # ---------------------------------------------------------------------------
-# persistence; load_dataset enforces ZS-Un absence from training files
+# persistence
 # ---------------------------------------------------------------------------
 
 # task file -> its fields, each naming the collection its values must belong
@@ -364,15 +364,12 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> None:
                                        for lang, t in ds.comp_test[key]))
 
 
-def _read_task_file(d: Path, name: str, known: dict) -> list[list[str]]:
-    """Rows of a task file whose every value belongs to the collection its
-    field names and that have every label their query or training pair reads."""
+def _read_task_file(d: Path, name: str, known: dict, zs_un: dict) -> list[list[str]]:
+    """Rows of a task file, read by `read_rows`, that have every label their
+    query or training pair reads."""
     fields, labels = _TASK_FILES[name]
     rows = []
-    for where, row in read_rows(d / name, len(fields), "<TAB>".join(fields)):
-        for field, value in zip(fields, row):
-            if value not in known[field]:
-                raise DataError(f"{where}: unknown {field} {value!r}")
+    for where, row in read_rows(d / name, fields, known, zs_un):
         for at_lang, at_record in labels:
             if row[at_lang] not in known[fields[at_record]][row[at_record]].labels:
                 raise DataError(f"{where}: {fields[at_record]} {row[at_record]!r} "
@@ -382,8 +379,9 @@ def _read_task_file(d: Path, name: str, known: dict) -> list[list[str]]:
 
 
 def load_dataset(data_dir) -> SyntheticDataset:
-    """Reload a generated benchmark from its directory; a task record without a
-    label its query or training pair reads is a DataError naming file and line."""
+    """Reload a generated benchmark from its directory, reading each file once
+    under the rules of data.py's docstring; a task record without a label its
+    query or training pair reads is a DataError naming file and line too."""
     d = Path(data_dir)
     try:
         config = SyntheticConfig(**json.loads((d / "config.json").read_text(encoding="utf-8")))
@@ -392,60 +390,26 @@ def load_dataset(data_dir) -> SyntheticDataset:
     mlkg = load_mlkg(d / "entities.tsv", d / "relations.tsv", d / "triples.tsv")
     split = load_split(d / "split.tsv")
     known = {"lang": set(split.all_langs), "entity": mlkg.entities, "relation": mlkg.relations}
-    align_train = [tuple(f) for f in _read_task_file(d, "align_train.tsv", known)]
+    # each ZS-Un language's words end as transform_word ends the words of its
+    # index among the generated codes, whatever category split.tsv gives it
+    codes = _language_codes(len(_SUFFIX_SYLLABLES) + 1)
+    zs_un = {lang: transform_word("", codes.index(lang)) if lang in codes else ""
+             for lang in split.zs_un}
+    align_train = [tuple(f) for f in _read_task_file(d, "align_train.tsv", known, zs_un)]
     align_test: dict[str, list[tuple[str, str, str]]] = {}
-    for src, tgt, eid in _read_task_file(d, "align_test.tsv", known):
+    for src, tgt, eid in _read_task_file(d, "align_test.tsv", known, {}):
         align_test.setdefault(tgt, []).append((src, tgt, eid))
     comp_train = [(lang, Triple(h, r, t))
-                  for lang, h, r, t in _read_task_file(d, "comp_train.tsv", known)]
+                  for lang, h, r, t in _read_task_file(d, "comp_train.tsv", known, zs_un)]
     comp_test: dict[str, list[tuple[str, Triple]]] = {}
-    for lang, h, r, t in _read_task_file(d, "comp_test.tsv", known):
+    for lang, h, r, t in _read_task_file(d, "comp_test.tsv", known, {}):
         comp_test.setdefault(lang, []).append((lang, Triple(h, r, t)))
-    ds = SyntheticDataset(
+    return SyntheticDataset(
         config=config, split=split, mlkg=mlkg,
-        c1=load_c1(d / "c1.tsv", mlkg), c2=load_c2(d / "c2.tsv", mlkg),
+        c1=load_c1(d / "c1.tsv", known, zs_un), c2=load_c2(d / "c2.tsv", known, zs_un),
         mlm_corpus=read_corpus(d / "mlm.tsv"),
         align_train=align_train, align_test=align_test,
         comp_train=comp_train, comp_test=comp_test)
-    _check_zs_un_absence(ds, d)
-    return ds
-
-
-def _check_zs_un_absence(ds: SyntheticDataset, d: Path) -> None:
-    """Zero-shot-unseen languages never reach adapter training or finetuning.
-
-    A record of c1.tsv, align_train.tsv or comp_train.tsv in a ZS-Un language,
-    or a c1.tsv or c2.tsv sentence with a token of one (a token ending in its
-    suffix), is a DataError naming the file and line.
-    """
-    unseen = set(ds.split.zs_un)
-    # gen_synthetic gives codes[i] the suffix of language index i, whatever
-    # category split.tsv puts it in
-    codes = _language_codes(len(_SUFFIX_SYLLABLES) + 1)
-    ends = [f"-{_SUFFIX_SYLLABLES[codes.index(lang) - 1]} " for lang in sorted(unseen)
-            if lang in codes[1:]]
-
-    def leaks(langs: list[str], sentences: list[list[str]]) -> bool:
-        # tokens hold no whitespace, so a token ends with a suffix exactly
-        # where the suffix is followed by a space in the joined text
-        text = " ".join([" ".join(tokens) for tokens in sentences]) + " "
-        return not unseen.isdisjoint(langs) or any(end in text for end in ends)
-
-    # file -> (fields per line, records, the records' languages and sentences)
-    files = {
-        "c1.tsv": (5, ds.c1, lambda rs: ([r.lang for r in rs], [r.tokens for r in rs])),
-        "c2.tsv": (6, ds.c2, lambda rs: ([], [r.tokens for r in rs])),
-        "align_train.tsv": (3, ds.align_train, lambda rs: ([l for p in rs for l in p[:2]], [])),
-        "comp_train.tsv": (4, ds.comp_train, lambda rs: ([lang for lang, _ in rs], [])),
-    }
-    for name, (n_fields, records, parts) in files.items():
-        if not leaks(*parts(records)):
-            continue
-        i = next(i for i, r in enumerate(records) if leaks(*parts([r])))
-        # the i-th record was read from the i-th non-blank line of its file
-        where, _ = next(itertools.islice(read_rows(d / name, n_fields, ""), i, None))
-        raise DataError(f"{where}: training record in a zero-shot-unseen language "
-                        f"(ZS-Un is {', '.join(sorted(unseen))})")
 
 
 def vocab_corpus(ds: SyntheticDataset) -> list[Sequence[str]]:

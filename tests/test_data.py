@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shutil
 import tempfile
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from kgadapters import cli
 from kgadapters.data import (Labelled, LanguageSplit, MLKG, Triple,
                              assign_language_splits, load_c1, load_c2,
-                             load_mlkg, load_split, save_mlkg, save_split)
+                             load_mlkg, load_split, read_rows, save_mlkg, save_split)
 from kgadapters.errors import ConfigError, DataError
 from kgadapters.pipeline import Workspace, run_stage
 from kgadapters.synthetic import (DATASET_FILES, SyntheticConfig, gen_synthetic,
@@ -169,8 +170,9 @@ class TestSyntheticGenerator:
         mlkg = load_mlkg(tmp_path / "entities.tsv", tmp_path / "relations.tsv",
                          tmp_path / "triples.tsv")
         assert mlkg == ds.mlkg
-        c1 = load_c1(tmp_path / "c1.tsv", mlkg)
-        c2 = load_c2(tmp_path / "c2.tsv", mlkg)
+        known = {"entity": mlkg.entities, "relation": mlkg.relations}
+        c1 = load_c1(tmp_path / "c1.tsv", known, {})
+        c2 = load_c2(tmp_path / "c2.tsv", known, {})
         assert len(c1) == len(ds.c1)
         assert len(c2) == len(ds.c2)
         split = load_split(tmp_path / "split.tsv")
@@ -259,6 +261,7 @@ MALFORMED = {
     "mlm_line_without_tokens": ("mlm.tsv", lambda t: set_first_field(t, 1, ""), ":1: "),
     "mlm_empty": ("mlm.tsv", lambda t: "", ": "),
     "vocab_without_specials": ("vocab.txt", lambda t: t.split("\n", 4)[4], ": "),
+    "vocab_duplicate_token": ("vocab.txt", lambda t: t + t.split("\n")[4] + "\n", ": "),
     "config_unknown_key": ("config.json",
                            lambda t: json.dumps({**json.loads(t), "bogus": 1}), ": "),
     "config_zero_triples": ("config.json",
@@ -295,14 +298,21 @@ def micro_data(tmp_path_factory):
     return ws.data_dir
 
 
+def malform(data_dir, case):
+    """Apply MALFORMED[case] to its file of data_dir; return the file's path."""
+    name, edit, _ = MALFORMED[case]
+    path = data_dir / name
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8", "surrogateescape"))
+    return path
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_data_file_exits_one(micro_data, tmp_path, capsys, case):
-    name, edit, where = MALFORMED[case]
+    where = MALFORMED[case][2]
     config = micro_config(tmp_path / "run")
     data_dir = Workspace(config).data_dir
     shutil.copytree(micro_data, data_dir)
-    path = data_dir / name
-    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8", "surrogateescape"))
+    path = malform(data_dir, case)
     write_config(config, tmp_path / "cfg.json")
     assert cli.main(["--config", str(tmp_path / "cfg.json"), "pretrain"]) == 1
     err = capsys.readouterr().err
@@ -321,17 +331,23 @@ ZS_UN_LEAKS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ZS_UN_LEAKS))
-def test_zs_un_language_in_a_training_file_exits_one(micro_data, tmp_path, capsys, case):
+def leak(data_dir, case):
+    """Apply ZS_UN_LEAKS[case] to its file of data_dir; return the file's path."""
     name, edit = ZS_UN_LEAKS[case]
-    config = micro_config(tmp_path / "run")
-    data_dir = Workspace(config).data_dir
-    shutil.copytree(micro_data, data_dir)
     (zu,) = load_split(data_dir / "split.tsv").zs_un
     label = load_mlkg(data_dir / "entities.tsv", data_dir / "relations.tsv",
                       data_dir / "triples.tsv").entities["e0"].labels[zu]
     path = data_dir / name
     path.write_text(edit(path.read_text(encoding="utf-8"), zu, label), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(ZS_UN_LEAKS))
+def test_zs_un_language_in_a_training_file_exits_one(micro_data, tmp_path, capsys, case):
+    config = micro_config(tmp_path / "run")
+    data_dir = Workspace(config).data_dir
+    shutil.copytree(micro_data, data_dir)
+    path = leak(data_dir, case)
     write_config(config, tmp_path / "cfg.json")
     assert cli.main(["--config", str(tmp_path / "cfg.json"), "pretrain"]) == 1
     err = capsys.readouterr().err
@@ -359,6 +375,61 @@ def test_zs_un_token_found_whatever_the_split_order(micro_data, tmp_path):
                               encoding="utf-8")
     with pytest.raises(DataError, match=r"c2\.tsv:\d+: .*zero-shot-unseen"):
         load_dataset(d)
+
+
+def with_blank_lines(text):
+    """The lines of a TSV text with a blank line before the first, between
+    every two and after the last: line k moves to line 2k."""
+    return "\n" + "\n\n".join(text.splitlines()) + "\n\n"
+
+
+def blank_lines_in_every_file(data_dir) -> None:
+    for path in data_dir.glob("*.tsv"):
+        path.write_text(with_blank_lines(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def test_blank_lines_load_as_the_records_alone(micro_data, tmp_path):
+    d = tmp_path / "data"
+    shutil.copytree(micro_data, d)
+    blank_lines_in_every_file(d)
+    assert_same_dataset(load_dataset(d), load_dataset(micro_data))
+
+
+# every case above whose message names a line
+LINE_FAULTS = sorted([case for case in MALFORMED if MALFORMED[case][2] != ": "]
+                     + list(ZS_UN_LEAKS))
+
+
+@pytest.mark.parametrize("case", LINE_FAULTS)
+def test_blank_lines_move_a_fault_to_its_own_line(micro_data, tmp_path, case):
+    """The fault of a case, then blank lines in every file: the message names
+    the record's new line, and is otherwise the same."""
+    plain, blank = tmp_path / "plain", tmp_path / "blank"
+    shutil.copytree(micro_data, plain)
+    path = (malform if case in MALFORMED else leak)(plain, case)
+    shutil.copytree(plain, blank)
+    blank_lines_in_every_file(blank)
+    with pytest.raises(DataError) as err:
+        load_dataset(plain)
+    line, message = re.fullmatch(rf"{re.escape(str(path))}:(\d+): (.*)", str(err.value)).groups()
+    with pytest.raises(DataError) as err:
+        load_dataset(blank)
+    assert str(err.value) == f"{blank / path.name}:{2 * int(line)}: {message}"
+
+
+def test_zs_un_token_rule_reads_the_last_field_on_every_line_break(tmp_path):
+    """A value that ends as a ZS-Un word ends but is not the last field is no
+    leak; a token in the last field is, at the line `str.splitlines` numbers,
+    whichever character ends the lines before it."""
+    path = tmp_path / "rows.tsv"
+    path.write_text("aa\tx-ave\tone two\r\n\faa\te1\tone\x1caa\te1\tone word-ave\n",
+                    encoding="utf-8")
+    fields = ("lang", "entity", "tokens")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: training record in a "
+                                                  f"zero-shot-unseen language (ZS-Un is ag)")):
+        list(read_rows(path, fields, {}, {"ag": "-ave"}))
+    path.write_text("aa\tx-ave\tone two\naa\te1\tword-aves\n", encoding="utf-8")
+    assert len(list(read_rows(path, fields, {}, {"ag": "-ave"}))) == 2
 
 
 def test_missing_gold_label_still_loads(micro_data, tmp_path):

@@ -712,6 +712,8 @@ CONFIG_FAULTS = {
                             ["pretrain"], "hyper_overrides.pretrain must be an object, got [1]"),
     "synthetic_zs_in_negative": (lambda raw: raw["synthetic"].update(zs_in=-1),
                                  ["gen-synthetic"], "zs_in must be >= 0, got -1"),
+    "synthetic_18_languages": (lambda raw: raw["synthetic"].update(languages=18, sup=16),
+                               ["gen-synthetic"], "at most 17 languages supported"),
     "unknown_profile": (lambda raw: raw.update(profile="nope"), ["pretrain"],
                         "unknown profile 'nope'"),
     "duplicate_adapter_kinds": (lambda raw: raw.update(adapter_kinds=["EP", "EP"]),
@@ -805,6 +807,19 @@ def test_config_sweep_rejects_at_load_in_one_line(tmp_path, capsys, path, cls):
         assert err.startswith(f"error: bad config file {cfg}: ") and err.count("\n") == 1, err
         assert path[-1] in err, err
     assert not (tmp_path / "run").exists()
+
+
+def test_gen_synthetic_that_cannot_draw_its_triples_exits_one(tmp_path, capsys):
+    """Two relations with one tail each hold 18 distinct triples of 10
+    entities, fewer than the 50 asked for."""
+    config = micro_config(tmp_path / "run")
+    synthetic = dataclasses.replace(config.synthetic, entities=10, relations=2,
+                                    relation_pool_size=1, triples=50)
+    write_config(dataclasses.replace(config, synthetic=synthetic), tmp_path / "cfg.json")
+    assert cli.main(["--config", str(tmp_path / "cfg.json"), "gen-synthetic"]) == 1
+    assert capsys.readouterr().err == ("error: could not generate enough distinct triples; "
+                                       "increase entities or relation_pool_size\n")
+    assert not list((tmp_path / "run" / "data").iterdir())
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
@@ -1218,6 +1233,28 @@ class TestCliExitCodes:
             f"in the run config but None in the checkpoint: re-run pretrain\n")
         assert not list(ws.report_dir.glob("*adapter_old*"))
 
+    @pytest.mark.parametrize("missing", ["encoder.emb.tok", "encoder.emb.pos",
+                                         "encoder.0.ff.w1"])
+    def test_eval_of_a_checkpoint_without_an_encoder_tensor_exits_one(self, micro_run,
+                                                                      tmp_path, capsys, missing):
+        """The pretrain checkpoint's provenance over every tensor of it but one
+        that the model's shapes are read from."""
+        ws = copy_run(micro_run, tmp_path)
+        params, manifest = load_checkpoint(ws.ckpt("pretrain"))
+        partial = ParamSet()
+        for name in params.names():
+            if name != missing:
+                partial.add(name, params.get(name))
+        save_checkpoint(ws.ckpt("partial"), partial, manifest["provenance"])
+        cfg = tmp_path / "cfg.json"
+        write_config(ws.config, cfg)
+        assert cli.main(["--config", str(cfg), "eval", "--task", "alignment",
+                         "--checkpoint", "partial"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws.ckpt('partial')}: holds no tensor {missing!r}: not a checkpoint "
+            f"of an encoder\n")
+        assert not list(ws.report_dir.glob("*partial*"))
+
     @pytest.mark.parametrize("command", [["train-fusion", "--task", "alignment"],
                                          ["ablate", "--tasks", "alignment"]],
                              ids=["train-fusion", "ablate"])
@@ -1304,6 +1341,11 @@ class TestCliExitCodes:
                                            "'encoder.emb.tok' changed during evaluation\n")
         assert not list(ws.report_dir.glob("eval_*"))
 
+    @pytest.mark.parametrize("given", ["ep", "EP", "Ep"])
+    def test_kind_is_read_in_either_case(self, given):
+        args = cli.build_parser().parse_args(["--out", "run", "train-adapter", "--kind", given])
+        assert args.kind == "EP"
+
     def test_train_large_adapter_via_cli(self, micro_run, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(micro_run.config, cfg)
@@ -1337,6 +1379,16 @@ class TestCliExitCodes:
                 "unknown stage 'nope' (have ('gen-synthetic', 'pretrain', 'integrate', "
                 "'fuse', 'finetune', 'eval', 'ablate'))")):
             run_stage(ws, "nope")
+
+
+def test_unknown_task_rejected_before_any_stage_work(tmp_path):
+    """Checked before the data or a checkpoint is looked for, or a run
+    directory made."""
+    ws = Workspace(micro_config(tmp_path / "run"))
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown task 'nope' (have ('completion', 'alignment'))")):
+        run_stage(ws, "eval", task="nope")
+    assert not ws.data_dir.exists() and not ws.ckpt_dir.exists()
 
 
 def test_cli_start_up_imports_no_scipy():
